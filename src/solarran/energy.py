@@ -9,7 +9,7 @@ watts, energy in watt-hours, temperatures in degrees Celsius.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 STANDARD_GRAVITY = 9.80665  # m/s^2
 
@@ -292,7 +292,3 @@ def battery_step(state: BatteryState, spec: BatterySpec, demand_wh: float,
                          pv_wasted_wh=pv_wasted)
     return new_state, flows
 
-
-def reset_soc(state: BatteryState, spec: BatterySpec) -> BatteryState:
-    """Start a new day on a full pack, keeping the cumulative swap count."""
-    return replace(state, soc_wh=spec.usable_capacity_wh)

@@ -5,6 +5,10 @@ steps by default): users are placed once from the run seed, the network is
 designed once, and every step accounts each station's consumption,
 harvest, battery draw, and swap events. Days are energetically independent;
 the pack starts each day full while the swap counter keeps accumulating.
+
+``run_simulation`` steps all stations together over arrays; ``step`` is the
+scalar reference for one station and one minute, which the tests hold the
+array recurrence to bit for bit.
 """
 
 from __future__ import annotations
@@ -15,8 +19,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .design import NetworkConfig, greedy_design
-from .energy import (BatteryState, battery_step, fresh_battery, mimo_power,
-                     pv_power, reset_soc, ris_power, uav_hover_power)
+from .energy import (BatteryState, battery_step, mimo_power, pv_power,
+                     ris_power, uav_hover_power)
 from .scenario import (MINUTES_PER_DAY, AccessNode, Scenario, WeatherSample,
                        WeatherError, place_users)
 
@@ -74,7 +78,7 @@ def step(node: AccessNode, state: BatteryState, active: bool,
          served_users: int, tx_power_dbm: float, weather: WeatherSample,
          with_res: bool, t: int,
          dt_minutes: float = 1.0) -> tuple[BatteryState, StepLedgerEntry]:
-    """Advance one node by one step of dt_minutes.
+    """Advance one node by one step of dt_minutes (the scalar reference).
 
     Consumption is hover plus transceiver plus reflective-surface power for
     the step duration; harvest is the panel output over the same window
@@ -109,6 +113,28 @@ def _validate_series(series: Sequence[WeatherSample], n_days: int) -> None:
             f"missing {missing[:10]}{'...' if len(missing) > 10 else ''}")
 
 
+def _step_error(t: int, node_id: int, problem) -> SimulationError:
+    return SimulationError(f"step failed at t={t}, node_id={node_id}: {problem}")
+
+
+def _panel_output_w(nodes: Sequence[AccessNode], ghi: np.ndarray,
+                    temp: np.ndarray) -> np.ndarray:
+    """pv_power for every (minute, station) at once, shape (minutes, nodes).
+
+    The operations run in pv_power's order, so every element is bit-identical
+    to the scalar call; np.where(out > 0.0, out, 0.0) is max(0.0, out).
+    """
+    def spec(name):
+        return np.array([getattr(n.pv, name) for n in nodes], dtype=float)
+
+    g = ghi[:, None]
+    t_cell = temp[:, None] + g * (spec("noct") - 20.0) / 800.0
+    out = (spec("rated_power") * spec("derating_factor")
+           * (g / spec("stc_irradiance"))
+           * (1.0 + spec("temp_coeff") * (t_cell - spec("stc_cell_temp"))))
+    return np.where(out > 0.0, out, 0.0)
+
+
 def run_simulation(scenario: Scenario, weather_series: Sequence[WeatherSample],
                    with_res: bool, seed: int,
                    network: Optional[NetworkConfig] = None) -> RunResult:
@@ -117,6 +143,12 @@ def run_simulation(scenario: Scenario, weather_series: Sequence[WeatherSample],
     Deterministic given (scenario, weather, with_res, seed). A pre-built
     NetworkConfig may be passed to share one design between the paired
     with/without-renewables runs.
+
+    The recurrence runs over arrays of stations, one minute at a time, and
+    reproduces a loop of the scalar ``step`` bit for bit: each station's draw
+    is constant over the run, the panel output is computed for all minutes
+    up front, and since the step demand never exceeds the usable capacity a
+    minute needs at most one swap.
     """
     n_days = len(scenario.dates)
     _validate_series(weather_series, n_days)
@@ -133,64 +165,101 @@ def run_simulation(scenario: Scenario, weather_series: Sequence[WeatherSample],
     nodes = sorted(scenario.nodes, key=lambda n: n.node_id)
     node_ids = tuple(n.node_id for n in nodes)
     n_nodes = len(nodes)
+    n_steps = n_days * MINUTES_PER_DAY
+    hours = 1.0 / 60.0
 
-    consumed = np.zeros((n_days, n_nodes))
-    harvested = np.zeros((n_days, n_nodes))
-    pv_used = np.zeros((n_days, n_nodes))
-    pv_wasted = np.zeros((n_days, n_nodes))
-    drawn = np.zeros((n_days, n_nodes))
-    swaps = np.zeros((n_days, n_nodes), dtype=np.int64)
-    peak_pv = np.zeros((n_days, n_nodes))
-    columns: dict[str, list] = {name: [] for name in LEDGER_COLUMNS}
+    draws = []
+    for node in nodes:
+        cell = cell_by_node[node.node_id]
+        try:
+            draws.append((
+                uav_hover_power(node.airframe) * hours,
+                mimo_power(node.mimo, cell.active, served.get(node.node_id, 0),
+                           cell.tx_power_dbm if cell.active else 0.0) * hours,
+                ris_power(node.ris) * hours))
+        except ValueError as exc:
+            raise _step_error(0, node.node_id, exc) from exc
+    hover_wh, mimo_wh, ris_wh = np.array(draws, dtype=float).reshape(n_nodes, 3).T
+    demand = hover_wh + mimo_wh + ris_wh
+    cap = np.array([n.battery.usable_capacity_wh for n in nodes], dtype=float)
+    bad = np.flatnonzero((demand < 0) | (demand > cap))
+    if bad.size:
+        i = bad[0]
+        raise _step_error(0, node_ids[i],
+                          f"step demand {demand[i]} Wh outside [0, {cap[i]}] Wh; "
+                          "one battery cannot survive one step")
 
-    states = [fresh_battery(n.battery) for n in nodes]
-    for day in range(n_days):
-        if day > 0:
-            states = [reset_soc(s, n.battery) for s, n in zip(states, nodes)]
-        swaps_at_day_start = [s.swap_count for s in states]
-        for minute in range(MINUTES_PER_DAY):
-            t = day * MINUTES_PER_DAY + minute
-            weather = weather_series[t]
-            for i, node in enumerate(nodes):
-                cell = cell_by_node[node.node_id]
-                try:
-                    states[i], e = step(node, states[i], cell.active,
-                                        served.get(node.node_id, 0),
-                                        cell.tx_power_dbm if cell.active else 0.0,
-                                        weather, with_res, t)
-                except ValueError as exc:
-                    raise SimulationError(
-                        f"step failed at t={t}, node_id={node.node_id}: {exc}"
-                    ) from exc
-                consumed[day, i] += e.consumed_wh
-                harvested[day, i] += e.harvested_wh
-                pv_used[day, i] += e.pv_used_wh
-                pv_wasted[day, i] += e.pv_wasted_wh
-                drawn[day, i] += e.drawn_from_battery_wh
-                pv_w = e.harvested_wh * 60.0
-                if pv_w > peak_pv[day, i]:
-                    peak_pv[day, i] = pv_w
-                columns["t"].append(e.t)
-                columns["node_id"].append(e.node_id)
-                columns["consumed_wh"].append(e.consumed_wh)
-                columns["hover_wh"].append(e.hover_wh)
-                columns["mimo_wh"].append(e.mimo_wh)
-                columns["ris_wh"].append(e.ris_wh)
-                columns["harvested_wh"].append(e.harvested_wh)
-                columns["pv_used_wh"].append(e.pv_used_wh)
-                columns["pv_wasted_wh"].append(e.pv_wasted_wh)
-                columns["drawn_wh"].append(e.drawn_from_battery_wh)
-                columns["soc_wh"].append(e.soc_after_wh)
-                columns["swaps"].append(e.swaps_so_far)
-        for i in range(n_nodes):
-            swaps[day, i] = states[i].swap_count - swaps_at_day_start[i]
+    if with_res:
+        ghi = np.array([s.ghi_wm2 for s in weather_series], dtype=float)
+        bad = np.flatnonzero(ghi < 0)
+        if bad.size and n_nodes:
+            t = int(bad[0])
+            raise _step_error(t, node_ids[0], f"ghi must be >= 0, got {ghi[t]}")
+        temp = np.array([s.temp_c for s in weather_series], dtype=float)
+        harvested = _panel_output_w(nodes, ghi, temp) * hours
+    else:
+        harvested = np.zeros((n_steps, n_nodes))
+    charge = harvested * np.array([n.battery.charge_efficiency for n in nodes],
+                                  dtype=float)
 
-    ledger = {name: np.asarray(vals) for name, vals in columns.items()}
+    accepted = np.empty((n_steps, n_nodes))
+    soc = np.empty((n_steps, n_nodes))
+    swapped = np.empty((n_steps, n_nodes), dtype=bool)
+    level = cap
+    for t in range(n_steps):
+        if t % MINUTES_PER_DAY == 0:
+            level = cap  # days are independent: a full pack every morning
+        # fmin(charge, room) is min(charge, room) even when room is NaN
+        acc = np.fmin(charge[t], cap - level, out=accepted[t])
+        now = np.add(level, acc, out=soc[t])
+        np.subtract(now, demand, out=now)
+        swap = np.less(now, 0.0, out=swapped[t])
+        np.add(now, cap, out=now, where=swap)
+        level = now
+
+    by_day = (n_days, MINUTES_PER_DAY, n_nodes)
+    over = np.argwhere(soc.reshape(by_day)[:, :-1] > cap + 1e-12)
+    if len(over):
+        day, minute, i = over[0]
+        raise _step_error(int(day * MINUTES_PER_DAY + minute + 1), node_ids[i],
+                          f"soc {soc.reshape(by_day)[day, minute, i]} above "
+                          f"usable capacity {cap[i]}")
+
+    consumed = np.broadcast_to(demand, (n_steps, n_nodes))
+    pv_used = np.where(consumed < accepted, consumed, accepted)
+    drawn = consumed - pv_used
+    pv_wasted = charge - accepted
+
+    def day_totals(per_step):
+        # cumsum adds in step order, exactly as a running += would
+        return np.cumsum(per_step.reshape(by_day), axis=1)[:, -1]
+
+    def tiled(per_node):
+        return np.tile(per_node, n_steps)
+
+    ledger = {
+        "t": np.repeat(np.arange(n_steps, dtype=np.int64), n_nodes),
+        "node_id": tiled(np.array(node_ids, dtype=np.int64)),
+        "consumed_wh": tiled(demand),
+        "hover_wh": tiled(hover_wh),
+        "mimo_wh": tiled(mimo_wh),
+        "ris_wh": tiled(ris_wh),
+        "harvested_wh": harvested.ravel(),
+        "pv_used_wh": pv_used.ravel(),
+        "pv_wasted_wh": pv_wasted.ravel(),
+        "drawn_wh": drawn.ravel(),
+        "soc_wh": soc.ravel(),
+        "swaps": np.cumsum(swapped, axis=0, dtype=np.int64).ravel(),
+    }
     return RunResult(seed=seed, with_res=with_res, network=network,
                      dates=tuple(scenario.dates), node_ids=node_ids,
-                     consumed_wh=consumed, harvested_wh=harvested,
-                     pv_used_wh=pv_used, pv_wasted_wh=pv_wasted,
-                     drawn_wh=drawn, swaps=swaps, peak_pv_w=peak_pv,
+                     consumed_wh=day_totals(consumed),
+                     harvested_wh=day_totals(harvested),
+                     pv_used_wh=day_totals(pv_used),
+                     pv_wasted_wh=day_totals(pv_wasted),
+                     drawn_wh=day_totals(drawn),
+                     swaps=swapped.reshape(by_day).sum(axis=1, dtype=np.int64),
+                     peak_pv_w=(harvested * 60.0).reshape(by_day).max(axis=1),
                      ledger=ledger)
 
 
@@ -317,23 +386,35 @@ def compute_metrics(pairs: Sequence[tuple[RunResult, RunResult]],
                         mean=mean, per_run=per_run)
 
 
-def verify_conservation(result: RunResult, usable_cap_wh: Optional[float] = None,
+def verify_conservation(result: RunResult,
+                        usable_cap_wh: Optional[float | Sequence[float]] = None,
                         tol: float = 1e-9) -> None:
-    """Assert the per-step and per-run accounting identities on a ledger.
+    """Check the per-step and per-run accounting identities of a ledger.
 
-    Raises AssertionError on the first violated identity: per step,
+    Raises SimulationError on the first violated identity: per step,
     consumed == drawn + pv_used and 0 <= soc (<= the usable capacity when
-    given); per run, the swap counter never decreases and the day totals
-    match the ledger.
+    given, either one value or one per station in node_ids order); per run,
+    the swap counter never decreases and the day totals match the ledger.
+    The checks are written so that a NaN fails them.
     """
     led = result.ledger
+    n_nodes = len(result.node_ids)
     gap = np.abs(led["consumed_wh"] - (led["drawn_wh"] + led["pv_used_wh"]))
-    assert gap.max() <= tol, f"per-step conservation violated by {gap.max()}"
-    assert (led["soc_wh"] >= -tol).all(), "negative state of charge"
+    if not gap.max() <= tol:
+        raise SimulationError(f"per-step conservation violated by {gap.max()}")
+    soc = led["soc_wh"].reshape(-1, n_nodes)
+    if not (soc >= -tol).all():
+        raise SimulationError("negative or NaN state of charge")
     if usable_cap_wh is not None:
-        over = led["soc_wh"].max() - usable_cap_wh
-        assert over <= tol, f"state of charge exceeds usable capacity by {over}"
-    swaps = led["swaps"].reshape(-1, len(result.node_ids))
-    assert (np.diff(swaps, axis=0) >= 0).all(), "swap counter decreased"
-    assert abs(float(led["consumed_wh"].sum()) - float(result.consumed_wh.sum())) <= tol * len(led["consumed_wh"])
-    assert abs(float(led["pv_used_wh"].sum()) - float(result.pv_used_wh.sum())) <= tol * len(led["pv_used_wh"])
+        over = soc - np.asarray(usable_cap_wh, dtype=float)
+        if not over.max() <= tol:
+            raise SimulationError(
+                f"state of charge exceeds usable capacity by {over.max()}")
+    swaps = led["swaps"].reshape(-1, n_nodes)
+    if not (np.diff(swaps, axis=0) >= 0).all():
+        raise SimulationError("swap counter decreased")
+    for name, totals in (("consumed_wh", result.consumed_wh),
+                         ("pv_used_wh", result.pv_used_wh)):
+        gap = abs(float(led[name].sum()) - float(totals.sum()))
+        if not gap <= tol * len(led[name]):
+            raise SimulationError(f"{name} day totals differ from the ledger by {gap}")

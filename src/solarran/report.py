@@ -22,19 +22,6 @@ SUMMARY_HEADER = ("season,total_harvest_wh,peak_harvest_w,arec_percent,"
                   "anuc_no_res,anuc_with_res")
 
 
-@dataclasses.dataclass(frozen=True)
-class ReportBundle:
-    """Everything one study invocation produced."""
-
-    metrics: StudyMetrics
-    config_echo: dict
-    seeds: list[int]
-    metrics_path: Path
-    summary_path: Path
-    ledger_paths: list[Path]
-    timeseries_paths: list[Path]
-
-
 def scenario_echo(scenario: Scenario) -> dict:
     """JSON-ready snapshot of the fully resolved scenario."""
     echo = dataclasses.asdict(scenario)
@@ -66,18 +53,40 @@ def write_summary_csv(metrics: StudyMetrics, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _cells(values: np.ndarray, as_float: bool, suffix: str = "") -> list[str]:
+    """Each value as its CSV cell: repr for floats, str for ints.
+
+    Every distinct value is formatted once and fancy-indexed back into
+    place. Floats are keyed by their bit pattern, so 0.0 and -0.0 (and any
+    two NaN payloads) keep their own text.
+    """
+    if as_float:
+        keys = np.asarray(values, dtype=np.float64).view(np.int64)
+        distinct, where = np.unique(keys, return_inverse=True)
+        text = [repr(v) + suffix for v in distinct.view(np.float64).tolist()]
+    else:
+        distinct, where = np.unique(np.asarray(values, dtype=np.int64),
+                                    return_inverse=True)
+        text = [str(v) + suffix for v in distinct.tolist()]
+    return np.array(text, dtype=object)[where].tolist()
+
+
 def write_ledger_csv(result: RunResult, path: Path) -> None:
     """One row per (minute, node); floats written with repr for exact
-    round-tripping."""
+    round-tripping. Rows are formatted column-wise, one day at a time."""
     led = result.ledger
     n = len(led["t"])
+    rows_per_chunk = MINUTES_PER_DAY * max(len(result.node_ids), 1)
+    float_columns = LEDGER_COLUMNS[2:-1]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(LEDGER_COLUMNS) + "\n")
-        for i in range(n):
-            row = [str(int(led["t"][i])), str(int(led["node_id"][i]))]
-            row += [repr(float(led[c][i])) for c in LEDGER_COLUMNS[2:-1]]
-            row.append(str(int(led["swaps"][i])))
-            fh.write(",".join(row) + "\n")
+        for lo in range(0, n, rows_per_chunk):
+            chunk = slice(lo, lo + rows_per_chunk)
+            # the row's newline rides on the last column's cells
+            columns = [_cells(led[c][chunk], c in float_columns,
+                              "\n" if c == LEDGER_COLUMNS[-1] else "")
+                       for c in LEDGER_COLUMNS]
+            fh.writelines(map(",".join, zip(*columns)))
 
 
 def write_timeseries_csvs(with_results: Sequence[RunResult],

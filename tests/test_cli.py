@@ -1,11 +1,13 @@
 """End-to-end tests of the command-line interface."""
 
+import dataclasses
 import json
 import math
 
 import pytest
 
 import solarran
+import solarran.cli as cli
 from solarran.cli import main
 from solarran.scenario import load_weather_csv
 
@@ -110,6 +112,24 @@ class TestSimulate:
             main(["simulate", "--out", "somewhere"])
         assert exc.value.code == 2
 
+    def test_failed_invariant_exits_1_before_writing(self, tmp_path, capsys,
+                                                     monkeypatch):
+        real_run_pair = cli.run_pair
+
+        def leaky_run_pair(*args, **kwargs):
+            no_res, with_res = real_run_pair(*args, **kwargs)
+            ledger = dict(with_res.ledger)
+            ledger["pv_used_wh"] = ledger["pv_used_wh"] + 1e-6
+            return no_res, dataclasses.replace(with_res, ledger=ledger)
+
+        monkeypatch.setattr(cli, "run_pair", leaky_run_pair)
+        out = tmp_path / "out"
+        rc = main(["simulate", "--config", str(write_tiny_config(tmp_path)),
+                   "--out", str(out)])
+        assert rc == 1
+        assert "conservation" in capsys.readouterr().err
+        assert not out.exists() or not list(out.iterdir())
+
     def test_invalid_config_exits_2_and_cleans_up(self, tmp_path, capsys):
         config = tmp_path / "bad.json"
         config.write_text('{"users": {"count": -3}}')
@@ -194,3 +214,16 @@ class TestOracle:
         rc = main(["oracle", "--instance", str(path)])
         assert rc == 2
         assert "limits" in capsys.readouterr().err
+
+    def test_missing_instance_file_exits_2(self, tmp_path, capsys):
+        rc = main(["oracle", "--instance", str(tmp_path / "missing.json")])
+        assert rc == 2
+        assert "cannot read instance" in capsys.readouterr().err
+
+    def test_node_without_coordinate_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "no_y.json"
+        path.write_text(json.dumps({"nodes": [{"id": 0, "x": 10.0}],
+                                    "users": []}))
+        rc = main(["oracle", "--instance", str(path)])
+        assert rc == 2
+        assert "missing key 'y'" in capsys.readouterr().err

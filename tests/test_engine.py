@@ -1,14 +1,16 @@
 """Tests for the stepper, full runs, and metric aggregation."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from solarran.energy import (BatterySpec, fresh_battery, mimo_power,
-                             ris_power, uav_hover_power)
-from solarran.engine import (RunResult, compute_metrics, run_pair,
-                             run_simulation, step, verify_conservation)
+from solarran.energy import (BatterySpec, ParameterError, fresh_battery,
+                             mimo_power, ris_power, uav_hover_power)
+from solarran.engine import (RunResult, SimulationError, compute_metrics,
+                             run_pair, run_simulation, step,
+                             verify_conservation)
 from solarran.scenario import (WeatherError, WeatherSample,
                                scenario_from_dict, synth_study_series)
 
@@ -131,6 +133,70 @@ class TestRunSimulation:
         pv = small_scenario.nodes[0].pv
         physical_max = max(pv_power(pv, s.ghi_wm2, s.temp_c) for s in series)
         assert with_res.peak_pv_w.max() <= physical_max + 1e-9
+
+
+class TestStepErrors:
+    """The array path refuses what the scalar step refuses, naming the
+    minute and the station."""
+
+    def test_negative_ghi(self, small_scenario):
+        series = synth_study_series(small_scenario, seed=3)
+        series[2000] = dataclasses.replace(series[2000], ghi_wm2=-1.0)
+        node = min(small_scenario.nodes, key=lambda n: n.node_id)
+        with pytest.raises(ParameterError, match="ghi"):
+            step(node, fresh_battery(node.battery), False, 0, 0.0,
+                 series[2000], True, 2000)
+        with pytest.raises(SimulationError, match=r"t=2000, node_id=0: ghi"):
+            run_simulation(small_scenario, series, True, 3)
+        # without the solar feed the irradiance is never read
+        run_simulation(small_scenario, series, False, 3)
+
+    def test_demand_above_capacity(self, small_scenario):
+        tiny = BatterySpec(capacity_wh=2.0)  # 1.9 Wh usable, under one minute of hover
+        nodes = tuple(dataclasses.replace(n, battery=tiny) if n.node_id == 2 else n
+                      for n in small_scenario.nodes)
+        scenario = dataclasses.replace(small_scenario, nodes=nodes)
+        series = synth_study_series(scenario, seed=3)
+        node = next(n for n in nodes if n.node_id == 2)
+        with pytest.raises(ParameterError, match="exceeds usable capacity"):
+            step(node, fresh_battery(tiny), False, 0, 0.0, series[0], False, 0)
+        with pytest.raises(SimulationError,
+                           match=r"t=0, node_id=2: step demand .* one battery"):
+            run_simulation(scenario, series, False, 3)
+
+
+class TestVerifyConservation:
+    def _tampered(self, result, column, index, value):
+        ledger = {k: v.copy() for k, v in result.ledger.items()}
+        ledger[column][index] = value
+        return dataclasses.replace(result, ledger=ledger)
+
+    @pytest.mark.parametrize("column,value,message", [
+        ("pv_used_wh", 0.5, "conservation"),
+        ("soc_wh", -1.0, "negative or NaN state of charge"),
+        ("soc_wh", 10_000.0, "exceeds usable capacity"),
+        ("soc_wh", float("nan"), "NaN state of charge"),
+        ("swaps", -1, "swap counter decreased"),
+    ])
+    def test_violations_raise(self, small_pair, column, value, message):
+        cap = BatterySpec().usable_capacity_wh
+        bad = self._tampered(small_pair[1], column, 100, value)
+        with pytest.raises(SimulationError, match=message):
+            verify_conservation(bad, usable_cap_wh=cap)
+
+    def test_day_totals_must_match_ledger(self, small_pair):
+        no_res = small_pair[0]
+        bad = dataclasses.replace(no_res, consumed_wh=no_res.consumed_wh + 1.0)
+        with pytest.raises(SimulationError, match="consumed_wh day totals"):
+            verify_conservation(bad)
+
+    def test_per_station_capacity(self, small_pair):
+        cap = BatterySpec().usable_capacity_wh
+        n = len(small_pair[1].node_ids)
+        verify_conservation(small_pair[1], usable_cap_wh=[cap] * n)
+        with pytest.raises(SimulationError, match="exceeds usable capacity"):
+            verify_conservation(small_pair[1],
+                                usable_cap_wh=[cap] * (n - 1) + [cap / 2])
 
 
 def _fake_result(seed, with_res, swaps_per_day, harvested=0.0, pv_used=0.0,
