@@ -15,13 +15,16 @@ Exit codes: 0 success, 1 runtime failure or failed oracle check,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
-import json
+import os
+import re
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
-from .design import (InstanceTooLargeError, brute_force_design, greedy_design,
-                     MAX_ORACLE_NODES, MAX_ORACLE_USERS)
+from .design import InstanceTooLargeError, brute_force_design, greedy_design
 from .energy import ParameterError
 from .engine import compute_metrics, run_pair, verify_conservation
 from .radio import Position
@@ -29,7 +32,7 @@ from .report import (format_summary_table, scenario_echo, write_ledger_csv,
                      write_metrics_json, write_summary_csv,
                      write_timeseries_csvs)
 from .scenario import (ConfigError, Scenario, WeatherError, AccessNode,
-                       UserTerminal, load_config, load_weather_csv,
+                       UserTerminal, load_config, load_weather_csv, parse_json,
                        scenario_from_dict, synth_study_series, synth_weather,
                        write_weather_csv, SEASONS)
 
@@ -66,7 +69,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    written: list[Path] = []
     try:
         scenario = load_config(args.config)
         runs = scenario.run_count if args.runs is None else args.runs
@@ -92,47 +94,59 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 verify_conservation(
                     result, usable_cap_wh=[caps[i] for i in result.node_ids])
             pairs.append(pair)
+        metrics = compute_metrics(pairs, season_names=SEASONS)
 
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for run_idx, pair in enumerate(pairs):
-            for result, tag in zip(pair, ("nopv", "pv")):
-                path = out_dir / f"ledger_{run_idx}_{tag}.csv"
-                written.append(path)
-                write_ledger_csv(result, path)
-
-        metrics = compute_metrics(pairs, season_names=SEASONS)
-        echo = scenario_echo(scenario)
-        metrics_path = out_dir / "metrics.json"
-        write_metrics_json(metrics, echo, seeds, metrics_path)
-        written.append(metrics_path)
-        summary_path = out_dir / "summary.csv"
-        write_summary_csv(metrics, summary_path)
-        written.append(summary_path)
-        ts_paths = write_timeseries_csvs([p[1] for p in pairs], weather_by_run,
-                                         SEASONS, out_dir)
-        written.extend(ts_paths)
+        with _staged(out_dir) as stage:
+            for run_idx, pair in enumerate(pairs):
+                for result, tag in zip(pair, ("nopv", "pv")):
+                    write_ledger_csv(result, stage / f"ledger_{run_idx}_{tag}.csv")
+            write_metrics_json(metrics, scenario_echo(scenario), seeds,
+                               stage / "metrics.json")
+            write_summary_csv(metrics, stage / "summary.csv")
+            write_timeseries_csvs([p[1] for p in pairs], weather_by_run,
+                                  SEASONS, stage)
         print(f"{runs} run pair(s), seeds {seeds[0]}..{seeds[-1]}, "
               f"{len(scenario.nodes)} stations, {scenario.user_count} users")
         print(format_summary_table(metrics))
         print(f"outputs in {out_dir}")
         return EXIT_OK
     except (ConfigError, WeatherError, ParameterError) as exc:
-        _cleanup(written)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # noqa: BLE001 - report and signal failure
-        _cleanup(written)
         print(f"failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
 
-def _cleanup(paths: list[Path]) -> None:
-    for path in paths:
-        try:
-            path.unlink(missing_ok=True)
-        except OSError:
-            pass
+STUDY_FILE = re.compile(r"ledger_\d+_(pv|nopv)\.csv|metrics\.json|summary\.csv"
+                        r"|timeseries_(" + "|".join(SEASONS) + r")\.csv")
+
+
+@contextlib.contextmanager
+def _staged(out_dir: Path):
+    """Yield a staging directory beside out_dir and, once the block succeeds,
+    publish it: one rename onto an absent or empty out_dir, else the
+    STUDY_FILE names in out_dir are replaced and any other file is kept.
+    On failure the staging directory is deleted and out_dir is untouched."""
+    target = out_dir.resolve()
+    target.parent.mkdir(parents=True, exist_ok=True)
+    stage = Path(tempfile.mkdtemp(prefix=f".{target.name}.", dir=target.parent))
+    try:
+        yield stage
+        if target.is_dir() and any(target.iterdir()):
+            for old in target.iterdir():
+                if STUDY_FILE.fullmatch(old.name):
+                    old.unlink()
+            for new in stage.iterdir():
+                os.replace(new, target / new.name)
+        else:
+            umask = os.umask(0)
+            os.umask(umask)
+            stage.chmod(0o777 & ~umask)  # mkdtemp creates it owner-only
+            os.rename(stage, target)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
 
 
 def cmd_weather_synth(args: argparse.Namespace) -> int:
@@ -157,7 +171,7 @@ def cmd_weather_synth(args: argparse.Namespace) -> int:
 def _load_instance(path: str) -> tuple[list[AccessNode], list[UserTerminal],
                                        Scenario]:
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = parse_json(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read instance {path}: {exc}") from exc
     allowed = {"radio", "dl_mbps", "ul_mbps", "nodes", "users"}
@@ -192,14 +206,11 @@ def _load_instance(path: str) -> tuple[list[AccessNode], list[UserTerminal],
 def cmd_oracle(args: argparse.Namespace) -> int:
     try:
         nodes, users, scenario = _load_instance(args.instance)
-        if len(nodes) > MAX_ORACLE_NODES or len(users) > MAX_ORACLE_USERS:
-            raise InstanceTooLargeError(
-                f"instance has {len(nodes)} nodes / {len(users)} users; "
-                f"limits are {MAX_ORACLE_NODES} / {MAX_ORACLE_USERS}")
-        greedy = greedy_design(nodes, users, scenario.radio,
-                               scenario.dl_rate_mbps, scenario.ul_rate_mbps)
+        # the exhaustive search goes first: it refuses oversized instances
         brute = brute_force_design(nodes, users, scenario.radio,
                                    scenario.dl_rate_mbps, scenario.ul_rate_mbps)
+        greedy = greedy_design(nodes, users, scenario.radio,
+                               scenario.dl_rate_mbps, scenario.ul_rate_mbps)
     except (ConfigError, InstanceTooLargeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

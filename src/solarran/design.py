@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .energy import mimo_power, ris_power, uav_hover_power
-from .radio import RadioParams, link_feasible, link_prb_split
+from .radio import RadioParams, link_feasible
 from .scenario import AccessNode, UserTerminal
 
 
@@ -91,32 +91,54 @@ def enumerate_candidates(nodes: Sequence[AccessNode],
     for node in sorted(nodes, key=lambda n: n.node_id):
         for user in sorted(users, key=lambda u: u.user_id):
             for level in params.power_levels_dbm:
-                feasible, _ = link_feasible(node.position, user.position, level,
-                                            params, dl_rate_mbps, ul_rate_mbps)
-                dl, ul = link_prb_split(node.position, user.position, level,
-                                        params, dl_rate_mbps, ul_rate_mbps)
                 table[(node.node_id, user.user_id, level)] = CandidateLink(
-                    feasible=feasible, prbs_dl=dl or 0, prbs_ul=ul or 0)
+                    *link_feasible(node.position, user.position, level,
+                                   params, dl_rate_mbps, ul_rate_mbps))
     return table
 
 
-def _network_power(nodes: Sequence[AccessNode],
-                   active: dict[int, float],
-                   served: dict[int, int]) -> float:
-    """Total drawn power [W] over all stations for one configuration.
+def station_power_w(node: AccessNode, tx_power_dbm: Optional[float],
+                    served_users: int) -> tuple[float, float, float]:
+    """Hover, transceiver and reflective-surface draw [W] of one station;
+    tx_power_dbm is None for a sleeping cell, as in CellConfig."""
+    active = tx_power_dbm is not None
+    return (uav_hover_power(node.airframe),
+            mimo_power(node.mimo, active, served_users,
+                       tx_power_dbm if active else 0.0),
+            ris_power(node.ris))
 
-    Hover and reflective-surface power are paid by every airborne station
-    whether or not its cell transmits.
-    """
-    total = 0.0
+
+def served_counts(users: dict[int, tuple[int, int, int]]) -> dict[int, int]:
+    """Users per serving node of an assignment map (user_id -> (node_id,
+    prbs_dl, prbs_ul)); nodes serving nobody are absent."""
+    served: dict[int, int] = {}
+    for nid, _, _ in users.values():
+        served[nid] = served.get(nid, 0) + 1
+    return served
+
+
+def _network_config(nodes: Sequence[AccessNode], active: dict[int, float],
+                    users: dict[int, tuple[int, int, int]]) -> NetworkConfig:
+    """The NetworkConfig of a design: active levels by node id and the
+    assignment map; nodes must be in ascending id order."""
+    served = served_counts(users)
+    total_power = 0.0
     for node in nodes:
-        total += uav_hover_power(node.airframe) + ris_power(node.ris)
-        if node.node_id in active:
-            total += mimo_power(node.mimo, True, served.get(node.node_id, 0),
-                                active[node.node_id])
-        else:
-            total += mimo_power(node.mimo, False, 0, 0.0)
-    return total
+        hover, mimo, ris = station_power_w(node, active.get(node.node_id),
+                                           served.get(node.node_id, 0))
+        total_power += hover + ris  # this order keeps total_power_w's bits
+        total_power += mimo
+    loads: dict[int, int] = {}
+    for nid, dl, ul in users.values():
+        loads[nid] = loads.get(nid, 0) + dl + ul
+    cells = tuple(CellConfig(node_id=n.node_id, active=n.node_id in active,
+                             tx_power_dbm=active.get(n.node_id))
+                  for n in nodes)
+    return NetworkConfig(cells=cells,
+                         assignment=Assignment(users=dict(sorted(users.items())),
+                                               node_loads=dict(sorted(loads.items()))),
+                         covered_count=len(users),
+                         total_power_w=total_power)
 
 
 def _admit_users(table, node_id: int, level: float, candidates: Sequence[int],
@@ -146,7 +168,6 @@ def greedy_design(nodes: Sequence[AccessNode], users: Sequence[UserTerminal],
     3. For each active cell in ascending node id, drop to the lowest level
        at which all of its users stay individually feasible and their
        blocks still fit.
-    4. Cells that ended up with no users go back to sleep.
 
     Deterministic: identical inputs give an identical NetworkConfig.
     """
@@ -196,21 +217,7 @@ def greedy_design(nodes: Sequence[AccessNode], users: Sequence[UserTerminal],
                     assigned[uid] = (node_id, link.prbs_dl, link.prbs_ul)
                 break
 
-    for node_id in [nid for nid, members in node_users.items() if not members]:
-        del active[node_id]
-
-    served = {nid: len(members) for nid, members in node_users.items() if members}
-    loads = {nid: sum(assigned[uid][1] + assigned[uid][2] for uid in members)
-             for nid, members in node_users.items() if members}
-    cells = tuple(CellConfig(node_id=n.node_id,
-                             active=n.node_id in active,
-                             tx_power_dbm=active.get(n.node_id))
-                  for n in node_list)
-    return NetworkConfig(cells=cells,
-                         assignment=Assignment(users=dict(sorted(assigned.items())),
-                                               node_loads=dict(sorted(loads.items()))),
-                         covered_count=len(assigned),
-                         total_power_w=_network_power(node_list, active, served))
+    return _network_config(node_list, active, assigned)
 
 
 def brute_force_design(nodes: Sequence[AccessNode],
@@ -225,18 +232,16 @@ def brute_force_design(nodes: Sequence[AccessNode],
     """
     node_list = sorted(nodes, key=lambda n: n.node_id)
     user_list = sorted(users, key=lambda u: u.user_id)
-    if len(node_list) > MAX_ORACLE_NODES:
+    if len(node_list) > MAX_ORACLE_NODES or len(user_list) > MAX_ORACLE_USERS:
         raise InstanceTooLargeError(
-            f"{len(node_list)} nodes exceed the exhaustive limit of {MAX_ORACLE_NODES}")
-    if len(user_list) > MAX_ORACLE_USERS:
-        raise InstanceTooLargeError(
-            f"{len(user_list)} users exceed the exhaustive limit of {MAX_ORACLE_USERS}")
+            f"instance has {len(node_list)} nodes / {len(user_list)} users; "
+            f"limits are {MAX_ORACLE_NODES} / {MAX_ORACLE_USERS}")
 
     table = enumerate_candidates(node_list, user_list, params,
                                  dl_rate_mbps, ul_rate_mbps)
     n_users = len(user_list)
 
-    best = None  # (covered, power, active map, assignment map)
+    best = None
     for combo in itertools.product([None, *params.power_levels_dbm],
                                    repeat=len(node_list)):
         active = {node.node_id: level
@@ -274,7 +279,6 @@ def brute_force_design(nodes: Sequence[AccessNode],
             return best_here
 
         caps = tuple(params.total_prbs for _ in active_ids)
-        covered = coverage(0, caps)
 
         # Reconstruct one maximum assignment, preferring lower node ids.
         assignment: dict[int, tuple[int, int, int]] = {}
@@ -294,22 +298,8 @@ def brute_force_design(nodes: Sequence[AccessNode],
             if not placed:
                 assert coverage(i + 1, cur) == target
 
-        served: dict[int, int] = {}
-        for nid, _, _ in assignment.values():
-            served[nid] = served.get(nid, 0) + 1
-        power = _network_power(node_list, active, served)
-        if best is None or (covered, -power) > (best[0], -best[1]):
-            best = (covered, power, active, assignment)
-
-    covered, power, active, assignment = best
-    loads: dict[int, int] = {}
-    for uid, (nid, dl, ul) in assignment.items():
-        loads[nid] = loads.get(nid, 0) + dl + ul
-    cells = tuple(CellConfig(node_id=n.node_id, active=n.node_id in active,
-                             tx_power_dbm=active.get(n.node_id))
-                  for n in node_list)
-    return NetworkConfig(cells=cells,
-                         assignment=Assignment(users=dict(sorted(assignment.items())),
-                                               node_loads=dict(sorted(loads.items()))),
-                         covered_count=covered,
-                         total_power_w=power)
+        config = _network_config(node_list, active, assignment)
+        if best is None or ((config.covered_count, -config.total_power_w)
+                            > (best.covered_count, -best.total_power_w)):
+            best = config
+    return best

@@ -1,10 +1,11 @@
 """Minute-stepped energy simulation and study metrics.
 
 One run covers the four configured days back to back (5760 one-minute
-steps by default): users are placed once from the run seed, the network is
-designed once, and every step accounts each station's consumption,
-harvest, battery draw, and swap events. Days are energetically independent;
-the pack starts each day full while the swap counter keeps accumulating.
+steps by default). ``run_pair`` places users from the run seed and designs
+the network once; both runs of the pair step that network, and every step
+accounts each station's consumption, harvest, battery draw, and swap
+events. Days are energetically independent; the pack starts each day full
+while the swap counter keeps accumulating.
 
 ``run_simulation`` steps all stations together over arrays; ``step`` is the
 scalar reference for one station and one minute, which the tests hold the
@@ -18,7 +19,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .design import NetworkConfig, greedy_design
+from .design import (NetworkConfig, greedy_design, served_counts,
+                     station_power_w)
 from .energy import (BatteryState, battery_step, mimo_power, pv_power,
                      ris_power, uav_hover_power)
 from .scenario import (MINUTES_PER_DAY, AccessNode, Scenario, WeatherSample,
@@ -137,12 +139,11 @@ def _panel_output_w(nodes: Sequence[AccessNode], ghi: np.ndarray,
 
 def run_simulation(scenario: Scenario, weather_series: Sequence[WeatherSample],
                    with_res: bool, seed: int,
-                   network: Optional[NetworkConfig] = None) -> RunResult:
-    """Execute one full run: place users, design the network, step the days.
+                   network: NetworkConfig) -> RunResult:
+    """Execute one full run of a designed network: step the days.
 
-    Deterministic given (scenario, weather, with_res, seed). A pre-built
-    NetworkConfig may be passed to share one design between the paired
-    with/without-renewables runs.
+    Deterministic given (scenario, weather, with_res, network); seed is
+    only recorded. Each station draws what station_power_w gives its cell.
 
     The recurrence runs over arrays of stations, one minute at a time, and
     reproduces a loop of the scalar ``step`` bit for bit: each station's draw
@@ -153,13 +154,7 @@ def run_simulation(scenario: Scenario, weather_series: Sequence[WeatherSample],
     n_days = len(scenario.dates)
     _validate_series(weather_series, n_days)
 
-    if network is None:
-        users = place_users(scenario, seed)
-        network = greedy_design(scenario.nodes, users, scenario.radio,
-                                scenario.dl_rate_mbps, scenario.ul_rate_mbps)
-    served: dict[int, int] = {}
-    for nid, _, _ in network.assignment.users.values():
-        served[nid] = served.get(nid, 0) + 1
+    served = served_counts(network.assignment.users)
     cell_by_node = {c.node_id: c for c in network.cells}
 
     nodes = sorted(scenario.nodes, key=lambda n: n.node_id)
@@ -170,13 +165,10 @@ def run_simulation(scenario: Scenario, weather_series: Sequence[WeatherSample],
 
     draws = []
     for node in nodes:
-        cell = cell_by_node[node.node_id]
         try:
-            draws.append((
-                uav_hover_power(node.airframe) * hours,
-                mimo_power(node.mimo, cell.active, served.get(node.node_id, 0),
-                           cell.tx_power_dbm if cell.active else 0.0) * hours,
-                ris_power(node.ris) * hours))
+            draws.append([w * hours for w in station_power_w(
+                node, cell_by_node[node.node_id].tx_power_dbm,
+                served.get(node.node_id, 0))])
         except ValueError as exc:
             raise _step_error(0, node.node_id, exc) from exc
     hover_wh, mimo_wh, ris_wh = np.array(draws, dtype=float).reshape(n_nodes, 3).T
@@ -266,7 +258,10 @@ def run_simulation(scenario: Scenario, weather_series: Sequence[WeatherSample],
 def run_pair(scenario: Scenario, weather_series: Sequence[WeatherSample],
              seed: int) -> tuple[RunResult, RunResult]:
     """One without-renewables and one with-renewables run sharing the same
-    seed, user placement, network design, and weather."""
+    seed, user placement, network design, and weather.
+
+    The only place where a study places users and designs a network.
+    """
     users = place_users(scenario, seed)
     network = greedy_design(scenario.nodes, users, scenario.radio,
                             scenario.dl_rate_mbps, scenario.ul_rate_mbps)

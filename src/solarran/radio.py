@@ -107,13 +107,13 @@ def required_prbs(rate_mbps: float, se: float,
 
 def link_feasible(node_pos: Position, user_pos: Position, tx_power_dbm: float,
                   params: RadioParams, dl_rate_mbps: float,
-                  ul_rate_mbps: float) -> tuple[bool, int]:
+                  ul_rate_mbps: float) -> tuple[bool, int, int]:
     """Check whether one node can serve one user at the given power.
 
     Feasible iff the SNR clears min_snr_db (boundary inclusive) and the
     downlink plus uplink block demand fits within one cell's total_prbs.
-    Returns (feasible, total blocks needed); the block count is 0 whenever
-    it cannot be computed.
+    Returns (feasible, downlink blocks, uplink blocks); both block counts
+    are 0 whenever they cannot be computed.
     """
     pl = path_loss(node_pos, user_pos, params)
     snr_db = snr(tx_power_dbm, pl, params)
@@ -121,17 +121,7 @@ def link_feasible(node_pos: Position, user_pos: Position, tx_power_dbm: float,
     prbs_dl = required_prbs(dl_rate_mbps, se, params)
     prbs_ul = required_prbs(ul_rate_mbps, se, params)
     if prbs_dl is None or prbs_ul is None:
-        return False, 0
-    total = prbs_dl + prbs_ul
-    feasible = snr_db >= params.min_snr_db and total <= params.total_prbs
-    return feasible, total
-
-
-def link_prb_split(node_pos: Position, user_pos: Position, tx_power_dbm: float,
-                   params: RadioParams, dl_rate_mbps: float,
-                   ul_rate_mbps: float) -> tuple[Optional[int], Optional[int]]:
-    """Downlink and uplink block demands separately (None when impossible)."""
-    pl = path_loss(node_pos, user_pos, params)
-    se = spectral_efficiency(snr(tx_power_dbm, pl, params), params)
-    return (required_prbs(dl_rate_mbps, se, params),
-            required_prbs(ul_rate_mbps, se, params))
+        return False, 0, 0
+    feasible = (snr_db >= params.min_snr_db
+                and prbs_dl + prbs_ul <= params.total_prbs)
+    return feasible, prbs_dl, prbs_ul

@@ -92,7 +92,7 @@ def write_ledger_csv(result: RunResult, path: Path) -> None:
 def write_timeseries_csvs(with_results: Sequence[RunResult],
                           weather_by_run: Sequence[Sequence[WeatherSample]],
                           season_names: Sequence[str],
-                          out_dir: Path) -> list[Path]:
+                          out_dir: Path) -> None:
     """Per-season minute profiles averaged over runs (and stations for the
     state of charge and panel output)."""
     n_nodes = len(with_results[0].node_ids)
@@ -109,7 +109,6 @@ def write_timeseries_csvs(with_results: Sequence[RunResult],
     pv_w /= runs
     ghi /= runs
 
-    paths = []
     for day, name in enumerate(season_names):
         path = out_dir / f"timeseries_{name}.csv"
         lo = day * MINUTES_PER_DAY
@@ -117,8 +116,6 @@ def write_timeseries_csvs(with_results: Sequence[RunResult],
             fh.write("minute,mean_ghi_wm2,mean_soc_wh,mean_pv_w\n")
             for m in range(MINUTES_PER_DAY):
                 fh.write(f"{m},{ghi[lo + m]:.6f},{soc[lo + m]:.6f},{pv_w[lo + m]:.6f}\n")
-        paths.append(path)
-    return paths
 
 
 def format_summary_table(metrics: StudyMetrics) -> str:

@@ -147,6 +147,17 @@ def _build(cls, section: dict, prefix: str):
         raise ConfigError(f"invalid '{prefix}' section: {exc}") from exc
 
 
+def parse_json(text: str):
+    """json.loads that refuses NaN, Infinity, -Infinity and numbers that
+    overflow a float, raising ConfigError."""
+    def finite(token: str) -> float:
+        value = float(token)
+        if not math.isfinite(value):
+            raise ConfigError(f"non-finite number {token} is not allowed")
+        return value
+    return json.loads(text, parse_constant=finite, parse_float=finite)
+
+
 def load_config(path: str | Path) -> Scenario:
     """Read and validate a scenario file.
 
@@ -158,7 +169,7 @@ def load_config(path: str | Path) -> Scenario:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw = parse_json(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -237,6 +248,8 @@ def scenario_from_dict(raw: dict) -> Scenario:
                                     position=Position(x, y, altitude),
                                     airframe=airframe, mimo=mimo, ris=ris,
                                     pv=pv, battery=battery))
+        if not nodes:
+            raise ConfigError("nodes.layout must list at least one station")
         nodes = tuple(nodes)
     else:
         nodes = default_node_grid(altitude, width, height,
@@ -374,8 +387,8 @@ def load_weather_csv(path: str | Path,
 
     Requirements: header ``timestamp,ghi_wm2,temp_c``; ISO-8601 timestamps
     on an exact 1-minute cadence starting at midnight; 1440 rows per day;
-    ghi >= 0. When expected_dates is given, the file's days must match them
-    in order. Errors cite the offending line number.
+    finite values, ghi >= 0. When expected_dates is given, the file's days
+    must match them in order. Errors cite the offending line number.
     """
     path = Path(path)
     if not path.exists():
@@ -398,6 +411,9 @@ def load_weather_csv(path: str | Path,
             temp = float(parts[2])
         except ValueError as exc:
             raise WeatherError(f"line {lineno}: {exc}") from exc
+        if not (math.isfinite(ghi) and math.isfinite(temp)):
+            raise WeatherError(f"line {lineno}: ghi_wm2 and temp_c must be "
+                               f"finite, got {ghi} and {temp}")
         if ghi < 0:
             raise WeatherError(f"line {lineno}: ghi_wm2 must be >= 0, got {ghi}")
         minute_of_day = len(samples) % MINUTES_PER_DAY

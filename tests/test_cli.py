@@ -139,6 +139,56 @@ class TestSimulate:
         assert "users.count" in capsys.readouterr().err
         assert not out.exists() or not list(out.iterdir())
 
+    @pytest.mark.parametrize("text, named", [
+        ('{"nodes": {"layout": []}}', "nodes.layout"),
+        ('{"area": {"width_m": NaN}}', "NaN"),
+        ('{"pv": {"rated_power": Infinity}}', "Infinity"),
+        ('{"pv": {"rated_power": 1e400}}', "1e400"),
+    ], ids=["empty_layout", "nan", "infinity", "overflow"])
+    def test_rejected_config_exits_2(self, tmp_path, capsys, text, named):
+        config = tmp_path / "bad.json"
+        config.write_text(text)
+        out = tmp_path / "out"
+        rc = main(["simulate", "--config", str(config), "--out", str(out)])
+        assert rc == 2
+        assert named in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [config]
+
+    def test_rerun_replaces_the_previous_study(self, tmp_path):
+        config = write_tiny_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(config), "--runs", "3",
+                     "--out", str(out)]) == 0
+        (out / "notes.txt").write_text("kept")
+        assert main(["simulate", "--config", str(config), "--runs", "1",
+                     "--out", str(out)]) == 0
+        one_run = {"ledger_0_nopv.csv", "ledger_0_pv.csv", "metrics.json",
+                   "summary.csv", *(f"timeseries_{s}.csv" for s in
+                                    ("spring", "summer", "autumn", "winter"))}
+        assert {p.name for p in out.iterdir()} == one_run | {"notes.txt"}
+        assert (out / "notes.txt").read_text() == "kept"
+        assert json.loads((out / "metrics.json").read_text())["seeds"] == [42]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "tiny.json"]
+
+    def test_failed_write_leaves_the_previous_study(self, tmp_path, capsys,
+                                                     monkeypatch):
+        config = write_tiny_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+        def failing_summary(metrics, path):
+            path.write_text("partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "write_summary_csv", failing_summary)
+        rc = main(["simulate", "--config", str(config), "--seed", "9",
+                   "--out", str(out)])
+        assert rc == 1
+        assert "disk full" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "tiny.json"]
+
     def test_csv_weather_roundtrip_drives_simulation(self, tmp_path):
         config = write_tiny_config(tmp_path)
         # synthesize the four study days to CSV, then feed them back in
@@ -219,6 +269,13 @@ class TestOracle:
         rc = main(["oracle", "--instance", str(tmp_path / "missing.json")])
         assert rc == 2
         assert "cannot read instance" in capsys.readouterr().err
+
+    def test_non_finite_coordinate_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "nan_x.json"
+        path.write_text('{"nodes": [{"id": 0, "x": NaN, "y": 0.0}], "users": []}')
+        rc = main(["oracle", "--instance", str(path)])
+        assert rc == 2
+        assert "NaN" in capsys.readouterr().err
 
     def test_node_without_coordinate_exits_2(self, tmp_path, capsys):
         path = tmp_path / "no_y.json"

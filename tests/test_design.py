@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from solarran.design import (InstanceTooLargeError, brute_force_design,
-                             enumerate_candidates, greedy_design)
+                             enumerate_candidates, greedy_design,
+                             served_counts, station_power_w)
 from solarran.energy import ris_power, uav_hover_power
 from solarran.radio import Position, RadioParams
-from solarran.scenario import AccessNode, UserTerminal
+from solarran.scenario import AccessNode, Scenario, UserTerminal, place_users
 
 PARAMS = RadioParams()
 
@@ -94,6 +95,22 @@ class TestGreedyDesign:
             by_node.setdefault(nid, set()).add(uid)
         assert by_node == {0: {0, 1}, 1: {2, 3}}
         check_assignment_valid(config, nodes, users, PARAMS, 100, 25)
+
+    def test_total_power_is_the_sum_of_station_power(self):
+        sc = Scenario(user_count=5)
+        config = greedy_design(sc.nodes, place_users(sc, 42), sc.radio,
+                               sc.dl_rate_mbps, sc.ul_rate_mbps)
+        assert {c.active for c in config.cells} == {True, False}
+        served = served_counts(config.assignment.users)
+        by_id = {n.node_id: n for n in sc.nodes}
+        total = 0.0
+        for cell in config.cells:
+            hover, mimo, ris = station_power_w(by_id[cell.node_id],
+                                               cell.tx_power_dbm,
+                                               served.get(cell.node_id, 0))
+            total += hover + ris
+            total += mimo
+        assert total == config.total_power_w
 
     def test_deterministic_byte_for_byte(self):
         nodes = [node(i, 700 * i, 300 * (i % 2)) for i in range(3)]

@@ -6,12 +6,13 @@ import math
 import numpy as np
 import pytest
 
+from solarran.design import greedy_design, served_counts, station_power_w
 from solarran.energy import (BatterySpec, ParameterError, fresh_battery,
                              mimo_power, ris_power, uav_hover_power)
 from solarran.engine import (RunResult, SimulationError, compute_metrics,
                              run_pair, run_simulation, step,
                              verify_conservation)
-from solarran.scenario import (WeatherError, WeatherSample,
+from solarran.scenario import (WeatherError, WeatherSample, place_users,
                                scenario_from_dict, synth_study_series)
 
 SMALL_CONFIG = {
@@ -24,6 +25,13 @@ SMALL_CONFIG = {
         {"id": 3, "x": 1125.0, "y": 1125.0},
     ]},
 }
+
+
+def designed(scenario, seed):
+    """The network run_pair would design for this scenario and seed."""
+    return greedy_design(scenario.nodes, place_users(scenario, seed),
+                         scenario.radio, scenario.dl_rate_mbps,
+                         scenario.ul_rate_mbps)
 
 
 @pytest.fixture(scope="module")
@@ -78,8 +86,10 @@ class TestStep:
 class TestRunSimulation:
     def test_deterministic(self, small_scenario):
         series = synth_study_series(small_scenario, seed=3)
-        a = run_simulation(small_scenario, series, True, 3)
-        b = run_simulation(small_scenario, series, True, 3)
+        a = run_simulation(small_scenario, series, True, 3,
+                           network=designed(small_scenario, 3))
+        b = run_simulation(small_scenario, series, True, 3,
+                           network=designed(small_scenario, 3))
         assert np.array_equal(a.consumed_wh, b.consumed_wh)
         assert np.array_equal(a.swaps, b.swaps)
         for col in a.ledger:
@@ -97,7 +107,8 @@ class TestRunSimulation:
         series = synth_study_series(small_scenario, seed=3)
         broken = series[:3000] + series[3001:]
         with pytest.raises(WeatherError, match="3000"):
-            run_simulation(small_scenario, broken, True, 3)
+            run_simulation(small_scenario, broken, True, 3,
+                           network=designed(small_scenario, 3))
 
     def test_daily_swaps_match_closed_form_without_res(self, small_pair):
         no_res, _ = small_pair
@@ -126,6 +137,21 @@ class TestRunSimulation:
             assert np.allclose(no_res.consumed_wh[day], no_res.consumed_wh[0],
                                rtol=0, atol=1e-9)
 
+    def test_consumption_is_station_power_per_minute(self, small_scenario,
+                                                     small_pair):
+        for result in small_pair:
+            cells = {c.node_id: c for c in result.network.cells}
+            served = served_counts(result.network.assignment.users)
+            per_step = result.ledger["consumed_wh"].reshape(
+                -1, len(result.node_ids))
+            nodes = sorted(small_scenario.nodes, key=lambda n: n.node_id)
+            for i, node in enumerate(nodes):
+                draw_w = sum(station_power_w(node, cells[node.node_id].tx_power_dbm,
+                                             served.get(node.node_id, 0)))
+                # the engine scales each term by 1/60 before adding, so the
+                # two sides are a few roundings apart
+                assert per_step[:, i] == pytest.approx(draw_w / 60, rel=1e-15)
+
     def test_peak_harvest_bounded_by_panel_physics(self, small_scenario, small_pair):
         from solarran.energy import pv_power
         _, with_res = small_pair
@@ -147,9 +173,11 @@ class TestStepErrors:
             step(node, fresh_battery(node.battery), False, 0, 0.0,
                  series[2000], True, 2000)
         with pytest.raises(SimulationError, match=r"t=2000, node_id=0: ghi"):
-            run_simulation(small_scenario, series, True, 3)
+            run_simulation(small_scenario, series, True, 3,
+                           network=designed(small_scenario, 3))
         # without the solar feed the irradiance is never read
-        run_simulation(small_scenario, series, False, 3)
+        run_simulation(small_scenario, series, False, 3,
+                       network=designed(small_scenario, 3))
 
     def test_demand_above_capacity(self, small_scenario):
         tiny = BatterySpec(capacity_wh=2.0)  # 1.9 Wh usable, under one minute of hover
@@ -162,7 +190,8 @@ class TestStepErrors:
             step(node, fresh_battery(tiny), False, 0, 0.0, series[0], False, 0)
         with pytest.raises(SimulationError,
                            match=r"t=0, node_id=2: step demand .* one battery"):
-            run_simulation(scenario, series, False, 3)
+            run_simulation(scenario, series, False, 3,
+                           network=designed(scenario, 3))
 
 
 class TestVerifyConservation:

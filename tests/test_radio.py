@@ -96,17 +96,17 @@ class TestLinkFeasible:
     def test_colocated_best_case(self):
         node = Position(0, 0, 50)
         user = Position(0, 0, 1.5)
-        feasible, prbs = link_feasible(node, user, PARAMS.max_power_dbm,
-                                       PARAMS, 100.0, 25.0)
+        feasible, dl, ul = link_feasible(node, user, PARAMS.max_power_dbm,
+                                         PARAMS, 100.0, 25.0)
         assert feasible
         # SE cap engaged: 36 + 9 blocks
-        assert prbs == 45
+        assert (dl, ul) == (36, 9)
 
     def test_below_min_snr_infeasible(self):
         node = Position(0, 0, 50)
         user = Position(10000.0, 0, 1.5)
-        feasible, _ = link_feasible(node, user, PARAMS.max_power_dbm,
-                                    PARAMS, 1.0, 0.0)
+        feasible, _, _ = link_feasible(node, user, PARAMS.max_power_dbm,
+                                       PARAMS, 1.0, 0.0)
         assert not feasible
 
     def test_boundary_snr_inclusive(self):
@@ -119,16 +119,16 @@ class TestLinkFeasible:
         d = 10.0 ** ((139.0 - PARAMS.reference_loss_at_1m_db)
                      / (10.0 * PARAMS.pathloss_exponent))
         node, user = Position(0, 0, 0), Position(d * (1 - 1e-12), 0, 0)
-        feasible, _ = link_feasible(node, user, 40.0, PARAMS, 25.0, 0.0)
+        feasible, _, _ = link_feasible(node, user, 40.0, PARAMS, 25.0, 0.0)
         assert feasible
 
     def test_prb_budget_gates_feasibility(self):
         # near-threshold SNR cannot carry the full default demand
         d = 1990.0
         node, user = Position(0, 0, 0), Position(d, 0, 0)
-        feasible, prbs = link_feasible(node, user, 40.0, PARAMS, 100.0, 25.0)
+        feasible, dl, ul = link_feasible(node, user, 40.0, PARAMS, 100.0, 25.0)
         assert not feasible
-        assert prbs > PARAMS.total_prbs
+        assert dl + ul > PARAMS.total_prbs
 
     @given(d=st.floats(1.0, 3000.0), seed_rate=st.floats(5.0, 120.0))
     def test_monotone_in_tx_power(self, d, seed_rate):

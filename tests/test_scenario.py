@@ -1,10 +1,16 @@
 """Tests for configuration loading, user placement, and weather handling."""
 
+import dataclasses
 import datetime
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from solarran.energy import (BatterySpec, MimoSpec, PvSpec, RisSpec,
+                             UavAirframe)
+from solarran.radio import RadioParams
 
 from solarran.scenario import (ConfigError, Scenario, WeatherError,
                                load_config, load_weather_csv, place_users,
@@ -69,6 +75,43 @@ class TestLoadConfig:
         sc = load_config(solarran.example_config_path())
         assert len(sc.nodes) == 9
         assert sc.nodes[0].airframe.total_mass == pytest.approx(2.396)
+
+
+def _number_fields(cls):
+    return [f.name for f in dataclasses.fields(cls)
+            if type(f.default) in (int, float)]
+
+
+NUMBER_FIELDS = [
+    *[("area", k) for k in ("width_m", "height_m")],
+    *[("users", k) for k in ("count", "dl_mbps", "ul_mbps")],
+    ("nodes", "altitude_m"),
+    *[("simulation", k) for k in ("runs", "latitude_deg")],
+    *[("weather", k) for k in ("cloud_factor", "cloud_jitter")],
+    *[(section, k) for section, cls in (
+        ("airframe", UavAirframe), ("mimo", MimoSpec), ("ris", RisSpec),
+        ("pv", PvSpec), ("battery", BatterySpec), ("radio", RadioParams))
+      for k in _number_fields(cls)],
+]
+
+
+class TestNonFiniteConfig:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(field=st.sampled_from(NUMBER_FIELDS),
+           token=st.sampled_from(["NaN", "Infinity", "-Infinity", "1e400",
+                                  "-1e400"]))
+    def test_any_field_rejected(self, tmp_path, field, token):
+        section, key = field
+        path = tmp_path / "scenario.json"
+        path.write_text(f'{{"{section}": {{"{key}": {token}}}}}',
+                        encoding="utf-8")
+        with pytest.raises(ConfigError, match=token.lstrip("-")):
+            load_config(path)
+
+    def test_empty_layout_rejected(self):
+        with pytest.raises(ConfigError, match="nodes.layout"):
+            scenario_from_dict({"nodes": {"layout": []}})
 
 
 class TestPlaceUsers:
@@ -189,6 +232,16 @@ class TestWeatherCsv:
         path.write_text("timestamp,ghi_wm2,temp_c\n"
                         "2022-06-21T00:00:00,-5.0,10.0\n")
         with pytest.raises(WeatherError, match="line 2"):
+            load_weather_csv(path)
+
+    @pytest.mark.parametrize("ghi, temp", [("nan", "10.0"), ("inf", "10.0"),
+                                           ("5.0", "inf"), ("5.0", "-nan")])
+    def test_non_finite_values_rejected(self, tmp_path, ghi, temp):
+        path = tmp_path / "bad.csv"
+        path.write_text("timestamp,ghi_wm2,temp_c\n"
+                        "2022-06-21T00:00:00,0.0,10.0\n"
+                        f"2022-06-21T00:01:00,{ghi},{temp}\n")
+        with pytest.raises(WeatherError, match="line 3.*finite"):
             load_weather_csv(path)
 
     def test_bad_header_rejected(self, tmp_path):
