@@ -3,9 +3,9 @@ tethered, solar-assisted UAV base stations."""
 
 from importlib import resources
 
-from .design import (Assignment, CellConfig, InstanceTooLargeError,
-                     NetworkConfig, brute_force_design, enumerate_candidates,
-                     greedy_design)
+from .design import (Assignment, CandidateTable, CellConfig,
+                     InstanceTooLargeError, NetworkConfig, brute_force_design,
+                     enumerate_candidates, greedy_design)
 from .energy import (BatteryFlows, BatterySpec, BatteryState, MimoSpec,
                      ParameterError, PvSpec, RisSpec, UavAirframe,
                      battery_step, cell_temperature, fresh_battery,
@@ -13,8 +13,8 @@ from .energy import (BatteryFlows, BatterySpec, BatteryState, MimoSpec,
 from .engine import (RunResult, SeasonStats, SimulationError, StepLedgerEntry,
                      StudyMetrics, compute_metrics, run_pair, run_simulation,
                      step, verify_conservation)
-from .radio import (Position, RadioParams, link_feasible, path_loss,
-                    required_prbs, snr, spectral_efficiency)
+from .radio import (Position, RadioParams, link_feasible, link_table,
+                    path_loss, required_prbs, snr, spectral_efficiency)
 from .scenario import (AccessNode, ConfigError, Scenario, UserTerminal,
                        WeatherError, WeatherSample, default_node_grid,
                        load_config, load_weather_csv, place_users,

@@ -10,11 +10,14 @@ brute_force_design is the exhaustive reference for small instances.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .energy import mimo_power, ris_power, uav_hover_power
-from .radio import RadioParams, link_feasible
+from .radio import RadioParams, link_feasible, link_table
 from .scenario import AccessNode, UserTerminal
 
 
@@ -77,24 +80,67 @@ class NetworkConfig:
         }
 
 
+class CandidateTable(Mapping):
+    """Every (node, user, power level) link of a network as arrays.
+
+    feasible, prbs_dl and prbs_ul are shaped (nodes, users, levels), with
+    nodes and users in ascending id order and levels in ladder order; the
+    block counts are whole float64 numbers. As a mapping it is keyed
+    (node_id, user_id, level_dbm), iterates in that ascending order, and
+    builds each CandidateLink on access.
+    """
+
+    def __init__(self, node_ids: Sequence[int], user_ids: Sequence[int],
+                 levels: Sequence[float], feasible: np.ndarray,
+                 prbs_dl: np.ndarray, prbs_ul: np.ndarray):
+        self.node_ids = tuple(node_ids)
+        self.user_ids = tuple(user_ids)
+        self.levels = tuple(levels)
+        self.feasible = feasible
+        self.prbs_dl = prbs_dl
+        self.prbs_ul = prbs_ul
+        self._node = {nid: i for i, nid in enumerate(self.node_ids)}
+        self._user = {uid: j for j, uid in enumerate(self.user_ids)}
+        self._level = {lvl: k for k, lvl in enumerate(self.levels)}
+
+    def link(self, n: int, u: int, lvl: int) -> CandidateLink:
+        """The link at array position (node n, user u, level lvl)."""
+        return CandidateLink(bool(self.feasible[n, u, lvl]),
+                             int(self.prbs_dl[n, u, lvl]),
+                             int(self.prbs_ul[n, u, lvl]))
+
+    def __getitem__(self, key: tuple[int, int, float]) -> CandidateLink:
+        node_id, user_id, level = key
+        try:
+            return self.link(self._node[node_id], self._user[user_id],
+                             self._level[level])
+        except KeyError:
+            raise KeyError(key) from None
+
+    def __iter__(self):
+        return ((nid, uid, lvl) for nid in self.node_ids
+                for uid in self.user_ids for lvl in self.levels)
+
+    def __len__(self) -> int:
+        return self.feasible.size
+
+
 def enumerate_candidates(nodes: Sequence[AccessNode],
                          users: Sequence[UserTerminal],
                          params: RadioParams,
                          dl_rate_mbps: float,
-                         ul_rate_mbps: float) -> dict[tuple[int, int, float], CandidateLink]:
-    """Evaluate every (node, user, power level) link once.
-
-    Keys are (node_id, user_id, level_dbm) inserted in ascending
-    (node_id, user_id, level) order.
-    """
-    table: dict[tuple[int, int, float], CandidateLink] = {}
-    for node in sorted(nodes, key=lambda n: n.node_id):
-        for user in sorted(users, key=lambda u: u.user_id):
-            for level in params.power_levels_dbm:
-                table[(node.node_id, user.user_id, level)] = CandidateLink(
-                    *link_feasible(node.position, user.position, level,
-                                   params, dl_rate_mbps, ul_rate_mbps))
-    return table
+                         ul_rate_mbps: float) -> CandidateTable:
+    """Evaluate every (node, user, power level) link once, with
+    radio.link_table; its boundary entries go through link_feasible."""
+    node_list = sorted(nodes, key=lambda n: n.node_id)
+    user_list = sorted(users, key=lambda u: u.user_id)
+    feasible, prbs_dl, prbs_ul = link_table(
+        [(n.position.x, n.position.y, n.position.z) for n in node_list],
+        [(u.position.x, u.position.y, u.position.z) for u in user_list],
+        params, dl_rate_mbps, ul_rate_mbps, fallback=link_feasible)
+    return CandidateTable([n.node_id for n in node_list],
+                          [u.user_id for u in user_list],
+                          params.power_levels_dbm, feasible, prbs_dl, prbs_ul)
 
 
 def station_power_w(node: AccessNode, tx_power_dbm: Optional[float],
@@ -141,17 +187,22 @@ def _network_config(nodes: Sequence[AccessNode], active: dict[int, float],
                          total_power_w=total_power)
 
 
-def _admit_users(table, node_id: int, level: float, candidates: Sequence[int],
-                 capacity: int) -> tuple[list[int], int]:
-    """Greedily admit users (in the given id order) while blocks remain."""
-    admitted = []
+def _admit_users(cost: np.ndarray, capacity: int) -> np.ndarray:
+    """Positions of cost that a first-fit scan in order admits: each entry
+    is taken if it still fits in the blocks left. A run of entries that
+    all fit is taken at once from a running sum; an entry that does not
+    fit now never fits later, so each run leaves fewer candidates."""
+    candidates = (cost <= capacity).nonzero()[0]
+    taken = []
     remaining = capacity
-    for uid in candidates:
-        link = table[(node_id, uid, level)]
-        if link.feasible and link.total_prbs <= remaining:
-            admitted.append(uid)
-            remaining -= link.total_prbs
-    return admitted, capacity - remaining
+    while candidates.size:
+        run = cost[candidates].cumsum()
+        count = run.searchsorted(remaining, side="right")
+        taken.append(candidates[:count])
+        remaining -= run[count - 1]
+        candidates = candidates[count:]
+        candidates = candidates[cost[candidates] <= remaining]
+    return np.concatenate(taken) if taken else candidates
 
 
 def greedy_design(nodes: Sequence[AccessNode], users: Sequence[UserTerminal],
@@ -173,51 +224,56 @@ def greedy_design(nodes: Sequence[AccessNode], users: Sequence[UserTerminal],
     """
     node_list = sorted(nodes, key=lambda n: n.node_id)
     table = enumerate_candidates(node_list, users, params, dl_rate_mbps, ul_rate_mbps)
+    capacity = params.total_prbs
+    # Blocks per (node, level, user); an infeasible link costs more than a
+    # whole cell, so "fits in the blocks left" also means "feasible".
+    cost = np.ascontiguousarray(np.where(
+        table.feasible, table.prbs_dl + table.prbs_ul, capacity + 1
+    ).transpose(0, 2, 1))
 
-    unassigned = sorted(u.user_id for u in users)
-    active: dict[int, float] = {}
-    assigned: dict[int, tuple[int, int, int]] = {}
-    node_users: dict[int, list[int]] = {}
+    unassigned = np.ones(len(table.user_ids), dtype=bool)
+    active: dict[int, int] = {}  # node position -> level position
+    members: dict[int, np.ndarray] = {}  # node position -> user positions
 
     while True:
+        open_users = np.flatnonzero(unassigned)
+        open_cost = cost.take(open_users, axis=2)
         best_key = None
         best_pick = None
-        for node in node_list:
-            if node.node_id in active:
+        for n, node in enumerate(node_list):
+            if n in active:
                 continue
-            for level in params.power_levels_dbm:
-                admitted, _ = _admit_users(table, node.node_id, level,
-                                           unassigned, params.total_prbs)
-                if not admitted:
+            for lvl, level in enumerate(params.power_levels_dbm):
+                admitted = _admit_users(open_cost[n, lvl], capacity)
+                if not admitted.size:
                     continue
-                added_power = (mimo_power(node.mimo, True, len(admitted), level)
+                added_power = (mimo_power(node.mimo, True, admitted.size, level)
                                - node.mimo.sleep_power)
-                key = (-len(admitted), added_power, node.node_id)
+                key = (-admitted.size, added_power, node.node_id)
                 if best_key is None or key < best_key:
                     best_key = key
-                    best_pick = (node.node_id, level, admitted)
+                    best_pick = (n, lvl, open_users[admitted])
         if best_pick is None:
             break
-        node_id, level, admitted = best_pick
-        active[node_id] = level
-        node_users[node_id] = admitted
-        for uid in admitted:
-            link = table[(node_id, uid, level)]
-            assigned[uid] = (node_id, link.prbs_dl, link.prbs_ul)
-            unassigned.remove(uid)
+        n, lvl, admitted = best_pick
+        active[n] = lvl
+        members[n] = admitted
+        unassigned[admitted] = False
 
-    for node_id in sorted(active):
-        members = node_users[node_id]
-        for level in params.power_levels_dbm:
-            links = [table[(node_id, uid, level)] for uid in members]
-            if (all(l.feasible for l in links)
-                    and sum(l.total_prbs for l in links) <= params.total_prbs):
-                active[node_id] = level
-                for uid, link in zip(members, links):
-                    assigned[uid] = (node_id, link.prbs_dl, link.prbs_ul)
-                break
+    # The level a cell was activated at passes, so a lowest one exists.
+    for n, users_of_n in members.items():
+        load = cost[n][:, users_of_n].sum(axis=1)
+        active[n] = int(np.flatnonzero(load <= capacity)[0])
 
-    return _network_config(node_list, active, assigned)
+    assigned = {}
+    for n, users_of_n in members.items():
+        for u in users_of_n.tolist():
+            link = table.link(n, u, active[n])
+            assigned[table.user_ids[u]] = (table.node_ids[n], link.prbs_dl,
+                                           link.prbs_ul)
+    return _network_config(
+        node_list, {table.node_ids[n]: params.power_levels_dbm[lvl]
+                    for n, lvl in active.items()}, assigned)
 
 
 def brute_force_design(nodes: Sequence[AccessNode],

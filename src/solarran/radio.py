@@ -1,13 +1,29 @@
 """Link-budget primitives: log-distance path loss, SNR, capped spectral
-efficiency, and resource-block sizing for fixed-rate users."""
+efficiency, and resource-block sizing for fixed-rate users.
+
+link_feasible evaluates one link with `math`; link_table evaluates every
+(node, user, power level) link of a network with numpy and gives the same
+answer for each of them.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
+
+import numpy as np
 
 THERMAL_NOISE_DBM_PER_HZ = -174.0
+
+# link_table hands an entry to the scalar link budget when a comparison or a
+# ceil of it lies within this relative distance of its boundary. numpy's
+# log10/log2/power differ from math's by a few ulp, about 1e-13 relative
+# after propagation, so every other entry compares and rounds alike.
+BOUNDARY_RTOL = 1e-9
+# Below this spectral efficiency, log2(1 + y) loses the digits of y to the
+# rounding of 1 + y, and the error of se is no longer relative to se.
+SE_FLOOR = 1e-3
 
 
 @dataclass(frozen=True)
@@ -124,4 +140,53 @@ def link_feasible(node_pos: Position, user_pos: Position, tx_power_dbm: float,
         return False, 0, 0
     feasible = (snr_db >= params.min_snr_db
                 and prbs_dl + prbs_ul <= params.total_prbs)
+    return feasible, prbs_dl, prbs_ul
+
+
+def link_table(node_xyz, user_xyz, params: RadioParams, dl_rate_mbps: float,
+               ul_rate_mbps: float, *,
+               fallback: Callable[..., tuple[bool, int, int]] = link_feasible
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every (node, user, power level) link of a network in one array pass.
+
+    node_xyz and user_xyz are (nodes, 3) and (users, 3) coordinates; the
+    results are shaped (nodes, users, levels), levels in the order of
+    params.power_levels_dbm: feasibility, then downlink and uplink block
+    counts as whole float64 numbers. Each entry equals link_feasible's
+    answer for that link. Entries near a boundary are recomputed by
+    fallback (called like link_feasible): an SNR within BOUNDARY_RTOL of
+    min_snr_db, a ceil argument within BOUNDARY_RTOL of a whole number, a
+    non-finite value, a spectral efficiency below SE_FLOOR, a negative rate.
+    """
+    node_xyz = np.asarray(node_xyz, dtype=np.float64).reshape(-1, 3)
+    user_xyz = np.asarray(user_xyz, dtype=np.float64).reshape(-1, 3)
+    levels = params.power_levels_dbm
+    diff = node_xyz[:, None, :] - user_xyz[None, :, :]
+    sq = diff * diff
+    d = np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        pl = (params.reference_loss_at_1m_db
+              + 10.0 * params.pathloss_exponent * np.log10(np.maximum(1.0, d)))
+        snr_db = ((np.asarray(levels) + params.antenna_gain_dbi)
+                  - pl[..., None] - params.noise_power_dbm)
+        raw_se = np.log2(1.0 + 10.0 ** (snr_db / 10.0))
+        se = np.minimum(params.se_cap, raw_se)
+        guard = (~np.isfinite(raw_se)
+                 | (np.abs(snr_db - params.min_snr_db)
+                    <= BOUNDARY_RTOL * max(1.0, abs(params.min_snr_db))))
+        prbs = []
+        for rate in (dl_rate_mbps, ul_rate_mbps):
+            if rate == 0:
+                prbs.append(np.zeros(se.shape))
+                continue
+            x = rate * 1e6 / (se * params.prb_bandwidth_khz * 1e3)
+            guard |= ((rate < 0) | (se < SE_FLOOR) | ~np.isfinite(x)
+                      | (np.abs(x - np.rint(x)) <= BOUNDARY_RTOL * x))
+            prbs.append(np.ceil(x))
+    prbs_dl, prbs_ul = prbs
+    feasible = (snr_db >= params.min_snr_db) & (prbs_dl + prbs_ul <= params.total_prbs)
+    for n, u, lvl in zip(*np.nonzero(guard)):
+        feasible[n, u, lvl], prbs_dl[n, u, lvl], prbs_ul[n, u, lvl] = fallback(
+            Position(*node_xyz[n].tolist()), Position(*user_xyz[u].tolist()),
+            levels[lvl], params, dl_rate_mbps, ul_rate_mbps)
     return feasible, prbs_dl, prbs_ul

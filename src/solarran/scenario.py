@@ -11,6 +11,7 @@ from __future__ import annotations
 import datetime
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -147,15 +148,43 @@ def _build(cls, section: dict, prefix: str):
         raise ConfigError(f"invalid '{prefix}' section: {exc}") from exc
 
 
+class _JsonNumber(float):
+    """A non-finite number read from JSON; it keeps its text (NaN, 1e400)
+    for the error message."""
+
+    def __new__(cls, token: str):
+        number = super().__new__(cls, token)
+        number.token = token
+        return number
+
+
+def check_finite(doc, path: str = "") -> None:
+    """Raise ConfigError naming the dotted path (area.width_m,
+    nodes.layout[0].x) of the first number in a parsed document that is
+    NaN, infinite, or an integer too large for a float."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            check_finite(value, f"{path}.{key}" if path else str(key))
+    elif isinstance(doc, (list, tuple)):
+        for i, value in enumerate(doc):
+            check_finite(value, f"{path}[{i}]")
+    elif isinstance(doc, float) and not math.isfinite(doc):
+        raise ConfigError(f"{path or '<root>'}: non-finite number "
+                          f"{getattr(doc, 'token', doc)} is not allowed")
+    elif isinstance(doc, int) and abs(doc) > sys.float_info.max:
+        raise ConfigError(f"{path or '<root>'}: {len(str(abs(doc)))}-digit "
+                          f"integer is too large for a float")
+
+
 def parse_json(text: str):
     """json.loads that refuses NaN, Infinity, -Infinity and numbers that
-    overflow a float, raising ConfigError."""
-    def finite(token: str) -> float:
+    overflow a float, raising ConfigError that names where they are."""
+    def number(token: str) -> float:
         value = float(token)
-        if not math.isfinite(value):
-            raise ConfigError(f"non-finite number {token} is not allowed")
-        return value
-    return json.loads(text, parse_constant=finite, parse_float=finite)
+        return value if math.isfinite(value) else _JsonNumber(token)
+    doc = json.loads(text, parse_constant=number, parse_float=number)
+    check_finite(doc)
+    return doc
 
 
 def load_config(path: str | Path) -> Scenario:
@@ -178,6 +207,7 @@ def load_config(path: str | Path) -> Scenario:
 
 
 def scenario_from_dict(raw: dict) -> Scenario:
+    check_finite(raw)
     _require_keys(raw, {"area", "users", "nodes", "radio", "airframe", "mimo",
                         "ris", "pv", "battery", "simulation", "weather"}, "<root>")
 

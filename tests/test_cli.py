@@ -154,6 +154,23 @@ class TestSimulate:
         assert named in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [config]
 
+    @pytest.mark.parametrize("text, path", [
+        ('{"area": {"width_m": NaN}}', "area.width_m: non-finite number NaN"),
+        ('{"pv": {"rated_power": Infinity}}',
+         "pv.rated_power: non-finite number Infinity"),
+        ('{"nodes": {"layout": [{"id": 0, "x": 1e400, "y": 0.0}]}}',
+         "nodes.layout[0].x: non-finite number 1e400"),
+        ('{"weather": {"season_temps": {"summer": [14.0, -Infinity]}}}',
+         "weather.season_temps.summer[1]: non-finite number -Infinity"),
+    ], ids=["area", "pv", "layout", "season"])
+    def test_non_finite_config_names_its_key(self, tmp_path, capsys, text, path):
+        config = tmp_path / "bad.json"
+        config.write_text(text)
+        rc = main(["simulate", "--config", str(config),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert path in capsys.readouterr().err
+
     def test_rerun_replaces_the_previous_study(self, tmp_path):
         config = write_tiny_config(tmp_path)
         out = tmp_path / "out"
@@ -276,6 +293,14 @@ class TestOracle:
         rc = main(["oracle", "--instance", str(path)])
         assert rc == 2
         assert "NaN" in capsys.readouterr().err
+
+    def test_non_finite_coordinate_names_its_key(self, tmp_path, capsys):
+        path = tmp_path / "inf_y.json"
+        path.write_text('{"nodes": [], "users": [{"id": 3, "x": 0.0, "y": 0.0},'
+                        ' {"id": 4, "x": 1.0, "y": Infinity}]}')
+        rc = main(["oracle", "--instance", str(path)])
+        assert rc == 2
+        assert "users[1].y: non-finite number Infinity" in capsys.readouterr().err
 
     def test_node_without_coordinate_exits_2(self, tmp_path, capsys):
         path = tmp_path / "no_y.json"

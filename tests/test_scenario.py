@@ -106,8 +106,35 @@ class TestNonFiniteConfig:
         path = tmp_path / "scenario.json"
         path.write_text(f'{{"{section}": {{"{key}": {token}}}}}',
                         encoding="utf-8")
-        with pytest.raises(ConfigError, match=token.lstrip("-")):
+        with pytest.raises(ConfigError, match=token.lstrip("-")) as info:
             load_config(path)
+        assert f"{section}.{key}" in str(info.value)
+
+    @settings(max_examples=60, deadline=None)
+    @given(field=st.sampled_from(NUMBER_FIELDS),
+           value=st.sampled_from([float("nan"), float("inf"), float("-inf")]))
+    def test_any_field_rejected_from_python(self, field, value):
+        section, key = field
+        with pytest.raises(ConfigError, match=rf"^{section}\.{key}: non-finite"):
+            scenario_from_dict({section: {key: value}})
+
+    @pytest.mark.parametrize("raw, path", [
+        ({"area": {"width_m": float("nan")}, "pv": {"rated_power": float("inf")}},
+         "area.width_m"),
+        ({"nodes": {"layout": [{"id": 0, "x": 10.0, "y": float("nan")}]}},
+         "nodes.layout[0].y"),
+        ({"radio": {"power_levels_dbm": [28.0, float("inf")]}},
+         "radio.power_levels_dbm[1]"),
+        ({"ris": {"per_element_power": {6: float("-inf")}}},
+         "ris.per_element_power.6"),
+        ({"weather": {"season_temps": {"summer": (14.0, float("nan"))}}},
+         "weather.season_temps.summer[1]"),
+        ({"users": {"dl_mbps": 10 ** 400}}, "users.dl_mbps"),
+    ], ids=["two_fields", "layout", "ladder", "ris_table", "season", "big_int"])
+    def test_nested_python_values_named_by_path(self, raw, path):
+        with pytest.raises(ConfigError) as info:
+            scenario_from_dict(raw)
+        assert str(info.value).startswith(f"{path}: ")
 
     def test_empty_layout_rejected(self):
         with pytest.raises(ConfigError, match="nodes.layout"):
