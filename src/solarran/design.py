@@ -232,8 +232,7 @@ def greedy_design(nodes: Sequence[AccessNode], users: Sequence[UserTerminal],
     ).transpose(0, 2, 1))
 
     unassigned = np.ones(len(table.user_ids), dtype=bool)
-    active: dict[int, int] = {}  # node position -> level position
-    members: dict[int, np.ndarray] = {}  # node position -> user positions
+    members: dict[int, np.ndarray] = {}  # active node position -> user positions
 
     while True:
         open_users = np.flatnonzero(unassigned)
@@ -241,7 +240,7 @@ def greedy_design(nodes: Sequence[AccessNode], users: Sequence[UserTerminal],
         best_key = None
         best_pick = None
         for n, node in enumerate(node_list):
-            if n in active:
+            if n in members:
                 continue
             for lvl, level in enumerate(params.power_levels_dbm):
                 admitted = _admit_users(open_cost[n, lvl], capacity)
@@ -252,28 +251,25 @@ def greedy_design(nodes: Sequence[AccessNode], users: Sequence[UserTerminal],
                 key = (-admitted.size, added_power, node.node_id)
                 if best_key is None or key < best_key:
                     best_key = key
-                    best_pick = (n, lvl, open_users[admitted])
+                    best_pick = (n, open_users[admitted])
         if best_pick is None:
             break
-        n, lvl, admitted = best_pick
-        active[n] = lvl
+        n, admitted = best_pick
         members[n] = admitted
         unassigned[admitted] = False
 
-    # The level a cell was activated at passes, so a lowest one exists.
+    levels: dict[int, float] = {}
+    assigned: dict[int, tuple[int, int, int]] = {}
     for n, users_of_n in members.items():
+        # The level the cell was activated at passes, so a lowest one exists.
         load = cost[n][:, users_of_n].sum(axis=1)
-        active[n] = int(np.flatnonzero(load <= capacity)[0])
-
-    assigned = {}
-    for n, users_of_n in members.items():
+        lvl = int(np.flatnonzero(load <= capacity)[0])
+        node_id = table.node_ids[n]
+        levels[node_id] = params.power_levels_dbm[lvl]
         for u in users_of_n.tolist():
-            link = table.link(n, u, active[n])
-            assigned[table.user_ids[u]] = (table.node_ids[n], link.prbs_dl,
-                                           link.prbs_ul)
-    return _network_config(
-        node_list, {table.node_ids[n]: params.power_levels_dbm[lvl]
-                    for n, lvl in active.items()}, assigned)
+            link = table.link(n, u, lvl)
+            assigned[table.user_ids[u]] = (node_id, link.prbs_dl, link.prbs_ul)
+    return _network_config(node_list, levels, assigned)
 
 
 def brute_force_design(nodes: Sequence[AccessNode],
