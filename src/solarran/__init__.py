@@ -16,7 +16,7 @@ from .engine import (RunResult, SeasonStats, SimulationError, StepLedgerEntry,
 from .radio import (Position, RadioParams, link_feasible, link_table,
                     path_loss, required_prbs, snr, spectral_efficiency)
 from .scenario import (AccessNode, ConfigError, Scenario, UserTerminal,
-                       WeatherError, WeatherSample, default_node_grid,
+                       WeatherError, WeatherSeries, default_node_grid,
                        load_config, load_weather_csv, place_users,
                        synth_study_series, synth_weather, write_weather_csv)
 

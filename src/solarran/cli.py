@@ -77,19 +77,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if args.seed < 0:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
 
-        csv_series = None
+        csv_weather = None
         if args.weather != "synth":
-            csv_series = load_weather_csv(args.weather, expected_dates=scenario.dates)
+            csv_weather = load_weather_csv(args.weather, expected_dates=scenario.dates)
 
         caps = {n.node_id: n.battery.usable_capacity_wh for n in scenario.nodes}
         seeds = [args.seed + r for r in range(runs)]
         pairs = []
         weather_by_run = []
         for seed in seeds:
-            series = csv_series if csv_series is not None else synth_study_series(
+            weather = csv_weather if csv_weather is not None else synth_study_series(
                 scenario, seed=seed)
-            weather_by_run.append(series)
-            pair = run_pair(scenario, series, seed)
+            weather_by_run.append(weather)
+            pair = run_pair(scenario, weather, seed)
             for result in pair:
                 verify_conservation(
                     result, usable_cap_wh=[caps[i] for i in result.node_ids])
@@ -162,9 +162,9 @@ def cmd_weather_synth(args: argparse.Namespace) -> int:
         print(f"error: --lat must be in [-90, 90], got {args.lat}", file=sys.stderr)
         return EXIT_USAGE
     scenario = Scenario(latitude_deg=args.lat)
-    samples = synth_weather(scenario, date, cloud_factor=args.cloud)
-    write_weather_csv(samples, [date], args.out)
-    print(f"wrote {len(samples)} samples for {date.isoformat()} to {args.out}")
+    weather = synth_weather(scenario, date, cloud_factor=args.cloud)
+    write_weather_csv(weather, [date], args.out)
+    print(f"wrote {len(weather)} samples for {date.isoformat()} to {args.out}")
     return EXIT_OK
 
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 STANDARD_GRAVITY = 9.80665  # m/s^2
 
 # Controller draw per reflecting element, by phase-shift resolution [W].
@@ -230,24 +232,24 @@ def ris_power(spec: RisSpec) -> float:
     return spec.element_count * spec.per_element_power[spec.phase_bits]
 
 
-def cell_temperature(ambient_c: float, ghi_wm2: float, noct_c: float) -> float:
+def cell_temperature(ambient_c, ghi_wm2, noct_c: float):
     """Panel cell temperature [degC] from ambient and irradiance via the
     NOCT linear model: T_cell = T_ambient + GHI * (NOCT - 20) / 800."""
-    if ghi_wm2 < 0:
-        raise ParameterError(f"ghi must be >= 0, got {ghi_wm2}")
+    if np.any(ghi_wm2 < 0):
+        raise ParameterError(f"ghi must be >= 0, got {np.min(ghi_wm2)}")
     return ambient_c + ghi_wm2 * (noct_c - 20.0) / 800.0
 
 
-def pv_power(spec: PvSpec, ghi_wm2: float, ambient_c: float) -> float:
+def pv_power(spec: PvSpec, ghi_wm2, ambient_c):
     """Panel output [W]: rated power scaled by derating, by irradiance
-    relative to STC, and by the temperature coefficient, floored at zero."""
-    if ghi_wm2 < 0:
-        raise ParameterError(f"ghi must be >= 0, got {ghi_wm2}")
+    relative to STC, and by the temperature coefficient, floored at zero.
+    Takes floats, or one array entry per minute as the engine passes them."""
     t_cell = cell_temperature(ambient_c, ghi_wm2, spec.noct)
     out = (spec.rated_power * spec.derating_factor
            * (ghi_wm2 / spec.stc_irradiance)
            * (1.0 + spec.temp_coeff * (t_cell - spec.stc_cell_temp)))
-    return max(0.0, out)
+    # max(0.0, out) for floats and arrays: NaN and -0.0 become 0.0 (not fmax)
+    return np.where(out > 0.0, out, 0.0)[()]
 
 
 def battery_step(state: BatteryState, spec: BatterySpec, demand_wh: float,

@@ -23,8 +23,8 @@ from .design import (NetworkConfig, greedy_design, served_counts,
                      station_power_w)
 from .energy import (BatteryState, battery_step, mimo_power, pv_power,
                      ris_power, uav_hover_power)
-from .scenario import (MINUTES_PER_DAY, AccessNode, Scenario, WeatherSample,
-                       WeatherError, place_users)
+from .scenario import (MINUTES_PER_DAY, AccessNode, Scenario, WeatherError,
+                       WeatherSeries, place_users)
 
 LEDGER_COLUMNS = ("t", "node_id", "consumed_wh", "hover_wh", "mimo_wh",
                   "ris_wh", "harvested_wh", "pv_used_wh", "pv_wasted_wh",
@@ -77,8 +77,8 @@ class RunResult:
 
 
 def step(node: AccessNode, state: BatteryState, active: bool,
-         served_users: int, tx_power_dbm: float, weather: WeatherSample,
-         with_res: bool, t: int,
+         served_users: int, tx_power_dbm: float, ghi_wm2: float,
+         temp_c: float, with_res: bool, t: int,
          dt_minutes: float = 1.0) -> tuple[BatteryState, StepLedgerEntry]:
     """Advance one node by one step of dt_minutes (the scalar reference).
 
@@ -92,7 +92,7 @@ def step(node: AccessNode, state: BatteryState, active: bool,
     ris_wh = ris_power(node.ris) * hours
     consumed = hover_wh + mimo_wh + ris_wh
     if with_res:
-        harvested = pv_power(node.pv, weather.ghi_wm2, weather.temp_c) * hours
+        harvested = pv_power(node.pv, ghi_wm2, temp_c) * hours
     else:
         harvested = 0.0
     new_state, flows = battery_step(state, node.battery, consumed, harvested)
@@ -105,39 +105,11 @@ def step(node: AccessNode, state: BatteryState, active: bool,
     return new_state, entry
 
 
-def _validate_series(series: Sequence[WeatherSample], n_days: int) -> None:
-    expected = n_days * MINUTES_PER_DAY
-    indices = [s.minute_index for s in series]
-    if indices != list(range(expected)):
-        missing = sorted(set(range(expected)) - set(indices))
-        raise WeatherError(
-            f"weather series must cover minutes 0..{expected - 1}; "
-            f"missing {missing[:10]}{'...' if len(missing) > 10 else ''}")
-
-
 def _step_error(t: int, node_id: int, problem) -> SimulationError:
     return SimulationError(f"step failed at t={t}, node_id={node_id}: {problem}")
 
 
-def _panel_output_w(nodes: Sequence[AccessNode], ghi: np.ndarray,
-                    temp: np.ndarray) -> np.ndarray:
-    """pv_power for every (minute, station) at once, shape (minutes, nodes).
-
-    The operations run in pv_power's order, so every element is bit-identical
-    to the scalar call; np.where(out > 0.0, out, 0.0) is max(0.0, out).
-    """
-    def spec(name):
-        return np.array([getattr(n.pv, name) for n in nodes], dtype=float)
-
-    g = ghi[:, None]
-    t_cell = temp[:, None] + g * (spec("noct") - 20.0) / 800.0
-    out = (spec("rated_power") * spec("derating_factor")
-           * (g / spec("stc_irradiance"))
-           * (1.0 + spec("temp_coeff") * (t_cell - spec("stc_cell_temp"))))
-    return np.where(out > 0.0, out, 0.0)
-
-
-def run_simulation(scenario: Scenario, weather_series: Sequence[WeatherSample],
+def run_simulation(scenario: Scenario, weather: WeatherSeries,
                    with_res: bool, seed: int,
                    network: NetworkConfig) -> RunResult:
     """Execute one full run of a designed network: step the days.
@@ -152,7 +124,10 @@ def run_simulation(scenario: Scenario, weather_series: Sequence[WeatherSample],
     minute needs at most one swap.
     """
     n_days = len(scenario.dates)
-    _validate_series(weather_series, n_days)
+    n_steps = n_days * MINUTES_PER_DAY
+    if len(weather) != n_steps:
+        raise WeatherError(f"weather series has {len(weather)} minutes; "
+                           f"{n_days} days need {n_steps}")
 
     served = served_counts(network.assignment.users)
     cell_by_node = {c.node_id: c for c in network.cells}
@@ -160,7 +135,6 @@ def run_simulation(scenario: Scenario, weather_series: Sequence[WeatherSample],
     nodes = sorted(scenario.nodes, key=lambda n: n.node_id)
     node_ids = tuple(n.node_id for n in nodes)
     n_nodes = len(nodes)
-    n_steps = n_days * MINUTES_PER_DAY
     hours = 1.0 / 60.0
 
     draws = []
@@ -181,16 +155,16 @@ def run_simulation(scenario: Scenario, weather_series: Sequence[WeatherSample],
                           f"step demand {demand[i]} Wh outside [0, {cap[i]}] Wh; "
                           "one battery cannot survive one step")
 
+    harvested = np.zeros((n_steps, n_nodes))
     if with_res:
-        ghi = np.array([s.ghi_wm2 for s in weather_series], dtype=float)
-        bad = np.flatnonzero(ghi < 0)
+        bad = np.flatnonzero(weather.ghi_wm2 < 0)
         if bad.size and n_nodes:
             t = int(bad[0])
-            raise _step_error(t, node_ids[0], f"ghi must be >= 0, got {ghi[t]}")
-        temp = np.array([s.temp_c for s in weather_series], dtype=float)
-        harvested = _panel_output_w(nodes, ghi, temp) * hours
-    else:
-        harvested = np.zeros((n_steps, n_nodes))
+            raise _step_error(t, node_ids[0],
+                              f"ghi must be >= 0, got {weather.ghi_wm2[t]}")
+        for i, node in enumerate(nodes):
+            harvested[:, i] = pv_power(node.pv, weather.ghi_wm2,
+                                       weather.temp_c) * hours
     charge = harvested * np.array([n.battery.charge_efficiency for n in nodes],
                                   dtype=float)
 
@@ -255,7 +229,7 @@ def run_simulation(scenario: Scenario, weather_series: Sequence[WeatherSample],
                      ledger=ledger)
 
 
-def run_pair(scenario: Scenario, weather_series: Sequence[WeatherSample],
+def run_pair(scenario: Scenario, weather: WeatherSeries,
              seed: int) -> tuple[RunResult, RunResult]:
     """One without-renewables and one with-renewables run sharing the same
     seed, user placement, network design, and weather.
@@ -265,8 +239,8 @@ def run_pair(scenario: Scenario, weather_series: Sequence[WeatherSample],
     users = place_users(scenario, seed)
     network = greedy_design(scenario.nodes, users, scenario.radio,
                             scenario.dl_rate_mbps, scenario.ul_rate_mbps)
-    no_res = run_simulation(scenario, weather_series, False, seed, network=network)
-    with_res = run_simulation(scenario, weather_series, True, seed, network=network)
+    no_res = run_simulation(scenario, weather, False, seed, network=network)
+    with_res = run_simulation(scenario, weather, True, seed, network=network)
     return no_res, with_res
 
 

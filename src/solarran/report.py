@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .engine import LEDGER_COLUMNS, RunResult, StudyMetrics
-from .scenario import MINUTES_PER_DAY, Scenario, WeatherSample
+from .scenario import MINUTES_PER_DAY, Scenario, WeatherSeries
 
 SUMMARY_HEADER = ("season,total_harvest_wh,peak_harvest_w,arec_percent,"
                   "anuc_no_res,anuc_with_res")
@@ -90,7 +90,7 @@ def write_ledger_csv(result: RunResult, path: Path) -> None:
 
 
 def write_timeseries_csvs(with_results: Sequence[RunResult],
-                          weather_by_run: Sequence[Sequence[WeatherSample]],
+                          weather_by_run: Sequence[WeatherSeries],
                           season_names: Sequence[str],
                           out_dir: Path) -> None:
     """Per-season minute profiles averaged over runs (and stations for the
@@ -103,7 +103,7 @@ def write_timeseries_csvs(with_results: Sequence[RunResult],
     for result, weather in zip(with_results, weather_by_run):
         soc += result.ledger["soc_wh"].reshape(n_minutes, n_nodes).mean(axis=1)
         pv_w += result.ledger["harvested_wh"].reshape(n_minutes, n_nodes).mean(axis=1) * 60.0
-        ghi += np.array([s.ghi_wm2 for s in weather])
+        ghi += weather.ghi_wm2
     runs = len(with_results)
     soc /= runs
     pv_w /= runs

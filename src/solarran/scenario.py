@@ -3,7 +3,8 @@
 The scenario file is JSON; every key is optional and falls back to the
 defaults below, unknown keys are rejected. Weather comes either from a CSV
 feed (header ``timestamp,ghi_wm2,temp_c``, one row per minute) or from the
-built-in clear-sky synthesizer.
+built-in clear-sky synthesizer; either way it is one WeatherSeries, two
+float64 arrays with one entry per minute.
 """
 
 from __future__ import annotations
@@ -73,11 +74,32 @@ class UserTerminal:
     position: Position
 
 
-@dataclass(frozen=True)
-class WeatherSample:
-    minute_index: int
-    ghi_wm2: float
-    temp_c: float
+@dataclass(frozen=True, eq=False)
+class WeatherSeries:
+    """Minute weather: global horizontal irradiance [W/m^2] and ambient
+    temperature [degC], one float64 entry per minute. Both arrays are
+    read-only copies of what was passed in; == compares their values."""
+
+    ghi_wm2: np.ndarray
+    temp_c: np.ndarray
+
+    def __post_init__(self):
+        for name in ("ghi_wm2", "temp_c"):
+            column = np.array(getattr(self, name), dtype=np.float64)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        if self.ghi_wm2.ndim != 1 or self.ghi_wm2.shape != self.temp_c.shape:
+            raise WeatherError(f"ghi_wm2 and temp_c must be 1-D and of equal "
+                               f"length, got shapes {self.ghi_wm2.shape} and "
+                               f"{self.temp_c.shape}")
+
+    def __len__(self) -> int:
+        return len(self.ghi_wm2)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, WeatherSeries)
+                and np.array_equal(self.ghi_wm2, other.ghi_wm2)
+                and np.array_equal(self.temp_c, other.temp_c))
 
 
 @dataclass(frozen=True)
@@ -363,7 +385,7 @@ def solar_elevation_sin(latitude_deg: float, declination_deg: float,
 
 def synth_weather(scenario: Scenario, date: datetime.date,
                   cloud_factor: Optional[float] = None,
-                  seed: Optional[int] = None) -> list[WeatherSample]:
+                  seed: Optional[int] = None) -> WeatherSeries:
     """Synthesize one clear-sky day at 1-minute resolution.
 
     GHI follows the transmittance model S0 * tau^(1/sin(alpha)) * sin(alpha)
@@ -371,7 +393,8 @@ def synth_weather(scenario: Scenario, date: datetime.date,
     a daily sinusoid between the season's configured min and max. With
     scenario.cloud_jitter > 0 and a seed, the day's cloud factor is
     perturbed once by a seeded uniform draw; otherwise the output is a pure
-    function of (scenario, date, cloud_factor).
+    function of (scenario, date, cloud_factor). Minutes are evaluated with
+    `math`: numpy's cos and power differ from it in the last bit on some.
     """
     cf = scenario.cloud_factor if cloud_factor is None else cloud_factor
     if scenario.cloud_jitter > 0 and seed is not None:
@@ -384,35 +407,28 @@ def synth_weather(scenario: Scenario, date: datetime.date,
     t_mid = (t_min + t_max) / 2.0
     t_amp = (t_max - t_min) / 2.0
 
-    samples = []
+    ghi, temp = [], []
     for minute in range(MINUTES_PER_DAY):
         sin_alpha = solar_elevation_sin(scenario.latitude_deg, declination, minute)
-        if sin_alpha > 0:
-            ghi = (SOLAR_CONSTANT_WM2
-                   * ATMOSPHERIC_TRANSMITTANCE ** (1.0 / sin_alpha)
-                   * sin_alpha * cf)
-        else:
-            ghi = 0.0
-        temp = t_mid + t_amp * math.cos(2.0 * math.pi * (minute - 900) / MINUTES_PER_DAY)
-        samples.append(WeatherSample(minute_index=minute, ghi_wm2=ghi, temp_c=temp))
-    return samples
+        ghi.append((SOLAR_CONSTANT_WM2
+                    * ATMOSPHERIC_TRANSMITTANCE ** (1.0 / sin_alpha)
+                    * sin_alpha * cf) if sin_alpha > 0 else 0.0)
+        temp.append(t_mid + t_amp * math.cos(2.0 * math.pi * (minute - 900)
+                                             / MINUTES_PER_DAY))
+    return WeatherSeries(ghi, temp)
 
 
 def synth_study_series(scenario: Scenario,
-                       seed: Optional[int] = None) -> list[WeatherSample]:
-    """Concatenate synthetic days for all configured dates into one series
-    with a globally increasing minute index."""
-    series = []
-    for day, date in enumerate(scenario.dates):
-        for s in synth_weather(scenario, date, seed=seed):
-            series.append(WeatherSample(minute_index=day * MINUTES_PER_DAY + s.minute_index,
-                                        ghi_wm2=s.ghi_wm2, temp_c=s.temp_c))
-    return series
+                       seed: Optional[int] = None) -> WeatherSeries:
+    """Synthetic days for all configured dates, back to back."""
+    days = [synth_weather(scenario, date, seed=seed) for date in scenario.dates]
+    return WeatherSeries(np.concatenate([d.ghi_wm2 for d in days]),
+                         np.concatenate([d.temp_c for d in days]))
 
 
 def load_weather_csv(path: str | Path,
                      expected_dates: Optional[Sequence[datetime.date]] = None
-                     ) -> list[WeatherSample]:
+                     ) -> WeatherSeries:
     """Parse a weather CSV and validate it row by row.
 
     Requirements: header ``timestamp,ghi_wm2,temp_c``; ISO-8601 timestamps
@@ -427,7 +443,8 @@ def load_weather_csv(path: str | Path,
     if not lines or lines[0].strip() != "timestamp,ghi_wm2,temp_c":
         raise WeatherError("line 1: header must be 'timestamp,ghi_wm2,temp_c'")
 
-    samples: list[WeatherSample] = []
+    ghi_column: list[float] = []
+    temp_column: list[float] = []
     days: list[datetime.date] = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -446,7 +463,7 @@ def load_weather_csv(path: str | Path,
                                f"finite, got {ghi} and {temp}")
         if ghi < 0:
             raise WeatherError(f"line {lineno}: ghi_wm2 must be >= 0, got {ghi}")
-        minute_of_day = len(samples) % MINUTES_PER_DAY
+        minute_of_day = len(ghi_column) % MINUTES_PER_DAY
         expected_time = datetime.time(minute_of_day // 60, minute_of_day % 60)
         if ts.time() != expected_time:
             raise WeatherError(
@@ -461,29 +478,30 @@ def load_weather_csv(path: str | Path,
         elif ts.date() != days[-1]:
             raise WeatherError(f"line {lineno}: date changed mid-day from "
                                f"{days[-1]} to {ts.date()}")
-        samples.append(WeatherSample(minute_index=len(samples), ghi_wm2=ghi,
-                                     temp_c=temp))
+        ghi_column.append(ghi)
+        temp_column.append(temp)
 
-    if len(samples) % MINUTES_PER_DAY != 0 or not samples:
-        raise WeatherError(f"series has {len(samples)} rows; must be a whole "
+    if len(ghi_column) % MINUTES_PER_DAY != 0 or not ghi_column:
+        raise WeatherError(f"series has {len(ghi_column)} rows; must be a whole "
                            f"number of {MINUTES_PER_DAY}-row days")
     if expected_dates is not None and days != list(expected_dates):
         raise WeatherError(f"file covers days {days}, expected {list(expected_dates)}")
-    return samples
+    return WeatherSeries(ghi_column, temp_column)
 
 
-def write_weather_csv(samples: Sequence[WeatherSample],
+def write_weather_csv(weather: WeatherSeries,
                       dates: Sequence[datetime.date],
                       path: str | Path) -> None:
     """Write a series in the CSV format load_weather_csv accepts; float
-    fields use repr so a round trip reproduces the samples exactly."""
-    if len(samples) != len(dates) * MINUTES_PER_DAY:
-        raise WeatherError(f"{len(samples)} samples do not cover {len(dates)} "
+    fields use repr so a round trip reproduces the series exactly."""
+    if len(weather) != len(dates) * MINUTES_PER_DAY:
+        raise WeatherError(f"{len(weather)} samples do not cover {len(dates)} "
                            f"whole days")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("timestamp,ghi_wm2,temp_c\n")
-        for i, s in enumerate(samples):
+        for i, (ghi, temp) in enumerate(zip(weather.ghi_wm2.tolist(),
+                                            weather.temp_c.tolist())):
             date = dates[i // MINUTES_PER_DAY]
             minute = i % MINUTES_PER_DAY
             ts = datetime.datetime.combine(date, datetime.time(minute // 60, minute % 60))
-            fh.write(f"{ts.isoformat()},{s.ghi_wm2!r},{s.temp_c!r}\n")
+            fh.write(f"{ts.isoformat()},{ghi!r},{temp!r}\n")

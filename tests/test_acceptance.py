@@ -21,8 +21,7 @@ from solarran.energy import (BatterySpec, MimoSpec, PvSpec, RisSpec,
                              pv_power, uav_hover_power)
 from solarran.engine import compute_metrics, run_pair, step
 from solarran.radio import RadioParams
-from solarran.scenario import (SEASONS, WeatherSample, scenario_from_dict,
-                               synth_study_series)
+from solarran.scenario import SEASONS, scenario_from_dict, synth_study_series
 
 MASTER_SEED = 42
 
@@ -74,14 +73,13 @@ def test_criterion_1_conservation_suite():
         state = fresh_battery(battery)
         prev_swaps = state.swap_count
         for t in range(int(rng.integers(30, 80))):
-            weather = WeatherSample(minute_index=t,
-                                    ghi_wm2=float(rng.uniform(0, 1100)),
-                                    temp_c=float(rng.uniform(-15, 35)))
+            ghi_wm2 = float(rng.uniform(0, 1100))
+            temp_c = float(rng.uniform(-15, 35))
             active = bool(rng.integers(0, 2))
             users = int(rng.integers(0, 8)) if active else 0
             level = float(rng.choice([28.0, 34.0, 40.0])) if active else 0.0
-            state, entry = step(node, state, active, users, level, weather,
-                                with_res=bool(rng.integers(0, 2)), t=t)
+            state, entry = step(node, state, active, users, level, ghi_wm2,
+                                temp_c, with_res=bool(rng.integers(0, 2)), t=t)
             gap = abs(entry.consumed_wh
                       - (entry.drawn_from_battery_wh + entry.pv_used_wh))
             assert gap <= 1e-9, f"conservation gap {gap}"

@@ -237,22 +237,22 @@ class TestWeatherSynth:
         path = tmp_path / "day.csv"
         assert main(["weather-synth", "--date", "2022-06-21",
                      "--out", str(path)]) == 0
-        samples = load_weather_csv(path)
-        assert len(samples) == 1440
+        weather = load_weather_csv(path)
+        assert len(weather) == 1440
 
     def test_fully_overcast_is_all_zero(self, tmp_path):
         path = tmp_path / "day.csv"
         assert main(["weather-synth", "--date", "2022-06-21", "--cloud", "0",
                      "--out", str(path)]) == 0
-        samples = load_weather_csv(path)
-        assert all(s.ghi_wm2 == 0.0 for s in samples)
+        weather = load_weather_csv(path)
+        assert (weather.ghi_wm2 == 0.0).all()
 
     def test_clear_sky_noon_value(self, tmp_path):
         path = tmp_path / "day.csv"
         assert main(["weather-synth", "--date", "2022-06-21", "--cloud", "1.0",
                      "--out", str(path)]) == 0
-        samples = load_weather_csv(path)
-        assert samples[720].ghi_wm2 == pytest.approx(857.1367, abs=0.05)
+        weather = load_weather_csv(path)
+        assert weather.ghi_wm2[720] == pytest.approx(857.1367, abs=0.05)
 
     def test_invalid_date_exits_2(self, tmp_path, capsys):
         rc = main(["weather-synth", "--date", "2022-13-40",

@@ -12,7 +12,7 @@ from solarran.energy import (BatterySpec, ParameterError, fresh_battery,
 from solarran.engine import (RunResult, SimulationError, compute_metrics,
                              run_pair, run_simulation, step,
                              verify_conservation)
-from solarran.scenario import (WeatherError, WeatherSample, place_users,
+from solarran.scenario import (WeatherError, WeatherSeries, place_users,
                                scenario_from_dict, synth_study_series)
 
 SMALL_CONFIG = {
@@ -49,8 +49,7 @@ class TestStep:
     def test_night_inactive_cell(self, small_scenario):
         node = small_scenario.nodes[0]
         state = fresh_battery(node.battery)
-        dark = WeatherSample(minute_index=0, ghi_wm2=0.0, temp_c=5.0)
-        new, entry = step(node, state, False, 0, 0.0, dark, True, 0)
+        new, entry = step(node, state, False, 0, 0.0, 0.0, 5.0, True, 0)
         expected = (uav_hover_power(node.airframe) + node.mimo.sleep_power
                     + ris_power(node.ris)) / 60.0
         assert entry.consumed_wh == pytest.approx(expected, rel=1e-12)
@@ -60,23 +59,21 @@ class TestStep:
 
     def test_without_res_harvest_is_zero(self, small_scenario):
         node = small_scenario.nodes[0]
-        sunny = WeatherSample(minute_index=720, ghi_wm2=800.0, temp_c=20.0)
         _, entry = step(node, fresh_battery(node.battery), True, 3, 40.0,
-                        sunny, False, 720)
+                        800.0, 20.0, False, 720)
         assert entry.harvested_wh == 0.0
         _, entry_res = step(node, fresh_battery(node.battery), True, 3, 40.0,
-                            sunny, True, 720)
+                            800.0, 20.0, True, 720)
         assert entry_res.harvested_wh > 0.0
 
     def test_constant_draw_day_sums_exactly(self, small_scenario):
         node = small_scenario.nodes[0]
         state = fresh_battery(node.battery)
-        dark = WeatherSample(minute_index=0, ghi_wm2=0.0, temp_c=5.0)
         power_w = (uav_hover_power(node.airframe)
                    + mimo_power(node.mimo, True, 2, 34.0) + ris_power(node.ris))
         total = 0.0
         for t in range(1440):
-            state, entry = step(node, state, True, 2, 34.0, dark, False, t)
+            state, entry = step(node, state, True, 2, 34.0, 0.0, 5.0, False, t)
             total += entry.consumed_wh
         assert total == pytest.approx(24.0 * power_w, rel=1e-9)
         assert state.swap_count == math.floor(
@@ -105,8 +102,9 @@ class TestRunSimulation:
 
     def test_weather_gap_refused(self, small_scenario):
         series = synth_study_series(small_scenario, seed=3)
-        broken = series[:3000] + series[3001:]
-        with pytest.raises(WeatherError, match="3000"):
+        broken = WeatherSeries(np.delete(series.ghi_wm2, 3000),
+                               np.delete(series.temp_c, 3000))
+        with pytest.raises(WeatherError, match="5759 minutes; 4 days need 5760"):
             run_simulation(small_scenario, broken, True, 3,
                            network=designed(small_scenario, 3))
 
@@ -157,7 +155,7 @@ class TestRunSimulation:
         _, with_res = small_pair
         series = synth_study_series(small_scenario, seed=11)
         pv = small_scenario.nodes[0].pv
-        physical_max = max(pv_power(pv, s.ghi_wm2, s.temp_c) for s in series)
+        physical_max = pv_power(pv, series.ghi_wm2, series.temp_c).max()
         assert with_res.peak_pv_w.max() <= physical_max + 1e-9
 
 
@@ -167,11 +165,13 @@ class TestStepErrors:
 
     def test_negative_ghi(self, small_scenario):
         series = synth_study_series(small_scenario, seed=3)
-        series[2000] = dataclasses.replace(series[2000], ghi_wm2=-1.0)
+        ghi = series.ghi_wm2.copy()
+        ghi[2000] = -1.0
+        series = WeatherSeries(ghi, series.temp_c)
         node = min(small_scenario.nodes, key=lambda n: n.node_id)
         with pytest.raises(ParameterError, match="ghi"):
             step(node, fresh_battery(node.battery), False, 0, 0.0,
-                 series[2000], True, 2000)
+                 series.ghi_wm2[2000], series.temp_c[2000], True, 2000)
         with pytest.raises(SimulationError, match=r"t=2000, node_id=0: ghi"):
             run_simulation(small_scenario, series, True, 3,
                            network=designed(small_scenario, 3))
@@ -187,7 +187,8 @@ class TestStepErrors:
         series = synth_study_series(scenario, seed=3)
         node = next(n for n in nodes if n.node_id == 2)
         with pytest.raises(ParameterError, match="exceeds usable capacity"):
-            step(node, fresh_battery(tiny), False, 0, 0.0, series[0], False, 0)
+            step(node, fresh_battery(tiny), False, 0, 0.0, series.ghi_wm2[0],
+                 series.temp_c[0], False, 0)
         with pytest.raises(SimulationError,
                            match=r"t=0, node_id=2: step demand .* one battery"):
             run_simulation(scenario, series, False, 3,

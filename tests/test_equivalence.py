@@ -15,7 +15,7 @@ from solarran.energy import (BatterySpec, BatteryState, PvSpec, UavAirframe,
 from solarran.engine import LEDGER_COLUMNS, run_simulation, step
 from solarran.radio import Position
 from solarran.scenario import (MINUTES_PER_DAY, AccessNode, Scenario,
-                               WeatherSample)
+                               WeatherSeries)
 
 DAY_TOTALS = ("consumed_wh", "harvested_wh", "pv_used_wh", "pv_wasted_wh",
               "drawn_wh", "swaps", "peak_pv_w")
@@ -44,7 +44,8 @@ def reference_run(scenario, series, network, with_res):
                 states[i], e = step(node, states[i], cell.active,
                                     served.get(node.node_id, 0),
                                     cell.tx_power_dbm if cell.active else 0.0,
-                                    series[t], with_res, t)
+                                    series.ghi_wm2[t], series.temp_c[t],
+                                    with_res, t)
                 totals["consumed_wh"][day, i] += e.consumed_wh
                 totals["harvested_wh"][day, i] += e.harvested_wh
                 totals["pv_used_wh"][day, i] += e.pv_used_wh
@@ -112,9 +113,7 @@ def scenarios(draw):
     ghi[rng.random(n_steps) < draw(st.floats(0.0, 1.0))] = 0.0
     temp = rng.uniform(-25.0, 45.0, n_steps)
     temp[rng.random(n_steps) < 0.05] = 0.0
-    series = [WeatherSample(t, float(g), float(c))
-              for t, (g, c) in enumerate(zip(ghi, temp))]
-    return scenario, series, network
+    return scenario, WeatherSeries(ghi, temp), network
 
 
 @settings(max_examples=20, deadline=None)

@@ -170,42 +170,41 @@ class TestPlaceUsers:
 class TestSynthWeather:
     def test_night_is_dark_and_daylight_positive(self):
         sc = Scenario()
-        for s in synth_weather(sc, SUMMER):
+        for minute, ghi in enumerate(synth_weather(sc, SUMMER).ghi_wm2):
             sin_a = solar_elevation_sin(sc.latitude_deg,
                                         solar_declination_deg(SUMMER.timetuple().tm_yday),
-                                        s.minute_index)
+                                        minute)
             if sin_a <= 0:
-                assert s.ghi_wm2 == 0.0
+                assert ghi == 0.0
             elif sin_a > 0.02:
                 # at grazing angles the transmittance term underflows to 0
-                assert s.ghi_wm2 > 0.0
+                assert ghi > 0.0
 
     def test_peak_at_solar_noon(self):
         sc = Scenario()
-        samples = synth_weather(sc, SUMMER)
-        peak_minute = max(samples, key=lambda s: s.ghi_wm2).minute_index
+        peak_minute = int(np.argmax(synth_weather(sc, SUMMER).ghi_wm2))
         assert abs(peak_minute - 720) <= 2
 
     def test_clear_sky_noon_values(self):
         sc = Scenario()
         summer = synth_weather(sc, SUMMER, cloud_factor=1.0)
-        assert summer[720].ghi_wm2 == pytest.approx(857.1367, abs=0.05)
+        assert summer.ghi_wm2[720] == pytest.approx(857.1367, abs=0.05)
         winter = synth_weather(sc, WINTER, cloud_factor=1.0)
-        assert winter[720].ghi_wm2 == pytest.approx(102.4118, abs=0.05)
+        assert winter.ghi_wm2[720] == pytest.approx(102.4118, abs=0.05)
 
     def test_seasonal_energy_ordering(self):
         sc = Scenario()
         integrals = {}
         for date in sc.dates:
             label = sc.season_label(date)
-            integrals[label] = sum(s.ghi_wm2 for s in synth_weather(sc, date)) / 60.0
+            integrals[label] = sum(synth_weather(sc, date).ghi_wm2.tolist()) / 60.0
         assert (integrals["summer"] > integrals["spring"]
                 > integrals["autumn"] > integrals["winter"])
         assert abs(integrals["spring"] - integrals["autumn"]) <= 0.10 * integrals["spring"]
 
     def test_fully_overcast(self):
         sc = Scenario()
-        assert all(s.ghi_wm2 == 0.0 for s in synth_weather(sc, SUMMER, cloud_factor=0.0))
+        assert (synth_weather(sc, SUMMER, cloud_factor=0.0).ghi_wm2 == 0.0).all()
 
     def test_deterministic_and_jitter_seeded(self):
         plain = Scenario()
@@ -219,8 +218,7 @@ class TestSynthWeather:
 
     def test_temperature_span_matches_season(self):
         sc = Scenario()
-        samples = synth_weather(sc, SUMMER)
-        temps = [s.temp_c for s in samples]
+        temps = synth_weather(sc, SUMMER).temp_c
         t_min, t_max = sc.season_temps["summer"]
         assert min(temps) == pytest.approx(t_min, abs=1e-9)
         assert max(temps) == pytest.approx(t_max, abs=1e-9)
