@@ -32,7 +32,7 @@ from .report import (format_summary_table, scenario_echo, write_ledger_csv,
                      write_metrics_json, write_summary_csv,
                      write_timeseries_csvs)
 from .scenario import (ConfigError, Scenario, WeatherError, AccessNode,
-                       UserTerminal, load_config, load_weather_csv, parse_json,
+                       UserTerminal, load_config, load_weather_csv, read_json,
                        scenario_from_dict, synth_study_series, synth_weather,
                        write_weather_csv, SEASONS)
 
@@ -81,7 +81,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if args.weather != "synth":
             csv_weather = load_weather_csv(args.weather, expected_dates=scenario.dates)
 
-        caps = {n.node_id: n.battery.usable_capacity_wh for n in scenario.nodes}
         seeds = [args.seed + r for r in range(runs)]
         pairs = []
         weather_by_run = []
@@ -91,8 +90,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             weather_by_run.append(weather)
             pair = run_pair(scenario, weather, seed)
             for result in pair:
-                verify_conservation(
-                    result, usable_cap_wh=[caps[i] for i in result.node_ids])
+                verify_conservation(result)
             pairs.append(pair)
         metrics = compute_metrics(pairs, season_names=SEASONS)
 
@@ -163,17 +161,18 @@ def cmd_weather_synth(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     scenario = Scenario(latitude_deg=args.lat)
     weather = synth_weather(scenario, date, cloud_factor=args.cloud)
-    write_weather_csv(weather, [date], args.out)
+    try:
+        write_weather_csv(weather, [date], args.out)
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+        return EXIT_USAGE
     print(f"wrote {len(weather)} samples for {date.isoformat()} to {args.out}")
     return EXIT_OK
 
 
 def _load_instance(path: str) -> tuple[list[AccessNode], list[UserTerminal],
                                        Scenario]:
-    try:
-        raw = parse_json(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read instance {path}: {exc}") from exc
+    raw = read_json(path, "instance")
     allowed = {"radio", "dl_mbps", "ul_mbps", "nodes", "users"}
     unknown = set(raw) - allowed
     if unknown:

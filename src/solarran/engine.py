@@ -15,7 +15,7 @@ array recurrence to bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -59,6 +59,8 @@ class RunResult:
 
     Array shapes are (n_days, n_nodes); the full per-step ledger is kept as
     column arrays (row order: minute-major, then node id).
+    usable_capacity_wh holds each station's usable battery window, in
+    node_ids order, which bounds its state of charge.
     """
 
     seed: int
@@ -66,6 +68,7 @@ class RunResult:
     network: NetworkConfig
     dates: tuple
     node_ids: tuple[int, ...]
+    usable_capacity_wh: np.ndarray
     consumed_wh: np.ndarray
     harvested_wh: np.ndarray
     pv_used_wh: np.ndarray
@@ -219,7 +222,7 @@ def run_simulation(scenario: Scenario, weather: WeatherSeries,
     }
     return RunResult(seed=seed, with_res=with_res, network=network,
                      dates=tuple(scenario.dates), node_ids=node_ids,
-                     consumed_wh=day_totals(consumed),
+                     usable_capacity_wh=cap, consumed_wh=day_totals(consumed),
                      harvested_wh=day_totals(harvested),
                      pv_used_wh=day_totals(pv_used),
                      pv_wasted_wh=day_totals(pv_wasted),
@@ -355,15 +358,13 @@ def compute_metrics(pairs: Sequence[tuple[RunResult, RunResult]],
                         mean=mean, per_run=per_run)
 
 
-def verify_conservation(result: RunResult,
-                        usable_cap_wh: Optional[float | Sequence[float]] = None,
-                        tol: float = 1e-9) -> None:
+def verify_conservation(result: RunResult, tol: float = 1e-9) -> None:
     """Check the per-step and per-run accounting identities of a ledger.
 
     Raises SimulationError on the first violated identity: per step,
-    consumed == drawn + pv_used and 0 <= soc (<= the usable capacity when
-    given, either one value or one per station in node_ids order); per run,
-    the swap counter never decreases and the day totals match the ledger.
+    consumed == drawn + pv_used and 0 <= soc <= the station's usable
+    capacity; per run, the swap counter never decreases and the day totals
+    match the ledger.
     The checks are written so that a NaN fails them.
     """
     led = result.ledger
@@ -374,11 +375,10 @@ def verify_conservation(result: RunResult,
     soc = led["soc_wh"].reshape(-1, n_nodes)
     if not (soc >= -tol).all():
         raise SimulationError("negative or NaN state of charge")
-    if usable_cap_wh is not None:
-        over = soc - np.asarray(usable_cap_wh, dtype=float)
-        if not over.max() <= tol:
-            raise SimulationError(
-                f"state of charge exceeds usable capacity by {over.max()}")
+    over = soc - result.usable_capacity_wh
+    if not over.max() <= tol:
+        raise SimulationError(
+            f"state of charge exceeds usable capacity by {over.max()}")
     swaps = led["swaps"].reshape(-1, n_nodes)
     if not (np.diff(swaps, axis=0) >= 0).all():
         raise SimulationError("swap counter decreased")

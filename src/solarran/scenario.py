@@ -12,6 +12,7 @@ from __future__ import annotations
 import datetime
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -198,6 +199,41 @@ def check_finite(doc, path: str = "") -> None:
                           f"integer is too large for a float")
 
 
+# The JSON type of every scenario value: float is a number (a bool is not),
+# str a string, [shape] a list of that shape, and {key: shape} an object
+# whose "*" entry gives the shape of every key it does not name.
+CONFIG_SHAPE = {
+    "nodes": {"*": float, "layout": [{"*": float}]},
+    "radio": {"*": float, "power_levels_dbm": [float]},
+    "ris": {"*": float, "per_element_power": {"*": float}},
+    "simulation": {"*": float, "dates": [str]},
+    "weather": {"*": float, "season_temps": {"*": [float]}},
+    "*": {"*": float},
+}
+
+
+def check_shape(doc, shape, path: str = "") -> None:
+    """Raise ConfigError naming the dotted path of the first value in a
+    parsed document whose JSON type is not the one shape gives it."""
+    kind = shape if shape in (float, str) else type(shape)
+    if kind is float:
+        ok = isinstance(doc, numbers.Real) and not isinstance(doc, bool)
+    else:
+        ok = isinstance(doc, (list, tuple) if kind is list else kind)
+    if not ok:
+        expected = {float: "a number", str: "a string", list: "a list",
+                    dict: "an object"}[kind]
+        raise ConfigError(f"{path or '<root>'}: expected {expected}, "
+                          f"got {json.dumps(doc, default=repr)}")
+    if kind is dict:
+        for key, value in doc.items():
+            check_shape(value, shape.get(key, shape["*"]),
+                        f"{path}.{key}" if path else str(key))
+    elif kind is list:
+        for i, value in enumerate(doc):
+            check_shape(value, shape[0], f"{path}[{i}]")
+
+
 def parse_json(text: str):
     """json.loads that refuses NaN, Infinity, -Infinity and numbers that
     overflow a float, raising ConfigError that names where they are."""
@@ -207,6 +243,17 @@ def parse_json(text: str):
     doc = json.loads(text, parse_constant=number, parse_float=number)
     check_finite(doc)
     return doc
+
+
+def read_json(path: str | Path, what: str):
+    """parse_json of a file's text. A file that cannot be read (missing, a
+    directory, not UTF-8) or parsed raises ConfigError naming it."""
+    try:
+        return parse_json(Path(path).read_text(encoding="utf-8"))
+    except ConfigError:
+        raise
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or not JSON
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def load_config(path: str | Path) -> Scenario:
@@ -219,10 +266,7 @@ def load_config(path: str | Path) -> Scenario:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    try:
-        raw = parse_json(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    raw = read_json(path, "config")
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     return scenario_from_dict(raw)
@@ -232,6 +276,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
     check_finite(raw)
     _require_keys(raw, {"area", "users", "nodes", "radio", "airframe", "mimo",
                         "ris", "pv", "battery", "simulation", "weather"}, "<root>")
+    check_shape(raw, CONFIG_SHAPE)
 
     area = raw.get("area", {})
     _require_keys(area, {"width_m", "height_m"}, "area")
@@ -258,7 +303,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
         try:
             ris_section["per_element_power"] = {
                 int(k): float(v) for k, v in ris_section["per_element_power"].items()}
-        except (ValueError, AttributeError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"invalid 'ris.per_element_power': {exc}") from exc
     ris = _build(RisSpec, ris_section, "ris")
     pv = _build(PvSpec, raw.get("pv", {}), "pv")
@@ -315,7 +360,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
     if "dates" in sim:
         try:
             dates = tuple(datetime.date.fromisoformat(d) for d in sim["dates"])
-        except (ValueError, TypeError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"simulation.dates must be ISO dates: {exc}") from exc
     else:
         dates = DEFAULT_DATES
@@ -439,7 +484,10 @@ def load_weather_csv(path: str | Path,
     path = Path(path)
     if not path.exists():
         raise WeatherError(f"weather file not found: {path}")
-    lines = path.read_text(encoding="utf-8").splitlines()
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise WeatherError(f"cannot read weather file {path}: {exc}") from exc
     if not lines or lines[0].strip() != "timestamp,ghi_wm2,temp_c":
         raise WeatherError("line 1: header must be 'timestamp,ghi_wm2,temp_c'")
 

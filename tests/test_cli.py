@@ -171,6 +171,25 @@ class TestSimulate:
         assert rc == 2
         assert path in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, make", [
+        ("--config", lambda path: path.mkdir()),
+        ("--weather", lambda path: path.mkdir()),
+        ("--config", lambda path: path.write_bytes(b'{"area": {"width_m": 3\xff}}')),
+        ("--config", lambda path: path.write_text(
+            '{"area": {"width_m": 1' + "0" * 4300 + '}}')),
+    ], ids=["config_directory", "weather_directory", "config_not_utf8",
+            "config_4301_digit_int"])
+    def test_unreadable_input_exits_2(self, tmp_path, capsys, flag, make):
+        bad = tmp_path / "bad_input"
+        make(bad)
+        flags = {"--config": str(write_tiny_config(tmp_path)),
+                 "--out": str(tmp_path / "out")}
+        flags[flag] = str(bad)
+        rc = main(["simulate", *(x for pair in flags.items() for x in pair)])
+        assert rc == 2
+        assert f"cannot read {flag[2:]}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_rerun_replaces_the_previous_study(self, tmp_path):
         config = write_tiny_config(tmp_path)
         out = tmp_path / "out"
@@ -253,6 +272,12 @@ class TestWeatherSynth:
                      "--out", str(path)]) == 0
         weather = load_weather_csv(path)
         assert weather.ghi_wm2[720] == pytest.approx(857.1367, abs=0.05)
+
+    def test_missing_out_directory_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "day.csv"
+        rc = main(["weather-synth", "--date", "2022-06-21", "--out", str(out)])
+        assert rc == 2
+        assert f"cannot write {out}" in capsys.readouterr().err
 
     def test_invalid_date_exits_2(self, tmp_path, capsys):
         rc = main(["weather-synth", "--date", "2022-13-40",

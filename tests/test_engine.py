@@ -125,9 +125,10 @@ class TestRunSimulation:
         assert with_res.swaps[1].sum() < no_res.swaps[1].sum()
 
     def test_conservation(self, small_pair):
-        cap = BatterySpec().usable_capacity_wh
         for result in small_pair:
-            verify_conservation(result, usable_cap_wh=cap)
+            assert (result.usable_capacity_wh
+                    == BatterySpec().usable_capacity_wh).all()
+            verify_conservation(result)
 
     def test_consumption_independent_of_weather_without_res(self, small_pair):
         no_res, _ = small_pair
@@ -209,10 +210,9 @@ class TestVerifyConservation:
         ("swaps", -1, "swap counter decreased"),
     ])
     def test_violations_raise(self, small_pair, column, value, message):
-        cap = BatterySpec().usable_capacity_wh
         bad = self._tampered(small_pair[1], column, 100, value)
         with pytest.raises(SimulationError, match=message):
-            verify_conservation(bad, usable_cap_wh=cap)
+            verify_conservation(bad)
 
     def test_day_totals_must_match_ledger(self, small_pair):
         no_res = small_pair[0]
@@ -223,10 +223,12 @@ class TestVerifyConservation:
     def test_per_station_capacity(self, small_pair):
         cap = BatterySpec().usable_capacity_wh
         n = len(small_pair[1].node_ids)
-        verify_conservation(small_pair[1], usable_cap_wh=[cap] * n)
+        verify_conservation(dataclasses.replace(
+            small_pair[1], usable_capacity_wh=np.array([cap] * n)))
         with pytest.raises(SimulationError, match="exceeds usable capacity"):
-            verify_conservation(small_pair[1],
-                                usable_cap_wh=[cap] * (n - 1) + [cap / 2])
+            verify_conservation(dataclasses.replace(
+                small_pair[1],
+                usable_capacity_wh=np.array([cap] * (n - 1) + [cap / 2])))
 
 
 def _fake_result(seed, with_res, swaps_per_day, harvested=0.0, pv_used=0.0,
@@ -237,6 +239,7 @@ def _fake_result(seed, with_res, swaps_per_day, harvested=0.0, pv_used=0.0,
     return RunResult(
         seed=seed, with_res=with_res, network=None,
         dates=("d0", "d1", "d2", "d3"), node_ids=(0,),
+        usable_capacity_wh=np.array([BatterySpec().usable_capacity_wh]),
         consumed_wh=np.full(shape, consumed),
         harvested_wh=np.full(shape, harvested if with_res else 0.0),
         pv_used_wh=np.full(shape, pv_used if with_res else 0.0),

@@ -9,7 +9,8 @@ from solarran.report import write_ledger_csv
 def _ledger_result(ledger, node_ids=(0,)):
     empty = np.zeros((1, len(node_ids)))
     return RunResult(seed=0, with_res=True, network=None, dates=("d0",),
-                     node_ids=node_ids, consumed_wh=empty, harvested_wh=empty,
+                     node_ids=node_ids, usable_capacity_wh=empty[0],
+                     consumed_wh=empty, harvested_wh=empty,
                      pv_used_wh=empty, pv_wasted_wh=empty, drawn_wh=empty,
                      swaps=empty.astype(np.int64), peak_pv_w=empty,
                      ledger=ledger)
