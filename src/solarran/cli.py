@@ -31,10 +31,11 @@ from .radio import Position
 from .report import (format_summary_table, scenario_echo, write_ledger_csv,
                      write_metrics_json, write_summary_csv,
                      write_timeseries_csvs)
-from .scenario import (ConfigError, Scenario, WeatherError, AccessNode,
-                       UserTerminal, load_config, load_weather_csv, read_json,
-                       scenario_from_dict, synth_study_series, synth_weather,
-                       write_weather_csv, SEASONS)
+from .scenario import (CONFIG_SHAPE, ConfigError, Scenario, WeatherError,
+                       AccessNode, UserTerminal, check_shape, load_config,
+                       load_weather_csv, read_json, scenario_from_dict,
+                       synth_study_series, synth_weather, write_weather_csv,
+                       SEASONS)
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -173,6 +174,8 @@ def cmd_weather_synth(args: argparse.Namespace) -> int:
 def _load_instance(path: str) -> tuple[list[AccessNode], list[UserTerminal],
                                        Scenario]:
     raw = read_json(path, "instance")
+    check_shape(raw, {"radio": CONFIG_SHAPE["radio"], "nodes": [{"*": float}],
+                      "users": [{"*": float}], "*": float}, "")
     allowed = {"radio", "dl_mbps", "ul_mbps", "nodes", "users"}
     unknown = set(raw) - allowed
     if unknown:

@@ -212,7 +212,7 @@ CONFIG_SHAPE = {
 }
 
 
-def check_shape(doc, shape, path: str = "") -> None:
+def check_shape(doc, shape, path: str) -> None:
     """Raise ConfigError naming the dotted path of the first value in a
     parsed document whose JSON type is not the one shape gives it."""
     kind = shape if shape in (float, str) else type(shape)
@@ -276,7 +276,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
     check_finite(raw)
     _require_keys(raw, {"area", "users", "nodes", "radio", "airframe", "mimo",
                         "ris", "pv", "battery", "simulation", "weather"}, "<root>")
-    check_shape(raw, CONFIG_SHAPE)
+    check_shape(raw, CONFIG_SHAPE, "")
 
     area = raw.get("area", {})
     _require_keys(area, {"width_m", "height_m"}, "area")

@@ -327,6 +327,20 @@ class TestOracle:
         assert rc == 2
         assert "users[1].y: non-finite number Infinity" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, named", [
+        ("5", "<root>: expected an object, got 5"),
+        ('{"nodes": 5}', "nodes: expected a list, got 5"),
+        ('{"nodes": [5]}', "nodes[0]: expected an object, got 5"),
+        ('{"users": [{"id": 1, "x": "a", "y": 0}]}',
+         'users[0].x: expected a number, got "a"'),
+    ], ids=["root", "nodes", "node", "coordinate"])
+    def test_wrong_typed_instance_exits_2(self, tmp_path, capsys, text, named):
+        path = tmp_path / "instance.json"
+        path.write_text(text)
+        rc = main(["oracle", "--instance", str(path)])
+        assert rc == 2
+        assert named in capsys.readouterr().err
+
     def test_node_without_coordinate_exits_2(self, tmp_path, capsys):
         path = tmp_path / "no_y.json"
         path.write_text(json.dumps({"nodes": [{"id": 0, "x": 10.0}],
