@@ -31,11 +31,11 @@ from .radio import Position
 from .report import (format_summary_table, scenario_echo, write_ledger_csv,
                      write_metrics_json, write_summary_csv,
                      write_timeseries_csvs)
-from .scenario import (CONFIG_SHAPE, ConfigError, Scenario, WeatherError,
-                       AccessNode, UserTerminal, check_shape, load_config,
-                       load_weather_csv, read_json, scenario_from_dict,
-                       synth_study_series, synth_weather, write_weather_csv,
-                       SEASONS)
+from .scenario import (CONFIG_SCHEMA, NODE_ALTITUDE_M, SEASONS, USER_HEIGHT_M,
+                       AccessNode, ConfigError, Scenario, UserTerminal,
+                       WeatherError, check_json, load_config, load_weather_csv,
+                       read_json, scenario_from_dict, synth_study_series,
+                       synth_weather, write_weather_csv)
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -59,8 +59,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     synth = sub.add_parser("weather-synth", help="write one synthetic day")
     synth.add_argument("--date", required=True, help="ISO date, e.g. 2022-06-21")
-    synth.add_argument("--lat", type=float, default=52.41, help="latitude [deg]")
-    synth.add_argument("--cloud", type=float, default=0.7,
+    synth.add_argument("--lat", type=float, default=Scenario.latitude_deg,
+                       help="latitude [deg]")
+    synth.add_argument("--cloud", type=float, default=Scenario.cloud_factor,
                        help="cloud attenuation factor in [0, 1]")
     synth.add_argument("--out", required=True, help="output CSV path")
 
@@ -154,14 +155,13 @@ def cmd_weather_synth(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: invalid --date: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if not 0.0 <= args.cloud <= 1.0:
-        print(f"error: --cloud must be in [0, 1], got {args.cloud}", file=sys.stderr)
+    try:
+        scenario = scenario_from_dict({"simulation": {"latitude_deg": args.lat},
+                                       "weather": {"cloud_factor": args.cloud}})
+    except ConfigError as exc:
+        print(f"error: --lat or --cloud: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if not -90.0 <= args.lat <= 90.0:
-        print(f"error: --lat must be in [-90, 90], got {args.lat}", file=sys.stderr)
-        return EXIT_USAGE
-    scenario = Scenario(latitude_deg=args.lat)
-    weather = synth_weather(scenario, date, cloud_factor=args.cloud)
+    weather = synth_weather(scenario, date)
     try:
         write_weather_csv(weather, [date], args.out)
     except OSError as exc:
@@ -171,31 +171,31 @@ def cmd_weather_synth(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# An oracle instance: radio parameters as in a scenario, the users' rates,
+# and every node and user position.
+_POINT = {"id": int, "x": float, "y": float, "z": float}
+INSTANCE_SCHEMA = {"radio": CONFIG_SCHEMA["radio"], "dl_mbps": float,
+                   "ul_mbps": float, "nodes": [_POINT], "users": [_POINT]}
+
+
 def _load_instance(path: str) -> tuple[list[AccessNode], list[UserTerminal],
                                        Scenario]:
-    raw = read_json(path, "instance")
-    check_shape(raw, {"radio": CONFIG_SHAPE["radio"], "nodes": [{"*": float}],
-                      "users": [{"*": float}], "*": float}, "")
-    allowed = {"radio", "dl_mbps", "ul_mbps", "nodes", "users"}
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ConfigError(f"unknown instance key(s) {sorted(unknown)}")
+    raw = check_json(read_json(path, "instance"), INSTANCE_SCHEMA)
+    rates = {key: raw[key] for key in ("dl_mbps", "ul_mbps") if key in raw}
     scenario = scenario_from_dict({
         "radio": raw.get("radio", {}),
-        "users": {"count": 0,
-                  "dl_mbps": raw.get("dl_mbps", 100.0),
-                  "ul_mbps": raw.get("ul_mbps", 25.0)},
+        "users": {"count": 0, **rates},
         "area": {"width_m": 1e9, "height_m": 1e9},
     })
     try:
-        nodes = [AccessNode(node_id=int(n["id"]),
-                            position=Position(float(n["x"]), float(n["y"]),
-                                              float(n.get("z", 50.0))))
-                 for n in raw.get("nodes", [])]
-        users = [UserTerminal(user_id=int(u["id"]),
-                              position=Position(float(u["x"]), float(u["y"]),
-                                                float(u.get("z", 1.5))))
-                 for u in raw.get("users", [])]
+        nodes = [AccessNode(node_id=n["id"],
+                            position=Position(n["x"], n["y"],
+                                              n.get("z", NODE_ALTITUDE_M)))
+                 for n in raw.get("nodes", ())]
+        users = [UserTerminal(user_id=u["id"],
+                              position=Position(u["x"], u["y"],
+                                                u.get("z", USER_HEIGHT_M)))
+                 for u in raw.get("users", ())]
     except KeyError as exc:
         raise ConfigError(f"instance node or user missing key {exc}") from exc
     if len({n.node_id for n in nodes}) != len(nodes):

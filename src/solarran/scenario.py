@@ -1,10 +1,16 @@
 """Scenario configuration, user placement, and minute-resolution weather.
 
 The scenario file is JSON; every key is optional and falls back to the
-defaults below, unknown keys are rejected. Weather comes either from a CSV
-feed (header ``timestamp,ghi_wm2,temp_c``, one row per minute) or from the
-built-in clear-sky synthesizer; either way it is one WeatherSeries, two
-float64 arrays with one entry per minute.
+defaults of Scenario and the equipment dataclasses. CONFIG_SCHEMA gives
+every key and its JSON type, and check_json walks a document against it
+once: an unknown key, a wrong type (a fraction in an integer field too) or
+a non-finite number is reported at the dotted path of the first one.
+SCALARS gives the ranges of the scenario's own values; the equipment
+dataclasses check theirs.
+
+Weather comes either from a CSV feed (header ``timestamp,ghi_wm2,temp_c``,
+one row per minute) or from the built-in clear-sky synthesizer; either way
+it is one WeatherSeries, two float64 arrays with one entry per minute.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import numbers
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -28,6 +34,7 @@ SOLAR_CONSTANT_WM2 = 1361.0
 ATMOSPHERIC_TRANSMITTANCE = 0.75
 MINUTES_PER_DAY = 1440
 USER_HEIGHT_M = 1.5
+NODE_ALTITUDE_M = 50.0
 
 SEASONS = ("spring", "summer", "autumn", "winter")
 
@@ -110,7 +117,7 @@ class Scenario:
     user_count: int = 100
     dl_rate_mbps: float = 100.0
     ul_rate_mbps: float = 25.0
-    node_altitude_m: float = 50.0
+    node_altitude_m: float = NODE_ALTITUDE_M
     nodes: tuple[AccessNode, ...] = field(
         default_factory=lambda: default_node_grid())
     radio: RadioParams = RadioParams()
@@ -134,7 +141,7 @@ class Scenario:
         return month_season[date.month]
 
 
-def default_node_grid(scenario_altitude: float = 50.0,
+def default_node_grid(scenario_altitude: float = NODE_ALTITUDE_M,
                       area_width: float = 3000.0,
                       area_height: float = 3000.0,
                       airframe: UavAirframe = UavAirframe(),
@@ -157,20 +164,6 @@ def default_node_grid(scenario_altitude: float = 50.0,
     return tuple(nodes)
 
 
-def _require_keys(section: dict, allowed: set[str], prefix: str) -> None:
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in '{prefix}'; "
-                          f"allowed: {sorted(allowed)}")
-
-
-def _build(cls, section: dict, prefix: str):
-    try:
-        return cls(**section)
-    except (ParameterError, ValueError, TypeError) as exc:
-        raise ConfigError(f"invalid '{prefix}' section: {exc}") from exc
-
-
 class _JsonNumber(float):
     """A non-finite number read from JSON; it keeps its text (NaN, 1e400)
     for the error message."""
@@ -181,68 +174,112 @@ class _JsonNumber(float):
         return number
 
 
-def check_finite(doc, path: str = "") -> None:
-    """Raise ConfigError naming the dotted path (area.width_m,
-    nodes.layout[0].x) of the first number in a parsed document that is
-    NaN, infinite, or an integer too large for a float."""
-    if isinstance(doc, dict):
-        for key, value in doc.items():
-            check_finite(value, f"{path}.{key}" if path else str(key))
-    elif isinstance(doc, (list, tuple)):
-        for i, value in enumerate(doc):
-            check_finite(value, f"{path}[{i}]")
-    elif isinstance(doc, float) and not math.isfinite(doc):
-        raise ConfigError(f"{path or '<root>'}: non-finite number "
+def _json_type(hint):
+    """The JSON type of a dataclass field: tuple[float, ...] is a list and
+    dict[int, float] an object keyed by integers."""
+    args = get_args(hint)
+    if get_origin(hint) is tuple:
+        return [args[0]]
+    if get_origin(hint) is dict:
+        return {args[0]: args[1]}
+    return hint
+
+
+EQUIPMENT = {"airframe": UavAirframe, "mimo": MimoSpec, "ris": RisSpec,
+             "pv": PvSpec, "battery": BatterySpec, "radio": RadioParams}
+
+# The scenario's own scalars: JSON path, the Scenario field that gives the
+# value's type and default, and the range the value must lie in.
+SCALARS = (
+    ("area.width_m", "area_width_m", lambda v: v > 0, "> 0"),
+    ("area.height_m", "area_height_m", lambda v: v > 0, "> 0"),
+    ("users.count", "user_count", lambda v: v >= 0, ">= 0"),
+    ("users.dl_mbps", "dl_rate_mbps", lambda v: v >= 0, ">= 0"),
+    ("users.ul_mbps", "ul_rate_mbps", lambda v: v >= 0, ">= 0"),
+    ("simulation.runs", "run_count", lambda v: v >= 1, ">= 1"),
+    ("simulation.latitude_deg", "latitude_deg", lambda v: -90 <= v <= 90,
+     "in [-90, 90]"),
+    ("weather.cloud_factor", "cloud_factor", lambda v: 0 <= v <= 1, "in [0, 1]"),
+    ("weather.cloud_jitter", "cloud_jitter", lambda v: 0 <= v < 1, "in [0, 1)"),
+)
+
+
+def _config_schema() -> dict:
+    """The JSON type of every scenario value, as check_json reads it: float
+    is a number and int an integer (a bool is neither), str a string, [t] a
+    list of t, {key: t} an object with only those keys, and {int: t} an
+    object whose keys are integers. Equipment sections and SCALARS take
+    their types from the dataclass fields."""
+    schema = {
+        "area": {}, "users": {},
+        "nodes": {"altitude_m": float,
+                  "layout": [{"id": int, "x": float, "y": float}]},
+        "simulation": {"dates": [str]},
+        "weather": {"season_temps": {season: [float] for season in SEASONS}},
+        **{name: {key: _json_type(hint)
+                  for key, hint in get_type_hints(cls).items()}
+           for name, cls in EQUIPMENT.items()},
+    }
+    scenario_types = get_type_hints(Scenario)
+    for path, name, _, _ in SCALARS:
+        section, key = path.split(".")
+        schema[section][key] = scenario_types[name]
+    return schema
+
+
+CONFIG_SCHEMA = _config_schema()
+
+_EXPECTED = {float: "a number", int: "an integer", str: "a string",
+             list: "a list", dict: "an object"}
+
+
+def check_json(doc, schema, path: str = ""):
+    """Return a parsed document as schema gives it (numbers float, lists
+    tuples, integer keys int), or raise ConfigError naming the dotted path
+    (area.width_m, nodes.layout[0].x) of the first value that is NaN,
+    infinite, an integer too large for a float, of the wrong JSON type, or
+    under a key the schema does not list."""
+    where = path or "<root>"
+    if isinstance(doc, float) and not math.isfinite(doc):
+        raise ConfigError(f"{where}: non-finite number "
                           f"{getattr(doc, 'token', doc)} is not allowed")
-    elif isinstance(doc, int) and abs(doc) > sys.float_info.max:
-        raise ConfigError(f"{path or '<root>'}: {len(str(abs(doc)))}-digit "
-                          f"integer is too large for a float")
-
-
-# The JSON type of every scenario value: float is a number (a bool is not),
-# str a string, [shape] a list of that shape, and {key: shape} an object
-# whose "*" entry gives the shape of every key it does not name.
-CONFIG_SHAPE = {
-    "nodes": {"*": float, "layout": [{"*": float}]},
-    "radio": {"*": float, "power_levels_dbm": [float]},
-    "ris": {"*": float, "per_element_power": {"*": float}},
-    "simulation": {"*": float, "dates": [str]},
-    "weather": {"*": float, "season_temps": {"*": [float]}},
-    "*": {"*": float},
-}
-
-
-def check_shape(doc, shape, path: str) -> None:
-    """Raise ConfigError naming the dotted path of the first value in a
-    parsed document whose JSON type is not the one shape gives it."""
-    kind = shape if shape in (float, str) else type(shape)
-    if kind is float:
-        ok = isinstance(doc, numbers.Real) and not isinstance(doc, bool)
-    else:
-        ok = isinstance(doc, (list, tuple) if kind is list else kind)
-    if not ok:
-        expected = {float: "a number", str: "a string", list: "a list",
-                    dict: "an object"}[kind]
-        raise ConfigError(f"{path or '<root>'}: expected {expected}, "
+    if isinstance(doc, int) and abs(doc) > sys.float_info.max:
+        raise ConfigError(f"{where}: {len(str(abs(doc)))}-digit integer is "
+                          f"too large for a float")
+    kind = type(schema) if isinstance(schema, (list, dict)) else schema
+    accepted = {float: numbers.Real, list: (list, tuple)}.get(kind, kind)
+    if not isinstance(doc, accepted) or isinstance(doc, bool):
+        raise ConfigError(f"{where}: expected {_EXPECTED[kind]}, "
                           f"got {json.dumps(doc, default=repr)}")
-    if kind is dict:
-        for key, value in doc.items():
-            check_shape(value, shape.get(key, shape["*"]),
-                        f"{path}.{key}" if path else str(key))
-    elif kind is list:
-        for i, value in enumerate(doc):
-            check_shape(value, shape[0], f"{path}[{i}]")
+    if kind is float:
+        return float(doc)
+    if kind is list:
+        return tuple(check_json(value, schema[0], f"{path}[{i}]")
+                     for i, value in enumerate(doc))
+    if kind is not dict:
+        return doc
+    checked = {}
+    for key, value in doc.items():
+        key_path = f"{path}.{key}" if path else str(key)
+        if int in schema:
+            if not str(key).isdecimal():
+                raise ConfigError(f"{key_path}: expected an integer key")
+            checked[int(key)] = check_json(value, schema[int], key_path)
+        elif key in schema:
+            checked[key] = check_json(value, schema[key], key_path)
+        else:
+            raise ConfigError(f"{key_path}: unknown key; allowed: "
+                              f"{', '.join(sorted(schema))}")
+    return checked
 
 
 def parse_json(text: str):
-    """json.loads that refuses NaN, Infinity, -Infinity and numbers that
-    overflow a float, raising ConfigError that names where they are."""
+    """json.loads that keeps each number too large for a float, and each
+    NaN, Infinity and -Infinity, with its text for check_json to name."""
     def number(token: str) -> float:
         value = float(token)
         return value if math.isfinite(value) else _JsonNumber(token)
-    doc = json.loads(text, parse_constant=number, parse_float=number)
-    check_finite(doc)
-    return doc
+    return json.loads(text, parse_constant=number, parse_float=number)
 
 
 def read_json(path: str | Path, what: str):
@@ -250,8 +287,6 @@ def read_json(path: str | Path, what: str):
     directory, not UTF-8) or parsed raises ConfigError naming it."""
     try:
         return parse_json(Path(path).read_text(encoding="utf-8"))
-    except ConfigError:
-        raise
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or not JSON
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
 
@@ -266,75 +301,47 @@ def load_config(path: str | Path) -> Scenario:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    raw = read_json(path, "config")
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
-    return scenario_from_dict(raw)
+    return scenario_from_dict(read_json(path, "config"))
 
 
 def scenario_from_dict(raw: dict) -> Scenario:
-    check_finite(raw)
-    _require_keys(raw, {"area", "users", "nodes", "radio", "airframe", "mimo",
-                        "ris", "pv", "battery", "simulation", "weather"}, "<root>")
-    check_shape(raw, CONFIG_SHAPE, "")
+    """The Scenario a parsed scenario document describes; every key absent
+    from it keeps the Scenario default."""
+    doc = check_json(raw, CONFIG_SCHEMA)
+    values = {}
+    for path, name, in_range, text in SCALARS:
+        section, key = path.split(".")
+        if key in doc.get(section, {}):
+            value = values[name] = doc[section][key]
+            if not in_range(value):
+                raise ConfigError(f"{path} must be {text}, got {value}")
+    width = values.get("area_width_m", Scenario.area_width_m)
+    height = values.get("area_height_m", Scenario.area_height_m)
 
-    area = raw.get("area", {})
-    _require_keys(area, {"width_m", "height_m"}, "area")
-    width = float(area.get("width_m", 3000.0))
-    height = float(area.get("height_m", 3000.0))
-    if width <= 0 or height <= 0:
-        raise ConfigError(f"area.width_m and area.height_m must be > 0, "
-                          f"got {width} x {height}")
-
-    users = raw.get("users", {})
-    _require_keys(users, {"count", "dl_mbps", "ul_mbps"}, "users")
-    user_count = users.get("count", 100)
-    if not isinstance(user_count, int) or user_count < 0:
-        raise ConfigError(f"users.count must be an integer >= 0, got {user_count!r}")
-    dl = float(users.get("dl_mbps", 100.0))
-    ul = float(users.get("ul_mbps", 25.0))
-    if dl < 0 or ul < 0:
-        raise ConfigError(f"users.dl_mbps and users.ul_mbps must be >= 0, got {dl}/{ul}")
-
-    airframe = _build(UavAirframe, raw.get("airframe", {}), "airframe")
-    mimo = _build(MimoSpec, raw.get("mimo", {}), "mimo")
-    ris_section = dict(raw.get("ris", {}))
-    if "per_element_power" in ris_section:
+    equipment = {}
+    for name, cls in EQUIPMENT.items():
         try:
-            ris_section["per_element_power"] = {
-                int(k): float(v) for k, v in ris_section["per_element_power"].items()}
-        except ValueError as exc:
-            raise ConfigError(f"invalid 'ris.per_element_power': {exc}") from exc
-    ris = _build(RisSpec, ris_section, "ris")
-    pv = _build(PvSpec, raw.get("pv", {}), "pv")
-    battery = _build(BatterySpec, raw.get("battery", {}), "battery")
-
-    radio_section = dict(raw.get("radio", {}))
-    if "power_levels_dbm" in radio_section:
-        radio_section["power_levels_dbm"] = tuple(
-            float(p) for p in radio_section["power_levels_dbm"])
-    radio = _build(RadioParams, radio_section, "radio")
-    if radio.max_power_dbm != mimo.max_tx_power_dbm:
+            equipment[name] = cls(**doc.get(name, {}))
+        except ValueError as exc:  # ParameterError too
+            raise ConfigError(f"invalid '{name}' section: {exc}") from exc
+    radio = equipment.pop("radio")
+    if radio.max_power_dbm != equipment["mimo"].max_tx_power_dbm:
         raise ConfigError(
             f"radio.power_levels_dbm max ({radio.max_power_dbm}) must equal "
-            f"mimo.max_tx_power_dbm ({mimo.max_tx_power_dbm})")
+            f"mimo.max_tx_power_dbm ({equipment['mimo'].max_tx_power_dbm})")
 
-    nodes_section = raw.get("nodes", {})
-    _require_keys(nodes_section, {"altitude_m", "layout"}, "nodes")
-    altitude = float(nodes_section.get("altitude_m", 50.0))
+    nodes_section = doc.get("nodes", {})
+    altitude = nodes_section.get("altitude_m", NODE_ALTITUDE_M)
     if altitude <= 0:
         raise ConfigError(f"nodes.altitude_m must be > 0, got {altitude}")
     if "layout" in nodes_section:
         nodes = []
-        seen_ids = set()
         for i, entry in enumerate(nodes_section["layout"]):
-            _require_keys(entry, {"id", "x", "y"}, f"nodes.layout[{i}]")
             node_id = entry.get("id", i)
-            if node_id in seen_ids:
+            if any(node.node_id == node_id for node in nodes):
                 raise ConfigError(f"duplicate node id {node_id} in nodes.layout")
-            seen_ids.add(node_id)
             try:
-                x, y = float(entry["x"]), float(entry["y"])
+                x, y = entry["x"], entry["y"]
             except KeyError as exc:
                 raise ConfigError(f"nodes.layout[{i}] missing coordinate {exc}") from exc
             if not (0 <= x <= width and 0 <= y <= height):
@@ -343,20 +350,14 @@ def scenario_from_dict(raw: dict) -> Scenario:
                     f"{width} x {height} m area")
             nodes.append(AccessNode(node_id=node_id,
                                     position=Position(x, y, altitude),
-                                    airframe=airframe, mimo=mimo, ris=ris,
-                                    pv=pv, battery=battery))
+                                    **equipment))
         if not nodes:
             raise ConfigError("nodes.layout must list at least one station")
         nodes = tuple(nodes)
     else:
-        nodes = default_node_grid(altitude, width, height,
-                                  airframe, mimo, ris, pv, battery)
+        nodes = default_node_grid(altitude, width, height, **equipment)
 
-    sim = raw.get("simulation", {})
-    _require_keys(sim, {"runs", "dates", "latitude_deg"}, "simulation")
-    runs = sim.get("runs", 10)
-    if not isinstance(runs, int) or runs < 1:
-        raise ConfigError(f"simulation.runs must be an integer >= 1, got {runs!r}")
+    sim = doc.get("simulation", {})
     if "dates" in sim:
         try:
             dates = tuple(datetime.date.fromisoformat(d) for d in sim["dates"])
@@ -366,34 +367,16 @@ def scenario_from_dict(raw: dict) -> Scenario:
         dates = DEFAULT_DATES
     if len(dates) != 4 or len(set(dates)) != 4:
         raise ConfigError(f"simulation.dates must be 4 distinct dates, got {dates}")
-    latitude = float(sim.get("latitude_deg", 52.41))
-    if not -90 <= latitude <= 90:
-        raise ConfigError(f"simulation.latitude_deg must be in [-90, 90], got {latitude}")
 
-    weather = raw.get("weather", {})
-    _require_keys(weather, {"cloud_factor", "cloud_jitter", "season_temps"}, "weather")
-    cloud_factor = float(weather.get("cloud_factor", 0.7))
-    if not 0 <= cloud_factor <= 1:
-        raise ConfigError(f"weather.cloud_factor must be in [0, 1], got {cloud_factor}")
-    cloud_jitter = float(weather.get("cloud_jitter", 0.0))
-    if not 0 <= cloud_jitter < 1:
-        raise ConfigError(f"weather.cloud_jitter must be in [0, 1), got {cloud_jitter}")
     season_temps = dict(DEFAULT_SEASON_TEMPS)
-    for season, pair in weather.get("season_temps", {}).items():
-        if season not in SEASONS:
-            raise ConfigError(f"weather.season_temps key must be one of {SEASONS}, "
-                              f"got {season!r}")
+    for season, pair in doc.get("weather", {}).get("season_temps", {}).items():
         if len(pair) != 2 or pair[0] > pair[1]:
             raise ConfigError(f"weather.season_temps.{season} must be [min, max], "
-                              f"got {pair}")
-        season_temps[season] = (float(pair[0]), float(pair[1]))
+                              f"got {list(pair)}")
+        season_temps[season] = pair
 
-    return Scenario(area_width_m=width, area_height_m=height,
-                    user_count=user_count, dl_rate_mbps=dl, ul_rate_mbps=ul,
-                    node_altitude_m=altitude, nodes=nodes, radio=radio,
-                    run_count=runs, dates=dates, latitude_deg=latitude,
-                    cloud_factor=cloud_factor, cloud_jitter=cloud_jitter,
-                    season_temps=season_temps)
+    return Scenario(**values, node_altitude_m=altitude, nodes=nodes,
+                    radio=radio, dates=dates, season_temps=season_temps)
 
 
 def place_users(scenario: Scenario, seed: int) -> tuple[UserTerminal, ...]:

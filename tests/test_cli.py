@@ -333,7 +333,12 @@ class TestOracle:
         ('{"nodes": [5]}', "nodes[0]: expected an object, got 5"),
         ('{"users": [{"id": 1, "x": "a", "y": 0}]}',
          'users[0].x: expected a number, got "a"'),
-    ], ids=["root", "nodes", "node", "coordinate"])
+        ('{"nodes": [{"id": 0, "x": 0, "y": 0, "zz": 10}]}',
+         "nodes[0].zz: unknown key"),
+        ('{"nodes": [{"id": 0, "x": 0, "y": 0}, {"id": 0.5, "x": 1, "y": 0}]}',
+         "nodes[1].id: expected an integer, got 0.5"),
+    ], ids=["root", "nodes", "node", "coordinate", "misspelt_key",
+            "fractional_id"])
     def test_wrong_typed_instance_exits_2(self, tmp_path, capsys, text, named):
         path = tmp_path / "instance.json"
         path.write_text(text)

@@ -4,20 +4,20 @@ import dataclasses
 import datetime
 import json
 import re
+import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from solarran.energy import (BatterySpec, MimoSpec, PvSpec, RisSpec,
-                             UavAirframe)
-from solarran.radio import RadioParams
-
-from solarran.scenario import (ConfigError, Scenario, WeatherError,
-                               load_config, load_weather_csv, place_users,
-                               scenario_from_dict, solar_declination_deg,
-                               solar_elevation_sin, synth_study_series,
-                               synth_weather, write_weather_csv)
+from solarran.cli import main
+from solarran.scenario import (CONFIG_SCHEMA, EQUIPMENT, ConfigError, Scenario,
+                               WeatherError, load_config, load_weather_csv,
+                               place_users, scenario_from_dict,
+                               solar_declination_deg, solar_elevation_sin,
+                               synth_study_series, synth_weather,
+                               write_weather_csv)
 
 SUMMER = datetime.date(2022, 6, 21)
 WINTER = datetime.date(2022, 12, 21)
@@ -55,6 +55,8 @@ class TestLoadConfig:
             load_config(write_config(tmp_path, {"userz": {}}))
         with pytest.raises(ConfigError, match="unknown key"):
             load_config(write_config(tmp_path, {"users": {"n": 5}}))
+        with pytest.raises(ConfigError, match="^area.foo: unknown key"):
+            scenario_from_dict({"area": {"foo": "x"}})
 
     def test_power_ladder_must_match_transceiver_max(self, tmp_path):
         payload = {"radio": {"power_levels_dbm": [28.0, 34.0, 38.0]}}
@@ -77,6 +79,22 @@ class TestLoadConfig:
         assert len(sc.nodes) == 9
         assert sc.nodes[0].airframe.total_mass == pytest.approx(2.396)
 
+    def test_bundled_example_is_written_out_in_full(self):
+        import solarran
+
+        def key_paths(doc, path=""):
+            if isinstance(doc, (list, tuple)):
+                return set().union(*(key_paths(v, f"{path}[]") for v in doc))
+            if isinstance(doc, dict) and not any(
+                    k is int or str(k).isdecimal() for k in doc):
+                return set().union(*(key_paths(v, f"{path}.{k}" if path else k)
+                                     for k, v in doc.items()))
+            return {path}
+
+        path = solarran.example_config_path()
+        assert key_paths(json.loads(Path(path).read_text())) == key_paths(CONFIG_SCHEMA)
+        assert load_config(path) == Scenario()
+
 
 def _number_fields(cls):
     return [f.name for f in dataclasses.fields(cls)
@@ -89,11 +107,12 @@ NUMBER_FIELDS = [
     ("nodes", "altitude_m"),
     *[("simulation", k) for k in ("runs", "latitude_deg")],
     *[("weather", k) for k in ("cloud_factor", "cloud_jitter")],
-    *[(section, k) for section, cls in (
-        ("airframe", UavAirframe), ("mimo", MimoSpec), ("ris", RisSpec),
-        ("pv", PvSpec), ("battery", BatterySpec), ("radio", RadioParams))
+    *[(section, k) for section, cls in EQUIPMENT.items()
       for k in _number_fields(cls)],
 ]
+
+INTEGER_FIELDS = [(section, k) for section, cls in EQUIPMENT.items()
+                  for k, hint in typing.get_type_hints(cls).items() if hint is int]
 
 
 class TestNonFiniteConfig:
@@ -137,6 +156,19 @@ class TestNonFiniteConfig:
         with pytest.raises(ConfigError) as info:
             scenario_from_dict(raw)
         assert str(info.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("raw, path", [
+        *[({section: {key: 4.5}}, f"{section}.{key}")
+          for section, key in INTEGER_FIELDS],
+        ({"nodes": {"layout": [{"id": 1.2, "x": 10.0, "y": 10.0},
+                               {"id": 1.7, "x": 20.0, "y": 20.0}]}},
+         "nodes.layout[0].id"),
+    ], ids=[*(f"{s}.{k}" for s, k in INTEGER_FIELDS), "layout_ids"])
+    def test_fractional_integer_exits_2(self, tmp_path, capsys, raw, path):
+        rc = main(["simulate", "--config", str(write_config(tmp_path, raw)),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"{path}: expected an integer, got" in capsys.readouterr().err
 
     def test_empty_layout_rejected(self):
         with pytest.raises(ConfigError, match="nodes.layout"):
