@@ -64,7 +64,6 @@ class MimoSpec:
     """
 
     antenna_count: int = 64
-    carrier_freq_mhz: float = 3500.0
     fixed_power: float = 20.0               # W
     per_antenna_circuit_power: float = 1.5  # W
     per_user_processing_power: float = 0.3  # W

@@ -58,7 +58,6 @@ class RadioParams:
     min_snr_db: float = -6.0
     se_cap: float = 7.8               # bit/s/Hz
     power_levels_dbm: tuple[float, ...] = (28.0, 34.0, 40.0)
-    shadowing_sigma_db: float = 0.0   # 0 disables the optional log-normal term
 
     def __post_init__(self):
         if self.pathloss_exponent < 2:
@@ -82,14 +81,12 @@ class RadioParams:
                 + self.noise_figure_db)
 
 
-def path_loss(a: Position, b: Position, params: RadioParams,
-              shadowing_db: float = 0.0) -> float:
+def path_loss(a: Position, b: Position, params: RadioParams) -> float:
     """Log-distance path loss [dB]; distances below 1 m clamp to the
     reference loss. Symmetric in its endpoints."""
     d = max(1.0, a.distance_to(b))
     return (params.reference_loss_at_1m_db
-            + 10.0 * params.pathloss_exponent * math.log10(d)
-            + shadowing_db)
+            + 10.0 * params.pathloss_exponent * math.log10(d))
 
 
 def snr(tx_power_dbm: float, pl_db: float, params: RadioParams) -> float:

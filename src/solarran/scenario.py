@@ -117,7 +117,6 @@ class Scenario:
     user_count: int = 100
     dl_rate_mbps: float = 100.0
     ul_rate_mbps: float = 25.0
-    node_altitude_m: float = NODE_ALTITUDE_M
     nodes: tuple[AccessNode, ...] = field(
         default_factory=lambda: default_node_grid())
     radio: RadioParams = RadioParams()
@@ -375,8 +374,8 @@ def scenario_from_dict(raw: dict) -> Scenario:
                               f"got {list(pair)}")
         season_temps[season] = pair
 
-    return Scenario(**values, node_altitude_m=altitude, nodes=nodes,
-                    radio=radio, dates=dates, season_temps=season_temps)
+    return Scenario(**values, nodes=nodes, radio=radio, dates=dates,
+                    season_temps=season_temps)
 
 
 def place_users(scenario: Scenario, seed: int) -> tuple[UserTerminal, ...]:

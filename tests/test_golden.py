@@ -23,7 +23,7 @@ GOLDEN_CONFIG = {
 }
 
 GOLDEN_SHA256 = {
-    "metrics.json": "c70e33cfc62917d34c173bf1313051d4dfe7dfdce131e6e68700a5dc458f4430",
+    "metrics.json": "0c67dc7ff5e7e75db4733571825687498b702e86376b37b436f5a4fb2943c011",
     "summary.csv": "6b83fbf09a2075baabafc75873f553b7a285e870e99fae6609a7f07cc79bc1d7",
     "ledger_0_pv.csv": "2fa8466bebafa0abb4972bb7a6f32e382de07e8ab13c5b99d969daa982e7334e",
     "ledger_1_nopv.csv": "33b7abb9c0ee7da42cc6d1fa5976bd06481e4af5a71eacdf3063e1f282941fe2",

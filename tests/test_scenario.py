@@ -38,7 +38,6 @@ class TestLoadConfig:
         assert len(sc.nodes) == 9
         assert sc.dl_rate_mbps == 100.0
         assert sc.ul_rate_mbps == 25.0
-        assert sc.node_altitude_m == 50.0
         assert all(n.position.z == 50.0 for n in sc.nodes)
 
     def test_negative_user_count_rejected(self, tmp_path):
