@@ -1,12 +1,9 @@
 """Scenario configuration, user placement, and minute-resolution weather.
 
 The scenario file is JSON; every key is optional and falls back to the
-defaults of Scenario and the equipment dataclasses. CONFIG_SCHEMA gives
-every key and its JSON type, and check_json walks a document against it
-once: an unknown key, a wrong type (a fraction in an integer field too) or
-a non-finite number is reported at the dotted path of the first one.
-SCALARS gives the ranges of the scenario's own values; the equipment
-dataclasses check theirs.
+defaults of Scenario and the equipment dataclasses. check_json walks a
+document once against CONFIG_SCHEMA and reports the first unknown key,
+wrong type or non-finite number at its dotted path.
 
 Weather comes either from a CSV feed (header ``timestamp,ghi_wm2,temp_c``,
 one row per minute) or from the built-in clear-sky synthesizer; either way
@@ -26,8 +23,7 @@ from typing import Optional, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .energy import (BatterySpec, MimoSpec, ParameterError, PvSpec, RisSpec,
-                     UavAirframe)
+from .energy import BatterySpec, MimoSpec, PvSpec, RisSpec, UavAirframe
 from .radio import Position, RadioParams
 
 SOLAR_CONSTANT_WM2 = 1361.0
@@ -141,14 +137,12 @@ class Scenario:
 
 
 def default_node_grid(scenario_altitude: float = NODE_ALTITUDE_M,
-                      area_width: float = 3000.0,
-                      area_height: float = 3000.0,
-                      airframe: UavAirframe = UavAirframe(),
-                      mimo: MimoSpec = MimoSpec(),
-                      ris: RisSpec = RisSpec(),
-                      pv: PvSpec = PvSpec(),
-                      battery: BatterySpec = BatterySpec()) -> tuple[AccessNode, ...]:
-    """Example deployment: nine stations on a 3x3 grid of cell centers."""
+                      area_width: float = Scenario.area_width_m,
+                      area_height: float = Scenario.area_height_m,
+                      **equipment) -> tuple[AccessNode, ...]:
+    """Example deployment: nine stations on a 3x3 grid of cell centers,
+    with the AccessNode equipment (airframe, mimo, ris, pv, battery) given
+    by keyword or its defaults."""
     nodes = []
     xs = [area_width * (2 * i + 1) / 6 for i in range(3)]
     ys = [area_height * (2 * j + 1) / 6 for j in range(3)]
@@ -157,8 +151,7 @@ def default_node_grid(scenario_altitude: float = NODE_ALTITUDE_M,
         for x in xs:
             nodes.append(AccessNode(
                 node_id=node_id,
-                position=Position(x, y, scenario_altitude),
-                airframe=airframe, mimo=mimo, ris=ris, pv=pv, battery=battery))
+                position=Position(x, y, scenario_altitude), **equipment))
             node_id += 1
     return tuple(nodes)
 
@@ -335,10 +328,12 @@ def scenario_from_dict(raw: dict) -> Scenario:
         raise ConfigError(f"nodes.altitude_m must be > 0, got {altitude}")
     if "layout" in nodes_section:
         nodes = []
+        seen_ids = set()
         for i, entry in enumerate(nodes_section["layout"]):
             node_id = entry.get("id", i)
-            if any(node.node_id == node_id for node in nodes):
+            if node_id in seen_ids:
                 raise ConfigError(f"duplicate node id {node_id} in nodes.layout")
+            seen_ids.add(node_id)
             try:
                 x, y = entry["x"], entry["y"]
             except KeyError as exc:
