@@ -32,10 +32,10 @@ from .report import (format_summary_table, scenario_echo, write_ledger_csv,
                      write_metrics_json, write_summary_csv,
                      write_timeseries_csvs)
 from .scenario import (CONFIG_SCHEMA, NODE_ALTITUDE_M, SEASONS, USER_HEIGHT_M,
-                       AccessNode, ConfigError, Scenario, UserTerminal,
-                       WeatherError, check_json, load_config, load_weather_csv,
-                       read_json, scenario_from_dict, synth_study_series,
-                       synth_weather, write_weather_csv)
+                       AccessNode, ConfigError, Required, Scenario,
+                       UserTerminal, WeatherError, check_json, load_config,
+                       load_weather_csv, read_json, scenario_from_dict,
+                       synth_study_series, synth_weather, write_weather_csv)
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -159,7 +159,9 @@ def cmd_weather_synth(args: argparse.Namespace) -> int:
         scenario = scenario_from_dict({"simulation": {"latitude_deg": args.lat},
                                        "weather": {"cloud_factor": args.cloud}})
     except ConfigError as exc:
-        print(f"error: --lat or --cloud: {exc}", file=sys.stderr)
+        message = (str(exc).replace("simulation.latitude_deg", "--lat")
+                   .replace("weather.cloud_factor", "--cloud"))
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_USAGE
     weather = synth_weather(scenario, date)
     try:
@@ -173,7 +175,8 @@ def cmd_weather_synth(args: argparse.Namespace) -> int:
 
 # An oracle instance: radio parameters as in a scenario, the users' rates,
 # and every node and user position.
-_POINT = {"id": int, "x": float, "y": float, "z": float}
+_POINT = {"id": Required(int), "x": Required(float), "y": Required(float),
+          "z": float}
 INSTANCE_SCHEMA = {"radio": CONFIG_SCHEMA["radio"], "dl_mbps": float,
                    "ul_mbps": float, "nodes": [_POINT], "users": [_POINT]}
 
@@ -185,19 +188,15 @@ def _load_instance(path: str) -> tuple[list[AccessNode], list[UserTerminal],
     scenario = scenario_from_dict({
         "radio": raw.get("radio", {}),
         "users": {"count": 0, **rates},
-        "area": {"width_m": 1e9, "height_m": 1e9},
     })
-    try:
-        nodes = [AccessNode(node_id=n["id"],
-                            position=Position(n["x"], n["y"],
-                                              n.get("z", NODE_ALTITUDE_M)))
-                 for n in raw.get("nodes", ())]
-        users = [UserTerminal(user_id=u["id"],
-                              position=Position(u["x"], u["y"],
-                                                u.get("z", USER_HEIGHT_M)))
-                 for u in raw.get("users", ())]
-    except KeyError as exc:
-        raise ConfigError(f"instance node or user missing key {exc}") from exc
+    nodes = [AccessNode(node_id=n["id"],
+                        position=Position(n["x"], n["y"],
+                                          n.get("z", NODE_ALTITUDE_M)))
+             for n in raw.get("nodes", ())]
+    users = [UserTerminal(user_id=u["id"],
+                          position=Position(u["x"], u["y"],
+                                            u.get("z", USER_HEIGHT_M)))
+             for u in raw.get("users", ())]
     if len({n.node_id for n in nodes}) != len(nodes):
         raise ConfigError("duplicate node ids in instance")
     if len({u.user_id for u in users}) != len(users):

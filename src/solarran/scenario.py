@@ -3,7 +3,7 @@
 The scenario file is JSON; every key is optional and falls back to the
 defaults of Scenario and the equipment dataclasses. check_json walks a
 document once against CONFIG_SCHEMA and reports the first unknown key,
-wrong type or non-finite number at its dotted path.
+missing required key, wrong type or non-finite number at its dotted path.
 
 Weather comes either from a CSV feed (header ``timestamp,ghi_wm2,temp_c``,
 one row per minute) or from the built-in clear-sky synthesizer; either way
@@ -177,6 +177,12 @@ def _json_type(hint):
     return hint
 
 
+@dataclass(frozen=True)
+class Required:
+    """A schema entry for a key that its object must contain."""
+    kind: object
+
+
 EQUIPMENT = {"airframe": UavAirframe, "mimo": MimoSpec, "ris": RisSpec,
              "pv": PvSpec, "battery": BatterySpec, "radio": RadioParams}
 
@@ -199,13 +205,15 @@ SCALARS = (
 def _config_schema() -> dict:
     """The JSON type of every scenario value, as check_json reads it: float
     is a number and int an integer (a bool is neither), str a string, [t] a
-    list of t, {key: t} an object with only those keys, and {int: t} an
-    object whose keys are integers. Equipment sections and SCALARS take
-    their types from the dataclass fields."""
+    list of t, {key: t} an object with only those keys, {int: t} an object
+    whose keys are integers, and Required(t) a t its object must contain.
+    Equipment sections and SCALARS take their types from the dataclass
+    fields."""
     schema = {
         "area": {}, "users": {},
         "nodes": {"altitude_m": float,
-                  "layout": [{"id": int, "x": float, "y": float}]},
+                  "layout": [{"id": int, "x": Required(float),
+                              "y": Required(float)}]},
         "simulation": {"dates": [str]},
         "weather": {"season_temps": {season: [float] for season in SEASONS}},
         **{name: {key: _json_type(hint)
@@ -230,8 +238,11 @@ def check_json(doc, schema, path: str = ""):
     tuples, integer keys int), or raise ConfigError naming the dotted path
     (area.width_m, nodes.layout[0].x) of the first value that is NaN,
     infinite, an integer too large for a float, of the wrong JSON type, or
-    under a key the schema does not list."""
+    under a key the schema does not list, or of an object that lacks a
+    Required key."""
     where = path or "<root>"
+    if isinstance(schema, Required):
+        schema = schema.kind
     if isinstance(doc, float) and not math.isfinite(doc):
         raise ConfigError(f"{where}: non-finite number "
                           f"{getattr(doc, 'token', doc)} is not allowed")
@@ -262,6 +273,9 @@ def check_json(doc, schema, path: str = ""):
         else:
             raise ConfigError(f"{key_path}: unknown key; allowed: "
                               f"{', '.join(sorted(schema))}")
+    for key, kind in schema.items():
+        if isinstance(kind, Required) and key not in checked:
+            raise ConfigError(f"{where}: missing key {key!r}")
     return checked
 
 
@@ -327,27 +341,20 @@ def scenario_from_dict(raw: dict) -> Scenario:
     if altitude <= 0:
         raise ConfigError(f"nodes.altitude_m must be > 0, got {altitude}")
     if "layout" in nodes_section:
-        nodes = []
-        seen_ids = set()
-        for i, entry in enumerate(nodes_section["layout"]):
-            node_id = entry.get("id", i)
-            if node_id in seen_ids:
-                raise ConfigError(f"duplicate node id {node_id} in nodes.layout")
-            seen_ids.add(node_id)
-            try:
-                x, y = entry["x"], entry["y"]
-            except KeyError as exc:
-                raise ConfigError(f"nodes.layout[{i}] missing coordinate {exc}") from exc
-            if not (0 <= x <= width and 0 <= y <= height):
-                raise ConfigError(
-                    f"nodes.layout[{i}] at ({x}, {y}) is outside the "
-                    f"{width} x {height} m area")
-            nodes.append(AccessNode(node_id=node_id,
-                                    position=Position(x, y, altitude),
-                                    **equipment))
+        nodes = tuple(AccessNode(node_id=entry.get("id", i),
+                                 position=Position(entry["x"], entry["y"], altitude),
+                                 **equipment)
+                      for i, entry in enumerate(nodes_section["layout"]))
         if not nodes:
             raise ConfigError("nodes.layout must list at least one station")
-        nodes = tuple(nodes)
+        for i, node in enumerate(nodes):
+            x, y = node.position.x, node.position.y
+            if not (0 <= x <= width and 0 <= y <= height):
+                raise ConfigError(f"nodes.layout[{i}] at ({x}, {y}) is outside "
+                                  f"the {width} x {height} m area")
+        ids = [node.node_id for node in nodes]
+        if len(set(ids)) != len(ids):
+            raise ConfigError(f"nodes.layout ids must be distinct, got {ids}")
     else:
         nodes = default_node_grid(altitude, width, height, **equipment)
 
@@ -406,19 +413,18 @@ def solar_elevation_sin(latitude_deg: float, declination_deg: float,
 
 
 def synth_weather(scenario: Scenario, date: datetime.date,
-                  cloud_factor: Optional[float] = None,
                   seed: Optional[int] = None) -> WeatherSeries:
     """Synthesize one clear-sky day at 1-minute resolution.
 
     GHI follows the transmittance model S0 * tau^(1/sin(alpha)) * sin(alpha)
-    scaled by the cloud factor and zeroed below the horizon; temperature is
-    a daily sinusoid between the season's configured min and max. With
+    scaled by scenario.cloud_factor and zeroed below the horizon; temperature
+    is a daily sinusoid between the season's configured min and max. With
     scenario.cloud_jitter > 0 and a seed, the day's cloud factor is
     perturbed once by a seeded uniform draw; otherwise the output is a pure
-    function of (scenario, date, cloud_factor). Minutes are evaluated with
-    `math`: numpy's cos and power differ from it in the last bit on some.
+    function of (scenario, date). Minutes are evaluated with `math`:
+    numpy's cos and power differ from it in the last bit on some.
     """
-    cf = scenario.cloud_factor if cloud_factor is None else cloud_factor
+    cf = scenario.cloud_factor
     if scenario.cloud_jitter > 0 and seed is not None:
         rng = np.random.default_rng([seed, date.toordinal()])
         cf = cf * (1.0 + scenario.cloud_jitter * (2.0 * rng.random() - 1.0))

@@ -279,6 +279,20 @@ class TestWeatherSynth:
         assert rc == 2
         assert f"cannot write {out}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--cloud", "1.5", "--cloud must be in [0, 1], got 1.5"),
+        ("--lat", "100", "--lat must be in [-90, 90], got 100.0"),
+        ("--cloud", "nan", "--cloud: non-finite number nan"),
+    ], ids=["cloud", "lat", "nan_cloud"])
+    def test_out_of_range_option_exits_2(self, tmp_path, capsys, flag, value,
+                                         named):
+        out = tmp_path / "x.csv"
+        rc = main(["weather-synth", "--date", "2022-06-21", flag, value,
+                   "--out", str(out)])
+        assert rc == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_date_exits_2(self, tmp_path, capsys):
         rc = main(["weather-synth", "--date", "2022-13-40",
                    "--out", str(tmp_path / "x.csv")])

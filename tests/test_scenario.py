@@ -173,6 +173,16 @@ class TestNonFiniteConfig:
         with pytest.raises(ConfigError, match="nodes.layout"):
             scenario_from_dict({"nodes": {"layout": []}})
 
+    def test_duplicate_layout_ids_rejected(self):
+        layout = [{"id": 3, "x": 10.0, "y": 10.0}, {"id": 3, "x": 20.0, "y": 20.0}]
+        with pytest.raises(ConfigError, match=r"ids must be distinct, got \[3, 3\]"):
+            scenario_from_dict({"nodes": {"layout": layout}})
+
+    def test_layout_entry_without_coordinate_rejected(self):
+        with pytest.raises(ConfigError,
+                           match=r"^nodes\.layout\[0\]: missing key 'y'$"):
+            scenario_from_dict({"nodes": {"layout": [{"id": 0, "x": 10.0}]}})
+
 
 class TestPlaceUsers:
     def test_empty(self):
@@ -219,10 +229,10 @@ class TestSynthWeather:
         assert abs(peak_minute - 720) <= 2
 
     def test_clear_sky_noon_values(self):
-        sc = Scenario()
-        summer = synth_weather(sc, SUMMER, cloud_factor=1.0)
+        sc = Scenario(cloud_factor=1.0)
+        summer = synth_weather(sc, SUMMER)
         assert summer.ghi_wm2[720] == pytest.approx(857.1367, abs=0.05)
-        winter = synth_weather(sc, WINTER, cloud_factor=1.0)
+        winter = synth_weather(sc, WINTER)
         assert winter.ghi_wm2[720] == pytest.approx(102.4118, abs=0.05)
 
     def test_seasonal_energy_ordering(self):
@@ -236,8 +246,8 @@ class TestSynthWeather:
         assert abs(integrals["spring"] - integrals["autumn"]) <= 0.10 * integrals["spring"]
 
     def test_fully_overcast(self):
-        sc = Scenario()
-        assert (synth_weather(sc, SUMMER, cloud_factor=0.0).ghi_wm2 == 0.0).all()
+        sc = Scenario(cloud_factor=0.0)
+        assert (synth_weather(sc, SUMMER).ghi_wm2 == 0.0).all()
 
     def test_deterministic_and_jitter_seeded(self):
         plain = Scenario()
