@@ -200,8 +200,9 @@ def run_simulation(scenario: Scenario, weather: WeatherSeries,
     pv_wasted = charge - accepted
 
     def day_totals(per_step):
-        # cumsum adds in step order, exactly as a running += would
-        return np.cumsum(per_step.reshape(by_day), axis=1)[:, -1]
+        # cumsum adds in step order, exactly as a running += would; the
+        # copy keeps the run's totals from pinning the whole cumsum buffer
+        return np.cumsum(per_step.reshape(by_day), axis=1)[:, -1].copy()
 
     def tiled(per_node):
         return np.tile(per_node, n_steps)

@@ -100,6 +100,15 @@ class TestRunSimulation:
         assert not no_res.harvested_wh.any()
         assert with_res.harvested_wh.sum() > 0
 
+    def test_per_day_arrays_own_their_data(self, small_pair):
+        # a view would keep its whole per-minute source alive with the result
+        for result in small_pair:
+            for name in ("consumed_wh", "harvested_wh", "pv_used_wh",
+                         "pv_wasted_wh", "drawn_wh", "swaps", "peak_pv_w"):
+                per_day = getattr(result, name)
+                assert per_day.shape == (4, len(result.node_ids)), name
+                assert per_day.base is None, name
+
     def test_weather_gap_refused(self, small_scenario):
         series = synth_study_series(small_scenario, seed=3)
         broken = WeatherSeries(np.delete(series.ghi_wm2, 3000),
