@@ -1,20 +1,21 @@
 """Minute-stepped energy simulation and study metrics.
 
-One run covers the four configured days back to back (5760 one-minute
-steps by default). ``run_pair`` places users from the run seed and designs
-the network once; both runs of the pair step that network, and every step
-accounts each station's consumption, harvest, battery draw, and swap
-events. Days are energetically independent; the pack starts each day full
-while the swap counter keeps accumulating.
+One run covers the four configured days (5760 one-minute steps by
+default). ``run_pair`` places users from the run seed and designs the
+network once; every step accounts each station's consumption, harvest,
+battery draw, and swap events. Days are energetically independent; the
+pack starts each day full while the swap counter keeps accumulating.
 
-``run_simulation`` steps all stations together over arrays; ``step`` is the
-scalar reference for one station and one minute, which the tests hold the
-array recurrence to bit for bit.
+``run_pair`` steps its two runs as one block shaped (arms, days,
+stations), one day's 1440 minutes at a time; the arm without the solar
+feed is the same recurrence with zero charge, and ``run_simulation`` is
+the one-arm case. ``step`` is the scalar reference for one station and
+one minute, which the tests hold the array recurrence to bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -118,13 +119,34 @@ def run_simulation(scenario: Scenario, weather: WeatherSeries,
     """Execute one full run of a designed network: step the days.
 
     Deterministic given (scenario, weather, with_res, network); seed is
-    only recorded. Each station draws what station_power_w gives its cell.
+    only recorded. This is the one-arm case of ``run_pair``'s block.
+    """
+    return _run_arms(scenario, weather, (with_res,), seed, network)[0]
 
-    The recurrence runs over arrays of stations, one minute at a time, and
-    reproduces a loop of the scalar ``step`` bit for bit: each station's draw
-    is constant over the run, the panel output is computed for all minutes
-    up front, and since the step demand never exceeds the usable capacity a
-    minute needs at most one swap.
+
+def run_pair(scenario: Scenario, weather: WeatherSeries,
+             seed: int) -> tuple[RunResult, RunResult]:
+    """One without-renewables and one with-renewables run sharing the same
+    seed, user placement, network design, and weather.
+
+    The only place where a study places users and designs a network.
+    """
+    users = place_users(scenario, seed)
+    network = greedy_design(scenario.nodes, users, scenario.radio,
+                            scenario.dl_rate_mbps, scenario.ul_rate_mbps)
+    return tuple(_run_arms(scenario, weather, (False, True), seed, network))
+
+
+def _run_arms(scenario: Scenario, weather: WeatherSeries, arms: Sequence[bool],
+              seed: int, network: NetworkConfig) -> list[RunResult]:
+    """One run per arm (its with_res flag) of a designed network, stepped
+    as one block shaped (arms, days, stations) over the minutes of a day.
+
+    It reproduces a loop of the scalar ``step`` bit for bit: each station
+    draws what station_power_w gives its cell, constant over the run; the
+    panel output is computed for all minutes up front (zero without the
+    solar feed); and since the step demand never exceeds the usable
+    capacity a minute needs at most one swap.
     """
     n_days = len(scenario.dates)
     n_steps = n_days * MINUTES_PER_DAY
@@ -158,94 +180,80 @@ def run_simulation(scenario: Scenario, weather: WeatherSeries,
                           f"step demand {demand[i]} Wh outside [0, {cap[i]}] Wh; "
                           "one battery cannot survive one step")
 
-    harvested = np.zeros((n_steps, n_nodes))
-    if with_res:
+    shape = (len(arms), n_days, MINUTES_PER_DAY, n_nodes)
+    harvested = np.zeros(shape)
+    if any(arms):
         bad = np.flatnonzero(weather.ghi_wm2 < 0)
         if bad.size and n_nodes:
             t = int(bad[0])
             raise _step_error(t, node_ids[0],
                               f"ghi must be >= 0, got {weather.ghi_wm2[t]}")
         for i, node in enumerate(nodes):
-            harvested[:, i] = pv_power(node.pv, weather.ghi_wm2,
-                                       weather.temp_c) * hours
+            harvested[np.array(arms), ..., i] = (pv_power(
+                node.pv, weather.ghi_wm2, weather.temp_c) * hours).reshape(
+                    n_days, MINUTES_PER_DAY)
     charge = harvested * np.array([n.battery.charge_efficiency for n in nodes],
                                   dtype=float)
 
-    accepted = np.empty((n_steps, n_nodes))
-    soc = np.empty((n_steps, n_nodes))
-    swapped = np.empty((n_steps, n_nodes), dtype=bool)
-    level = cap
-    for t in range(n_steps):
-        if t % MINUTES_PER_DAY == 0:
-            level = cap  # days are independent: a full pack every morning
+    accepted = np.empty(shape)
+    soc = np.empty(shape)
+    swapped = np.empty(shape, dtype=bool)
+    level = cap  # days are independent: a full pack every morning
+    for m in range(MINUTES_PER_DAY):
         # fmin(charge, room) is min(charge, room) even when room is NaN
-        acc = np.fmin(charge[t], cap - level, out=accepted[t])
-        now = np.add(level, acc, out=soc[t])
+        acc = np.fmin(charge[:, :, m], cap - level, out=accepted[:, :, m])
+        now = np.add(level, acc, out=soc[:, :, m])
         np.subtract(now, demand, out=now)
-        swap = np.less(now, 0.0, out=swapped[t])
+        swap = np.less(now, 0.0, out=swapped[:, :, m])
         np.add(now, cap, out=now, where=swap)
         level = now
 
-    by_day = (n_days, MINUTES_PER_DAY, n_nodes)
-    over = np.argwhere(soc.reshape(by_day)[:, :-1] > cap + 1e-12)
+    over = np.argwhere(soc[:, :, :-1] > cap + 1e-12)
     if len(over):
-        day, minute, i = over[0]
+        arm, day, minute, i = over[0]
         raise _step_error(int(day * MINUTES_PER_DAY + minute + 1), node_ids[i],
-                          f"soc {soc.reshape(by_day)[day, minute, i]} above "
-                          f"usable capacity {cap[i]}")
+                          f"soc {soc[arm, day, minute, i]} above usable capacity {cap[i]}")
 
-    consumed = np.broadcast_to(demand, (n_steps, n_nodes))
+    consumed = np.broadcast_to(demand, shape[1:])
     pv_used = np.where(consumed < accepted, consumed, accepted)
     drawn = consumed - pv_used
     pv_wasted = charge - accepted
 
     def day_totals(per_step):
-        # cumsum adds in step order, exactly as a running += would; the
-        # copy keeps the run's totals from pinning the whole cumsum buffer
-        return np.cumsum(per_step.reshape(by_day), axis=1)[:, -1].copy()
+        # cumsum adds in minute order, as a running += would; a copy pins no buffer
+        return np.cumsum(per_step, axis=1)[:, -1].copy()
 
-    def tiled(per_node):
-        return np.tile(per_node, n_steps)
-
-    ledger = {
+    # the columns that do not depend on the arm are shared by its ledgers
+    common = {
         "t": np.repeat(np.arange(n_steps, dtype=np.int64), n_nodes),
-        "node_id": tiled(np.array(node_ids, dtype=np.int64)),
-        "consumed_wh": tiled(demand),
-        "hover_wh": tiled(hover_wh),
-        "mimo_wh": tiled(mimo_wh),
-        "ris_wh": tiled(ris_wh),
-        "harvested_wh": harvested.ravel(),
-        "pv_used_wh": pv_used.ravel(),
-        "pv_wasted_wh": pv_wasted.ravel(),
-        "drawn_wh": drawn.ravel(),
-        "soc_wh": soc.ravel(),
-        "swaps": np.cumsum(swapped, axis=0, dtype=np.int64).ravel(),
+        "node_id": np.tile(np.array(node_ids, dtype=np.int64), n_steps),
+        "consumed_wh": np.tile(demand, n_steps),
+        "hover_wh": np.tile(hover_wh, n_steps),
+        "mimo_wh": np.tile(mimo_wh, n_steps),
+        "ris_wh": np.tile(ris_wh, n_steps),
     }
-    return RunResult(seed=seed, with_res=with_res, network=network,
-                     dates=tuple(scenario.dates), node_ids=node_ids,
-                     usable_capacity_wh=cap, consumed_wh=day_totals(consumed),
-                     harvested_wh=day_totals(harvested),
-                     pv_used_wh=day_totals(pv_used),
-                     pv_wasted_wh=day_totals(pv_wasted),
-                     drawn_wh=day_totals(drawn),
-                     swaps=swapped.reshape(by_day).sum(axis=1, dtype=np.int64),
-                     peak_pv_w=(harvested * 60.0).reshape(by_day).max(axis=1),
-                     ledger=ledger)
-
-
-def run_pair(scenario: Scenario, weather: WeatherSeries,
-             seed: int) -> tuple[RunResult, RunResult]:
-    """One without-renewables and one with-renewables run sharing the same
-    seed, user placement, network design, and weather.
-
-    The only place where a study places users and designs a network.
-    """
-    users = place_users(scenario, seed)
-    network = greedy_design(scenario.nodes, users, scenario.radio,
-                            scenario.dl_rate_mbps, scenario.ul_rate_mbps)
-    no_res = run_simulation(scenario, weather, False, seed, network=network)
-    with_res = run_simulation(scenario, weather, True, seed, network=network)
-    return no_res, with_res
+    results = []
+    for a, with_res in enumerate(arms):
+        ledger = {**common,
+                  "harvested_wh": harvested[a].ravel(),
+                  "pv_used_wh": pv_used[a].ravel(),
+                  "pv_wasted_wh": pv_wasted[a].ravel(),
+                  "drawn_wh": drawn[a].ravel(),
+                  "soc_wh": soc[a].ravel(),
+                  "swaps": np.cumsum(swapped[a].reshape(n_steps, n_nodes),
+                                     axis=0, dtype=np.int64).ravel()}
+        results.append(RunResult(
+            seed=seed, with_res=with_res, network=network,
+            dates=tuple(scenario.dates), node_ids=node_ids,
+            usable_capacity_wh=cap, consumed_wh=day_totals(consumed),
+            harvested_wh=day_totals(harvested[a]),
+            pv_used_wh=day_totals(pv_used[a]),
+            pv_wasted_wh=day_totals(pv_wasted[a]),
+            drawn_wh=day_totals(drawn[a]),
+            swaps=swapped[a].sum(axis=1, dtype=np.int64),
+            peak_pv_w=(harvested[a] * 60.0).max(axis=1),
+            ledger=ledger))
+    return results
 
 
 @dataclass(frozen=True)
@@ -257,11 +265,7 @@ class SeasonStats:
     anuc_with_res: float
 
     def to_dict(self) -> dict:
-        return {"total_harvest_wh": self.total_harvest_wh,
-                "peak_harvest_w": self.peak_harvest_w,
-                "arec_percent": self.arec_percent,
-                "anuc_no_res": self.anuc_no_res,
-                "anuc_with_res": self.anuc_with_res}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -283,10 +287,7 @@ class StudyMetrics:
     per_run: list[dict]
 
     def to_dict(self) -> dict:
-        return {"season_names": list(self.season_names),
-                "seasons": {name: s.to_dict() for name, s in self.seasons.items()},
-                "mean": self.mean.to_dict(),
-                "per_run": self.per_run}
+        return {**asdict(self), "season_names": list(self.season_names)}
 
 
 def compute_metrics(pairs: Sequence[tuple[RunResult, RunResult]],
@@ -349,12 +350,9 @@ def compute_metrics(pairs: Sequence[tuple[RunResult, RunResult]],
             anuc_no_res=float(np.mean(anuc_no)),
             anuc_with_res=float(np.mean(anuc_with)))
 
-    mean = SeasonStats(
-        total_harvest_wh=float(np.mean([s.total_harvest_wh for s in seasons.values()])),
-        peak_harvest_w=float(np.mean([s.peak_harvest_w for s in seasons.values()])),
-        arec_percent=float(np.mean([s.arec_percent for s in seasons.values()])),
-        anuc_no_res=float(np.mean([s.anuc_no_res for s in seasons.values()])),
-        anuc_with_res=float(np.mean([s.anuc_with_res for s in seasons.values()])))
+    mean = SeasonStats(**{f.name: float(np.mean([getattr(s, f.name)
+                                                  for s in seasons.values()]))
+                          for f in fields(SeasonStats)})
     return StudyMetrics(season_names=tuple(season_names), seasons=seasons,
                         mean=mean, per_run=per_run)
 
