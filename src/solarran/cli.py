@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import datetime
 import os
 import re
@@ -28,14 +29,15 @@ from .design import InstanceTooLargeError, brute_force_design, greedy_design
 from .energy import ParameterError
 from .engine import compute_metrics, run_pair, verify_conservation
 from .radio import Position
-from .report import (format_summary_table, scenario_echo, write_ledger_csv,
-                     write_metrics_json, write_summary_csv,
+from .report import (format_summary_table, scenario_echo, timeseries_rows,
+                     write_ledger_csv, write_metrics_json, write_summary_csv,
                      write_timeseries_csvs)
 from .scenario import (CONFIG_SCHEMA, NODE_ALTITUDE_M, SEASONS, USER_HEIGHT_M,
                        AccessNode, ConfigError, Required, Scenario,
-                       UserTerminal, WeatherError, check_json, load_config,
-                       load_weather_csv, read_json, scenario_from_dict,
-                       synth_study_series, synth_weather, write_weather_csv)
+                       UserTerminal, WeatherError, WeatherSeries, check_json,
+                       load_config, load_weather_csv, read_json,
+                       scenario_from_dict, synth_study_series, synth_weather,
+                       write_weather_csv)
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -84,28 +86,22 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             csv_weather = load_weather_csv(args.weather, expected_dates=scenario.dates)
 
         seeds = [args.seed + r for r in range(runs)]
-        pairs = []
-        weather_by_run = []
-        for seed in seeds:
-            weather = csv_weather if csv_weather is not None else synth_study_series(
-                scenario, seed=seed)
-            weather_by_run.append(weather)
-            pair = run_pair(scenario, weather, seed)
-            for result in pair:
-                verify_conservation(result)
-            pairs.append(pair)
-        metrics = compute_metrics(pairs, season_names=SEASONS)
-
         out_dir = Path(args.out)
         with _staged(out_dir) as stage:
-            for run_idx, pair in enumerate(pairs):
-                for result, tag in zip(pair, ("nopv", "pv")):
-                    write_ledger_csv(result, stage / f"ledger_{run_idx}_{tag}.csv")
+            pairs = []
+            series_sums = 0.0
+            for run_idx, seed in enumerate(seeds):
+                weather = (csv_weather if csv_weather is not None
+                           else synth_study_series(scenario, seed=seed))
+                pair, rows = _run_and_write(scenario, weather, seed,
+                                            stage, run_idx)
+                pairs.append(pair)
+                series_sums = series_sums + rows
+            metrics = compute_metrics(pairs, season_names=SEASONS)
             write_metrics_json(metrics, scenario_echo(scenario), seeds,
                                stage / "metrics.json")
             write_summary_csv(metrics, stage / "summary.csv")
-            write_timeseries_csvs([p[1] for p in pairs], weather_by_run,
-                                  SEASONS, stage)
+            write_timeseries_csvs(series_sums / runs, SEASONS, stage)
         print(f"{runs} run pair(s), seeds {seeds[0]}..{seeds[-1]}, "
               f"{len(scenario.nodes)} stations, {scenario.user_count} users")
         print(format_summary_table(metrics))
@@ -117,6 +113,23 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     except Exception as exc:  # noqa: BLE001 - report and signal failure
         print(f"failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+
+
+def _run_and_write(scenario: Scenario, weather: WeatherSeries, seed: int,
+                   stage: Path, run_idx: int):
+    """Run one pair, check both runs and write their ledgers into stage.
+
+    Returns the pair without its ledgers and its timeseries_rows. The
+    ledgers die with this call, before the next pair runs, so a study's
+    memory does not grow with its number of runs.
+    """
+    pair = run_pair(scenario, weather, seed)
+    for result in pair:
+        verify_conservation(result)
+    for result, tag in zip(pair, ("nopv", "pv")):
+        write_ledger_csv(result, stage / f"ledger_{run_idx}_{tag}.csv")
+    return (tuple(dataclasses.replace(r, ledger={}) for r in pair),
+            timeseries_rows(pair[1], weather))
 
 
 STUDY_FILE = re.compile(r"ledger_\d+_(pv|nopv)\.csv|metrics\.json|summary\.csv"

@@ -89,26 +89,24 @@ def write_ledger_csv(result: RunResult, path: Path) -> None:
             fh.writelines(map(",".join, zip(*columns)))
 
 
-def write_timeseries_csvs(with_results: Sequence[RunResult],
-                          weather_by_run: Sequence[WeatherSeries],
-                          season_names: Sequence[str],
-                          out_dir: Path) -> None:
-    """Per-season minute profiles averaged over runs (and stations for the
-    state of charge and panel output)."""
-    n_nodes = len(with_results[0].node_ids)
-    n_minutes = len(weather_by_run[0])
-    soc = np.zeros(n_minutes)
-    pv_w = np.zeros(n_minutes)
-    ghi = np.zeros(n_minutes)
-    for result, weather in zip(with_results, weather_by_run):
-        soc += result.ledger["soc_wh"].reshape(n_minutes, n_nodes).mean(axis=1)
-        pv_w += result.ledger["harvested_wh"].reshape(n_minutes, n_nodes).mean(axis=1) * 60.0
-        ghi += weather.ghi_wm2
-    runs = len(with_results)
-    soc /= runs
-    pv_w /= runs
-    ghi /= runs
+def timeseries_rows(with_res: RunResult, weather: WeatherSeries) -> np.ndarray:
+    """One run's share of the time series, shaped (3, minutes): the
+    weather's GHI and the station means of the with-solar run's state of
+    charge and panel output. The CLI sums these over runs in run order."""
+    n_minutes = len(weather)
+    n_nodes = len(with_res.node_ids)
+    led = with_res.ledger
+    return np.stack([
+        weather.ghi_wm2,
+        led["soc_wh"].reshape(n_minutes, n_nodes).mean(axis=1),
+        led["harvested_wh"].reshape(n_minutes, n_nodes).mean(axis=1) * 60.0])
 
+
+def write_timeseries_csvs(means: np.ndarray, season_names: Sequence[str],
+                          out_dir: Path) -> None:
+    """Per-season minute profiles from the run means of timeseries_rows:
+    GHI, and state of charge and panel output averaged over stations."""
+    ghi, soc, pv_w = means
     for day, name in enumerate(season_names):
         path = out_dir / f"timeseries_{name}.csv"
         lo = day * MINUTES_PER_DAY
