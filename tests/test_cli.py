@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -224,6 +225,48 @@ class TestSimulate:
         assert "disk full" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "tiny.json"]
+
+    def test_failed_second_pair_leaves_the_previous_study(self, tmp_path, capsys,
+                                                         monkeypatch):
+        config = write_tiny_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        real_run_pair = cli.run_pair
+        calls = []
+        staged = []
+
+        def failing_run_pair(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                staged.extend(p.name for p in tmp_path.glob(".out.*/*"))
+                raise RuntimeError("second pair failed")
+            return real_run_pair(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_pair", failing_run_pair)
+        rc = main(["simulate", "--config", str(config), "--runs", "3",
+                   "--seed", "9", "--out", str(out)])
+        assert rc == 1
+        assert "second pair failed" in capsys.readouterr().err
+        # pair 0's ledgers were already staged when pair 1 failed
+        assert sorted(staged) == ["ledger_0_nopv.csv", "ledger_0_pv.csv"]
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "tiny.json"]
+
+    def test_peak_memory_does_not_grow_with_runs(self, tmp_path):
+        # each pair's ledgers are written and dropped before the next pair
+        # runs, so three pairs need about the memory of one
+        config = write_tiny_config(tmp_path)
+        peaks = {}
+        for runs in (1, 3):
+            tracemalloc.start()
+            try:
+                assert main(["simulate", "--config", str(config), "--runs",
+                             str(runs), "--out", str(tmp_path / f"out{runs}")]) == 0
+                peaks[runs] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[3] <= 1.25 * peaks[1], peaks
 
     def test_csv_weather_roundtrip_drives_simulation(self, tmp_path):
         config = write_tiny_config(tmp_path)

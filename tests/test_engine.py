@@ -109,6 +109,22 @@ class TestRunSimulation:
                 assert per_day.shape == (4, len(result.node_ids)), name
                 assert per_day.base is None, name
 
+    def test_pair_block_matches_single_arm_runs(self, small_scenario, small_pair):
+        # run_pair steps both arms as one block; each arm alone gives the
+        # same bits, column by column
+        series = synth_study_series(small_scenario, seed=11)
+        for result in small_pair:
+            alone = run_simulation(small_scenario, series, result.with_res, 11,
+                                   network=result.network)
+            assert list(alone.ledger) == list(result.ledger)
+            for name, column in alone.ledger.items():
+                assert column.dtype == result.ledger[name].dtype, name
+                assert column.tobytes() == result.ledger[name].tobytes(), name
+            for name in ("consumed_wh", "harvested_wh", "pv_used_wh",
+                         "pv_wasted_wh", "drawn_wh", "swaps", "peak_pv_w"):
+                assert (getattr(alone, name).tobytes()
+                        == getattr(result, name).tobytes()), name
+
     def test_weather_gap_refused(self, small_scenario):
         series = synth_study_series(small_scenario, seed=3)
         broken = WeatherSeries(np.delete(series.ghi_wm2, 3000),
