@@ -35,7 +35,7 @@ from .report import (format_summary_table, scenario_echo, timeseries_rows,
 from .scenario import (CONFIG_SCHEMA, NODE_ALTITUDE_M, SEASONS, USER_HEIGHT_M,
                        AccessNode, ConfigError, Required, Scenario,
                        UserTerminal, WeatherError, WeatherSeries, check_json,
-                       load_config, load_weather_csv, read_json,
+                       load_config, load_weather_csv, parse_iso, read_json,
                        scenario_from_dict, synth_study_series, synth_weather,
                        write_weather_csv)
 
@@ -164,7 +164,7 @@ def _staged(out_dir: Path):
 
 def cmd_weather_synth(args: argparse.Namespace) -> int:
     try:
-        date = datetime.date.fromisoformat(args.date)
+        date = parse_iso(datetime.date, args.date)
     except ValueError as exc:
         print(f"error: invalid --date: {exc}", file=sys.stderr)
         return EXIT_USAGE

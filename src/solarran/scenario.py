@@ -16,6 +16,7 @@ import datetime
 import json
 import math
 import numbers
+import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -49,6 +50,24 @@ DEFAULT_SEASON_TEMPS = {
     "autumn": (7.0, 16.0),
     "winter": (-4.0, 2.0),
 }
+
+
+_ISO_DAY = r"[0-9]{4}-[0-9]{2}-[0-9]{2}"
+ISO_FORMS = {
+    datetime.date: ("YYYY-MM-DD", re.compile(_ISO_DAY)),
+    datetime.datetime: ("YYYY-MM-DDTHH:MM[:SS]",
+                        re.compile(_ISO_DAY + r"T[0-9]{2}:[0-9]{2}(:[0-9]{2})?")),
+}
+
+
+def parse_iso(kind: type, text: str):
+    """text as a kind (datetime.date or datetime.datetime), read only in the
+    ISO_FORMS form of that kind; ValueError otherwise. fromisoformat alone
+    reads more forms on Python 3.11 (20220320, 2022-W25-2) than on 3.10."""
+    form, pattern = ISO_FORMS[kind]
+    if not pattern.fullmatch(text):
+        raise ValueError(f"{text!r} is not written {form}")
+    return kind.fromisoformat(text)
 
 
 class ConfigError(ValueError):
@@ -361,7 +380,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
     sim = doc.get("simulation", {})
     if "dates" in sim:
         try:
-            dates = tuple(datetime.date.fromisoformat(d) for d in sim["dates"])
+            dates = tuple(parse_iso(datetime.date, d) for d in sim["dates"])
         except ValueError as exc:
             raise ConfigError(f"simulation.dates must be ISO dates: {exc}") from exc
     else:
@@ -459,8 +478,8 @@ def load_weather_csv(path: str | Path,
                      ) -> WeatherSeries:
     """Parse a weather CSV and validate it row by row.
 
-    Requirements: header ``timestamp,ghi_wm2,temp_c``; ISO-8601 timestamps
-    on an exact 1-minute cadence starting at midnight; 1440 rows per day;
+    Requirements: header ``timestamp,ghi_wm2,temp_c``; timestamps written
+    YYYY-MM-DDTHH:MM[:SS] on an exact 1-minute cadence starting at midnight; 1440 rows per day;
     finite values, ghi >= 0. When expected_dates is given, the file's days
     must match them in order. Errors cite the offending line number.
     """
@@ -484,7 +503,7 @@ def load_weather_csv(path: str | Path,
         if len(parts) != 3:
             raise WeatherError(f"line {lineno}: expected 3 fields, got {len(parts)}")
         try:
-            ts = datetime.datetime.fromisoformat(parts[0])
+            ts = parse_iso(datetime.datetime, parts[0])
             ghi = float(parts[1])
             temp = float(parts[2])
         except ValueError as exc:

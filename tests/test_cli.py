@@ -284,6 +284,30 @@ class TestSimulate:
                    "--weather", str(merged), "--out", str(out)])
         assert rc == 0
 
+    @pytest.mark.parametrize("date", ["20220320", "2022-W11-7", "2022-03-20T00:00"],
+                             ids=["basic", "iso_week", "with_time"])
+    def test_non_iso_scenario_date_exits_2(self, tmp_path, capsys, date):
+        # Python 3.11's date.fromisoformat reads the first two, 3.10's does not
+        config = tmp_path / "dates.json"
+        config.write_text(json.dumps({"simulation": {"dates": [
+            date, "2022-06-21", "2022-09-23", "2022-12-21"]}}))
+        rc = main(["simulate", "--config", str(config),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"simulation.dates must be ISO dates: {date!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stamp", [
+        "20220320T0000", "2022-03-20 00:00", "2022-03-20T00:00:00.000",
+        "2022-03-20T00:00:00+00:00", "2022-W11-7T00:00"],
+        ids=["basic", "space", "fraction", "offset", "iso_week"])
+    def test_non_iso_weather_timestamp_exits_2(self, tmp_path, capsys, stamp):
+        weather = tmp_path / "weather.csv"
+        weather.write_text(f"timestamp,ghi_wm2,temp_c\n{stamp},0.0,5.0\n")
+        rc = main(["simulate", "--config", str(write_tiny_config(tmp_path)),
+                   "--weather", str(weather), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"line 2: {stamp!r} is not written" in capsys.readouterr().err
+
     def test_wrong_weather_dates_exit_2(self, tmp_path):
         config = write_tiny_config(tmp_path)
         path = tmp_path / "one_day.csv"
@@ -336,11 +360,13 @@ class TestWeatherSynth:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
-    def test_invalid_date_exits_2(self, tmp_path, capsys):
-        rc = main(["weather-synth", "--date", "2022-13-40",
+    @pytest.mark.parametrize("date", ["2022-13-40", "20220621", "2022-W25-2"])
+    def test_invalid_date_exits_2(self, tmp_path, capsys, date):
+        rc = main(["weather-synth", "--date", date,
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 2
-        assert "date" in capsys.readouterr().err
+        assert "invalid --date" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestOracle:

@@ -283,6 +283,15 @@ class TestWeatherCsv:
         write_weather_csv(day, [SUMMER], path)
         assert load_weather_csv(path) == day
 
+    def test_timestamps_without_seconds_load(self, tmp_path):
+        day = synth_weather(Scenario(), SUMMER)
+        path = tmp_path / "day.csv"
+        write_weather_csv(day, [SUMMER], path)
+        short = tmp_path / "short.csv"
+        short.write_text(re.sub(r"(T\d\d:\d\d):00,", r"\1,", path.read_text()))
+        assert "T12:00," in short.read_text()
+        assert load_weather_csv(short) == day
+
     def test_gap_is_reported_with_line_number(self, tmp_path):
         sc = Scenario()
         day = synth_weather(sc, SUMMER)
