@@ -32,6 +32,9 @@ ATMOSPHERIC_TRANSMITTANCE = 0.75
 MINUTES_PER_DAY = 1440
 USER_HEIGHT_M = 1.5
 NODE_ALTITUDE_M = 50.0
+# Largest area side and station altitude [m]: 10,000 km, far beyond any
+# study, and small enough that squared station-user distances stay finite.
+MAX_EXTENT_M = 1e7
 
 SEASONS = ("spring", "summer", "autumn", "winter")
 
@@ -208,8 +211,10 @@ EQUIPMENT = {"airframe": UavAirframe, "mimo": MimoSpec, "ris": RisSpec,
 # The scenario's own scalars: JSON path, the Scenario field that gives the
 # value's type and default, and the range the value must lie in.
 SCALARS = (
-    ("area.width_m", "area_width_m", lambda v: v > 0, "> 0"),
-    ("area.height_m", "area_height_m", lambda v: v > 0, "> 0"),
+    ("area.width_m", "area_width_m", lambda v: 0 < v <= MAX_EXTENT_M,
+     f"in (0, {MAX_EXTENT_M:.0f}]"),
+    ("area.height_m", "area_height_m", lambda v: 0 < v <= MAX_EXTENT_M,
+     f"in (0, {MAX_EXTENT_M:.0f}]"),
     ("users.count", "user_count", lambda v: v >= 0, ">= 0"),
     ("users.dl_mbps", "dl_rate_mbps", lambda v: v >= 0, ">= 0"),
     ("users.ul_mbps", "ul_rate_mbps", lambda v: v >= 0, ">= 0"),
@@ -357,8 +362,9 @@ def scenario_from_dict(raw: dict) -> Scenario:
 
     nodes_section = doc.get("nodes", {})
     altitude = nodes_section.get("altitude_m", NODE_ALTITUDE_M)
-    if altitude <= 0:
-        raise ConfigError(f"nodes.altitude_m must be > 0, got {altitude}")
+    if not 0 < altitude <= MAX_EXTENT_M:
+        raise ConfigError(f"nodes.altitude_m must be in (0, {MAX_EXTENT_M:.0f}], "
+                          f"got {altitude}")
     if "layout" in nodes_section:
         nodes = tuple(AccessNode(node_id=entry.get("id", i),
                                  position=Position(entry["x"], entry["y"], altitude),

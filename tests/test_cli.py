@@ -145,7 +145,12 @@ class TestSimulate:
         ('{"area": {"width_m": NaN}}', "NaN"),
         ('{"pv": {"rated_power": Infinity}}', "Infinity"),
         ('{"pv": {"rated_power": 1e400}}', "1e400"),
-    ], ids=["empty_layout", "nan", "infinity", "overflow"])
+        ('{"area": {"width_m": 1e308, "height_m": 1e308}, "users": {"count": 5}}',
+         "area.width_m must be in (0, 10000000], got 1e+308"),
+        ('{"nodes": {"altitude_m": 1e200}, "users": {"count": 5}}',
+         "nodes.altitude_m must be in (0, 10000000], got 1e+200"),
+    ], ids=["empty_layout", "nan", "infinity", "overflow", "huge_area",
+            "huge_altitude"])
     def test_rejected_config_exits_2(self, tmp_path, capsys, text, named):
         config = tmp_path / "bad.json"
         config.write_text(text)

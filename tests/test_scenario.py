@@ -44,6 +44,17 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="users.count"):
             load_config(write_config(tmp_path, {"users": {"count": -1}}))
 
+    def test_extents_bounded_so_distances_stay_finite(self):
+        widest = scenario_from_dict({"area": {"width_m": 1e7, "height_m": 1e7},
+                                     "nodes": {"altitude_m": 1e7}})
+        assert widest.area_width_m == widest.nodes[0].position.z == 1e7
+        for raw, path in [({"area": {"width_m": 1.5e7}}, "area.width_m"),
+                          ({"area": {"height_m": 1e308}}, "area.height_m"),
+                          ({"nodes": {"altitude_m": 2e7}}, "nodes.altitude_m")]:
+            with pytest.raises(ConfigError, match=re.escape(
+                    f"{path} must be in (0, 10000000]")):
+                scenario_from_dict(raw)
+
     def test_node_outside_area_rejected(self, tmp_path):
         payload = {"nodes": {"layout": [{"id": 0, "x": 5000.0, "y": 10.0}]}}
         with pytest.raises(ConfigError, match="outside"):
