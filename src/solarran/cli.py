@@ -89,7 +89,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         out_dir = Path(args.out)
         with _staged(out_dir) as stage:
             pairs = []
-            series_sums = 0.0
+            series_sums = 0.0  # timeseries_rows summed in run order
             for run_idx, seed in enumerate(seeds):
                 weather = (csv_weather if csv_weather is not None
                            else synth_study_series(scenario, seed=seed))
