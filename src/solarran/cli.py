@@ -141,8 +141,10 @@ def _staged(out_dir: Path):
     """Yield a staging directory beside out_dir and, once the block succeeds,
     publish it: one rename onto an absent or empty out_dir, else the
     STUDY_FILE names in out_dir are replaced and any other file is kept.
-    On failure the staging directory is deleted and out_dir is untouched."""
+    On failure the staging directory and any parent directory made for it
+    are deleted, and out_dir is untouched."""
     target = out_dir.resolve()
+    made = [d for d in (target.parent, *target.parent.parents) if not d.exists()]
     target.parent.mkdir(parents=True, exist_ok=True)
     stage = Path(tempfile.mkdtemp(prefix=f".{target.name}.", dir=target.parent))
     try:
@@ -160,6 +162,10 @@ def _staged(out_dir: Path):
             os.rename(stage, target)
     finally:
         shutil.rmtree(stage, ignore_errors=True)
+        if not target.exists():  # the study failed before it was published
+            for parent in made:  # deepest first
+                with contextlib.suppress(OSError):
+                    parent.rmdir()
 
 
 def cmd_weather_synth(args: argparse.Namespace) -> int:

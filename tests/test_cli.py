@@ -273,6 +273,18 @@ class TestSimulate:
                 tracemalloc.stop()
         assert peaks[3] <= 1.25 * peaks[1], peaks
 
+    def test_failed_study_leaves_no_new_directories(self, tmp_path, capsys):
+        # the stage opens before the first pair runs; the parents of --out
+        # made for it go with it when a pair fails
+        config = tmp_path / "tiny_battery.json"
+        config.write_text(json.dumps({**TINY_CONFIG,
+                                      "battery": {"capacity_wh": 2.0}}))
+        rc = main(["simulate", "--config", str(config),
+                   "--out", str(tmp_path / "a" / "b" / "out")])
+        assert rc == 1
+        assert "one battery cannot survive one step" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [config]
+
     def test_csv_weather_roundtrip_drives_simulation(self, tmp_path):
         config = write_tiny_config(tmp_path)
         # synthesize the four study days to CSV, then feed them back in
@@ -365,12 +377,21 @@ class TestWeatherSynth:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("date", ["2022-13-40", "20220621", "2022-W25-2"])
-    def test_invalid_date_exits_2(self, tmp_path, capsys, date):
+    def test_invalid_date_exits_2(self, tmp_path, capsys):
+        rc = main(["weather-synth", "--date", "2022-13-40",
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert "date" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("date", ["20220621", "2022-W25-2"],
+                             ids=["basic", "iso_week"])
+    def test_non_iso_date_exits_2(self, tmp_path, capsys, date):
+        # Python 3.11's date.fromisoformat reads both, 3.10's neither
         rc = main(["weather-synth", "--date", date,
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 2
-        assert "invalid --date" in capsys.readouterr().err
+        assert f"invalid --date: {date!r} is not written YYYY-MM-DD" in (
+            capsys.readouterr().err)
         assert not (tmp_path / "x.csv").exists()
 
 
