@@ -212,7 +212,8 @@ def _run_arms(scenario: Scenario, weather: WeatherSeries, arms: Sequence[bool],
     if len(over):
         arm, day, minute, i = over[0]
         raise _step_error(int(day * MINUTES_PER_DAY + minute + 1), node_ids[i],
-                          f"soc {soc[arm, day, minute, i]} above usable capacity {cap[i]}")
+                          f"soc {soc[arm, day, minute, i]} above usable "
+                          f"capacity {cap[i]}")
 
     consumed = np.broadcast_to(demand, shape[1:])
     pv_used = np.where(consumed < accepted, consumed, accepted)
