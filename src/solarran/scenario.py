@@ -56,7 +56,7 @@ DEFAULT_SEASON_TEMPS = {
 
 
 _ISO_DAY = r"[0-9]{4}-[0-9]{2}-[0-9]{2}"
-ISO_FORMS = {
+_ISO_FORMS = {
     datetime.date: ("YYYY-MM-DD", re.compile(_ISO_DAY)),
     datetime.datetime: ("YYYY-MM-DDTHH:MM[:SS]",
                         re.compile(_ISO_DAY + r"T[0-9]{2}:[0-9]{2}(:[0-9]{2})?")),
@@ -65,9 +65,9 @@ ISO_FORMS = {
 
 def parse_iso(kind: type, text: str):
     """text as a kind (datetime.date or datetime.datetime), read only in the
-    ISO_FORMS form of that kind; ValueError otherwise. fromisoformat alone
+    _ISO_FORMS form of that kind; ValueError otherwise. fromisoformat alone
     reads more forms on Python 3.11 (20220320, 2022-W25-2) than on 3.10."""
-    form, pattern = ISO_FORMS[kind]
+    form, pattern = _ISO_FORMS[kind]
     if not pattern.fullmatch(text):
         raise ValueError(f"{text!r} is not written {form}")
     return kind.fromisoformat(text)
