@@ -11,7 +11,7 @@ from .energy import (BatteryFlows, BatterySpec, BatteryState, MimoSpec,
                      battery_step, cell_temperature, fresh_battery,
                      mimo_power, pv_power, ris_power, uav_hover_power)
 from .engine import (RunResult, SeasonStats, SimulationError, StepLedgerEntry,
-                     StudyMetrics, compute_metrics, run_pair, run_simulation,
+                     StudyMetrics, compute_metrics, run_network, run_pair,
                      step, verify_conservation)
 from .radio import (Position, RadioParams, link_feasible, link_table,
                     path_loss, required_prbs, snr, spectral_efficiency)

@@ -10,7 +10,6 @@ brute_force_design is the exhaustive reference for small instances.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -27,17 +26,6 @@ class InstanceTooLargeError(ValueError):
 
 MAX_ORACLE_NODES = 4
 MAX_ORACLE_USERS = 10
-
-
-@dataclass(frozen=True)
-class CandidateLink:
-    feasible: bool
-    prbs_dl: int
-    prbs_ul: int
-
-    @property
-    def total_prbs(self) -> int:
-        return self.prbs_dl + self.prbs_ul
 
 
 @dataclass(frozen=True)
@@ -80,49 +68,21 @@ class NetworkConfig:
         }
 
 
-class CandidateTable(Mapping):
+@dataclass(frozen=True, eq=False)
+class CandidateTable:
     """Every (node, user, power level) link of a network as arrays.
 
     feasible, prbs_dl and prbs_ul are shaped (nodes, users, levels), with
-    nodes and users in ascending id order and levels in ladder order; the
-    block counts are whole float64 numbers. As a mapping it is keyed
-    (node_id, user_id, level_dbm), iterates in that ascending order, and
-    builds each CandidateLink on access.
+    nodes and users in the ascending id order of node_ids and user_ids and
+    levels in the order of the radio's power_levels_dbm; the block counts
+    are whole float64 numbers.
     """
 
-    def __init__(self, node_ids: Sequence[int], user_ids: Sequence[int],
-                 levels: Sequence[float], feasible: np.ndarray,
-                 prbs_dl: np.ndarray, prbs_ul: np.ndarray):
-        self.node_ids = tuple(node_ids)
-        self.user_ids = tuple(user_ids)
-        self.levels = tuple(levels)
-        self.feasible = feasible
-        self.prbs_dl = prbs_dl
-        self.prbs_ul = prbs_ul
-        self._node = {nid: i for i, nid in enumerate(self.node_ids)}
-        self._user = {uid: j for j, uid in enumerate(self.user_ids)}
-        self._level = {lvl: k for k, lvl in enumerate(self.levels)}
-
-    def link(self, n: int, u: int, lvl: int) -> CandidateLink:
-        """The link at array position (node n, user u, level lvl)."""
-        return CandidateLink(bool(self.feasible[n, u, lvl]),
-                             int(self.prbs_dl[n, u, lvl]),
-                             int(self.prbs_ul[n, u, lvl]))
-
-    def __getitem__(self, key: tuple[int, int, float]) -> CandidateLink:
-        node_id, user_id, level = key
-        try:
-            return self.link(self._node[node_id], self._user[user_id],
-                             self._level[level])
-        except KeyError:
-            raise KeyError(key) from None
-
-    def __iter__(self):
-        return ((nid, uid, lvl) for nid in self.node_ids
-                for uid in self.user_ids for lvl in self.levels)
-
-    def __len__(self) -> int:
-        return self.feasible.size
+    node_ids: tuple[int, ...]
+    user_ids: tuple[int, ...]
+    feasible: np.ndarray
+    prbs_dl: np.ndarray
+    prbs_ul: np.ndarray
 
 
 def enumerate_candidates(nodes: Sequence[AccessNode],
@@ -138,9 +98,9 @@ def enumerate_candidates(nodes: Sequence[AccessNode],
         [(n.position.x, n.position.y, n.position.z) for n in node_list],
         [(u.position.x, u.position.y, u.position.z) for u in user_list],
         params, dl_rate_mbps, ul_rate_mbps, fallback=link_feasible)
-    return CandidateTable([n.node_id for n in node_list],
-                          [u.user_id for u in user_list],
-                          params.power_levels_dbm, feasible, prbs_dl, prbs_ul)
+    return CandidateTable(tuple(n.node_id for n in node_list),
+                          tuple(u.user_id for u in user_list),
+                          feasible, prbs_dl, prbs_ul)
 
 
 def station_power_w(node: AccessNode, tx_power_dbm: Optional[float],
@@ -266,9 +226,10 @@ def greedy_design(nodes: Sequence[AccessNode], users: Sequence[UserTerminal],
         lvl = int(np.flatnonzero(load <= capacity)[0])
         node_id = table.node_ids[n]
         levels[node_id] = params.power_levels_dbm[lvl]
-        for u in users_of_n.tolist():
-            link = table.link(n, u, lvl)
-            assigned[table.user_ids[u]] = (node_id, link.prbs_dl, link.prbs_ul)
+        for u, dl, ul in zip(users_of_n.tolist(),
+                             table.prbs_dl[n, users_of_n, lvl].tolist(),
+                             table.prbs_ul[n, users_of_n, lvl].tolist()):
+            assigned[table.user_ids[u]] = (node_id, int(dl), int(ul))
     return _network_config(node_list, levels, assigned)
 
 
@@ -292,21 +253,22 @@ def brute_force_design(nodes: Sequence[AccessNode],
     table = enumerate_candidates(node_list, user_list, params,
                                  dl_rate_mbps, ul_rate_mbps)
     n_users = len(user_list)
+    levels = params.power_levels_dbm
+    feasible = table.feasible.tolist()
+    # whole block counts; an infeasible link's, which may be huge, read 0
+    prbs_dl, prbs_ul = (np.where(table.feasible, prbs, 0).astype(int).tolist()
+                        for prbs in (table.prbs_dl, table.prbs_ul))
 
     best = None
-    for combo in itertools.product([None, *params.power_levels_dbm],
+    for combo in itertools.product([None, *range(len(levels))],
                                    repeat=len(node_list)):
-        active = {node.node_id: level
-                  for node, level in zip(node_list, combo) if level is not None}
-        options = []  # per user: [(node_idx_in_active_order, node_id, cost, link)]
-        active_ids = sorted(active)
-        for user in user_list:
-            opts = []
-            for idx, nid in enumerate(active_ids):
-                link = table[(nid, user.user_id, active[nid])]
-                if link.feasible:
-                    opts.append((idx, nid, link))
-            options.append(opts)
+        on = [(n, k) for n, k in enumerate(combo) if k is not None]
+        active = {table.node_ids[n]: levels[k] for n, k in on}
+        # per user: [(index in on, node_id, blocks, prbs_dl, prbs_ul)]
+        options = [[(idx, table.node_ids[n], prbs_dl[n][u][k] + prbs_ul[n][u][k],
+                     prbs_dl[n][u][k], prbs_ul[n][u][k])
+                    for idx, (n, k) in enumerate(on) if feasible[n][u][k]]
+                   for u in range(n_users)]
 
         memo: dict[tuple[int, tuple[int, ...]], int] = {}
 
@@ -318,8 +280,7 @@ def brute_force_design(nodes: Sequence[AccessNode],
             if hit is not None:
                 return hit
             best_here = coverage(i + 1, caps)
-            for idx, _, link in options[i]:
-                cost = link.total_prbs
+            for idx, _, cost, _, _ in options[i]:
                 if caps[idx] >= cost:
                     new_caps = caps[:idx] + (caps[idx] - cost,) + caps[idx + 1:]
                     got = 1 + coverage(i + 1, new_caps)
@@ -330,24 +291,21 @@ def brute_force_design(nodes: Sequence[AccessNode],
             memo[key] = best_here
             return best_here
 
-        caps = tuple(params.total_prbs for _ in active_ids)
+        caps = tuple(params.total_prbs for _ in on)
 
         # Reconstruct one maximum assignment, preferring lower node ids.
         assignment: dict[int, tuple[int, int, int]] = {}
         cur = caps
         for i, user in enumerate(user_list):
             target = coverage(i, cur)
-            placed = False
-            for idx, nid, link in options[i]:
-                cost = link.total_prbs
+            for idx, nid, cost, dl, ul in options[i]:
                 if cur[idx] >= cost:
                     new_caps = cur[:idx] + (cur[idx] - cost,) + cur[idx + 1:]
                     if 1 + coverage(i + 1, new_caps) == target:
-                        assignment[user.user_id] = (nid, link.prbs_dl, link.prbs_ul)
+                        assignment[user.user_id] = (nid, dl, ul)
                         cur = new_caps
-                        placed = True
                         break
-            if not placed:
+            else:
                 assert coverage(i + 1, cur) == target
 
         config = _network_config(node_list, active, assignment)

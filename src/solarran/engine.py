@@ -6,11 +6,11 @@ network once; every step accounts each station's consumption, harvest,
 battery draw, and swap events. Days are energetically independent; the
 pack starts each day full while the swap counter keeps accumulating.
 
-``run_pair`` steps its two runs as one block shaped (arms, days,
+``run_network`` steps a pair's two runs as one block shaped (arms, days,
 stations), one day's 1440 minutes at a time; the arm without the solar
-feed is the same recurrence with zero charge, and ``run_simulation`` is
-the one-arm case. ``step`` is the scalar reference for one station and
-one minute, which the tests hold the array recurrence to bit for bit.
+feed is the same recurrence with zero charge. ``step`` is the scalar
+reference for one station and one minute, which the tests hold the array
+recurrence to bit for bit.
 """
 
 from __future__ import annotations
@@ -113,17 +113,6 @@ def _step_error(t: int, node_id: int, problem) -> SimulationError:
     return SimulationError(f"step failed at t={t}, node_id={node_id}: {problem}")
 
 
-def run_simulation(scenario: Scenario, weather: WeatherSeries,
-                   with_res: bool, seed: int,
-                   network: NetworkConfig) -> RunResult:
-    """Execute one full run of a designed network: step the days.
-
-    Deterministic given (scenario, weather, with_res, network); seed is
-    only recorded. This is the one-arm case of ``run_pair``'s block.
-    """
-    return _run_arms(scenario, weather, (with_res,), seed, network)[0]
-
-
 def run_pair(scenario: Scenario, weather: WeatherSeries,
              seed: int) -> tuple[RunResult, RunResult]:
     """One without-renewables and one with-renewables run sharing the same
@@ -134,19 +123,20 @@ def run_pair(scenario: Scenario, weather: WeatherSeries,
     users = place_users(scenario, seed)
     network = greedy_design(scenario.nodes, users, scenario.radio,
                             scenario.dl_rate_mbps, scenario.ul_rate_mbps)
-    return tuple(_run_arms(scenario, weather, (False, True), seed, network))
+    return run_network(scenario, weather, seed, network)
 
 
-def _run_arms(scenario: Scenario, weather: WeatherSeries, arms: Sequence[bool],
-              seed: int, network: NetworkConfig) -> list[RunResult]:
-    """One run per arm (its with_res flag) of a designed network, stepped
+def run_network(scenario: Scenario, weather: WeatherSeries, seed: int,
+                network: NetworkConfig) -> tuple[RunResult, RunResult]:
+    """The without- and with-renewables runs of a designed network, stepped
     as one block shaped (arms, days, stations) over the minutes of a day.
 
-    It reproduces a loop of the scalar ``step`` bit for bit: each station
-    draws what station_power_w gives its cell, constant over the run; the
-    panel output is computed for all minutes up front (zero without the
-    solar feed); and since the step demand never exceeds the usable
-    capacity a minute needs at most one swap.
+    Deterministic given (scenario, weather, network); seed is only
+    recorded. It reproduces a loop of the scalar ``step`` bit for bit:
+    each station draws what station_power_w gives its cell, constant over
+    the run; the panel output is computed for all minutes up front (zero
+    in the arm without the solar feed); and since the step demand never
+    exceeds the usable capacity a minute needs at most one swap.
     """
     n_days = len(scenario.dates)
     n_steps = n_days * MINUTES_PER_DAY
@@ -180,18 +170,17 @@ def _run_arms(scenario: Scenario, weather: WeatherSeries, arms: Sequence[bool],
                           f"step demand {demand[i]} Wh outside [0, {cap[i]}] Wh; "
                           "one battery cannot survive one step")
 
-    shape = (len(arms), n_days, MINUTES_PER_DAY, n_nodes)
+    shape = (2, n_days, MINUTES_PER_DAY, n_nodes)
     harvested = np.zeros(shape)
-    if any(arms):
-        bad = np.flatnonzero(weather.ghi_wm2 < 0)
-        if bad.size and n_nodes:
-            t = int(bad[0])
-            raise _step_error(t, node_ids[0],
-                              f"ghi must be >= 0, got {weather.ghi_wm2[t]}")
-        for i, node in enumerate(nodes):
-            harvested[np.array(arms), ..., i] = (pv_power(
-                node.pv, weather.ghi_wm2, weather.temp_c) * hours).reshape(
-                    n_days, MINUTES_PER_DAY)
+    bad = np.flatnonzero(weather.ghi_wm2 < 0)
+    if bad.size and n_nodes:
+        t = int(bad[0])
+        raise _step_error(t, node_ids[0],
+                          f"ghi must be >= 0, got {weather.ghi_wm2[t]}")
+    for i, node in enumerate(nodes):
+        harvested[1, ..., i] = (pv_power(
+            node.pv, weather.ghi_wm2, weather.temp_c) * hours).reshape(
+                n_days, MINUTES_PER_DAY)
     charge = harvested * np.array([n.battery.charge_efficiency for n in nodes],
                                   dtype=float)
 
@@ -234,7 +223,7 @@ def _run_arms(scenario: Scenario, weather: WeatherSeries, arms: Sequence[bool],
         "ris_wh": np.tile(ris_wh, n_steps),
     }
     results = []
-    for a, with_res in enumerate(arms):
+    for a, with_res in enumerate((False, True)):
         ledger = {**common,
                   "harvested_wh": harvested[a].ravel(),
                   "pv_used_wh": pv_used[a].ravel(),
@@ -254,7 +243,7 @@ def _run_arms(scenario: Scenario, weather: WeatherSeries, arms: Sequence[bool],
             swaps=swapped[a].sum(axis=1, dtype=np.int64),
             peak_pv_w=(harvested[a] * 60.0).max(axis=1),
             ledger=ledger))
-    return results
+    return tuple(results)
 
 
 @dataclass(frozen=True)

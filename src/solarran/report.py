@@ -20,6 +20,10 @@ from .scenario import MINUTES_PER_DAY, Scenario, WeatherSeries
 
 SUMMARY_HEADER = ("season,total_harvest_wh,peak_harvest_w,arec_percent,"
                   "anuc_no_res,anuc_with_res")
+# Rows the ledger writer formats at once. The text of one block is the
+# study's memory peak; blocks larger than a default study's day (12,960
+# rows) raised it.
+LEDGER_CHUNK_ROWS = 8192
 
 
 def scenario_echo(scenario: Scenario) -> dict:
@@ -73,15 +77,14 @@ def _cells(values: np.ndarray, as_float: bool, suffix: str = "") -> list[str]:
 
 def write_ledger_csv(result: RunResult, path: Path) -> None:
     """One row per (minute, node); floats written with repr for exact
-    round-tripping. Rows are formatted column-wise, one day at a time."""
+    round-tripping. Rows are formatted column-wise, LEDGER_CHUNK_ROWS at a
+    time."""
     led = result.ledger
-    n = len(led["t"])
-    rows_per_chunk = MINUTES_PER_DAY * max(len(result.node_ids), 1)
     float_columns = LEDGER_COLUMNS[2:-1]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(LEDGER_COLUMNS) + "\n")
-        for lo in range(0, n, rows_per_chunk):
-            chunk = slice(lo, lo + rows_per_chunk)
+        for lo in range(0, len(led["t"]), LEDGER_CHUNK_ROWS):
+            chunk = slice(lo, lo + LEDGER_CHUNK_ROWS)
             # the row's newline rides on the last column's cells
             columns = [_cells(led[c][chunk], c in float_columns,
                               "\n" if c == LEDGER_COLUMNS[-1] else "")

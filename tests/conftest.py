@@ -14,17 +14,28 @@ def make_user(uid, x, y, z=1.5):
     return UserTerminal(user_id=uid, position=Position(x, y, z))
 
 
+def candidate_links(nodes, users, params, dl, ul):
+    """The arrays of enumerate_candidates as a dict keyed (node_id, user_id,
+    level_dbm) of (feasible, prbs_dl, prbs_ul), in the table's node, user
+    and level order."""
+    table = enumerate_candidates(nodes, users, params, dl, ul)
+    return {(nid, uid, level): (bool(table.feasible[n, u, k]),
+                                int(table.prbs_dl[n, u, k]),
+                                int(table.prbs_ul[n, u, k]))
+            for n, nid in enumerate(table.node_ids)
+            for u, uid in enumerate(table.user_ids)
+            for k, level in enumerate(params.power_levels_dbm)}
+
+
 def check_assignment_valid(config, nodes, users, params, dl, ul):
     """Assignment invariants: links feasible at the final level, loads within
     budget, one node per user, consistent bookkeeping."""
-    table = enumerate_candidates(nodes, users, params, dl, ul)
+    links = candidate_links(nodes, users, params, dl, ul)
     levels = {c.node_id: c.tx_power_dbm for c in config.cells if c.active}
     loads = {}
     for uid, (nid, prbs_dl, prbs_ul) in config.assignment.users.items():
         assert nid in levels, f"user {uid} assigned to inactive node {nid}"
-        link = table[(nid, uid, levels[nid])]
-        assert link.feasible
-        assert (prbs_dl, prbs_ul) == (link.prbs_dl, link.prbs_ul)
+        assert links[(nid, uid, levels[nid])] == (True, prbs_dl, prbs_ul)
         loads[nid] = loads.get(nid, 0) + prbs_dl + prbs_ul
     for nid, load in loads.items():
         assert load <= params.total_prbs
@@ -35,7 +46,7 @@ def check_assignment_valid(config, nodes, users, params, dl, ul):
 def check_local_minimality(config, nodes, users, params, dl, ul):
     """No active cell can drop a level (or be switched off) without losing
     coverage or breaking feasibility."""
-    table = enumerate_candidates(nodes, users, params, dl, ul)
+    links = candidate_links(nodes, users, params, dl, ul)
     members = {}
     for uid, (nid, _, _) in config.assignment.users.items():
         members.setdefault(nid, []).append(uid)
@@ -48,9 +59,9 @@ def check_local_minimality(config, nodes, users, params, dl, ul):
         if idx == 0:
             continue
         lower = params.power_levels_dbm[idx - 1]
-        links = [table[(cell.node_id, uid, lower)]
-                 for uid in members[cell.node_id]]
-        broken = (not all(l.feasible for l in links)
-                  or sum(l.total_prbs for l in links) > params.total_prbs)
+        lowered = [links[(cell.node_id, uid, lower)]
+                   for uid in members[cell.node_id]]
+        broken = (not all(feasible for feasible, _, _ in lowered)
+                  or sum(dl + ul for _, dl, ul in lowered) > params.total_prbs)
         assert broken, (f"node {cell.node_id} could run at {lower} dBm "
                         f"but was left at {cell.tx_power_dbm}")

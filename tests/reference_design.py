@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from solarran.design import CandidateLink, NetworkConfig, _network_config
+from solarran.design import NetworkConfig, _network_config
 from solarran.energy import mimo_power
 from solarran.radio import RadioParams, link_feasible
 from solarran.scenario import AccessNode, UserTerminal
@@ -21,16 +21,18 @@ def reference_candidates(nodes: Sequence[AccessNode],
                          users: Sequence[UserTerminal],
                          params: RadioParams,
                          dl_rate_mbps: float,
-                         ul_rate_mbps: float) -> dict[tuple[int, int, float], CandidateLink]:
+                         ul_rate_mbps: float
+                         ) -> dict[tuple[int, int, float], tuple[bool, int, int]]:
     """Evaluate every (node, user, power level) link once with the scalar
-    link budget, keyed (node_id, user_id, level_dbm)."""
-    table: dict[tuple[int, int, float], CandidateLink] = {}
+    link budget: (feasible, prbs_dl, prbs_ul) keyed (node_id, user_id,
+    level_dbm)."""
+    table: dict[tuple[int, int, float], tuple[bool, int, int]] = {}
     for node in sorted(nodes, key=lambda n: n.node_id):
         for user in sorted(users, key=lambda u: u.user_id):
             for level in params.power_levels_dbm:
-                table[(node.node_id, user.user_id, level)] = CandidateLink(
-                    *link_feasible(node.position, user.position, level,
-                                   params, dl_rate_mbps, ul_rate_mbps))
+                table[(node.node_id, user.user_id, level)] = link_feasible(
+                    node.position, user.position, level, params,
+                    dl_rate_mbps, ul_rate_mbps)
     return table
 
 
@@ -40,10 +42,10 @@ def _admit_users(table, node_id: int, level: float, candidates: Sequence[int],
     admitted = []
     remaining = capacity
     for uid in candidates:
-        link = table[(node_id, uid, level)]
-        if link.feasible and link.total_prbs <= remaining:
+        feasible, dl, ul = table[(node_id, uid, level)]
+        if feasible and dl + ul <= remaining:
             admitted.append(uid)
-            remaining -= link.total_prbs
+            remaining -= dl + ul
     return admitted, capacity - remaining
 
 
@@ -83,19 +85,19 @@ def reference_greedy(nodes: Sequence[AccessNode], users: Sequence[UserTerminal],
         active[node_id] = level
         node_users[node_id] = admitted
         for uid in admitted:
-            link = table[(node_id, uid, level)]
-            assigned[uid] = (node_id, link.prbs_dl, link.prbs_ul)
+            _, dl, ul = table[(node_id, uid, level)]
+            assigned[uid] = (node_id, dl, ul)
             unassigned.remove(uid)
 
     for node_id in sorted(active):
         members = node_users[node_id]
         for level in params.power_levels_dbm:
             links = [table[(node_id, uid, level)] for uid in members]
-            if (all(l.feasible for l in links)
-                    and sum(l.total_prbs for l in links) <= params.total_prbs):
+            if (all(feasible for feasible, _, _ in links)
+                    and sum(dl + ul for _, dl, ul in links) <= params.total_prbs):
                 active[node_id] = level
-                for uid, link in zip(members, links):
-                    assigned[uid] = (node_id, link.prbs_dl, link.prbs_ul)
+                for uid, (_, dl, ul) in zip(members, links):
+                    assigned[uid] = (node_id, dl, ul)
                 break
 
     return _network_config(node_list, active, assigned)

@@ -5,59 +5,35 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import (candidate_links, check_assignment_valid,
+                      check_local_minimality, make_node as node,
+                      make_user as user)
 from solarran.design import (InstanceTooLargeError, brute_force_design,
-                             enumerate_candidates, greedy_design,
-                             served_counts, station_power_w)
+                             greedy_design, served_counts, station_power_w)
 from solarran.energy import ris_power, uav_hover_power
-from solarran.radio import Position, RadioParams
-from solarran.scenario import AccessNode, Scenario, UserTerminal, place_users
+from solarran.radio import RadioParams
+from solarran.scenario import Scenario, place_users
 
 PARAMS = RadioParams()
 
 
-def node(nid, x, y, z=50.0):
-    return AccessNode(node_id=nid, position=Position(x, y, z))
-
-
-def user(uid, x, y, z=1.5):
-    return UserTerminal(user_id=uid, position=Position(x, y, z))
-
-
-def check_assignment_valid(config, nodes, users, params, dl, ul):
-    """Assignment invariants: links feasible at the final level, loads within
-    budget, one node per user."""
-    table = enumerate_candidates(nodes, users, params, dl, ul)
-    levels = {c.node_id: c.tx_power_dbm for c in config.cells if c.active}
-    loads = {}
-    for uid, (nid, prbs_dl, prbs_ul) in config.assignment.users.items():
-        assert nid in levels, f"user {uid} assigned to inactive node {nid}"
-        link = table[(nid, uid, levels[nid])]
-        assert link.feasible
-        assert (prbs_dl, prbs_ul) == (link.prbs_dl, link.prbs_ul)
-        loads[nid] = loads.get(nid, 0) + prbs_dl + prbs_ul
-    for nid, load in loads.items():
-        assert load <= params.total_prbs
-        assert config.assignment.node_loads[nid] == load
-    assert config.covered_count == len(config.assignment.users)
-
-
 class TestEnumerateCandidates:
     def test_no_users_empty_table(self):
-        assert enumerate_candidates([node(0, 0, 0)], [], PARAMS, 100, 25) == {}
+        assert candidate_links([node(0, 0, 0)], [], PARAMS, 100, 25) == {}
 
     def test_adjacent_user_feasible_at_every_level(self):
-        table = enumerate_candidates([node(0, 0, 0, 50)], [user(0, 0, 0)],
-                                     PARAMS, 100, 25)
-        assert len(table) == 3
-        rows = [table[(0, 0, lvl)] for lvl in PARAMS.power_levels_dbm]
-        assert all(r.feasible for r in rows)
+        links = candidate_links([node(0, 0, 0, 50)], [user(0, 0, 0)],
+                                PARAMS, 100, 25)
+        assert len(links) == 3
+        rows = [links[(0, 0, lvl)] for lvl in PARAMS.power_levels_dbm]
+        assert all(feasible for feasible, _, _ in rows)
         # SE cap engaged at every level, so the block demand is identical
-        assert len({(r.prbs_dl, r.prbs_ul) for r in rows}) == 1
+        assert len({(dl, ul) for _, dl, ul in rows}) == 1
 
     def test_out_of_range_user_never_feasible(self):
-        table = enumerate_candidates([node(0, 0, 0, 50)], [user(0, 9000, 9000)],
-                                     PARAMS, 100, 25)
-        assert not any(r.feasible for r in table.values())
+        links = candidate_links([node(0, 0, 0, 50)], [user(0, 9000, 9000)],
+                                PARAMS, 100, 25)
+        assert not any(feasible for feasible, _, _ in links.values())
 
 
 class TestGreedyDesign:
@@ -138,28 +114,7 @@ class TestGreedyDesign:
         ul = data.draw(st.sampled_from([5.0, 25.0]))
         config = greedy_design(nodes, users, PARAMS, dl, ul)
         check_assignment_valid(config, nodes, users, PARAMS, dl, ul)
-
-        # local minimality
-        table = enumerate_candidates(nodes, users, PARAMS, dl, ul)
-        members = {}
-        for uid, (nid, _, _) in config.assignment.users.items():
-            members.setdefault(nid, []).append(uid)
-        for cell in config.cells:
-            if not cell.active:
-                continue
-            # deactivating loses that cell's users
-            assert len(members[cell.node_id]) >= 1
-            # one level down breaks feasibility for the same user set
-            idx = PARAMS.power_levels_dbm.index(cell.tx_power_dbm)
-            if idx == 0:
-                continue
-            lower = PARAMS.power_levels_dbm[idx - 1]
-            links = [table[(cell.node_id, uid, lower)]
-                     for uid in members[cell.node_id]]
-            broken = (not all(l.feasible for l in links)
-                      or sum(l.total_prbs for l in links) > PARAMS.total_prbs)
-            assert broken, (f"node {cell.node_id} could run at {lower} dBm "
-                            f"but was left at {cell.tx_power_dbm}")
+        check_local_minimality(config, nodes, users, PARAMS, dl, ul)
 
 
 class TestBruteForce:

@@ -10,7 +10,7 @@ from solarran.design import greedy_design, served_counts, station_power_w
 from solarran.energy import (BatterySpec, ParameterError, fresh_battery,
                              mimo_power, ris_power, uav_hover_power)
 from solarran.engine import (RunResult, SimulationError, compute_metrics,
-                             run_pair, run_simulation, step,
+                             run_network, run_pair, step,
                              verify_conservation)
 from solarran.scenario import (WeatherError, WeatherSeries, place_users,
                                scenario_from_dict, synth_study_series)
@@ -83,10 +83,10 @@ class TestStep:
 class TestRunSimulation:
     def test_deterministic(self, small_scenario):
         series = synth_study_series(small_scenario, seed=3)
-        a = run_simulation(small_scenario, series, True, 3,
-                           network=designed(small_scenario, 3))
-        b = run_simulation(small_scenario, series, True, 3,
-                           network=designed(small_scenario, 3))
+        a = run_network(small_scenario, series, 3,
+                        network=designed(small_scenario, 3))[True]
+        b = run_network(small_scenario, series, 3,
+                        network=designed(small_scenario, 3))[True]
         assert np.array_equal(a.consumed_wh, b.consumed_wh)
         assert np.array_equal(a.swaps, b.swaps)
         for col in a.ledger:
@@ -109,29 +109,13 @@ class TestRunSimulation:
                 assert per_day.shape == (4, len(result.node_ids)), name
                 assert per_day.base is None, name
 
-    def test_pair_block_matches_single_arm_runs(self, small_scenario, small_pair):
-        # run_pair steps both arms as one block; each arm alone gives the
-        # same bits, column by column
-        series = synth_study_series(small_scenario, seed=11)
-        for result in small_pair:
-            alone = run_simulation(small_scenario, series, result.with_res, 11,
-                                   network=result.network)
-            assert list(alone.ledger) == list(result.ledger)
-            for name, column in alone.ledger.items():
-                assert column.dtype == result.ledger[name].dtype, name
-                assert column.tobytes() == result.ledger[name].tobytes(), name
-            for name in ("consumed_wh", "harvested_wh", "pv_used_wh",
-                         "pv_wasted_wh", "drawn_wh", "swaps", "peak_pv_w"):
-                assert (getattr(alone, name).tobytes()
-                        == getattr(result, name).tobytes()), name
-
     def test_weather_gap_refused(self, small_scenario):
         series = synth_study_series(small_scenario, seed=3)
         broken = WeatherSeries(np.delete(series.ghi_wm2, 3000),
                                np.delete(series.temp_c, 3000))
         with pytest.raises(WeatherError, match="5759 minutes; 4 days need 5760"):
-            run_simulation(small_scenario, broken, True, 3,
-                           network=designed(small_scenario, 3))
+            run_network(small_scenario, broken, 3,
+                        network=designed(small_scenario, 3))
 
     def test_daily_swaps_match_closed_form_without_res(self, small_pair):
         no_res, _ = small_pair
@@ -199,11 +183,8 @@ class TestStepErrors:
             step(node, fresh_battery(node.battery), False, 0, 0.0,
                  series.ghi_wm2[2000], series.temp_c[2000], True, 2000)
         with pytest.raises(SimulationError, match=r"t=2000, node_id=0: ghi"):
-            run_simulation(small_scenario, series, True, 3,
-                           network=designed(small_scenario, 3))
-        # without the solar feed the irradiance is never read
-        run_simulation(small_scenario, series, False, 3,
-                       network=designed(small_scenario, 3))
+            run_network(small_scenario, series, 3,
+                        network=designed(small_scenario, 3))
 
     def test_demand_above_capacity(self, small_scenario):
         tiny = BatterySpec(capacity_wh=2.0)  # 1.9 Wh usable, under one minute of hover
@@ -217,8 +198,7 @@ class TestStepErrors:
                  series.temp_c[0], False, 0)
         with pytest.raises(SimulationError,
                            match=r"t=0, node_id=2: step demand .* one battery"):
-            run_simulation(scenario, series, False, 3,
-                           network=designed(scenario, 3))
+            run_network(scenario, series, 3, network=designed(scenario, 3))
 
 
 class TestVerifyConservation:

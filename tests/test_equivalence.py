@@ -1,4 +1,4 @@
-"""The array recurrence of run_simulation against a loop of the scalar step.
+"""The array recurrence of run_network against a loop of the scalar step.
 
 Every ledger column and every day-total array must be bit-identical to what
 the per-station, per-minute reference produces; no tolerance is allowed.
@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from solarran.design import Assignment, CellConfig, NetworkConfig
 from solarran.energy import (BatterySpec, BatteryState, PvSpec, UavAirframe,
                              fresh_battery)
-from solarran.engine import LEDGER_COLUMNS, run_simulation, step
+from solarran.engine import LEDGER_COLUMNS, run_network, step
 from solarran.radio import Position
 from solarran.scenario import (MINUTES_PER_DAY, AccessNode, Scenario,
                                WeatherSeries)
@@ -120,7 +120,7 @@ def scenarios(draw):
 @given(scenarios(), st.booleans())
 def test_array_recurrence_matches_scalar_step(case, with_res):
     scenario, series, network = case
-    result = run_simulation(scenario, series, with_res, seed=0, network=network)
+    result = run_network(scenario, series, seed=0, network=network)[with_res]
     ledger, totals = reference_run(scenario, series, network, with_res)
     assert list(result.ledger) == list(LEDGER_COLUMNS)
     for name in LEDGER_COLUMNS:

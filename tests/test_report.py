@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from solarran import report
 from solarran.engine import LEDGER_COLUMNS, RunResult
 from solarran.report import write_ledger_csv
 
@@ -14,6 +15,18 @@ def _ledger_result(ledger, node_ids=(0,)):
                      pv_used_wh=empty, pv_wasted_wh=empty, drawn_wh=empty,
                      swaps=empty.astype(np.int64), peak_pv_w=empty,
                      ledger=ledger)
+
+
+def _random_ledger(n, node_ids):
+    """n rows of random values, minute-major over node_ids."""
+    rng = np.random.default_rng(5)
+    ledger = {name: rng.uniform(-1.0, 1.0, n) for name in LEDGER_COLUMNS[2:-1]}
+    ledger["t"] = np.repeat(np.arange(n // len(node_ids), dtype=np.int64),
+                            len(node_ids))
+    ledger["node_id"] = np.tile(np.array(node_ids, dtype=np.int64),
+                                n // len(node_ids))
+    ledger["swaps"] = rng.integers(0, 20, n)
+    return ledger
 
 
 def test_signed_zeros_keep_their_own_repr(tmp_path):
@@ -39,14 +52,10 @@ def test_signed_zeros_keep_their_own_repr(tmp_path):
 
 
 def test_rows_span_several_day_chunks(tmp_path):
-    # three stations over two days plus a partial third: chunking by day
-    # must not drop, repeat or reorder rows
+    # three stations over two days plus a partial third, more rows than one
+    # block: chunking must not drop, repeat or reorder rows
     n = 3 * (2 * 1440 + 7)
-    rng = np.random.default_rng(5)
-    ledger = {name: rng.uniform(-1.0, 1.0, n) for name in LEDGER_COLUMNS[2:-1]}
-    ledger["t"] = np.repeat(np.arange(n // 3, dtype=np.int64), 3)
-    ledger["node_id"] = np.tile(np.array([4, 7, 9], dtype=np.int64), n // 3)
-    ledger["swaps"] = rng.integers(0, 20, n)
+    ledger = _random_ledger(n, (4, 7, 9))
     path = tmp_path / "ledger.csv"
     write_ledger_csv(_ledger_result(ledger, node_ids=(4, 7, 9)), path)
     lines = path.read_text(encoding="utf-8").splitlines()[1:]
@@ -56,3 +65,14 @@ def test_rows_span_several_day_chunks(tmp_path):
                     + [repr(float(ledger[c][i])) for c in LEDGER_COLUMNS[2:-1]]
                     + [str(int(ledger["swaps"][i]))])
         assert lines[i].split(",") == expected
+
+
+def test_block_size_leaves_the_bytes_alone(tmp_path, monkeypatch):
+    # blocks of 7 rows end inside a minute's stations and across days
+    ledger = _random_ledger(3 * (2 * 1440 + 7), (4, 7, 9))
+    result = _ledger_result(ledger, node_ids=(4, 7, 9))
+    write_ledger_csv(result, tmp_path / "default.csv")
+    monkeypatch.setattr(report, "LEDGER_CHUNK_ROWS", 7)
+    write_ledger_csv(result, tmp_path / "small.csv")
+    assert ((tmp_path / "small.csv").read_bytes()
+            == (tmp_path / "default.csv").read_bytes())
