@@ -353,7 +353,8 @@ def verify_conservation(result: RunResult, tol: float = 1e-9) -> None:
     Raises SimulationError on the first violated identity: per step,
     consumed == drawn + pv_used and 0 <= soc <= the station's usable
     capacity; per run, the swap counter never decreases and the day totals
-    match the ledger.
+    match the ledger; without solar, each station's swaps on each day are
+    floor(E/U) for its day's consumption E and usable capacity U.
     The checks are written so that a NaN fails them.
     """
     led = result.ledger
@@ -376,3 +377,15 @@ def verify_conservation(result: RunResult, tol: float = 1e-9) -> None:
         gap = abs(float(led[name].sum()) - float(totals.sum()))
         if not gap <= tol * len(led[name]):
             raise SimulationError(f"{name} day totals differ from the ledger by {gap}")
+    if not result.with_res:
+        # constant load, no charge: floor(E/U) swaps a day, except where E/U
+        # sits within 1e-6 of a whole number and the count is knife-edge
+        ratio = result.consumed_wh / result.usable_capacity_wh
+        bad = np.argwhere((result.swaps != np.floor(ratio))
+                          & ~(np.abs(ratio - np.round(ratio)) < 1e-6))
+        if len(bad):
+            day, i = bad[0]
+            raise SimulationError(
+                f"day {day}, node_id={result.node_ids[i]}: {result.swaps[day, i]} "
+                f"swaps without solar, closed form floor(E/U) gives "
+                f"{np.floor(ratio[day, i]):.0f}")

@@ -4,6 +4,11 @@ plot-ready per-season time series.
 summary.csv rounds to two decimals with dot separators; metrics.json and
 the ledgers keep full float precision (ledger floats use repr, so sums
 recomputed from disk match the in-memory accounting bit for bit).
+
+A ledger column whose bits repeat every minute (node_id, the station power
+columns and, without solar, every flow but the state of charge) is formatted
+once per station. The others are formatted per chunk of whole minutes, each
+distinct value once, and each chunk is written with one join.
 """
 
 from __future__ import annotations
@@ -20,10 +25,10 @@ from .scenario import MINUTES_PER_DAY, Scenario, WeatherSeries
 
 SUMMARY_HEADER = ("season,total_harvest_wh,peak_harvest_w,arec_percent,"
                   "anuc_no_res,anuc_with_res")
-# Rows the ledger writer formats at once. The text of one block is the
-# study's memory peak; blocks larger than a default study's day (12,960
-# rows) raised it.
-LEDGER_CHUNK_ROWS = 8192
+# Rows the ledger writer formats at once, rounded down to whole minutes. One
+# chunk's text is a default study's memory peak: 8,192 rows joined at once
+# raised its peak RSS by 1.4 MiB, while 4,096 rows cost no time.
+LEDGER_CHUNK_ROWS = 4096
 
 
 def scenario_echo(scenario: Scenario) -> dict:
@@ -57,39 +62,49 @@ def write_summary_csv(metrics: StudyMetrics, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _cells(values: np.ndarray, as_float: bool, suffix: str = "") -> list[str]:
-    """Each value as its CSV cell: repr for floats, str for ints.
+def _cells(values: np.ndarray, as_float: bool, suffix: str) -> np.ndarray:
+    """Each value as its CSV cell: repr for floats, str for ints, then suffix.
 
     Every distinct value is formatted once and fancy-indexed back into
     place. Floats are keyed by their bit pattern, so 0.0 and -0.0 (and any
     two NaN payloads) keep their own text.
     """
-    if as_float:
-        keys = np.asarray(values, dtype=np.float64).view(np.int64)
-        distinct, where = np.unique(keys, return_inverse=True)
-        text = [repr(v) + suffix for v in distinct.view(np.float64).tolist()]
-    else:
-        distinct, where = np.unique(np.asarray(values, dtype=np.int64),
-                                    return_inverse=True)
-        text = [str(v) + suffix for v in distinct.tolist()]
-    return np.array(text, dtype=object)[where].tolist()
+    values = np.asarray(values, dtype=np.float64 if as_float else np.int64)
+    distinct, where = np.unique(values.view(np.int64), return_inverse=True)
+    # the repr of a Python int is its str
+    text = [repr(v) + suffix for v in distinct.view(values.dtype).tolist()]
+    return np.array(text, dtype=object)[where]
 
 
 def write_ledger_csv(result: RunResult, path: Path) -> None:
     """One row per (minute, node); floats written with repr for exact
-    round-tripping. Rows are formatted column-wise, LEDGER_CHUNK_ROWS at a
-    time."""
+    round-tripping. Each run of adjacent station-constant columns is one
+    text per station, tiled into every chunk."""
     led = result.ledger
-    float_columns = LEDGER_COLUMNS[2:-1]
+    n_nodes = len(result.node_ids)
+    parts = []  # (column, as_float, suffix), or an array of per-station texts
+    for name in LEDGER_COLUMNS:
+        as_float = name in LEDGER_COLUMNS[2:-1]
+        # every cell carries its separator; the last column's ends the row
+        part = (name, as_float, "\n" if name == LEDGER_COLUMNS[-1] else ",")
+        keys = np.asarray(led[name], dtype=np.float64 if as_float else np.int64)
+        keys = keys.view(np.int64).reshape(-1, n_nodes)
+        if (keys == keys[0]).all():
+            part = _cells(led[name][:n_nodes], *part[1:])
+            if parts and isinstance(parts[-1], np.ndarray):
+                part = parts.pop() + part  # object arrays: str + str per station
+        parts.append(part)
+    minute_rows = max(LEDGER_CHUNK_ROWS // n_nodes, 1) * n_nodes
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(LEDGER_COLUMNS) + "\n")
-        for lo in range(0, len(led["t"]), LEDGER_CHUNK_ROWS):
-            chunk = slice(lo, lo + LEDGER_CHUNK_ROWS)
-            # the row's newline rides on the last column's cells
-            columns = [_cells(led[c][chunk], c in float_columns,
-                              "\n" if c == LEDGER_COLUMNS[-1] else "")
-                       for c in LEDGER_COLUMNS]
-            fh.writelines(map(",".join, zip(*columns)))
+        for lo in range(0, len(led["t"]), minute_rows):
+            chunk = slice(lo, lo + minute_rows)
+            block = np.empty((len(led["t"][chunk]), len(parts)), dtype=object)
+            for j, part in enumerate(parts):
+                block[:, j] = (np.tile(part, len(block) // n_nodes)
+                               if isinstance(part, np.ndarray) else
+                               _cells(led[part[0]][chunk], *part[1:]))
+            fh.write("".join(block.ravel().tolist()))
 
 
 def timeseries_rows(with_res: RunResult, weather: WeatherSeries) -> np.ndarray:

@@ -131,6 +131,23 @@ class TestSimulate:
         assert "conservation" in capsys.readouterr().err
         assert not out.exists() or not list(out.iterdir())
 
+    def test_swap_closed_form_violation_exits_1_before_writing(
+            self, tmp_path, capsys, monkeypatch):
+        real_run_pair = cli.run_pair
+
+        def extra_swap_run_pair(*args, **kwargs):
+            no_res, with_res = real_run_pair(*args, **kwargs)
+            return (dataclasses.replace(no_res, swaps=no_res.swaps + 1),
+                    with_res)
+
+        monkeypatch.setattr(cli, "run_pair", extra_swap_run_pair)
+        out = tmp_path / "out"
+        rc = main(["simulate", "--config", str(write_tiny_config(tmp_path)),
+                   "--out", str(out)])
+        assert rc == 1
+        assert "closed form floor(E/U)" in capsys.readouterr().err
+        assert not out.exists() or not list(out.iterdir())
+
     def test_invalid_config_exits_2_and_cleans_up(self, tmp_path, capsys):
         config = tmp_path / "bad.json"
         config.write_text('{"users": {"count": -3}}')

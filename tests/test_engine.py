@@ -225,6 +225,34 @@ class TestVerifyConservation:
         with pytest.raises(SimulationError, match="consumed_wh day totals"):
             verify_conservation(bad)
 
+    @pytest.mark.parametrize("delta", [1, -1])
+    def test_swaps_without_solar_must_match_closed_form(self, small_pair,
+                                                        delta):
+        no_res = small_pair[0]
+        swaps = no_res.swaps.copy()
+        swaps[2, 1] += delta
+        with pytest.raises(SimulationError,
+                           match=r"day 2, node_id=1: .* floor\(E/U\)"):
+            verify_conservation(dataclasses.replace(no_res, swaps=swaps))
+
+    def test_swaps_with_solar_are_not_held_to_closed_form(self, small_pair):
+        with_res = small_pair[1]
+        verify_conservation(dataclasses.replace(with_res,
+                                                swaps=with_res.swaps + 1))
+
+    def test_whole_multiple_swap_count_is_not_checked(self, small_pair):
+        # E/U a whole number k: k or k - 1 swaps are both accepted, as in
+        # criterion 4; a larger window keeps every SOC inside its bound
+        no_res = small_pair[0]
+        e = no_res.consumed_wh[0, 0]
+        k = math.floor(e / no_res.usable_capacity_wh[0])
+        cap = no_res.usable_capacity_wh.copy()
+        cap[0] = e / k
+        swaps = no_res.swaps.copy()
+        swaps[0, 0], swaps[1, 0] = k, k - 1
+        verify_conservation(dataclasses.replace(
+            no_res, usable_capacity_wh=cap, swaps=swaps))
+
     def test_per_station_capacity(self, small_pair):
         cap = BatterySpec().usable_capacity_wh
         n = len(small_pair[1].node_ids)
