@@ -3,7 +3,9 @@
 Subcommands:
   simulate       run the paired with/without-renewables study and write
                  metrics.json, summary.csv, per-run ledgers, and per-season
-                 time series into --out
+                 time series into --out; a pair's two ledgers are written
+                 at once, the no-solar one by a forked child, in the same
+                 bytes (POSIX fork only)
   weather-synth  write one synthetic clear-sky day as a weather CSV
   oracle         cross-check the greedy design against the exhaustive
                  reference on a small instance file
@@ -119,6 +121,10 @@ def _run_and_write(scenario: Scenario, weather: WeatherSeries, seed: int,
                    stage: Path, run_idx: int):
     """Run one pair, check both runs and write their ledgers into stage.
 
+    A forked child writes the no-solar ledger while this process writes
+    the with-solar one; the child is reaped before this call returns or
+    raises, and a child that failed makes it raise.
+
     Returns the pair without its ledgers and its timeseries_rows. The
     ledgers die with this call, before the next pair runs, so a study's
     memory does not grow with its number of runs.
@@ -126,10 +132,26 @@ def _run_and_write(scenario: Scenario, weather: WeatherSeries, seed: int,
     pair = run_pair(scenario, weather, seed)
     for result in pair:
         verify_conservation(result)
-    for result, tag in zip(pair, ("nopv", "pv")):
-        write_ledger_csv(result, stage / f"ledger_{run_idx}_{tag}.csv")
-    return (tuple(dataclasses.replace(r, ledger={}) for r in pair),
-            timeseries_rows(pair[1], weather))
+    nopv = stage / f"ledger_{run_idx}_nopv.csv"
+    pid = os.fork()
+    if pid == 0:  # the child never returns: no finally or buffer runs twice
+        code = 1
+        try:
+            write_ledger_csv(pair[0], nopv)
+            code = 0
+        except BaseException as exc:  # noqa: BLE001 - reported by exit status
+            print(f"failure: {exc}", file=sys.stderr)
+            sys.stderr.flush()
+        finally:
+            os._exit(code)
+    try:
+        write_ledger_csv(pair[1], stage / f"ledger_{run_idx}_pv.csv")
+        rows = timeseries_rows(pair[1], weather)
+    finally:
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status:
+        raise RuntimeError(f"writing {nopv.name} failed (exit status {status})")
+    return tuple(dataclasses.replace(r, ledger={}) for r in pair), rows
 
 
 STUDY_FILE = re.compile(r"ledger_\d+_(pv|nopv)\.csv|metrics\.json|summary\.csv"

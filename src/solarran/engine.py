@@ -347,14 +347,22 @@ def compute_metrics(pairs: Sequence[tuple[RunResult, RunResult]],
                         mean=mean, per_run=per_run)
 
 
+def _check_days(gap: np.ndarray, limit: float, what: str) -> None:
+    bad = np.flatnonzero(~(gap <= limit))  # a NaN gap is bad too
+    if len(bad):
+        raise SimulationError(f"day {bad[0]}: {what} by {gap[bad[0]]}")
+
+
 def verify_conservation(result: RunResult, tol: float = 1e-9) -> None:
     """Check the per-step and per-run accounting identities of a ledger.
 
     Raises SimulationError on the first violated identity: per step,
     consumed == drawn + pv_used and 0 <= soc <= the station's usable
-    capacity; per run, the swap counter never decreases and the day totals
-    match the ledger; without solar, each station's swaps on each day are
-    floor(E/U) for its day's consumption E and usable capacity U.
+    capacity; per day, the consumed and pv_used totals match the ledger's
+    sums and so does the AREC computed from them; without solar, each
+    station's swaps on each day are floor(E/U) for its day's consumption E
+    and usable capacity U; every station's swaps on each day equal the
+    rise of the ledger's never-decreasing swap counter over that day.
     The checks are written so that a NaN fails them.
     """
     led = result.ledger
@@ -372,11 +380,20 @@ def verify_conservation(result: RunResult, tol: float = 1e-9) -> None:
     swaps = led["swaps"].reshape(-1, n_nodes)
     if not (np.diff(swaps, axis=0) >= 0).all():
         raise SimulationError("swap counter decreased")
+    n_days = len(result.swaps)
+    sums = {}  # per day: (from the ledger, from the day totals)
     for name, totals in (("consumed_wh", result.consumed_wh),
                          ("pv_used_wh", result.pv_used_wh)):
-        gap = abs(float(led[name].sum()) - float(totals.sum()))
-        if not gap <= tol * len(led[name]):
-            raise SimulationError(f"{name} day totals differ from the ledger by {gap}")
+        per_day = led[name].reshape(n_days, -1)
+        sums[name] = per_day.sum(axis=1), totals.sum(axis=1)
+        _check_days(np.abs(sums[name][0] - sums[name][1]),
+                    tol * per_day.shape[1],
+                    f"{name} day totals differ from the ledger")
+    # AREC as compute_metrics reports it: 100 * pv_used / consumed, else 0
+    arec = [100.0 * used / np.where(consumed > 0, consumed, np.inf)
+            for used, consumed in zip(sums["pv_used_wh"], sums["consumed_wh"])]
+    _check_days(np.abs(arec[0] - arec[1]), 1e-9,
+                "AREC from the ledger differs from the day totals' AREC")
     if not result.with_res:
         # constant load, no charge: floor(E/U) swaps a day, except where E/U
         # sits within 1e-6 of a whole number and the count is knife-edge
@@ -389,3 +406,11 @@ def verify_conservation(result: RunResult, tol: float = 1e-9) -> None:
                 f"day {day}, node_id={result.node_ids[i]}: {result.swaps[day, i]} "
                 f"swaps without solar, closed form floor(E/U) gives "
                 f"{np.floor(ratio[day, i]):.0f}")
+    # each day's count is the rise of the ledger's cumulative swaps column
+    rises = np.diff(swaps.reshape(n_days, -1, n_nodes)[:, -1], axis=0, prepend=0)
+    bad = np.argwhere(result.swaps != rises)
+    if len(bad):
+        day, i = bad[0]
+        raise SimulationError(
+            f"day {day}, node_id={result.node_ids[i]}: {result.swaps[day, i]} "
+            f"swaps, but the ledger's swaps column rose by {rises[day, i]}")

@@ -3,7 +3,11 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -148,6 +152,45 @@ class TestSimulate:
         assert "closed form floor(E/U)" in capsys.readouterr().err
         assert not out.exists() or not list(out.iterdir())
 
+    def test_swap_counts_off_the_ledger_exit_1_before_writing(
+            self, tmp_path, capsys, monkeypatch):
+        # the with-solar counts feed anuc_with_res; only the ledger's
+        # swap counter can show they are wrong
+        real_run_pair = cli.run_pair
+
+        def extra_swap_run_pair(*args, **kwargs):
+            no_res, with_res = real_run_pair(*args, **kwargs)
+            return no_res, dataclasses.replace(with_res,
+                                               swaps=with_res.swaps + 1)
+
+        monkeypatch.setattr(cli, "run_pair", extra_swap_run_pair)
+        out = tmp_path / "out"
+        rc = main(["simulate", "--config", str(write_tiny_config(tmp_path)),
+                   "--out", str(out)])
+        assert rc == 1
+        assert "swaps column rose by" in capsys.readouterr().err
+        assert not out.exists() or not list(out.iterdir())
+
+    def test_pv_used_moved_between_days_exits_1_before_writing(
+            self, tmp_path, capsys, monkeypatch):
+        # the run's sum is unchanged, day 0's and day 1's AREC are not
+        real_run_pair = cli.run_pair
+
+        def moved_run_pair(*args, **kwargs):
+            no_res, with_res = real_run_pair(*args, **kwargs)
+            pv_used = with_res.pv_used_wh.copy()
+            pv_used[0, 0] -= 1.0
+            pv_used[1, 0] += 1.0
+            return no_res, dataclasses.replace(with_res, pv_used_wh=pv_used)
+
+        monkeypatch.setattr(cli, "run_pair", moved_run_pair)
+        out = tmp_path / "out"
+        rc = main(["simulate", "--config", str(write_tiny_config(tmp_path)),
+                   "--out", str(out)])
+        assert rc == 1
+        assert "day 0: pv_used_wh day totals" in capsys.readouterr().err
+        assert not out.exists() or not list(out.iterdir())
+
     def test_invalid_config_exits_2_and_cleans_up(self, tmp_path, capsys):
         config = tmp_path / "bad.json"
         config.write_text('{"users": {"count": -3}}')
@@ -275,6 +318,38 @@ class TestSimulate:
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "tiny.json"]
 
+    @pytest.mark.parametrize("failing", ["nopv", "pv"],
+                             ids=["child_writer", "parent_writer"])
+    def test_failed_ledger_writer_leaves_the_previous_study(
+            self, tmp_path, capfd, monkeypatch, failing):
+        # the no-solar ledger is written by a forked child, which inherits
+        # the patched writer; capfd sees its stderr too
+        config = write_tiny_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        real_write = cli.write_ledger_csv
+
+        def failing_write(result, path):
+            if path.name.endswith(f"_{failing}.csv"):
+                path.write_text("partial")
+                raise OSError(f"disk full writing {failing}")
+            real_write(result, path)
+
+        monkeypatch.setattr(cli, "write_ledger_csv", failing_write)
+        capfd.readouterr()
+        rc = main(["simulate", "--config", str(config), "--runs", "2",
+                   "--seed", "9", "--out", str(out)])
+        assert rc == 1
+        err = capfd.readouterr().err
+        assert f"failure: disk full writing {failing}" in err
+        if failing == "nopv":
+            assert "writing ledger_0_nopv.csv failed (exit status 1)" in err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "tiny.json"]
+        with pytest.raises(ChildProcessError):  # every writer child was reaped
+            os.waitpid(-1, os.WNOHANG)
+
     def test_peak_memory_does_not_grow_with_runs(self, tmp_path):
         # each pair's ledgers are written and dropped before the next pair
         # runs, so three pairs need about the memory of one
@@ -350,6 +425,22 @@ class TestSimulate:
         rc = main(["simulate", "--config", str(config), "--weather", str(path),
                    "--out", str(tmp_path / "out")])
         assert rc == 2
+
+    def test_summary_is_printed_once(self, tmp_path):
+        # a writer child must not flush the stdout it inherits
+        package_root = str(Path(solarran.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "solarran.cli", "simulate", "--config",
+             str(write_tiny_config(tmp_path)), "--runs", "2",
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert proc.stdout.count("run pair(s), seeds 42..43") == 1
+        assert proc.stdout.count("outputs in ") == 1
+        assert proc.stdout.splitlines()[-1] == f"outputs in {tmp_path / 'out'}"
 
 
 class TestWeatherSynth:

@@ -236,9 +236,13 @@ class TestVerifyConservation:
             verify_conservation(dataclasses.replace(no_res, swaps=swaps))
 
     def test_swaps_with_solar_are_not_held_to_closed_form(self, small_pair):
+        # one more swap per station at each day's first minute, in the
+        # day counts and in the ledger's cumulative column alike
         with_res = small_pair[1]
-        verify_conservation(dataclasses.replace(with_res,
-                                                swaps=with_res.swaps + 1))
+        ledger = dict(with_res.ledger)
+        ledger["swaps"] = ledger["swaps"] + ledger["t"] // 1440 + 1
+        verify_conservation(dataclasses.replace(
+            with_res, swaps=with_res.swaps + 1, ledger=ledger))
 
     def test_whole_multiple_swap_count_is_not_checked(self, small_pair):
         # E/U a whole number k: k or k - 1 swaps are both accepted, as in
@@ -250,8 +254,35 @@ class TestVerifyConservation:
         cap[0] = e / k
         swaps = no_res.swaps.copy()
         swaps[0, 0], swaps[1, 0] = k, k - 1
+        # the ledger drops station 0's last swap of day 1 too
+        n = len(no_res.node_ids)
+        counter = no_res.ledger["swaps"].reshape(-1, n).copy()
+        last = 1440 + np.flatnonzero(np.diff(counter[1439:2880, 0]))[-1]
+        counter[last:, 0] -= 1
         verify_conservation(dataclasses.replace(
-            no_res, usable_capacity_wh=cap, swaps=swaps))
+            no_res, usable_capacity_wh=cap, swaps=swaps,
+            ledger={**no_res.ledger, "swaps": counter.ravel()}))
+
+    @pytest.mark.parametrize("arm", [0, 1])
+    def test_swaps_must_match_the_ledger_counter(self, small_pair, arm):
+        result = small_pair[arm]
+        swaps = result.swaps.copy()
+        swaps[3, 2] -= 1
+        cap = result.usable_capacity_wh.copy()
+        if arm == 0:  # E/U a whole number k: the closed form lets k - 1 pass
+            cap[2] = result.consumed_wh[3, 2] / result.swaps[3, 2]
+        with pytest.raises(SimulationError,
+                           match=r"day 3, node_id=2: .* swaps column rose by"):
+            verify_conservation(dataclasses.replace(
+                result, swaps=swaps, usable_capacity_wh=cap))
+
+    def test_arec_must_match_the_ledger(self, small_pair):
+        # 1e-6 Wh is within the sum tolerance but moves AREC by over 1e-9
+        pv_used = small_pair[1].pv_used_wh.copy()
+        pv_used[2, 0] += 1e-6
+        with pytest.raises(SimulationError, match="day 2: AREC from the ledger"):
+            verify_conservation(dataclasses.replace(small_pair[1],
+                                                    pv_used_wh=pv_used))
 
     def test_per_station_capacity(self, small_pair):
         cap = BatterySpec().usable_capacity_wh
