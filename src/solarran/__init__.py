@@ -6,13 +6,12 @@ from importlib import resources
 from .design import (Assignment, CandidateTable, CellConfig,
                      InstanceTooLargeError, NetworkConfig, brute_force_design,
                      enumerate_candidates, greedy_design)
-from .energy import (BatteryFlows, BatterySpec, BatteryState, MimoSpec,
-                     ParameterError, PvSpec, RisSpec, UavAirframe,
-                     battery_step, cell_temperature, fresh_battery,
-                     mimo_power, pv_power, ris_power, uav_hover_power)
-from .engine import (RunResult, SeasonStats, SimulationError, StepLedgerEntry,
-                     StudyMetrics, compute_metrics, run_network, run_pair,
-                     step, verify_conservation)
+from .energy import (BatterySpec, MimoSpec, ParameterError, PvSpec, RisSpec,
+                     UavAirframe, cell_temperature, mimo_power, pv_power,
+                     ris_power, uav_hover_power)
+from .engine import (RunResult, SeasonStats, SimulationError, StudyMetrics,
+                     compute_metrics, run_network, run_pair,
+                     verify_conservation)
 from .radio import (Position, RadioParams, link_feasible, link_table,
                     path_loss, required_prbs, snr, spectral_efficiency)
 from .scenario import (AccessNode, ConfigError, Scenario, UserTerminal,

@@ -89,6 +89,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
         seeds = [args.seed + r for r in range(runs)]
         out_dir = Path(args.out)
+        # the study publishes a directory there: refuse before any pair runs
+        found = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+        if not found.is_dir():
+            raise ConfigError(f"--out {out_dir}: {found} is not a directory")
         with _staged(out_dir) as stage:
             pairs = []
             series_sums = 0.0  # timeseries_rows summed in run order

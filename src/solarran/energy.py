@@ -2,8 +2,9 @@
 
 Five models drive the energy balance: rotor hover power, MIMO transceiver
 power, reflective-surface controller power, photovoltaic output, and the
-ground-side battery with swap events. All functions are pure; power is in
-watts, energy in watt-hours, temperatures in degrees Celsius.
+usable window of the swappable ground-side battery, whose charge
+engine.run_network steps. All functions are pure; power is in watts,
+energy in watt-hours, temperatures in degrees Celsius.
 """
 
 from __future__ import annotations
@@ -151,34 +152,6 @@ class BatterySpec:
         return self.capacity_wh * (1.0 - self.flight_reserve)
 
 
-@dataclass(frozen=True)
-class BatteryState:
-    """State of charge [Wh] and the number of swaps performed so far."""
-
-    soc_wh: float
-    swap_count: int = 0
-
-
-@dataclass(frozen=True)
-class BatteryFlows:
-    """Energy bookkeeping for one step [Wh].
-
-    pv_used is the part of the step's demand met by freshly accepted solar
-    charge; drawn_from_battery covers the rest, so
-    demand == drawn_from_battery + pv_used holds exactly every step.
-    pv_wasted is accepted-charge overflow, counted after charge efficiency.
-    """
-
-    drawn_from_battery_wh: float
-    pv_used_wh: float
-    pv_wasted_wh: float
-
-
-def fresh_battery(spec: BatterySpec, swap_count: int = 0) -> BatteryState:
-    """A newly ferried pack: full usable window, reserve already deducted."""
-    return BatteryState(soc_wh=spec.usable_capacity_wh, swap_count=swap_count)
-
-
 def uav_hover_power(airframe: UavAirframe) -> float:
     """Electrical power [W] drawn through the tether to hold a hover.
 
@@ -249,47 +222,3 @@ def pv_power(spec: PvSpec, ghi_wm2, ambient_c):
            * (1.0 + spec.temp_coeff * (t_cell - spec.stc_cell_temp)))
     # max(0.0, out) for floats and arrays: NaN and -0.0 become 0.0 (not fmax)
     return np.where(out > 0.0, out, 0.0)[()]
-
-
-def battery_step(state: BatteryState, spec: BatterySpec, demand_wh: float,
-                 harvested_wh: float) -> tuple[BatteryState, BatteryFlows]:
-    """Advance the battery by one step: charge first, then discharge.
-
-    Order within the step:
-      1. accept harvested energy: accepted = min(harvested * charge_eff,
-         usable_cap - soc); the post-efficiency remainder is pv_wasted;
-      2. subtract the demand;
-      3. every time the state of charge goes negative, swap in a fresh pack
-         (swap_count += 1, soc += usable_cap); the deficit carries over.
-
-    pv_used is the slice of the accepted charge that offsets this step's
-    demand; any surplus accepted charge stays in the pack as SOC gain.
-    """
-    if demand_wh < 0:
-        raise ParameterError(f"demand must be >= 0, got {demand_wh}")
-    if harvested_wh < 0:
-        raise ParameterError(f"harvested must be >= 0, got {harvested_wh}")
-    cap = spec.usable_capacity_wh
-    if demand_wh > cap:
-        raise ParameterError(
-            f"step demand {demand_wh} Wh exceeds usable capacity {cap} Wh; "
-            "one battery cannot survive one step")
-    if state.soc_wh > cap + 1e-12:
-        raise ParameterError(f"soc {state.soc_wh} above usable capacity {cap}")
-
-    accepted = min(harvested_wh * spec.charge_efficiency, cap - state.soc_wh)
-    pv_wasted = harvested_wh * spec.charge_efficiency - accepted
-    pv_used = min(accepted, demand_wh)
-    drawn = demand_wh - pv_used
-
-    soc = state.soc_wh + accepted - demand_wh
-    swaps = state.swap_count
-    while soc < 0:
-        swaps += 1
-        soc += cap
-
-    new_state = BatteryState(soc_wh=soc, swap_count=swaps)
-    flows = BatteryFlows(drawn_from_battery_wh=drawn, pv_used_wh=pv_used,
-                         pv_wasted_wh=pv_wasted)
-    return new_state, flows
-

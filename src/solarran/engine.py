@@ -8,9 +8,9 @@ pack starts each day full while the swap counter keeps accumulating.
 
 ``run_network`` steps a pair's two runs as one block shaped (arms, days,
 stations), one day's 1440 minutes at a time; the arm without the solar
-feed is the same recurrence with zero charge. ``step`` is the scalar
-reference for one station and one minute, which the tests hold the array
-recurrence to bit for bit.
+feed is the same recurrence with zero charge. The tests hold it bit for
+bit to a scalar reference stepped per station and minute
+(tests/reference_engine.py).
 """
 
 from __future__ import annotations
@@ -22,10 +22,9 @@ import numpy as np
 
 from .design import (NetworkConfig, greedy_design, served_counts,
                      station_power_w)
-from .energy import (BatteryState, battery_step, mimo_power, pv_power,
-                     ris_power, uav_hover_power)
-from .scenario import (MINUTES_PER_DAY, AccessNode, Scenario, WeatherError,
-                       WeatherSeries, place_users)
+from .energy import pv_power
+from .scenario import (MINUTES_PER_DAY, Scenario, WeatherError, WeatherSeries,
+                       place_users)
 
 LEDGER_COLUMNS = ("t", "node_id", "consumed_wh", "hover_wh", "mimo_wh",
                   "ris_wh", "harvested_wh", "pv_used_wh", "pv_wasted_wh",
@@ -34,24 +33,6 @@ LEDGER_COLUMNS = ("t", "node_id", "consumed_wh", "hover_wh", "mimo_wh",
 
 class SimulationError(RuntimeError):
     """A step failed; the message carries the minute and node involved."""
-
-
-@dataclass(frozen=True)
-class StepLedgerEntry:
-    """Energy flows of one node over one step, all in Wh."""
-
-    node_id: int
-    t: int
-    consumed_wh: float
-    hover_wh: float
-    mimo_wh: float
-    ris_wh: float
-    harvested_wh: float
-    pv_used_wh: float
-    pv_wasted_wh: float
-    drawn_from_battery_wh: float
-    soc_after_wh: float
-    swaps_so_far: int
 
 
 @dataclass
@@ -80,35 +61,6 @@ class RunResult:
     ledger: dict[str, np.ndarray] = field(repr=False)
 
 
-def step(node: AccessNode, state: BatteryState, active: bool,
-         served_users: int, tx_power_dbm: float, ghi_wm2: float,
-         temp_c: float, with_res: bool, t: int,
-         dt_minutes: float = 1.0) -> tuple[BatteryState, StepLedgerEntry]:
-    """Advance one node by one step of dt_minutes (the scalar reference).
-
-    Consumption is hover plus transceiver plus reflective-surface power for
-    the step duration; harvest is the panel output over the same window
-    when the renewable feed is enabled, zero otherwise.
-    """
-    hours = dt_minutes / 60.0
-    hover_wh = uav_hover_power(node.airframe) * hours
-    mimo_wh = mimo_power(node.mimo, active, served_users, tx_power_dbm) * hours
-    ris_wh = ris_power(node.ris) * hours
-    consumed = hover_wh + mimo_wh + ris_wh
-    if with_res:
-        harvested = pv_power(node.pv, ghi_wm2, temp_c) * hours
-    else:
-        harvested = 0.0
-    new_state, flows = battery_step(state, node.battery, consumed, harvested)
-    entry = StepLedgerEntry(
-        node_id=node.node_id, t=t, consumed_wh=consumed, hover_wh=hover_wh,
-        mimo_wh=mimo_wh, ris_wh=ris_wh, harvested_wh=harvested,
-        pv_used_wh=flows.pv_used_wh, pv_wasted_wh=flows.pv_wasted_wh,
-        drawn_from_battery_wh=flows.drawn_from_battery_wh,
-        soc_after_wh=new_state.soc_wh, swaps_so_far=new_state.swap_count)
-    return new_state, entry
-
-
 def _step_error(t: int, node_id: int, problem) -> SimulationError:
     return SimulationError(f"step failed at t={t}, node_id={node_id}: {problem}")
 
@@ -132,11 +84,15 @@ def run_network(scenario: Scenario, weather: WeatherSeries, seed: int,
     as one block shaped (arms, days, stations) over the minutes of a day.
 
     Deterministic given (scenario, weather, network); seed is only
-    recorded. It reproduces a loop of the scalar ``step`` bit for bit:
-    each station draws what station_power_w gives its cell, constant over
-    the run; the panel output is computed for all minutes up front (zero
-    in the arm without the solar feed); and since the step demand never
-    exceeds the usable capacity a minute needs at most one swap.
+    recorded. Each minute a pack first accepts its charge, up to the room
+    left in the usable window, then pays the demand, and a fresh pack is
+    swapped in when the charge goes negative. This reproduces a
+    per-station, per-minute loop of the scalar reference in
+    tests/reference_engine.py bit for bit: each station draws what
+    station_power_w gives its cell, constant over the run; the panel output
+    is computed for all minutes up front (zero in the arm without the solar
+    feed); and since the step demand never exceeds the usable capacity a
+    minute needs at most one swap.
     """
     n_days = len(scenario.dates)
     n_steps = n_days * MINUTES_PER_DAY
@@ -311,34 +267,27 @@ def compute_metrics(pairs: Sequence[tuple[RunResult, RunResult]],
 
     for day, name in enumerate(season_names):
         harvest_means = []
-        arecs = []
-        anuc_no = []
-        anuc_with = []
         peak = 0.0
-        for r, (no_res, with_res) in enumerate(pairs):
+        for run, (no_res, with_res) in zip(per_run, pairs):
             harvest_means.append(float(np.mean(with_res.harvested_wh[day])))
+            peak = max(peak, float(np.max(with_res.peak_pv_w[day])))
             consumed = float(np.sum(with_res.consumed_wh[day]))
             used = float(np.sum(with_res.pv_used_wh[day]))
-            arec = 100.0 * used / consumed if consumed > 0 else 0.0
-            arecs.append(arec)
-            anuc_no.append(float(np.mean(no_res.swaps[day])))
-            anuc_with.append(float(np.mean(with_res.swaps[day])))
-            peak = max(peak, float(np.max(with_res.peak_pv_w[day])))
-            per_run[r]["seasons"][name] = {
+            run["seasons"][name] = {
                 "consumed_wh": consumed,
                 "harvested_wh": float(np.sum(with_res.harvested_wh[day])),
                 "pv_used_wh": used,
                 "pv_wasted_wh": float(np.sum(with_res.pv_wasted_wh[day])),
-                "arec_percent": arec,
+                "arec_percent": 100.0 * used / consumed if consumed > 0 else 0.0,
                 "anuc_no_res": float(np.mean(no_res.swaps[day])),
                 "anuc_with_res": float(np.mean(with_res.swaps[day])),
             }
+        rows = [run["seasons"][name] for run in per_run]
         seasons[name] = SeasonStats(
             total_harvest_wh=float(np.mean(harvest_means)),
             peak_harvest_w=peak,
-            arec_percent=float(np.mean(arecs)),
-            anuc_no_res=float(np.mean(anuc_no)),
-            anuc_with_res=float(np.mean(anuc_with)))
+            **{key: float(np.mean([row[key] for row in rows]))
+               for key in ("arec_percent", "anuc_no_res", "anuc_with_res")})
 
     mean = SeasonStats(**{f.name: float(np.mean([getattr(s, f.name)
                                                   for s in seasons.values()]))

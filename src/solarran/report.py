@@ -49,16 +49,18 @@ def write_metrics_json(metrics: StudyMetrics, config_echo: dict,
                     + "\n", encoding="utf-8")
 
 
+def _summary_rows(metrics: StudyMetrics) -> list[tuple[str, ...]]:
+    """The season rows and their mean: the name, then the SeasonStats
+    fields in order with two decimals."""
+    rows = [(name, metrics.seasons[name]) for name in metrics.season_names]
+    rows.append(("mean", metrics.mean))
+    return [(name, *(f"{v:.2f}" for v in dataclasses.astuple(s)))
+            for name, s in rows]
+
+
 def write_summary_csv(metrics: StudyMetrics, path: Path) -> None:
     """Five rows (four seasons plus their mean), two decimals per cell."""
-    lines = [SUMMARY_HEADER]
-    for name in metrics.season_names:
-        s = metrics.seasons[name]
-        lines.append(f"{name},{s.total_harvest_wh:.2f},{s.peak_harvest_w:.2f},"
-                     f"{s.arec_percent:.2f},{s.anuc_no_res:.2f},{s.anuc_with_res:.2f}")
-    m = metrics.mean
-    lines.append(f"mean,{m.total_harvest_wh:.2f},{m.peak_harvest_w:.2f},"
-                 f"{m.arec_percent:.2f},{m.anuc_no_res:.2f},{m.anuc_with_res:.2f}")
+    lines = [SUMMARY_HEADER, *map(",".join, _summary_rows(metrics))]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -139,12 +141,5 @@ def format_summary_table(metrics: StudyMetrics) -> str:
     widths = (8, 18, 15, 13, 12, 14)
     header = ("season", "harvest_total_wh", "peak_harvest_w", "arec_percent",
               "anuc_no_res", "anuc_with_res")
-    lines = ["".join(h.ljust(w) for h, w in zip(header, widths))]
-    rows = [(name, metrics.seasons[name]) for name in metrics.season_names]
-    rows.append(("mean", metrics.mean))
-    for name, s in rows:
-        cells = (name, f"{s.total_harvest_wh:.2f}", f"{s.peak_harvest_w:.2f}",
-                 f"{s.arec_percent:.2f}", f"{s.anuc_no_res:.2f}",
-                 f"{s.anuc_with_res:.2f}")
-        lines.append("".join(c.ljust(w) for c, w in zip(cells, widths)))
-    return "\n".join(lines)
+    return "\n".join("".join(c.ljust(w) for c, w in zip(cells, widths))
+                     for cells in (header, *_summary_rows(metrics)))

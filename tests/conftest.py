@@ -1,9 +1,16 @@
-"""Shared helpers for building tiny design instances and checking
-assignment validity."""
+"""Shared helpers for building tiny design instances, checking assignment
+validity and stepping one station through a day."""
 
-from solarran.design import enumerate_candidates
+import datetime
+
+import numpy as np
+
+from solarran.design import (Assignment, CellConfig, NetworkConfig,
+                             enumerate_candidates)
+from solarran.engine import run_network
 from solarran.radio import Position
-from solarran.scenario import AccessNode, UserTerminal
+from solarran.scenario import (MINUTES_PER_DAY, AccessNode, Scenario,
+                               UserTerminal, WeatherSeries)
 
 
 def make_node(nid, x, y, z=50.0):
@@ -12,6 +19,22 @@ def make_node(nid, x, y, z=50.0):
 
 def make_user(uid, x, y, z=1.5):
     return UserTerminal(user_id=uid, position=Position(x, y, z))
+
+
+def one_station_day(node, ghi_wm2=0.0, temp_c=20.0, tx_power_dbm=None,
+                    served=0):
+    """Both arms of run_network for one station over one day; the weather
+    is per-minute arrays or one value for every minute, and tx_power_dbm is
+    None for a sleeping cell."""
+    weather = WeatherSeries(*(np.broadcast_to(v, MINUTES_PER_DAY)
+                              for v in (ghi_wm2, temp_c)))
+    network = NetworkConfig(
+        cells=(CellConfig(node.node_id, tx_power_dbm is not None, tx_power_dbm),),
+        assignment=Assignment(users={u: (node.node_id, 1, 1)
+                                     for u in range(served)}, node_loads={}),
+        covered_count=served, total_power_w=0.0)
+    scenario = Scenario(nodes=(node,), dates=(datetime.date(2022, 6, 21),))
+    return run_network(scenario, weather, seed=0, network=network)
 
 
 def candidate_links(nodes, users, params, dl, ul):

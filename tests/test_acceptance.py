@@ -6,22 +6,26 @@ the nine-station example layout with synthetic weather) exactly as
 ``solarran simulate --seed 42`` would.
 """
 
+import dataclasses
 import json
 import math
 import time
 
 import numpy as np
 import pytest
-from conftest import check_assignment_valid, check_local_minimality, make_node, make_user
+from conftest import (check_assignment_valid, check_local_minimality,
+                      make_node, make_user, one_station_day)
+from reference_engine import reference_step
 
 from solarran.cli import main
-from solarran.design import brute_force_design, greedy_design
+from solarran.design import brute_force_design, greedy_design, station_power_w
 from solarran.energy import (BatterySpec, MimoSpec, PvSpec, RisSpec,
-                             UavAirframe, battery_step, fresh_battery,
-                             pv_power, uav_hover_power)
-from solarran.engine import compute_metrics, run_pair, step
-from solarran.radio import RadioParams
-from solarran.scenario import SEASONS, scenario_from_dict, synth_study_series
+                             UavAirframe, mimo_power, pv_power, ris_power,
+                             uav_hover_power)
+from solarran.engine import compute_metrics, run_pair
+from solarran.radio import Position, RadioParams
+from solarran.scenario import (SEASONS, AccessNode, scenario_from_dict,
+                               synth_study_series)
 
 MASTER_SEED = 42
 
@@ -52,10 +56,12 @@ def _random_airframe(rng):
 
 def test_criterion_1_conservation_suite():
     """Per-step conservation, SOC bounds, and swap monotonicity over >=100
-    random scenarios within 1e-9 Wh, in under 10 seconds."""
-    from solarran.scenario import AccessNode
-    from solarran.radio import Position
+    random scenarios within 1e-9 Wh, in under 10 seconds.
 
+    Each scenario is one random station stepped by run_network through a
+    day of random minute weather, checked on both arms' ledgers. A run's
+    design is fixed, so the cell's activity, served users and power level
+    are also redrawn every minute in a loop of the scalar reference."""
     rng = np.random.default_rng(1001)
     t0 = time.monotonic()
     scenarios = 120
@@ -70,22 +76,35 @@ def test_criterion_1_conservation_suite():
                           pv=PvSpec(rated_power=float(rng.uniform(50, 300))),
                           battery=battery)
         cap = battery.usable_capacity_wh
-        state = fresh_battery(battery)
-        prev_swaps = state.swap_count
-        for t in range(int(rng.integers(30, 80))):
-            ghi_wm2 = float(rng.uniform(0, 1100))
-            temp_c = float(rng.uniform(-15, 35))
+        active = bool(rng.integers(0, 2))
+        for run in one_station_day(
+                node, rng.uniform(0, 1100, 1440), rng.uniform(-15, 35, 1440),
+                float(rng.choice([28.0, 34.0, 40.0])) if active else None,
+                int(rng.integers(0, 8)) if active else 0):
+            led = run.ledger
+            gap = np.abs(led["consumed_wh"] - (led["drawn_wh"] + led["pv_used_wh"]))
+            assert gap.max() <= 1e-9, f"conservation gap {gap.max()}"
+            assert (-1e-12 <= led["soc_wh"]).all()
+            assert (led["soc_wh"] <= cap + 1e-9).all()
+            assert (np.diff(led["swaps"]) >= 0).all()
+
+        soc, swaps = cap, 0
+        for _ in range(int(rng.integers(30, 80))):
             active = bool(rng.integers(0, 2))
             users = int(rng.integers(0, 8)) if active else 0
             level = float(rng.choice([28.0, 34.0, 40.0])) if active else 0.0
-            state, entry = step(node, state, active, users, level, ghi_wm2,
-                                temp_c, with_res=bool(rng.integers(0, 2)), t=t)
-            gap = abs(entry.consumed_wh
-                      - (entry.drawn_from_battery_wh + entry.pv_used_wh))
+            demand = (uav_hover_power(node.airframe) + ris_power(node.ris)
+                      + mimo_power(node.mimo, active, users, level)) / 60.0
+            harvested = (pv_power(node.pv, float(rng.uniform(0, 1100)),
+                                  float(rng.uniform(-15, 35))) / 60.0
+                         if rng.integers(0, 2) else 0.0)
+            prev_swaps = swaps
+            soc, swaps, pv_used, _, drawn = reference_step(
+                soc, swaps, cap, battery.charge_efficiency, demand, harvested)
+            gap = abs(demand - (drawn + pv_used))
             assert gap <= 1e-9, f"conservation gap {gap}"
-            assert -1e-12 <= entry.soc_after_wh <= cap + 1e-9
-            assert entry.swaps_so_far >= prev_swaps
-            prev_swaps = entry.swaps_so_far
+            assert -1e-12 <= soc <= cap + 1e-9
+            assert swaps >= prev_swaps
     elapsed = time.monotonic() - t0
     assert elapsed < 10.0, f"conservation suite took {elapsed:.1f}s"
     print(f"\nCRITERION 1 PASS: conservation held on {scenarios} random "
@@ -145,27 +164,30 @@ def test_criterion_3_calibration_consistency(default_study):
 
 
 def test_criterion_4_closed_form_swap_oracle():
-    """A constant-load, no-harvest day performs exactly floor(E/U) swaps."""
+    """A constant-load, no-harvest day performs exactly floor(E/U) swaps.
+
+    Each (E, U) pair is one random station stepped by run_network without
+    solar; its pack is sized so that the usable window is the day's
+    consumption over a drawn E/U."""
     rng = np.random.default_rng(4004)
     checked = 0
     while checked < 20:
-        capacity = float(rng.uniform(100.0, 1200.0))
-        spec = BatterySpec(capacity_wh=capacity,
-                           flight_reserve=float(rng.uniform(0.02, 0.10)))
-        usable = spec.usable_capacity_wh
-        daily = float(rng.uniform(0.2, 12.0)) * usable
+        node = AccessNode(node_id=0, position=Position(0, 0, 50),
+                          airframe=_random_airframe(rng))
+        level = float(rng.choice([28.0, 34.0, 40.0]))
+        daily = 24.0 * sum(station_power_w(node, level, 3))
+        reserve = float(rng.uniform(0.02, 0.10))
+        capacity = daily / float(rng.uniform(0.2, 12.0)) / (1.0 - reserve)
+        node = dataclasses.replace(node, battery=BatterySpec(
+            capacity_wh=capacity, flight_reserve=reserve))
+        no_res, _ = one_station_day(node, tx_power_dbm=level, served=3)
+        e, u = no_res.consumed_wh[0, 0], no_res.usable_capacity_wh[0]
         # skip draws sitting on an exact multiple of the usable window,
         # where the swap count is knife-edge by construction
-        if abs(daily / usable - round(daily / usable)) < 1e-6:
+        if abs(e / u - round(e / u)) < 1e-6:
             continue
-        if daily / 1440.0 > usable:
-            continue
-        state = fresh_battery(spec)
-        for _ in range(1440):
-            state, _ = battery_step(state, spec, daily / 1440.0, 0.0)
-        assert state.swap_count == math.floor(daily / usable), (
-            f"E={daily}, U={usable}: {state.swap_count} "
-            f"!= {math.floor(daily / usable)}")
+        assert no_res.swaps[0, 0] == math.floor(e / u), (
+            f"E={e}, U={u}: {no_res.swaps[0, 0]} != {math.floor(e / u)}")
         checked += 1
     print(f"\nCRITERION 4 PASS: floor(E/U) swap count exact on {checked} "
           f"random (E, U) pairs")
@@ -252,8 +274,6 @@ def test_criterion_7_cli_determinism(tmp_path):
 def test_criterion_8_hover_scaling():
     """Drawn hover power scales as mass^1.5 and area^-0.5 within 1e-9
     relative error on random parameter pairs."""
-    import dataclasses
-
     rng = np.random.default_rng(8008)
     pairs = 200
     for _ in range(pairs):

@@ -256,6 +256,24 @@ class TestSimulate:
         assert f"cannot read {flag[2:]}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("out", ["afile", "afile/sub"])
+    def test_out_on_a_file_exits_2_before_any_pair(self, tmp_path, capsys,
+                                                   monkeypatch, out):
+        afile = tmp_path / "afile"
+        afile.write_text("kept")
+
+        def no_pair(*args, **kwargs):
+            raise AssertionError("a pair was stepped")
+
+        monkeypatch.setattr(cli, "run_pair", no_pair)
+        rc = main(["simulate", "--config", str(write_tiny_config(tmp_path)),
+                   "--out", str(tmp_path / out)])
+        assert rc == 2
+        assert (f"--out {tmp_path / out}: {afile} is not a directory"
+                in capsys.readouterr().err)
+        assert afile.read_text() == "kept"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "tiny.json"]
+
     def test_rerun_replaces_the_previous_study(self, tmp_path):
         config = write_tiny_config(tmp_path)
         out = tmp_path / "out"

@@ -2,13 +2,17 @@
 
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from conftest import one_station_day
+from hypothesis import example, given, strategies as st
+from reference_engine import reference_step
 
-from solarran.energy import (BatterySpec, BatteryState, MimoSpec,
-                             ParameterError, PvSpec, RisSpec, UavAirframe,
-                             battery_step, cell_temperature, fresh_battery,
+from solarran.energy import (BatterySpec, MimoSpec, ParameterError, PvSpec,
+                             RisSpec, UavAirframe, cell_temperature,
                              mimo_power, pv_power, ris_power, uav_hover_power)
+from solarran.radio import Position
+from solarran.scenario import AccessNode
 
 # Frozen reference values, evaluated by hand with an independent calculator.
 HOVER_REF_AIRFRAME = UavAirframe(total_mass=2.0, rotor_count=4, rotor_radius=0.2,
@@ -139,43 +143,57 @@ class TestPvPower:
         lo, hi = sorted((g1, g2))
         assert pv_power(spec, lo, ambient) <= pv_power(spec, hi, ambient)
 
+    @given(st.lists(st.tuples(st.one_of(st.just(0.0), st.floats(0.0, 1500.0)),
+                              st.floats(-40.0, 400.0)), min_size=1, max_size=40),
+           st.sampled_from([-0.0035, -0.01]))
+    @example([(0.0, 20.0), (800.0, 25.0), (1000.0, 300.0)], -0.01)
+    def test_array_call_is_the_float_calls(self, weather, temp_coeff):
+        # what the engine computes per station equals the float model per
+        # minute, bit for bit; hot cells floor the output to 0
+        spec = PvSpec(temp_coeff=temp_coeff)
+        ghi, temp = (np.array(column) for column in zip(*weather))
+        per_minute = [pv_power(spec, g, t) for g, t in weather]
+        assert (pv_power(spec, ghi, temp).view(np.int64)
+                == np.array(per_minute).view(np.int64)).all()
+
     def test_negative_irradiance_rejected(self):
         with pytest.raises(ParameterError):
             pv_power(PvSpec(), -1.0, 20.0)
 
 
 class TestBatteryStep:
+    """The battery recurrence, on the scalar reference that run_network is
+    held to bit for bit."""
+
     def test_idle_step_is_identity(self):
         spec = BatterySpec()
-        state = BatteryState(soc_wh=400.0, swap_count=2)
-        new, flows = battery_step(state, spec, 0.0, 0.0)
-        assert new == state
-        assert flows.drawn_from_battery_wh == 0.0
-        assert flows.pv_used_wh == 0.0
-        assert flows.pv_wasted_wh == 0.0
+        assert reference_step(400.0, 2, spec.usable_capacity_wh,
+                              spec.charge_efficiency, 0.0, 0.0) == (
+                                  400.0, 2, 0.0, 0.0, 0.0)
 
     def test_swap_with_deficit_carryover(self):
         spec = BatterySpec()  # usable 724.85
-        new, flows = battery_step(BatteryState(soc_wh=10.0), spec, 15.0, 0.0)
-        assert new.swap_count == 1
-        assert new.soc_wh == pytest.approx(719.85, abs=1e-12)
-        assert flows.drawn_from_battery_wh == 15.0
+        soc, swaps, _, _, drawn = reference_step(
+            10.0, 0, spec.usable_capacity_wh, spec.charge_efficiency, 15.0, 0.0)
+        assert swaps == 1
+        assert soc == pytest.approx(719.85, abs=1e-12)
+        assert drawn == 15.0
 
     def test_overflow_is_wasted_post_efficiency(self):
         spec = BatterySpec(capacity_wh=763.0, charge_efficiency=0.95)
-        new, flows = battery_step(BatteryState(soc_wh=720.0), spec, 0.0, 10.0)
-        assert new.soc_wh == pytest.approx(724.85, abs=1e-12)
-        assert flows.pv_wasted_wh == pytest.approx(4.65, abs=1e-12)
-        assert flows.pv_used_wh == 0.0
-
-    def test_step_demand_beyond_capacity_rejected(self):
-        spec = BatterySpec()
-        with pytest.raises(ParameterError):
-            battery_step(fresh_battery(spec), spec, spec.usable_capacity_wh + 1, 0.0)
+        soc, _, pv_used, pv_wasted, _ = reference_step(
+            720.0, 0, spec.usable_capacity_wh, spec.charge_efficiency, 0.0, 10.0)
+        assert soc == pytest.approx(724.85, abs=1e-12)
+        assert pv_wasted == pytest.approx(4.65, abs=1e-12)
+        assert pv_used == 0.0
 
     def test_fresh_battery_starts_at_usable_cap(self):
         spec = BatterySpec(capacity_wh=763.0, flight_reserve=0.05)
-        assert fresh_battery(spec).soc_wh == pytest.approx(724.85)
+        no_res, _ = one_station_day(AccessNode(0, Position(0.0, 0.0, 50.0),
+                                               battery=spec))
+        assert no_res.usable_capacity_wh[0] == pytest.approx(724.85)
+        assert no_res.ledger["soc_wh"][0] == (
+            no_res.usable_capacity_wh[0] - no_res.ledger["consumed_wh"][0])
 
     @given(soc_frac=st.floats(0.0, 1.0),
            demand=st.floats(0.0, 700.0),
@@ -183,23 +201,22 @@ class TestBatteryStep:
     def test_conservation_and_bounds(self, soc_frac, demand, harvested):
         spec = BatterySpec()
         cap = spec.usable_capacity_wh
-        state = BatteryState(soc_wh=soc_frac * cap, swap_count=3)
-        new, flows = battery_step(state, spec, demand, harvested)
+        soc = soc_frac * cap
+        new_soc, swaps, pv_used, pv_wasted, drawn = reference_step(
+            soc, 3, cap, spec.charge_efficiency, demand, harvested)
 
-        accepted = min(harvested * spec.charge_efficiency, cap - state.soc_wh)
-        swaps = new.swap_count - state.swap_count
+        accepted = min(harvested * spec.charge_efficiency, cap - soc)
         # energy balance of the pack itself
-        assert new.soc_wh - state.soc_wh == pytest.approx(
-            accepted - demand + swaps * cap, abs=1e-9)
+        assert new_soc - soc == pytest.approx(
+            accepted - demand + (swaps - 3) * cap, abs=1e-9)
         # demand split is exact
-        assert flows.drawn_from_battery_wh + flows.pv_used_wh == pytest.approx(
-            demand, abs=1e-9)
+        assert drawn + pv_used == pytest.approx(demand, abs=1e-9)
         # post-efficiency harvest split (used + stored + wasted)
-        stored = accepted - flows.pv_used_wh
-        assert flows.pv_used_wh + stored + flows.pv_wasted_wh == pytest.approx(
+        stored = accepted - pv_used
+        assert pv_used + stored + pv_wasted == pytest.approx(
             harvested * spec.charge_efficiency, abs=1e-9)
-        assert flows.drawn_from_battery_wh >= 0
-        assert flows.pv_used_wh >= 0
-        assert flows.pv_wasted_wh >= -1e-12
-        assert 0 <= new.soc_wh <= cap + 1e-9
-        assert new.swap_count >= state.swap_count
+        assert drawn >= 0
+        assert pv_used >= 0
+        assert pv_wasted >= -1e-12
+        assert 0 <= new_soc <= cap + 1e-9
+        assert swaps >= 3

@@ -1,17 +1,17 @@
-"""Tests for the stepper, full runs, and metric aggregation."""
+"""Tests for the array stepper, full runs, and metric aggregation."""
 
 import dataclasses
 import math
 
 import numpy as np
 import pytest
+from conftest import one_station_day
 
 from solarran.design import greedy_design, served_counts, station_power_w
-from solarran.energy import (BatterySpec, ParameterError, fresh_battery,
-                             mimo_power, ris_power, uav_hover_power)
+from solarran.energy import (BatterySpec, mimo_power, ris_power,
+                             uav_hover_power)
 from solarran.engine import (RunResult, SimulationError, compute_metrics,
-                             run_network, run_pair, step,
-                             verify_conservation)
+                             run_network, run_pair, verify_conservation)
 from solarran.scenario import (WeatherError, WeatherSeries, place_users,
                                scenario_from_dict, synth_study_series)
 
@@ -46,37 +46,31 @@ def small_pair(small_scenario):
 
 
 class TestStep:
+    """One station stepped through one day."""
+
     def test_night_inactive_cell(self, small_scenario):
         node = small_scenario.nodes[0]
-        state = fresh_battery(node.battery)
-        new, entry = step(node, state, False, 0, 0.0, 0.0, 5.0, True, 0)
+        led = one_station_day(node, 0.0, 5.0)[True].ledger
         expected = (uav_hover_power(node.airframe) + node.mimo.sleep_power
                     + ris_power(node.ris)) / 60.0
-        assert entry.consumed_wh == pytest.approx(expected, rel=1e-12)
-        assert entry.harvested_wh == 0.0
-        assert entry.mimo_wh == pytest.approx(node.mimo.sleep_power / 60.0)
-        assert new.soc_wh < state.soc_wh
+        assert led["consumed_wh"][0] == pytest.approx(expected, rel=1e-12)
+        assert not led["harvested_wh"].any()
+        assert led["mimo_wh"][0] == pytest.approx(node.mimo.sleep_power / 60.0)
+        assert led["soc_wh"][0] < node.battery.usable_capacity_wh
 
     def test_without_res_harvest_is_zero(self, small_scenario):
-        node = small_scenario.nodes[0]
-        _, entry = step(node, fresh_battery(node.battery), True, 3, 40.0,
-                        800.0, 20.0, False, 720)
-        assert entry.harvested_wh == 0.0
-        _, entry_res = step(node, fresh_battery(node.battery), True, 3, 40.0,
-                            800.0, 20.0, True, 720)
-        assert entry_res.harvested_wh > 0.0
+        no_res, with_res = one_station_day(small_scenario.nodes[0], 800.0,
+                                           20.0, 40.0, 3)
+        assert not no_res.ledger["harvested_wh"].any()
+        assert (with_res.ledger["harvested_wh"] > 0.0).all()
 
     def test_constant_draw_day_sums_exactly(self, small_scenario):
         node = small_scenario.nodes[0]
-        state = fresh_battery(node.battery)
         power_w = (uav_hover_power(node.airframe)
                    + mimo_power(node.mimo, True, 2, 34.0) + ris_power(node.ris))
-        total = 0.0
-        for t in range(1440):
-            state, entry = step(node, state, True, 2, 34.0, 0.0, 5.0, False, t)
-            total += entry.consumed_wh
-        assert total == pytest.approx(24.0 * power_w, rel=1e-9)
-        assert state.swap_count == math.floor(
+        no_res = one_station_day(node, 0.0, 5.0, 34.0, 2)[False]
+        assert no_res.consumed_wh[0, 0] == pytest.approx(24.0 * power_w, rel=1e-9)
+        assert no_res.swaps[0, 0] == math.floor(
             24.0 * power_w / node.battery.usable_capacity_wh)
 
 
@@ -170,18 +164,14 @@ class TestRunSimulation:
 
 
 class TestStepErrors:
-    """The array path refuses what the scalar step refuses, naming the
-    minute and the station."""
+    """run_network refuses a minute that one battery cannot account for,
+    naming the minute and the station."""
 
     def test_negative_ghi(self, small_scenario):
         series = synth_study_series(small_scenario, seed=3)
         ghi = series.ghi_wm2.copy()
         ghi[2000] = -1.0
         series = WeatherSeries(ghi, series.temp_c)
-        node = min(small_scenario.nodes, key=lambda n: n.node_id)
-        with pytest.raises(ParameterError, match="ghi"):
-            step(node, fresh_battery(node.battery), False, 0, 0.0,
-                 series.ghi_wm2[2000], series.temp_c[2000], True, 2000)
         with pytest.raises(SimulationError, match=r"t=2000, node_id=0: ghi"):
             run_network(small_scenario, series, 3,
                         network=designed(small_scenario, 3))
@@ -192,10 +182,6 @@ class TestStepErrors:
                       for n in small_scenario.nodes)
         scenario = dataclasses.replace(small_scenario, nodes=nodes)
         series = synth_study_series(scenario, seed=3)
-        node = next(n for n in nodes if n.node_id == 2)
-        with pytest.raises(ParameterError, match="exceeds usable capacity"):
-            step(node, fresh_battery(tiny), False, 0, 0.0, series.ghi_wm2[0],
-                 series.temp_c[0], False, 0)
         with pytest.raises(SimulationError,
                            match=r"t=0, node_id=2: step demand .* one battery"):
             run_network(scenario, series, 3, network=designed(scenario, 3))

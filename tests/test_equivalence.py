@@ -1,71 +1,71 @@
-"""The array recurrence of run_network against a loop of the scalar step.
+"""The array recurrence of run_network against a loop of the scalar
+reference_step.
 
 Every ledger column and every day-total array must be bit-identical to what
 the per-station, per-minute reference produces; no tolerance is allowed.
 """
 
 import datetime
+from collections import Counter
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
+from reference_engine import reference_step
 
 from solarran.design import Assignment, CellConfig, NetworkConfig
-from solarran.energy import (BatterySpec, BatteryState, PvSpec, UavAirframe,
-                             fresh_battery)
-from solarran.engine import LEDGER_COLUMNS, run_network, step
+from solarran.energy import (BatterySpec, PvSpec, UavAirframe, mimo_power,
+                             pv_power, ris_power, uav_hover_power)
+from solarran.engine import LEDGER_COLUMNS, run_network
 from solarran.radio import Position
 from solarran.scenario import (MINUTES_PER_DAY, AccessNode, Scenario,
                                WeatherSeries)
 
 DAY_TOTALS = ("consumed_wh", "harvested_wh", "pv_used_wh", "pv_wasted_wh",
               "drawn_wh", "swaps", "peak_pv_w")
+HOURS = 1.0 / 60.0  # one minute
 
 
 def reference_run(scenario, series, network, with_res):
-    """The per-step loop: one step() call per station and minute."""
-    served = {}
-    for nid, _, _ in network.assignment.users.values():
-        served[nid] = served.get(nid, 0) + 1
+    """One arm as loops: a reference_step per station and minute, a full
+    pack every morning, and day totals summed in minute order."""
+    served = Counter(nid for nid, _, _ in network.assignment.users.values())
     cells = {c.node_id: c for c in network.cells}
     nodes = sorted(scenario.nodes, key=lambda n: n.node_id)
-    n_days, n_nodes = len(scenario.dates), len(nodes)
-    totals = {name: np.zeros((n_days, n_nodes)) for name in DAY_TOTALS}
-    totals["swaps"] = np.zeros((n_days, n_nodes), dtype=np.int64)
-    columns = {name: [] for name in LEDGER_COLUMNS}
-    states = [fresh_battery(n.battery) for n in nodes]
-    for day in range(n_days):
-        states = [BatteryState(n.battery.usable_capacity_wh, s.swap_count)
-                  for s, n in zip(states, nodes)]
-        at_start = [s.swap_count for s in states]
-        for minute in range(MINUTES_PER_DAY):
-            t = day * MINUTES_PER_DAY + minute
-            for i, node in enumerate(nodes):
-                cell = cells[node.node_id]
-                states[i], e = step(node, states[i], cell.active,
-                                    served.get(node.node_id, 0),
-                                    cell.tx_power_dbm if cell.active else 0.0,
-                                    series.ghi_wm2[t], series.temp_c[t],
-                                    with_res, t)
-                totals["consumed_wh"][day, i] += e.consumed_wh
-                totals["harvested_wh"][day, i] += e.harvested_wh
-                totals["pv_used_wh"][day, i] += e.pv_used_wh
-                totals["pv_wasted_wh"][day, i] += e.pv_wasted_wh
-                totals["drawn_wh"][day, i] += e.drawn_from_battery_wh
-                if e.harvested_wh * 60.0 > totals["peak_pv_w"][day, i]:
-                    totals["peak_pv_w"][day, i] = e.harvested_wh * 60.0
-                for name, value in (
-                        ("t", e.t), ("node_id", e.node_id),
-                        ("consumed_wh", e.consumed_wh), ("hover_wh", e.hover_wh),
-                        ("mimo_wh", e.mimo_wh), ("ris_wh", e.ris_wh),
-                        ("harvested_wh", e.harvested_wh),
-                        ("pv_used_wh", e.pv_used_wh),
-                        ("pv_wasted_wh", e.pv_wasted_wh),
-                        ("drawn_wh", e.drawn_from_battery_wh),
-                        ("soc_wh", e.soc_after_wh), ("swaps", e.swaps_so_far)):
-                    columns[name].append(value)
-        for i in range(n_nodes):
-            totals["swaps"][day, i] = states[i].swap_count - at_start[i]
-    return {name: np.asarray(v) for name, v in columns.items()}, totals
+    n_days = len(scenario.dates)
+    rows = np.zeros((len(series), len(nodes), len(LEDGER_COLUMNS)))
+    totals = np.zeros((len(DAY_TOTALS), n_days, len(nodes)))
+    for i, node in enumerate(nodes):
+        cell = cells[node.node_id]
+        hover, mimo, ris = (w * HOURS for w in (
+            uav_hover_power(node.airframe),
+            mimo_power(node.mimo, cell.active, served[node.node_id],
+                       cell.tx_power_dbm if cell.active else 0.0),
+            ris_power(node.ris)))
+        demand = hover + mimo + ris
+        # one panel call per station over the whole series, as the engine does
+        pv_w = (pv_power(node.pv, series.ghi_wm2, series.temp_c) if with_res
+                else np.zeros(len(series))).tolist()
+        cap, swaps = node.battery.usable_capacity_wh, 0
+        for day in range(n_days):
+            soc, at_start = cap, swaps
+            sums, peak = [0.0] * 5, 0.0
+            for t in range(day * MINUTES_PER_DAY, (day + 1) * MINUTES_PER_DAY):
+                harvested = pv_w[t] * HOURS
+                soc, swaps, used, wasted, drawn = reference_step(
+                    soc, swaps, cap, node.battery.charge_efficiency, demand,
+                    harvested)
+                flows = (demand, harvested, used, wasted, drawn)
+                sums = [s + f for s, f in zip(sums, flows)]
+                peak = max(peak, harvested * 60.0)
+                rows[t, i] = (t, node.node_id, demand, hover, mimo, ris,
+                              *flows[1:], soc, swaps)
+            totals[:, day, i] = (*sums, swaps - at_start, peak)
+    ledger = {name: rows[..., j].ravel() for j, name in enumerate(LEDGER_COLUMNS)}
+    for name in ("t", "node_id", "swaps"):  # whole numbers, exact as floats
+        ledger[name] = ledger[name].astype(np.int64)
+    day_totals = dict(zip(DAY_TOTALS, totals))
+    day_totals["swaps"] = day_totals["swaps"].astype(np.int64)
+    return ledger, day_totals
 
 
 def assert_bits_equal(got, want, what):
