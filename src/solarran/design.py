@@ -147,22 +147,35 @@ def _network_config(nodes: Sequence[AccessNode], active: dict[int, float],
                          total_power_w=total_power)
 
 
-def _admit_users(cost: np.ndarray, capacity: int) -> np.ndarray:
-    """Positions of cost that a first-fit scan in order admits: each entry
-    is taken if it still fits in the blocks left. A run of entries that
-    all fit is taken at once from a running sum; an entry that does not
-    fit now never fits later, so each run leaves fewer candidates."""
-    candidates = (cost <= capacity).nonzero()[0]
-    taken = []
+def _fit_row(cost: np.ndarray, capacity: int) -> tuple[list[int], list[int], list[int]]:
+    """The first-fit data of one (node, level) row of block costs: the
+    ascending positions of the users whose cost fits an empty cell, their
+    costs as whole ints, and the suffix minimum of those costs."""
+    fits = (cost <= capacity).nonzero()[0]
+    blocks = cost[fits].astype(np.int64)
+    least = np.minimum.accumulate(blocks[::-1])[::-1]
+    return fits.tolist(), blocks.tolist(), least.tolist()
+
+
+def _first_fit(row: tuple[list[int], list[int], list[int]], capacity: int,
+              taken: list[bool]) -> list[int]:
+    """Positions that a first-fit scan of a _fit_row row admits: in order,
+    each user not yet taken is admitted if its cost fits in the blocks
+    left. The scan stops once the blocks left are fewer than every later
+    cost.
+
+    A user that does not fit is passed over without changing the blocks
+    left, so taking users the scan did not admit never changes its result.
+    """
+    admitted = []
     remaining = capacity
-    while candidates.size:
-        run = cost[candidates].cumsum()
-        count = run.searchsorted(remaining, side="right")
-        taken.append(candidates[:count])
-        remaining -= run[count - 1]
-        candidates = candidates[count:]
-        candidates = candidates[cost[candidates] <= remaining]
-    return np.concatenate(taken) if taken else candidates
+    for u, blocks, least in zip(*row):
+        if remaining < least:
+            break
+        if blocks <= remaining and not taken[u]:
+            admitted.append(u)
+            remaining -= blocks
+    return admitted
 
 
 def greedy_design(nodes: Sequence[AccessNode], users: Sequence[UserTerminal],
@@ -180,6 +193,12 @@ def greedy_design(nodes: Sequence[AccessNode], users: Sequence[UserTerminal],
        at which all of its users stay individually feasible and their
        blocks still fit.
 
+    Each (cell, level) candidate keeps its first-fit result between
+    rounds, and an activation re-scores only the candidates that had
+    admitted one of the users it takes. That is exact: the scan passes
+    over a user that does not fit without changing the blocks left, so
+    taking users a candidate did not admit leaves its result unchanged.
+
     Deterministic: identical inputs give an identical NetworkConfig.
     """
     node_list = sorted(nodes, key=lambda n: n.node_id)
@@ -191,32 +210,44 @@ def greedy_design(nodes: Sequence[AccessNode], users: Sequence[UserTerminal],
         table.feasible, table.prbs_dl + table.prbs_ul, capacity + 1
     ).transpose(0, 2, 1))
 
-    unassigned = np.ones(len(table.user_ids), dtype=bool)
+    levels_dbm = params.power_levels_dbm
+    rows = [(n, lvl) for n in range(len(node_list)) for lvl in range(len(levels_dbm))]
+    fit_rows = [_fit_row(cost[n, lvl], capacity) for n, lvl in rows]
+    # scored[r] is row r's (key, admitted), or None once it must be re-scored
+    scored: list[Optional[tuple]] = [None] * len(rows)
+    admits = np.zeros((len(rows), len(table.user_ids)), dtype=bool)
+    taken = [False] * len(table.user_ids)
     members: dict[int, np.ndarray] = {}  # active node position -> user positions
 
     while True:
-        open_users = np.flatnonzero(unassigned)
-        open_cost = cost.take(open_users, axis=2)
-        best_key = None
-        best_pick = None
-        for n, node in enumerate(node_list):
+        best = None
+        for r, (n, lvl) in enumerate(rows):
             if n in members:
                 continue
-            for lvl, level in enumerate(params.power_levels_dbm):
-                admitted = _admit_users(open_cost[n, lvl], capacity)
-                if not admitted.size:
-                    continue
-                added_power = (mimo_power(node.mimo, True, admitted.size, level)
-                               - node.mimo.sleep_power)
-                key = (-admitted.size, added_power, node.node_id)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best_pick = (n, open_users[admitted])
-        if best_pick is None:
+            if scored[r] is None:
+                admitted = _first_fit(fit_rows[r], capacity, taken)
+                key = None
+                if admitted:
+                    node = node_list[n]
+                    added_power = (mimo_power(node.mimo, True, len(admitted),
+                                              levels_dbm[lvl])
+                                   - node.mimo.sleep_power)
+                    key = (-len(admitted), added_power, node.node_id)
+                    admits[r, admitted] = True
+                scored[r] = (key, admitted)
+            key, admitted = scored[r]
+            if key is not None and (best is None or key < best[0]):
+                best = (key, n, admitted)
+        if best is None:
             break
-        n, admitted = best_pick
-        members[n] = admitted
-        unassigned[admitted] = False
+        _, n, admitted = best
+        members[n] = np.array(admitted)
+        for u in admitted:
+            taken[u] = True
+        stale = admits[:, admitted].any(axis=1)
+        admits[stale] = False
+        for r in stale.nonzero()[0].tolist():
+            scored[r] = None
 
     levels: dict[int, float] = {}
     assigned: dict[int, tuple[int, int, int]] = {}

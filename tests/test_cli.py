@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
@@ -588,3 +589,12 @@ class TestOracle:
         rc = main(["oracle", "--instance", str(path)])
         assert rc == 2
         assert "missing key 'y'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("module", ["solarran", "solarran.cli"])
+def test_deprecation_warnings_from_solarran_fail_the_tests(module):
+    # pyproject's filterwarnings; Python 3.12+ warns from os.fork, called
+    # in solarran.cli, when the process has more than one thread
+    with pytest.raises(DeprecationWarning):
+        warnings.warn_explicit("deprecated", DeprecationWarning, "x.py", 1,
+                               module=module)

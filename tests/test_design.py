@@ -2,14 +2,16 @@
 
 import json
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (candidate_links, check_assignment_valid,
                       check_local_minimality, make_node as node,
                       make_user as user)
-from solarran.design import (InstanceTooLargeError, brute_force_design,
-                             greedy_design, served_counts, station_power_w)
+from solarran.design import (InstanceTooLargeError, _first_fit, _fit_row,
+                             brute_force_design, greedy_design, served_counts,
+                             station_power_w)
 from solarran.energy import ris_power, uav_hover_power
 from solarran.radio import RadioParams
 from solarran.scenario import Scenario, place_users
@@ -34,6 +36,52 @@ class TestEnumerateCandidates:
         links = candidate_links([node(0, 0, 0, 50)], [user(0, 9000, 9000)],
                                 PARAMS, 100, 25)
         assert not any(feasible for feasible, _, _ in links.values())
+
+
+def full_first_fit(costs, capacity, taken):
+    """First-fit over every position, with no early stop."""
+    admitted, remaining = [], capacity
+    for u, blocks in enumerate(costs):
+        if not taken[u] and blocks <= remaining:
+            admitted.append(u)
+            remaining -= blocks
+    return admitted
+
+
+@st.composite
+def scan_instances(draw):
+    """A row of whole block costs (capacity + 1 marks an infeasible link, as
+    in greedy_design), its capacity, the users already taken and users to
+    take next."""
+    capacity = draw(st.integers(0, 40))
+    costs = draw(st.lists(st.integers(0, capacity + 1), max_size=30))
+    flags = st.lists(st.booleans(), min_size=len(costs), max_size=len(costs))
+    return costs, capacity, draw(flags), draw(flags)
+
+
+class TestFirstFit:
+    @settings(max_examples=300, deadline=None)
+    @given(scan_instances())
+    @example(([5, 5], 10, [False, False], [False, False]))
+    def test_scan_is_a_full_first_fit_that_ignores_users_it_passed_over(
+            self, instance):
+        costs, capacity, taken, take_next = instance
+        row = _fit_row(np.array(costs, dtype=float), capacity)
+        admitted = _first_fit(row, capacity, taken)
+        assert admitted == full_first_fit(costs, capacity, taken)
+        # the invariant greedy_design's cache rests on
+        passed_over = [t or (drop and u not in admitted)
+                       for u, (t, drop) in enumerate(zip(taken, take_next))]
+        assert _first_fit(row, capacity, passed_over) == admitted
+
+    def test_taking_an_admitted_user_can_admit_more(self):
+        # an expensive early user fills the cell; once another cell takes
+        # it, the cheap ones behind it fit, so such a row must be re-scored
+        costs = [10, 1, 1, 1, 11]
+        row = _fit_row(np.array(costs, dtype=float), 10)
+        assert row == ([0, 1, 2, 3], [10, 1, 1, 1], [1, 1, 1, 1])
+        assert _first_fit(row, 10, [False] * 5) == [0]
+        assert _first_fit(row, 10, [True] + [False] * 4) == [1, 2, 3]
 
 
 class TestGreedyDesign:

@@ -18,7 +18,7 @@ from reference_design import reference_candidates, reference_greedy
 from solarran.design import greedy_design
 from solarran.radio import Position, RadioParams, link_feasible, link_table
 from solarran.scenario import (AccessNode, Scenario, UserTerminal,
-                               place_users)
+                               place_users, scenario_from_dict)
 
 PARAMS = RadioParams()
 COORD = st.floats(0, 3000) | st.floats(-1e5, 1e5)
@@ -199,3 +199,22 @@ def test_greedy_matches_the_loop_reference_on_a_crowded_cell():
     assert got == want
     assert 0 < got.covered_count < len(users)
     assert math.isfinite(got.total_power_w)
+
+
+
+@pytest.mark.parametrize("seed, user_count",
+                         [(1, 200), (2, 225), (3, 250), (4, 275), (5, 300)])
+def test_greedy_matches_the_loop_reference_on_a_mid_size_grid(seed, user_count):
+    # 16 stations at the cell centres of a 4x4 grid over the default 3 km
+    # square: cells that overlap and fill up, so there are many rounds and
+    # activations that take users other (cell, level) candidates admitted
+    layout = [{"id": 4 * j + i, "x": 375.0 + 750.0 * i, "y": 375.0 + 750.0 * j}
+              for j in range(4) for i in range(4)]
+    sc = scenario_from_dict({"users": {"count": user_count, "dl_mbps": 20.0,
+                                       "ul_mbps": 5.0},
+                             "nodes": {"layout": layout}})
+    args = (sc.nodes, place_users(sc, seed), sc.radio, sc.dl_rate_mbps,
+            sc.ul_rate_mbps)
+    want = reference_greedy(*args)
+    assert greedy_design(*args) == want
+    assert sum(c.active for c in want.cells) >= 8
