@@ -7,6 +7,7 @@ the nine-station example layout with synthetic weather) exactly as
 """
 
 import dataclasses
+import hashlib
 import json
 import math
 import time
@@ -24,6 +25,8 @@ from solarran.energy import (BatterySpec, MimoSpec, PvSpec, RisSpec,
                              uav_hover_power)
 from solarran.engine import compute_metrics, run_pair
 from solarran.radio import Position, RadioParams
+from solarran.report import (scenario_echo, write_ledger_csv,
+                             write_metrics_json, write_summary_csv)
 from solarran.scenario import (SEASONS, AccessNode, scenario_from_dict,
                                synth_study_series)
 
@@ -43,6 +46,32 @@ def default_study():
     metrics = compute_metrics(pairs, season_names=SEASONS)
     elapsed = time.monotonic() - t0
     return scenario, pairs, metrics, elapsed
+
+
+# The README study's files (`solarran simulate --config {} --seed 42`), as
+# the per-step reference implementation wrote them.
+DEFAULT_STUDY_SHA256 = {
+    "metrics.json": "a85c32c28d2ec36ac5e7ea050a49238813db270a538c26ddbcecf65fe217fe4d",
+    "summary.csv": "7c683084a63a80f53c8bc11597167e80f391a12f25a9c059c23b90052340b93e",
+    "ledger_0_pv.csv": "1d3639dfb7d8468138534bc32b004ac52ec22d413eb490c90a406f2e8f609c85",
+    "ledger_0_nopv.csv": "392a5df8f49a5fad07c4e038a8c1257376e5d3f5a1b6f8dae9d3cba97beebad4",
+}
+
+
+def test_default_study_golden_bytes(default_study, tmp_path):
+    """The README study's metrics, summary and first pair's ledgers keep
+    their bytes across code versions."""
+    scenario, pairs, metrics, _ = default_study
+    write_metrics_json(metrics, scenario_echo(scenario),
+                       [MASTER_SEED + r for r in range(len(pairs))],
+                       tmp_path / "metrics.json")
+    write_summary_csv(metrics, tmp_path / "summary.csv")
+    no_res, with_res = pairs[0]
+    write_ledger_csv(with_res, tmp_path / "ledger_0_pv.csv")
+    write_ledger_csv(no_res, tmp_path / "ledger_0_nopv.csv")
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in DEFAULT_STUDY_SHA256}
+    assert got == DEFAULT_STUDY_SHA256
 
 
 def _random_airframe(rng):
@@ -126,7 +155,6 @@ def test_criterion_2_arec_identity(default_study, tmp_path):
             assert abs(reported - 100.0 * used / consumed) <= 1e-9
 
     # the identity must survive the trip through the on-disk ledger
-    from solarran.report import write_ledger_csv
     path = tmp_path / "ledger.csv"
     write_ledger_csv(pairs[0][1], path)
     lines = path.read_text().splitlines()[1:]
