@@ -9,7 +9,7 @@ from .design import (Assignment, CandidateTable, CellConfig,
 from .energy import (BatterySpec, MimoSpec, ParameterError, PvSpec, RisSpec,
                      UavAirframe, cell_temperature, mimo_power, pv_power,
                      ris_power, uav_hover_power)
-from .engine import (RunResult, SeasonStats, SimulationError, StudyMetrics,
+from .engine import (PairResult, SeasonStats, SimulationError, StudyMetrics,
                      compute_metrics, run_network, run_pair,
                      verify_conservation)
 from .radio import (Position, RadioParams, link_feasible, link_table,

@@ -103,7 +103,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                                             stage, run_idx)
                 pairs.append(pair)
                 series_sums = series_sums + rows
-            metrics = compute_metrics(pairs, season_names=SEASONS)
+            metrics = compute_metrics(pairs)
             write_metrics_json(metrics, scenario_echo(scenario), seeds,
                                stage / "metrics.json")
             write_summary_csv(metrics, stage / "summary.csv")
@@ -123,7 +123,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def _run_and_write(scenario: Scenario, weather: WeatherSeries, seed: int,
                    stage: Path, run_idx: int):
-    """Run one pair, check both runs and write their ledgers into stage.
+    """Run one pair, check both arms and write their ledgers into stage.
 
     A forked child writes the no-solar ledger while this process writes
     the with-solar one; the child is reaped before this call returns or
@@ -134,14 +134,13 @@ def _run_and_write(scenario: Scenario, weather: WeatherSeries, seed: int,
     memory does not grow with its number of runs.
     """
     pair = run_pair(scenario, weather, seed)
-    for result in pair:
-        verify_conservation(result)
+    verify_conservation(pair)
     nopv = stage / f"ledger_{run_idx}_nopv.csv"
     pid = os.fork()
     if pid == 0:  # the child never returns: no finally or buffer runs twice
         code = 1
         try:
-            write_ledger_csv(pair[0], nopv)
+            write_ledger_csv(pair.ledger(0), nopv)
             code = 0
         except BaseException as exc:  # noqa: BLE001 - reported by exit status
             print(f"failure: {exc}", file=sys.stderr)
@@ -149,13 +148,13 @@ def _run_and_write(scenario: Scenario, weather: WeatherSeries, seed: int,
         finally:
             os._exit(code)
     try:
-        write_ledger_csv(pair[1], stage / f"ledger_{run_idx}_pv.csv")
-        rows = timeseries_rows(pair[1], weather)
+        write_ledger_csv(pair.ledger(1), stage / f"ledger_{run_idx}_pv.csv")
+        rows = timeseries_rows(pair, weather)
     finally:
         status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     if status:
         raise RuntimeError(f"writing {nopv.name} failed (exit status {status})")
-    return tuple(dataclasses.replace(r, ledger={}) for r in pair), rows
+    return dataclasses.replace(pair, ledgers={}), rows
 
 
 STUDY_FILE = re.compile(r"ledger_\d+_(pv|nopv)\.csv|metrics\.json|summary\.csv"

@@ -6,11 +6,12 @@ network once; every step accounts each station's consumption, harvest,
 battery draw, and swap events. Days are energetically independent; the
 pack starts each day full while the swap counter keeps accumulating.
 
-``run_network`` steps a pair's two runs as one block shaped (arms, days,
-stations), one day's 1440 minutes at a time; the arm without the solar
-feed is the same recurrence with zero charge. The tests hold it bit for
-bit to a scalar reference stepped per station and minute
-(tests/reference_engine.py).
+``run_network`` steps a pair's two runs, the arms, as one block shaped
+(arms, days, stations), one day's 1440 minutes at a time; the arm without
+the solar feed is the same recurrence with zero charge. It returns one
+PairResult, whose ledgers keep the block's (arms, minutes, stations) shape.
+The tests hold it bit for bit to a scalar reference stepped per station
+and minute (tests/reference_engine.py).
 """
 
 from __future__ import annotations
@@ -23,12 +24,15 @@ import numpy as np
 from .design import (NetworkConfig, greedy_design, served_counts,
                      station_power_w)
 from .energy import pv_power
-from .scenario import (MINUTES_PER_DAY, Scenario, WeatherError, WeatherSeries,
-                       place_users)
+from .scenario import (MINUTES_PER_DAY, SEASONS, Scenario, WeatherError,
+                       WeatherSeries, place_users)
 
 LEDGER_COLUMNS = ("t", "node_id", "consumed_wh", "hover_wh", "mimo_wh",
                   "ris_wh", "harvested_wh", "pv_used_wh", "pv_wasted_wh",
                   "drawn_wh", "soc_wh", "swaps")
+ARMS = ("without solar", "with solar")  # a PairResult's leading axis
+# verify_conservation's bound on per-step and per-day accounting gaps [Wh]
+CONSERVATION_TOL_WH = 1e-9
 
 
 class SimulationError(RuntimeError):
@@ -36,29 +40,30 @@ class SimulationError(RuntimeError):
 
 
 @dataclass
-class RunResult:
-    """Per-day, per-node energy totals of one simulation run.
+class PairResult:
+    """A run pair: one placement, design and weather, stepped without
+    (arm 0) and with (arm 1) the solar feed.
 
-    Array shapes are (n_days, n_nodes); the full per-step ledger is kept as
-    column arrays (row order: minute-major, then node id).
-    usable_capacity_wh holds each station's usable battery window, in
-    node_ids order, which bounds its state of charge.
+    Day totals are shaped (arms, days, stations), but for the shared
+    consumed_wh, (days, stations); stations are in node_ids order. ledgers
+    maps each LEDGER_COLUMNS name to an (arms, minutes, stations) block.
     """
 
     seed: int
-    with_res: bool
     network: NetworkConfig
-    dates: tuple
     node_ids: tuple[int, ...]
     usable_capacity_wh: np.ndarray
     consumed_wh: np.ndarray
     harvested_wh: np.ndarray
     pv_used_wh: np.ndarray
     pv_wasted_wh: np.ndarray
-    drawn_wh: np.ndarray
     swaps: np.ndarray
     peak_pv_w: np.ndarray
-    ledger: dict[str, np.ndarray] = field(repr=False)
+    ledgers: dict[str, np.ndarray] = field(repr=False)
+
+    def ledger(self, arm: int) -> dict[str, np.ndarray]:
+        """One arm's ledger: each column as a (minute, station) table."""
+        return {name: column[arm] for name, column in self.ledgers.items()}
 
 
 def _step_error(t: int, node_id: int, problem) -> SimulationError:
@@ -66,9 +71,9 @@ def _step_error(t: int, node_id: int, problem) -> SimulationError:
 
 
 def run_pair(scenario: Scenario, weather: WeatherSeries,
-             seed: int) -> tuple[RunResult, RunResult]:
-    """One without-renewables and one with-renewables run sharing the same
-    seed, user placement, network design, and weather.
+             seed: int) -> PairResult:
+    """The without- and with-renewables runs sharing the same seed, user
+    placement, network design, and weather.
 
     The only place where a study places users and designs a network.
     """
@@ -79,7 +84,7 @@ def run_pair(scenario: Scenario, weather: WeatherSeries,
 
 
 def run_network(scenario: Scenario, weather: WeatherSeries, seed: int,
-                network: NetworkConfig) -> tuple[RunResult, RunResult]:
+                network: NetworkConfig) -> PairResult:
     """The without- and with-renewables runs of a designed network, stepped
     as one block shaped (arms, days, stations) over the minutes of a day.
 
@@ -93,6 +98,9 @@ def run_network(scenario: Scenario, weather: WeatherSeries, seed: int,
     is computed for all minutes up front (zero in the arm without the solar
     feed); and since the step demand never exceeds the usable capacity a
     minute needs at most one swap.
+
+    The ledger's flows are the stepped blocks reshaped to (arms, minutes,
+    stations); the arm-independent columns are read-only broadcast views.
     """
     n_days = len(scenario.dates)
     n_steps = n_days * MINUTES_PER_DAY
@@ -128,11 +136,6 @@ def run_network(scenario: Scenario, weather: WeatherSeries, seed: int,
 
     shape = (2, n_days, MINUTES_PER_DAY, n_nodes)
     harvested = np.zeros(shape)
-    bad = np.flatnonzero(weather.ghi_wm2 < 0)
-    if bad.size and n_nodes:
-        t = int(bad[0])
-        raise _step_error(t, node_ids[0],
-                          f"ghi must be >= 0, got {weather.ghi_wm2[t]}")
     for i, node in enumerate(nodes):
         harvested[1, ..., i] = (pv_power(
             node.pv, weather.ghi_wm2, weather.temp_c) * hours).reshape(
@@ -162,44 +165,27 @@ def run_network(scenario: Scenario, weather: WeatherSeries, seed: int,
 
     consumed = np.broadcast_to(demand, shape[1:])
     pv_used = np.where(consumed < accepted, consumed, accepted)
-    drawn = consumed - pv_used
     pv_wasted = charge - accepted
 
     def day_totals(per_step):
         # cumsum adds in minute order, as a running += would; a copy pins no buffer
-        return np.cumsum(per_step, axis=1)[:, -1].copy()
+        return np.cumsum(per_step, axis=-2)[..., -1, :].copy()
 
-    # the columns that do not depend on the arm are shared by its ledgers
-    common = {
-        "t": np.repeat(np.arange(n_steps, dtype=np.int64), n_nodes),
-        "node_id": np.tile(np.array(node_ids, dtype=np.int64), n_steps),
-        "consumed_wh": np.tile(demand, n_steps),
-        "hover_wh": np.tile(hover_wh, n_steps),
-        "mimo_wh": np.tile(mimo_wh, n_steps),
-        "ris_wh": np.tile(ris_wh, n_steps),
-    }
-    results = []
-    for a, with_res in enumerate((False, True)):
-        ledger = {**common,
-                  "harvested_wh": harvested[a].ravel(),
-                  "pv_used_wh": pv_used[a].ravel(),
-                  "pv_wasted_wh": pv_wasted[a].ravel(),
-                  "drawn_wh": drawn[a].ravel(),
-                  "soc_wh": soc[a].ravel(),
-                  "swaps": np.cumsum(swapped[a].reshape(n_steps, n_nodes),
-                                     axis=0, dtype=np.int64).ravel()}
-        results.append(RunResult(
-            seed=seed, with_res=with_res, network=network,
-            dates=tuple(scenario.dates), node_ids=node_ids,
-            usable_capacity_wh=cap, consumed_wh=day_totals(consumed),
-            harvested_wh=day_totals(harvested[a]),
-            pv_used_wh=day_totals(pv_used[a]),
-            pv_wasted_wh=day_totals(pv_wasted[a]),
-            drawn_wh=day_totals(drawn[a]),
-            swaps=swapped[a].sum(axis=1, dtype=np.int64),
-            peak_pv_w=(harvested[a] * 60.0).max(axis=1),
-            ledger=ledger))
-    return tuple(results)
+    table = (2, n_steps, n_nodes)
+    return PairResult(
+        seed=seed, network=network, node_ids=node_ids, usable_capacity_wh=cap,
+        consumed_wh=day_totals(consumed), harvested_wh=day_totals(harvested),
+        pv_used_wh=day_totals(pv_used), pv_wasted_wh=day_totals(pv_wasted),
+        swaps=swapped.sum(axis=2, dtype=np.int64),
+        peak_pv_w=(harvested * 60.0).max(axis=2),
+        ledgers=dict(zip(LEDGER_COLUMNS, (  # t, node_id, power, flows, swaps
+            np.broadcast_to(np.arange(n_steps, dtype=np.int64)[:, None], table),
+            np.broadcast_to(np.array(node_ids, dtype=np.int64), table),
+            *(np.broadcast_to(v, table)
+              for v in (demand, hover_wh, mimo_wh, ris_wh)),
+            *(v.reshape(table) for v in (harvested, pv_used, pv_wasted,
+                                         consumed - pv_used, soc)),
+            np.cumsum(swapped.reshape(table), axis=1, dtype=np.int64)))))
 
 
 @dataclass(frozen=True)
@@ -236,51 +222,35 @@ class StudyMetrics:
         return {**asdict(self), "season_names": list(self.season_names)}
 
 
-def compute_metrics(pairs: Sequence[tuple[RunResult, RunResult]],
-                    season_names: Sequence[str] = ("spring", "summer",
-                                                   "autumn", "winter")
-                    ) -> StudyMetrics:
-    """Aggregate paired runs into per-season and mean statistics.
-
-    Each pair must hold (without-renewables, with-renewables) runs sharing
-    the same seed and dates; anything else is refused.
-    """
+def compute_metrics(pairs: Sequence[PairResult]) -> StudyMetrics:
+    """Aggregate run pairs into per-season and mean statistics; the pairs'
+    days are the SEASONS in order."""
     if not pairs:
         raise ValueError("no run pairs supplied")
-    for no_res, with_res in pairs:
-        if no_res.with_res or not with_res.with_res:
-            raise ValueError("each pair must be (without-RES, with-RES)")
-        if no_res.seed != with_res.seed or no_res.dates != with_res.dates:
-            raise ValueError(
-                f"mismatched pair: seeds {no_res.seed}/{with_res.seed}, "
-                f"dates {no_res.dates}/{with_res.dates}")
-        if no_res.harvested_wh.any():
-            raise ValueError("without-RES member reports nonzero harvest")
-    n_days = len(pairs[0][0].dates)
-    if len(season_names) != n_days:
-        raise ValueError(f"{len(season_names)} season names for {n_days} days")
+    n_days = len(pairs[0].consumed_wh)
+    if n_days != len(SEASONS):
+        raise ValueError(f"{n_days} days for {len(SEASONS)} seasons")
 
     seasons: dict[str, SeasonStats] = {}
-    per_run: list[dict] = [
-        {"run": r, "seed": pair[0].seed, "seasons": {}}
-        for r, pair in enumerate(pairs)]
+    per_run: list[dict] = [{"run": r, "seed": pair.seed, "seasons": {}}
+                           for r, pair in enumerate(pairs)]
 
-    for day, name in enumerate(season_names):
+    for day, name in enumerate(SEASONS):
         harvest_means = []
         peak = 0.0
-        for run, (no_res, with_res) in zip(per_run, pairs):
-            harvest_means.append(float(np.mean(with_res.harvested_wh[day])))
-            peak = max(peak, float(np.max(with_res.peak_pv_w[day])))
-            consumed = float(np.sum(with_res.consumed_wh[day]))
-            used = float(np.sum(with_res.pv_used_wh[day]))
+        for run, pair in zip(per_run, pairs):
+            harvest_means.append(float(np.mean(pair.harvested_wh[1, day])))
+            peak = max(peak, float(np.max(pair.peak_pv_w[1, day])))
+            consumed = float(np.sum(pair.consumed_wh[day]))
+            used = float(np.sum(pair.pv_used_wh[1, day]))
             run["seasons"][name] = {
                 "consumed_wh": consumed,
-                "harvested_wh": float(np.sum(with_res.harvested_wh[day])),
+                "harvested_wh": float(np.sum(pair.harvested_wh[1, day])),
                 "pv_used_wh": used,
-                "pv_wasted_wh": float(np.sum(with_res.pv_wasted_wh[day])),
+                "pv_wasted_wh": float(np.sum(pair.pv_wasted_wh[1, day])),
                 "arec_percent": 100.0 * used / consumed if consumed > 0 else 0.0,
-                "anuc_no_res": float(np.mean(no_res.swaps[day])),
-                "anuc_with_res": float(np.mean(with_res.swaps[day])),
+                "anuc_no_res": float(np.mean(pair.swaps[0, day])),
+                "anuc_with_res": float(np.mean(pair.swaps[1, day])),
             }
         rows = [run["seasons"][name] for run in per_run]
         seasons[name] = SeasonStats(
@@ -292,8 +262,8 @@ def compute_metrics(pairs: Sequence[tuple[RunResult, RunResult]],
     mean = SeasonStats(**{f.name: float(np.mean([getattr(s, f.name)
                                                   for s in seasons.values()]))
                           for f in fields(SeasonStats)})
-    return StudyMetrics(season_names=tuple(season_names), seasons=seasons,
-                        mean=mean, per_run=per_run)
+    return StudyMetrics(season_names=SEASONS, seasons=seasons, mean=mean,
+                        per_run=per_run)
 
 
 def _check_days(gap: np.ndarray, limit: float, what: str) -> None:
@@ -302,64 +272,80 @@ def _check_days(gap: np.ndarray, limit: float, what: str) -> None:
         raise SimulationError(f"day {bad[0]}: {what} by {gap[bad[0]]}")
 
 
-def verify_conservation(result: RunResult, tol: float = 1e-9) -> None:
-    """Check the per-step and per-run accounting identities of a ledger.
+def _check_stations(bad: np.ndarray, node_ids, describe) -> None:
+    """Raise for the first (day, station) where bad holds, with the text
+    describe(day, station index) gives."""
+    where = np.argwhere(bad)
+    if len(where):
+        day, i = where[0]
+        raise SimulationError(f"day {day}, node_id={node_ids[i]}: "
+                              f"{describe(day, i)}")
 
-    Raises SimulationError on the first violated identity: per step,
-    consumed == drawn + pv_used and 0 <= soc <= the station's usable
-    capacity; per day, the consumed and pv_used totals match the ledger's
-    sums and so does the AREC computed from them; without solar, each
-    station's swaps on each day are floor(E/U) for its day's consumption E
-    and usable capacity U; every station's swaps on each day equal the
-    rise of the ledger's never-decreasing swap counter over that day.
-    The checks are written so that a NaN fails them.
+
+def verify_conservation(pair: PairResult) -> None:
+    """Check the accounting identities of both arms of a pair.
+
+    Raises SimulationError on the first violated identity, naming the arm:
+    every day total and peak is finite; per step, consumed == drawn +
+    pv_used and 0 <= soc <= the station's usable capacity; per day, the
+    consumed and pv_used totals match the ledger's sums and so does the
+    AREC computed from them; without solar, each station's swaps on each
+    day are floor(E/U) for its day's consumption E and usable capacity U;
+    every station's swaps on each day equal the rise of the ledger's
+    never-decreasing swap counter over that day. The checks are written so
+    that a NaN fails them.
     """
-    led = result.ledger
-    n_nodes = len(result.node_ids)
+    for arm, name in enumerate(ARMS):
+        try:
+            _verify_arm(pair, arm)
+        except SimulationError as exc:
+            raise SimulationError(f"{name}: {exc}") from None
+
+
+def _verify_arm(pair: PairResult, arm: int) -> None:
+    tol = CONSERVATION_TOL_WH
+    led = pair.ledger(arm)
+    n_days = len(pair.consumed_wh)
+    totals = {"consumed_wh": pair.consumed_wh,
+              **{name: getattr(pair, name)[arm] for name in (
+                  "harvested_wh", "pv_used_wh", "pv_wasted_wh", "peak_pv_w")}}
+    for name, per_day in totals.items():
+        _check_stations(~np.isfinite(per_day), pair.node_ids,
+                        lambda d, i: f"{name} is {per_day[d, i]}, not finite")
     gap = np.abs(led["consumed_wh"] - (led["drawn_wh"] + led["pv_used_wh"]))
     if not gap.max() <= tol:
         raise SimulationError(f"per-step conservation violated by {gap.max()}")
-    soc = led["soc_wh"].reshape(-1, n_nodes)
-    if not (soc >= -tol).all():
+    if not (led["soc_wh"] >= -tol).all():
         raise SimulationError("negative or NaN state of charge")
-    over = soc - result.usable_capacity_wh
-    if not over.max() <= tol:
-        raise SimulationError(
-            f"state of charge exceeds usable capacity by {over.max()}")
-    swaps = led["swaps"].reshape(-1, n_nodes)
-    if not (np.diff(swaps, axis=0) >= 0).all():
+    over = (led["soc_wh"] - pair.usable_capacity_wh).max()
+    if not over <= tol:
+        raise SimulationError(f"state of charge exceeds usable capacity by {over}")
+    if not (np.diff(led["swaps"], axis=0) >= 0).all():
         raise SimulationError("swap counter decreased")
-    n_days = len(result.swaps)
     sums = {}  # per day: (from the ledger, from the day totals)
-    for name, totals in (("consumed_wh", result.consumed_wh),
-                         ("pv_used_wh", result.pv_used_wh)):
-        per_day = led[name].reshape(n_days, -1)
-        sums[name] = per_day.sum(axis=1), totals.sum(axis=1)
+    for name in ("consumed_wh", "pv_used_wh"):
+        per_day = led[name].reshape(n_days, MINUTES_PER_DAY, -1)
+        sums[name] = per_day.sum(axis=(1, 2)), totals[name].sum(axis=1)
         _check_days(np.abs(sums[name][0] - sums[name][1]),
-                    tol * per_day.shape[1],
+                    tol * per_day[0].size,
                     f"{name} day totals differ from the ledger")
     # AREC as compute_metrics reports it: 100 * pv_used / consumed, else 0
     arec = [100.0 * used / np.where(consumed > 0, consumed, np.inf)
             for used, consumed in zip(sums["pv_used_wh"], sums["consumed_wh"])]
     _check_days(np.abs(arec[0] - arec[1]), 1e-9,
                 "AREC from the ledger differs from the day totals' AREC")
-    if not result.with_res:
+    swaps = pair.swaps[arm]
+    if arm == 0:
         # constant load, no charge: floor(E/U) swaps a day, except where E/U
         # sits within 1e-6 of a whole number and the count is knife-edge
-        ratio = result.consumed_wh / result.usable_capacity_wh
-        bad = np.argwhere((result.swaps != np.floor(ratio))
-                          & ~(np.abs(ratio - np.round(ratio)) < 1e-6))
-        if len(bad):
-            day, i = bad[0]
-            raise SimulationError(
-                f"day {day}, node_id={result.node_ids[i]}: {result.swaps[day, i]} "
-                f"swaps without solar, closed form floor(E/U) gives "
-                f"{np.floor(ratio[day, i]):.0f}")
+        ratio = pair.consumed_wh / pair.usable_capacity_wh
+        knife_edge = np.abs(ratio - np.round(ratio)) < 1e-6
+        _check_stations((swaps != np.floor(ratio)) & ~knife_edge, pair.node_ids,
+                        lambda d, i: f"{swaps[d, i]} swaps without solar, closed "
+                                     f"form floor(E/U) gives {np.floor(ratio[d, i]):.0f}")
     # each day's count is the rise of the ledger's cumulative swaps column
-    rises = np.diff(swaps.reshape(n_days, -1, n_nodes)[:, -1], axis=0, prepend=0)
-    bad = np.argwhere(result.swaps != rises)
-    if len(bad):
-        day, i = bad[0]
-        raise SimulationError(
-            f"day {day}, node_id={result.node_ids[i]}: {result.swaps[day, i]} "
-            f"swaps, but the ledger's swaps column rose by {rises[day, i]}")
+    rises = np.diff(led["swaps"].reshape(n_days, MINUTES_PER_DAY, -1)[:, -1],
+                    axis=0, prepend=0)
+    _check_stations(swaps != rises, pair.node_ids, lambda d, i: (
+        f"{swaps[d, i]} swaps, but the ledger's swaps column rose by "
+        f"{rises[d, i]}"))

@@ -1,14 +1,17 @@
 """Study outputs: summary table, metrics JSON, per-run ledgers, and
 plot-ready per-season time series.
 
-summary.csv rounds to two decimals with dot separators; metrics.json and
-the ledgers keep full float precision (ledger floats use repr, so sums
-recomputed from disk match the in-memory accounting bit for bit).
+summary.csv rounds to two decimals with dot separators; metrics.json
+(strict JSON, so no non-finite number) and the ledgers keep full float
+precision (ledger floats use repr, so sums recomputed from disk match the
+in-memory accounting bit for bit).
 
-A ledger column whose bits repeat every minute (node_id, the station power
-columns and, without solar, every flow but the state of charge) is formatted
-once per station. The others are formatted per chunk of whole minutes, each
-distinct value once, and each chunk is written with one join.
+An arm's ledger is a (minute, station) table per column, which only
+write_ledger_csv flattens to rows. A column whose bits repeat every minute
+(node_id, the station power columns and, without solar, every flow but the
+state of charge) is formatted once per station. The others are formatted
+per chunk of whole minutes, each distinct value once, and each chunk is
+written with one join.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import LEDGER_COLUMNS, RunResult, StudyMetrics
+from .engine import LEDGER_COLUMNS, PairResult, StudyMetrics
 from .scenario import MINUTES_PER_DAY, Scenario, WeatherSeries
 
 SUMMARY_HEADER = ("season,total_harvest_wh,peak_harvest_w,arec_percent,"
@@ -45,8 +48,8 @@ def write_metrics_json(metrics: StudyMetrics, config_echo: dict,
         "seeds": list(seeds),
         "metrics": metrics.to_dict(),
     }
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=str)
-                    + "\n", encoding="utf-8")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=str,
+                               allow_nan=False) + "\n", encoding="utf-8")
 
 
 def _summary_rows(metrics: StudyMetrics) -> list[tuple[str, ...]]:
@@ -68,58 +71,52 @@ def _cells(values: np.ndarray, as_float: bool, suffix: str) -> np.ndarray:
     """Each value as its CSV cell: repr for floats, str for ints, then suffix.
 
     Every distinct value is formatted once and fancy-indexed back into
-    place. Floats are keyed by their bit pattern, so 0.0 and -0.0 (and any
-    two NaN payloads) keep their own text.
+    place, in the shape of values. Floats are keyed by their bit pattern, so
+    0.0 and -0.0 (and any two NaN payloads) keep their own text.
     """
     values = np.asarray(values, dtype=np.float64 if as_float else np.int64)
     distinct, where = np.unique(values.view(np.int64), return_inverse=True)
     # the repr of a Python int is its str
     text = [repr(v) + suffix for v in distinct.view(values.dtype).tolist()]
-    return np.array(text, dtype=object)[where]
+    return np.array(text, dtype=object)[where.reshape(values.shape)]
 
 
-def write_ledger_csv(result: RunResult, path: Path) -> None:
-    """One row per (minute, node); floats written with repr for exact
-    round-tripping. Each run of adjacent station-constant columns is one
-    text per station, tiled into every chunk."""
-    led = result.ledger
-    n_nodes = len(result.node_ids)
+def write_ledger_csv(ledger: dict[str, np.ndarray], path: Path) -> None:
+    """One arm's ledger, a (minute, station) table per LEDGER_COLUMNS name,
+    as one CSV row per (minute, station), minute-major. Each run of adjacent
+    columns that repeat every minute is one text per station."""
+    n_minutes, n_nodes = ledger["t"].shape
     parts = []  # (column, as_float, suffix), or an array of per-station texts
     for name in LEDGER_COLUMNS:
         as_float = name in LEDGER_COLUMNS[2:-1]
         # every cell carries its separator; the last column's ends the row
         part = (name, as_float, "\n" if name == LEDGER_COLUMNS[-1] else ",")
-        keys = np.asarray(led[name], dtype=np.float64 if as_float else np.int64)
-        keys = keys.view(np.int64).reshape(-1, n_nodes)
+        keys = np.asarray(ledger[name], dtype=np.float64 if as_float else np.int64)
+        keys = keys.view(np.int64)
         if (keys == keys[0]).all():
-            part = _cells(led[name][:n_nodes], *part[1:])
+            part = _cells(ledger[name][0], *part[1:])
             if parts and isinstance(parts[-1], np.ndarray):
                 part = parts.pop() + part  # object arrays: str + str per station
         parts.append(part)
-    minute_rows = max(LEDGER_CHUNK_ROWS // n_nodes, 1) * n_nodes
+    chunk_minutes = max(LEDGER_CHUNK_ROWS // n_nodes, 1)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(LEDGER_COLUMNS) + "\n")
-        for lo in range(0, len(led["t"]), minute_rows):
-            chunk = slice(lo, lo + minute_rows)
-            block = np.empty((len(led["t"][chunk]), len(parts)), dtype=object)
+        for lo in range(0, n_minutes, chunk_minutes):
+            hi = min(lo + chunk_minutes, n_minutes)
+            block = np.empty((hi - lo, n_nodes, len(parts)), dtype=object)
             for j, part in enumerate(parts):
-                block[:, j] = (np.tile(part, len(block) // n_nodes)
-                               if isinstance(part, np.ndarray) else
-                               _cells(led[part[0]][chunk], *part[1:]))
+                block[..., j] = (part if isinstance(part, np.ndarray) else
+                                 _cells(ledger[part[0]][lo:hi], *part[1:]))
             fh.write("".join(block.ravel().tolist()))
 
 
-def timeseries_rows(with_res: RunResult, weather: WeatherSeries) -> np.ndarray:
-    """One run's share of the time series, shaped (3, minutes): the
+def timeseries_rows(pair: PairResult, weather: WeatherSeries) -> np.ndarray:
+    """One pair's share of the time series, shaped (3, minutes): the
     weather's GHI and the station means of the with-solar run's state of
     charge and panel output. The CLI sums these over runs in run order."""
-    n_minutes = len(weather)
-    n_nodes = len(with_res.node_ids)
-    led = with_res.ledger
-    return np.stack([
-        weather.ghi_wm2,
-        led["soc_wh"].reshape(n_minutes, n_nodes).mean(axis=1),
-        led["harvested_wh"].reshape(n_minutes, n_nodes).mean(axis=1) * 60.0])
+    led = pair.ledgers
+    return np.stack([weather.ghi_wm2, led["soc_wh"][1].mean(axis=1),
+                     led["harvested_wh"][1].mean(axis=1) * 60.0])
 
 
 def write_timeseries_csvs(means: np.ndarray, season_names: Sequence[str],

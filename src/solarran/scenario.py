@@ -13,6 +13,7 @@ it is one WeatherSeries, two float64 arrays with one entry per minute.
 from __future__ import annotations
 
 import datetime
+import functools
 import json
 import math
 import numbers
@@ -104,7 +105,8 @@ class UserTerminal:
 class WeatherSeries:
     """Minute weather: global horizontal irradiance [W/m^2] and ambient
     temperature [degC], one float64 entry per minute. Both arrays are
-    read-only copies of what was passed in; == compares their values."""
+    read-only copies of what was passed in; every value is finite and GHI
+    is >= 0; == compares their values."""
 
     ghi_wm2: np.ndarray
     temp_c: np.ndarray
@@ -118,6 +120,13 @@ class WeatherSeries:
             raise WeatherError(f"ghi_wm2 and temp_c must be 1-D and of equal "
                                f"length, got shapes {self.ghi_wm2.shape} and "
                                f"{self.temp_c.shape}")
+        bad = np.flatnonzero(~((self.ghi_wm2 >= 0) & np.isfinite(self.ghi_wm2)
+                               & np.isfinite(self.temp_c)))
+        if bad.size:
+            t = bad[0]
+            raise WeatherError(f"minute {t}: ghi_wm2 must be finite and >= 0 "
+                               f"and temp_c finite, got {self.ghi_wm2[t]} "
+                               f"and {self.temp_c[t]}")
 
     def __len__(self) -> int:
         return len(self.ghi_wm2)
@@ -437,6 +446,25 @@ def solar_elevation_sin(latitude_deg: float, declination_deg: float,
             + math.cos(lat) * math.cos(dec) * math.cos(hour_angle))
 
 
+@functools.lru_cache(maxsize=None)
+def _clear_sky_day(latitude_deg: float, date: datetime.date, t_min: float,
+                   t_max: float) -> WeatherSeries:
+    """One date's cloudless weather. Minutes are evaluated with `math`:
+    numpy's cos and power differ from it in the last bit on some."""
+    declination = solar_declination_deg(date.timetuple().tm_yday)
+    t_mid = (t_min + t_max) / 2.0
+    t_amp = (t_max - t_min) / 2.0
+    ghi, temp = [], []
+    for minute in range(MINUTES_PER_DAY):
+        sin_alpha = solar_elevation_sin(latitude_deg, declination, minute)
+        ghi.append((SOLAR_CONSTANT_WM2
+                    * ATMOSPHERIC_TRANSMITTANCE ** (1.0 / sin_alpha)
+                    * sin_alpha) if sin_alpha > 0 else 0.0)
+        temp.append(t_mid + t_amp * math.cos(2.0 * math.pi * (minute - 900)
+                                             / MINUTES_PER_DAY))
+    return WeatherSeries(ghi, temp)
+
+
 def synth_weather(scenario: Scenario, date: datetime.date,
                   seed: Optional[int] = None) -> WeatherSeries:
     """Synthesize one clear-sky day at 1-minute resolution.
@@ -446,29 +474,17 @@ def synth_weather(scenario: Scenario, date: datetime.date,
     is a daily sinusoid between the season's configured min and max. With
     scenario.cloud_jitter > 0 and a seed, the day's cloud factor is
     perturbed once by a seeded uniform draw; otherwise the output is a pure
-    function of (scenario, date). Minutes are evaluated with `math`:
-    numpy's cos and power differ from it in the last bit on some.
+    function of (scenario, date). The cloudless day is computed once per
+    (latitude, date, season temperatures) and scaled by the cloud factor.
     """
     cf = scenario.cloud_factor
     if scenario.cloud_jitter > 0 and seed is not None:
         rng = np.random.default_rng([seed, date.toordinal()])
         cf = cf * (1.0 + scenario.cloud_jitter * (2.0 * rng.random() - 1.0))
         cf = min(1.0, max(0.0, cf))
-
-    declination = solar_declination_deg(date.timetuple().tm_yday)
-    t_min, t_max = scenario.season_temps[scenario.season_label(date)]
-    t_mid = (t_min + t_max) / 2.0
-    t_amp = (t_max - t_min) / 2.0
-
-    ghi, temp = [], []
-    for minute in range(MINUTES_PER_DAY):
-        sin_alpha = solar_elevation_sin(scenario.latitude_deg, declination, minute)
-        ghi.append((SOLAR_CONSTANT_WM2
-                    * ATMOSPHERIC_TRANSMITTANCE ** (1.0 / sin_alpha)
-                    * sin_alpha * cf) if sin_alpha > 0 else 0.0)
-        temp.append(t_mid + t_amp * math.cos(2.0 * math.pi * (minute - 900)
-                                             / MINUTES_PER_DAY))
-    return WeatherSeries(ghi, temp)
+    day = _clear_sky_day(scenario.latitude_deg, date,
+                         *scenario.season_temps[scenario.season_label(date)])
+    return WeatherSeries(day.ghi_wm2 * cf, day.temp_c)
 
 
 def synth_study_series(scenario: Scenario,

@@ -23,7 +23,7 @@ def make_user(uid, x, y, z=1.5):
 
 def one_station_day(node, ghi_wm2=0.0, temp_c=20.0, tx_power_dbm=None,
                     served=0):
-    """Both arms of run_network for one station over one day; the weather
+    """The PairResult of run_network for one station over one day; the weather
     is per-minute arrays or one value for every minute, and tx_power_dbm is
     None for a sleeping cell."""
     weather = WeatherSeries(*(np.broadcast_to(v, MINUTES_PER_DAY)

@@ -43,7 +43,7 @@ def default_study():
         seed = MASTER_SEED + r
         series = synth_study_series(scenario, seed=seed)
         pairs.append(run_pair(scenario, series, seed))
-    metrics = compute_metrics(pairs, season_names=SEASONS)
+    metrics = compute_metrics(pairs)
     elapsed = time.monotonic() - t0
     return scenario, pairs, metrics, elapsed
 
@@ -66,9 +66,8 @@ def test_default_study_golden_bytes(default_study, tmp_path):
                        [MASTER_SEED + r for r in range(len(pairs))],
                        tmp_path / "metrics.json")
     write_summary_csv(metrics, tmp_path / "summary.csv")
-    no_res, with_res = pairs[0]
-    write_ledger_csv(with_res, tmp_path / "ledger_0_pv.csv")
-    write_ledger_csv(no_res, tmp_path / "ledger_0_nopv.csv")
+    write_ledger_csv(pairs[0].ledger(1), tmp_path / "ledger_0_pv.csv")
+    write_ledger_csv(pairs[0].ledger(0), tmp_path / "ledger_0_nopv.csv")
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in DEFAULT_STUDY_SHA256}
     assert got == DEFAULT_STUDY_SHA256
@@ -106,16 +105,17 @@ def test_criterion_1_conservation_suite():
                           battery=battery)
         cap = battery.usable_capacity_wh
         active = bool(rng.integers(0, 2))
-        for run in one_station_day(
-                node, rng.uniform(0, 1100, 1440), rng.uniform(-15, 35, 1440),
-                float(rng.choice([28.0, 34.0, 40.0])) if active else None,
-                int(rng.integers(0, 8)) if active else 0):
-            led = run.ledger
+        pair = one_station_day(
+            node, rng.uniform(0, 1100, 1440), rng.uniform(-15, 35, 1440),
+            float(rng.choice([28.0, 34.0, 40.0])) if active else None,
+            int(rng.integers(0, 8)) if active else 0)
+        for arm in (0, 1):
+            led = pair.ledger(arm)
             gap = np.abs(led["consumed_wh"] - (led["drawn_wh"] + led["pv_used_wh"]))
             assert gap.max() <= 1e-9, f"conservation gap {gap.max()}"
             assert (-1e-12 <= led["soc_wh"]).all()
             assert (led["soc_wh"] <= cap + 1e-9).all()
-            assert (np.diff(led["swaps"]) >= 0).all()
+            assert (np.diff(led["swaps"], axis=0) >= 0).all()
 
         soc, swaps = cap, 0
         for _ in range(int(rng.integers(30, 80))):
@@ -144,11 +144,10 @@ def test_criterion_2_arec_identity(default_study, tmp_path):
     """Reported AREC equals 100*sum(pv_used)/sum(consumed) recomputed from
     the ledgers, within 1e-9, for every run and season."""
     _, pairs, metrics, _ = default_study
-    n_nodes = len(pairs[0][1].node_ids)
-    for r, (_, with_res) in enumerate(pairs):
-        led = with_res.ledger
+    for r, pair in enumerate(pairs):
+        led = pair.ledger(1)
         for day, name in enumerate(SEASONS):
-            rows = slice(day * 1440 * n_nodes, (day + 1) * 1440 * n_nodes)
+            rows = slice(day * 1440, (day + 1) * 1440)
             used = float(np.sum(led["pv_used_wh"][rows]))
             consumed = float(np.sum(led["consumed_wh"][rows]))
             reported = metrics.per_run[r]["seasons"][name]["arec_percent"]
@@ -156,7 +155,7 @@ def test_criterion_2_arec_identity(default_study, tmp_path):
 
     # the identity must survive the trip through the on-disk ledger
     path = tmp_path / "ledger.csv"
-    write_ledger_csv(pairs[0][1], path)
+    write_ledger_csv(pairs[0].ledger(1), path)
     lines = path.read_text().splitlines()[1:]
     per_day_used = [0.0] * 4
     per_day_consumed = [0.0] * 4
@@ -208,14 +207,15 @@ def test_criterion_4_closed_form_swap_oracle():
         capacity = daily / float(rng.uniform(0.2, 12.0)) / (1.0 - reserve)
         node = dataclasses.replace(node, battery=BatterySpec(
             capacity_wh=capacity, flight_reserve=reserve))
-        no_res, _ = one_station_day(node, tx_power_dbm=level, served=3)
-        e, u = no_res.consumed_wh[0, 0], no_res.usable_capacity_wh[0]
+        pair = one_station_day(node, tx_power_dbm=level, served=3)
+        e, u = pair.consumed_wh[0, 0], pair.usable_capacity_wh[0]
         # skip draws sitting on an exact multiple of the usable window,
         # where the swap count is knife-edge by construction
         if abs(e / u - round(e / u)) < 1e-6:
             continue
-        assert no_res.swaps[0, 0] == math.floor(e / u), (
-            f"E={e}, U={u}: {no_res.swaps[0, 0]} != {math.floor(e / u)}")
+        swaps = pair.swaps[0, 0, 0]  # without solar, day 0, the one station
+        assert swaps == math.floor(e / u), (
+            f"E={e}, U={u}: {swaps} != {math.floor(e / u)}")
         checked += 1
     print(f"\nCRITERION 4 PASS: floor(E/U) swap count exact on {checked} "
           f"random (E, U) pairs")

@@ -35,6 +35,16 @@ def write_tiny_config(tmp_path):
     return path
 
 
+def run_cli_process(*args):
+    """`python -m solarran.cli *args` in a fresh interpreter, importing
+    this solarran, with default warning filters."""
+    package_root = str(Path(solarran.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "solarran.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 class TestSimulate:
     def test_outputs_and_summary_shape(self, tmp_path, capsys):
         config = write_tiny_config(tmp_path)
@@ -123,17 +133,18 @@ class TestSimulate:
         real_run_pair = cli.run_pair
 
         def leaky_run_pair(*args, **kwargs):
-            no_res, with_res = real_run_pair(*args, **kwargs)
-            ledger = dict(with_res.ledger)
-            ledger["pv_used_wh"] = ledger["pv_used_wh"] + 1e-6
-            return no_res, dataclasses.replace(with_res, ledger=ledger)
+            pair = real_run_pair(*args, **kwargs)
+            pv_used = pair.ledgers["pv_used_wh"].copy()
+            pv_used[1] += 1e-6
+            return dataclasses.replace(
+                pair, ledgers={**pair.ledgers, "pv_used_wh": pv_used})
 
         monkeypatch.setattr(cli, "run_pair", leaky_run_pair)
         out = tmp_path / "out"
         rc = main(["simulate", "--config", str(write_tiny_config(tmp_path)),
                    "--out", str(out)])
         assert rc == 1
-        assert "conservation" in capsys.readouterr().err
+        assert "with solar: per-step conservation" in capsys.readouterr().err
         assert not out.exists() or not list(out.iterdir())
 
     def test_swap_closed_form_violation_exits_1_before_writing(
@@ -141,9 +152,10 @@ class TestSimulate:
         real_run_pair = cli.run_pair
 
         def extra_swap_run_pair(*args, **kwargs):
-            no_res, with_res = real_run_pair(*args, **kwargs)
-            return (dataclasses.replace(no_res, swaps=no_res.swaps + 1),
-                    with_res)
+            pair = real_run_pair(*args, **kwargs)
+            swaps = pair.swaps.copy()
+            swaps[0] += 1
+            return dataclasses.replace(pair, swaps=swaps)
 
         monkeypatch.setattr(cli, "run_pair", extra_swap_run_pair)
         out = tmp_path / "out"
@@ -160,16 +172,19 @@ class TestSimulate:
         real_run_pair = cli.run_pair
 
         def extra_swap_run_pair(*args, **kwargs):
-            no_res, with_res = real_run_pair(*args, **kwargs)
-            return no_res, dataclasses.replace(with_res,
-                                               swaps=with_res.swaps + 1)
+            pair = real_run_pair(*args, **kwargs)
+            swaps = pair.swaps.copy()
+            swaps[1] += 1
+            return dataclasses.replace(pair, swaps=swaps)
 
         monkeypatch.setattr(cli, "run_pair", extra_swap_run_pair)
         out = tmp_path / "out"
         rc = main(["simulate", "--config", str(write_tiny_config(tmp_path)),
                    "--out", str(out)])
         assert rc == 1
-        assert "swaps column rose by" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "with solar: day 0, node_id=0:" in err
+        assert "swaps column rose by" in err
         assert not out.exists() or not list(out.iterdir())
 
     def test_pv_used_moved_between_days_exits_1_before_writing(
@@ -178,19 +193,35 @@ class TestSimulate:
         real_run_pair = cli.run_pair
 
         def moved_run_pair(*args, **kwargs):
-            no_res, with_res = real_run_pair(*args, **kwargs)
-            pv_used = with_res.pv_used_wh.copy()
-            pv_used[0, 0] -= 1.0
-            pv_used[1, 0] += 1.0
-            return no_res, dataclasses.replace(with_res, pv_used_wh=pv_used)
+            pair = real_run_pair(*args, **kwargs)
+            pv_used = pair.pv_used_wh.copy()
+            pv_used[1, 0, 0] -= 1.0
+            pv_used[1, 1, 0] += 1.0
+            return dataclasses.replace(pair, pv_used_wh=pv_used)
 
         monkeypatch.setattr(cli, "run_pair", moved_run_pair)
         out = tmp_path / "out"
         rc = main(["simulate", "--config", str(write_tiny_config(tmp_path)),
                    "--out", str(out)])
         assert rc == 1
-        assert "day 0: pv_used_wh day totals" in capsys.readouterr().err
+        assert ("with solar: day 0: pv_used_wh day totals"
+                in capsys.readouterr().err)
         assert not out.exists() or not list(out.iterdir())
+
+    def test_non_finite_day_totals_exit_1_before_writing(self, tmp_path):
+        # a 1e308 W panel passes validation, but its day harvest overflows.
+        # In-process, an error filter on numpy's overflow RuntimeWarning
+        # would fail the run before any check could.
+        config = tmp_path / "huge_pv.json"
+        config.write_text(json.dumps({**TINY_CONFIG,
+                                      "pv": {"rated_power": 1e308}}))
+        out = tmp_path / "out"
+        proc = run_cli_process("simulate", "--config", str(config),
+                               "--out", str(out))
+        assert proc.returncode == 1, proc.stdout
+        assert ("failure: with solar: day 0, node_id=0: harvested_wh is inf, "
+                "not finite") in proc.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["huge_pv.json"]
 
     def test_invalid_config_exits_2_and_cleans_up(self, tmp_path, capsys):
         config = tmp_path / "bad.json"
@@ -349,11 +380,11 @@ class TestSimulate:
         before = {p.name: p.read_bytes() for p in out.iterdir()}
         real_write = cli.write_ledger_csv
 
-        def failing_write(result, path):
+        def failing_write(ledger, path):
             if path.name.endswith(f"_{failing}.csv"):
                 path.write_text("partial")
                 raise OSError(f"disk full writing {failing}")
-            real_write(result, path)
+            real_write(ledger, path)
 
         monkeypatch.setattr(cli, "write_ledger_csv", failing_write)
         capfd.readouterr()
@@ -447,14 +478,9 @@ class TestSimulate:
 
     def test_summary_is_printed_once(self, tmp_path):
         # a writer child must not flush the stdout it inherits
-        package_root = str(Path(solarran.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run(
-            [sys.executable, "-m", "solarran.cli", "simulate", "--config",
-             str(write_tiny_config(tmp_path)), "--runs", "2",
-             "--out", str(tmp_path / "out")],
-            capture_output=True, text=True, env=env, timeout=120)
+        proc = run_cli_process("simulate", "--config",
+                               str(write_tiny_config(tmp_path)), "--runs", "2",
+                               "--out", str(tmp_path / "out"))
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
         assert proc.stdout.count("run pair(s), seeds 42..43") == 1

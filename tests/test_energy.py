@@ -189,11 +189,12 @@ class TestBatteryStep:
 
     def test_fresh_battery_starts_at_usable_cap(self):
         spec = BatterySpec(capacity_wh=763.0, flight_reserve=0.05)
-        no_res, _ = one_station_day(AccessNode(0, Position(0.0, 0.0, 50.0),
-                                               battery=spec))
-        assert no_res.usable_capacity_wh[0] == pytest.approx(724.85)
-        assert no_res.ledger["soc_wh"][0] == (
-            no_res.usable_capacity_wh[0] - no_res.ledger["consumed_wh"][0])
+        pair = one_station_day(AccessNode(0, Position(0.0, 0.0, 50.0),
+                                          battery=spec))
+        led = pair.ledger(0)
+        assert pair.usable_capacity_wh[0] == pytest.approx(724.85)
+        assert led["soc_wh"][0, 0] == (
+            pair.usable_capacity_wh[0] - led["consumed_wh"][0, 0])
 
     @given(soc_frac=st.floats(0.0, 1.0),
            demand=st.floats(0.0, 700.0),

@@ -1,8 +1,9 @@
 """The array recurrence of run_network against a loop of the scalar
 reference_step.
 
-Every ledger column and every day-total array must be bit-identical to what
-the per-station, per-minute reference produces; no tolerance is allowed.
+Every ledger column and every day-total array of both arms must be
+bit-identical to what the per-station, per-minute reference produces; no
+tolerance is allowed.
 """
 
 import datetime
@@ -21,7 +22,7 @@ from solarran.scenario import (MINUTES_PER_DAY, AccessNode, Scenario,
                                WeatherSeries)
 
 DAY_TOTALS = ("consumed_wh", "harvested_wh", "pv_used_wh", "pv_wasted_wh",
-              "drawn_wh", "swaps", "peak_pv_w")
+              "swaps", "peak_pv_w")
 HOURS = 1.0 / 60.0  # one minute
 
 
@@ -48,19 +49,20 @@ def reference_run(scenario, series, network, with_res):
         cap, swaps = node.battery.usable_capacity_wh, 0
         for day in range(n_days):
             soc, at_start = cap, swaps
-            sums, peak = [0.0] * 5, 0.0
+            sums, peak = [0.0] * 4, 0.0
             for t in range(day * MINUTES_PER_DAY, (day + 1) * MINUTES_PER_DAY):
                 harvested = pv_w[t] * HOURS
                 soc, swaps, used, wasted, drawn = reference_step(
                     soc, swaps, cap, node.battery.charge_efficiency, demand,
                     harvested)
-                flows = (demand, harvested, used, wasted, drawn)
+                flows = (demand, harvested, used, wasted)
                 sums = [s + f for s, f in zip(sums, flows)]
                 peak = max(peak, harvested * 60.0)
                 rows[t, i] = (t, node.node_id, demand, hover, mimo, ris,
-                              *flows[1:], soc, swaps)
+                              *flows[1:], drawn, soc, swaps)
             totals[:, day, i] = (*sums, swaps - at_start, peak)
-    ledger = {name: rows[..., j].ravel() for j, name in enumerate(LEDGER_COLUMNS)}
+    # (minute, station) tables, as in PairResult.ledger
+    ledger = {name: rows[..., j] for j, name in enumerate(LEDGER_COLUMNS)}
     for name in ("t", "node_id", "swaps"):  # whole numbers, exact as floats
         ledger[name] = ledger[name].astype(np.int64)
     day_totals = dict(zip(DAY_TOTALS, totals))
@@ -117,13 +119,18 @@ def scenarios(draw):
 
 
 @settings(max_examples=20, deadline=None)
-@given(scenarios(), st.booleans())
-def test_array_recurrence_matches_scalar_step(case, with_res):
+@given(scenarios())
+def test_array_recurrence_matches_scalar_step(case):
     scenario, series, network = case
-    result = run_network(scenario, series, seed=0, network=network)[with_res]
-    ledger, totals = reference_run(scenario, series, network, with_res)
-    assert list(result.ledger) == list(LEDGER_COLUMNS)
-    for name in LEDGER_COLUMNS:
-        assert_bits_equal(result.ledger[name], ledger[name], name)
-    for name in DAY_TOTALS:
-        assert_bits_equal(getattr(result, name), totals[name], name)
+    pair = run_network(scenario, series, seed=0, network=network)
+    assert list(pair.ledgers) == list(LEDGER_COLUMNS)
+    for arm in (0, 1):
+        ledger, totals = reference_run(scenario, series, network, bool(arm))
+        for name in LEDGER_COLUMNS:
+            assert_bits_equal(pair.ledger(arm)[name], ledger[name],
+                              (arm, name))
+        for name in DAY_TOTALS:
+            # the arms share one consumed_wh
+            got = getattr(pair, name)
+            assert_bits_equal(got if name == "consumed_wh" else got[arm],
+                              totals[name], (arm, name))

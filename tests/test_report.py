@@ -1,4 +1,4 @@
-"""Tests for the ledger writer."""
+"""Tests for the ledger and metrics writers."""
 
 import math
 import tempfile
@@ -7,44 +7,37 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from solarran import report
-from solarran.engine import LEDGER_COLUMNS, RunResult
-from solarran.report import write_ledger_csv
+from solarran.engine import LEDGER_COLUMNS, SeasonStats, StudyMetrics
+from solarran.report import write_ledger_csv, write_metrics_json
 
 
-def _ledger_result(ledger, node_ids=(0,)):
-    empty = np.zeros((1, len(node_ids)))
-    return RunResult(seed=0, with_res=True, network=None, dates=("d0",),
-                     node_ids=node_ids, usable_capacity_wh=empty[0],
-                     consumed_wh=empty, harvested_wh=empty,
-                     pv_used_wh=empty, pv_wasted_wh=empty, drawn_wh=empty,
-                     swaps=empty.astype(np.int64), peak_pv_w=empty,
-                     ledger=ledger)
-
-
-def _random_ledger(n, node_ids):
-    """n rows of random values, minute-major over node_ids."""
+def _random_ledger(minutes, node_ids):
+    """(minute, station) tables of random values over node_ids."""
     rng = np.random.default_rng(5)
-    ledger = {name: rng.uniform(-1.0, 1.0, n) for name in LEDGER_COLUMNS[2:-1]}
-    ledger["t"] = np.repeat(np.arange(n // len(node_ids), dtype=np.int64),
-                            len(node_ids))
-    ledger["node_id"] = np.tile(np.array(node_ids, dtype=np.int64),
-                                n // len(node_ids))
-    ledger["swaps"] = rng.integers(0, 20, n)
+    shape = (minutes, len(node_ids))
+    ledger = {name: rng.uniform(-1.0, 1.0, shape)
+              for name in LEDGER_COLUMNS[2:-1]}
+    ledger["t"] = np.broadcast_to(np.arange(minutes, dtype=np.int64)[:, None],
+                                  shape)
+    ledger["node_id"] = np.broadcast_to(np.array(node_ids, dtype=np.int64),
+                                        shape)
+    ledger["swaps"] = rng.integers(0, 20, shape)
     return ledger
 
 
 def test_signed_zeros_keep_their_own_repr(tmp_path):
-    values = np.array([0.0, -0.0, 0.1 + 0.2, -0.0, 1e-300, 0.0, 5.0])
+    values = np.array([0.0, -0.0, 0.1 + 0.2, -0.0, 1e-300, 0.0, 5.0])[:, None]
     n = len(values)
     ledger = {name: values.copy() for name in LEDGER_COLUMNS[2:-1]}
-    ledger["t"] = np.arange(n, dtype=np.int64)
-    ledger["node_id"] = np.zeros(n, dtype=np.int64)
-    ledger["swaps"] = np.array([0, 0, 1, 1, 1, 2, 2], dtype=np.int64)
+    ledger["t"] = np.arange(n, dtype=np.int64)[:, None]
+    ledger["node_id"] = np.zeros((n, 1), dtype=np.int64)
+    ledger["swaps"] = np.array([[0], [0], [1], [1], [1], [2], [2]])
     path = tmp_path / "ledger.csv"
-    write_ledger_csv(_ledger_result(ledger), path)
+    write_ledger_csv(ledger, path)
 
     lines = path.read_text(encoding="utf-8").split("\n")
     assert lines[0] == ",".join(LEDGER_COLUMNS)
@@ -53,34 +46,35 @@ def test_signed_zeros_keep_their_own_repr(tmp_path):
     assert [r[2] for r in rows] == ["0.0", "-0.0", "0.30000000000000004",
                                     "-0.0", "1e-300", "0.0", "5.0"]
     for i, row in enumerate(rows):
-        expected = ([str(i), "0"] + [repr(float(values[i]))] * 9
-                    + [str(int(ledger["swaps"][i]))])
+        expected = ([str(i), "0"] + [repr(float(values[i, 0]))] * 9
+                    + [str(int(ledger["swaps"][i, 0]))])
         assert row == expected
 
 
 def test_rows_span_several_day_chunks(tmp_path):
     # three stations over two days plus a partial third, more rows than one
     # block: chunking must not drop, repeat or reorder rows
-    n = 3 * (2 * 1440 + 7)
-    ledger = _random_ledger(n, (4, 7, 9))
+    minutes = 2 * 1440 + 7
+    ledger = _random_ledger(minutes, (4, 7, 9))
     path = tmp_path / "ledger.csv"
-    write_ledger_csv(_ledger_result(ledger, node_ids=(4, 7, 9)), path)
+    write_ledger_csv(ledger, path)
     lines = path.read_text(encoding="utf-8").splitlines()[1:]
-    assert len(lines) == n
-    for i in (0, 4319, 4320, 4321, n - 1):
-        expected = ([str(int(ledger["t"][i])), str(int(ledger["node_id"][i]))]
-                    + [repr(float(ledger[c][i])) for c in LEDGER_COLUMNS[2:-1]]
-                    + [str(int(ledger["swaps"][i]))])
+    assert len(lines) == 3 * minutes
+    for i in (0, 4319, 4320, 4321, 3 * minutes - 1):
+        cell = divmod(i, 3)
+        expected = ([str(int(ledger[c][cell])) for c in ("t", "node_id")]
+                    + [repr(float(ledger[c][cell])) for c in LEDGER_COLUMNS[2:-1]]
+                    + [str(int(ledger["swaps"][cell]))])
         assert lines[i].split(",") == expected
 
 
 def test_block_size_leaves_the_bytes_alone(tmp_path, monkeypatch):
-    # blocks of 7 rows end inside a minute's stations and across days
-    ledger = _random_ledger(3 * (2 * 1440 + 7), (4, 7, 9))
-    result = _ledger_result(ledger, node_ids=(4, 7, 9))
-    write_ledger_csv(result, tmp_path / "default.csv")
+    # blocks of 7 rows hold two whole minutes of three stations, and end
+    # across days
+    ledger = _random_ledger(2 * 1440 + 7, (4, 7, 9))
+    write_ledger_csv(ledger, tmp_path / "default.csv")
     monkeypatch.setattr(report, "LEDGER_CHUNK_ROWS", 7)
-    write_ledger_csv(result, tmp_path / "small.csv")
+    write_ledger_csv(ledger, tmp_path / "small.csv")
     assert ((tmp_path / "small.csv").read_bytes()
             == (tmp_path / "default.csv").read_bytes())
 
@@ -90,12 +84,12 @@ FLOAT_CELLS = (0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf,
 
 
 def _naive_csv(ledger):
-    """The ledger as text, one cell at a time."""
+    """The ledger as text, one cell at a time, minute-major."""
     lines = [",".join(LEDGER_COLUMNS)]
-    for i in range(len(ledger["t"])):
+    for cell in np.ndindex(ledger["t"].shape):
         lines.append(",".join(
-            repr(float(ledger[c][i])) if c in LEDGER_COLUMNS[2:-1]
-            else str(int(ledger[c][i])) for c in LEDGER_COLUMNS))
+            repr(float(ledger[c][cell])) if c in LEDGER_COLUMNS[2:-1]
+            else str(int(ledger[c][cell])) for c in LEDGER_COLUMNS))
     return "\n".join(lines) + "\n"
 
 
@@ -113,14 +107,15 @@ def station_ledgers(draw):
         size = n if per_station else n * minutes
         column = np.array(draw(st.lists(cells, min_size=size, max_size=size)),
                           dtype=float if name in LEDGER_COLUMNS[2:-1] else int)
-        ledger[name] = np.tile(column, minutes) if per_station else column
+        ledger[name] = column.reshape(-1, n).repeat(
+            minutes if per_station else 1, axis=0)
     if draw(st.booleans()):
         name = draw(st.sampled_from(LEDGER_COLUMNS))
-        row = draw(st.integers(0, n * minutes - 1))
+        cell = divmod(draw(st.integers(0, n * minutes - 1)), n)
         column = ledger[name]
         # a float's sign bit flips (0.0 <-> -0.0, and a NaN's payload); an
         # int's low bit flips
-        column[row] = -column[row] if column.dtype == float else column[row] ^ 1
+        column[cell] = -column[cell] if column.dtype == float else column[cell] ^ 1
     return n, ledger
 
 
@@ -134,14 +129,14 @@ def _example_ledger():
                    "hover_wh": [math.nan, 1e-300], "pv_used_wh": [5.0, 5.0],
                    "drawn_wh": [-0.0, -0.0], "swaps": [3, 0]}
     ledger = {name: np.tile(np.array(
-        v, dtype=float if name in LEDGER_COLUMNS[2:-1] else int), minutes)
+        v, dtype=float if name in LEDGER_COLUMNS[2:-1] else int), (minutes, 1))
         for name, v in per_station.items()}
-    ledger["drawn_wh"][5] = 0.0
+    ledger["drawn_wh"][2, 1] = 0.0
     rng = np.random.default_rng(3)
-    ledger["t"] = np.repeat(np.arange(minutes), n)
+    ledger["t"] = np.repeat(np.arange(minutes), n).reshape(minutes, n)
     for name in ("mimo_wh", "ris_wh", "harvested_wh", "pv_wasted_wh",
                  "soc_wh"):
-        ledger[name] = rng.choice(FLOAT_CELLS, n * minutes)
+        ledger[name] = rng.choice(FLOAT_CELLS, (minutes, n))
     return n, ledger
 
 
@@ -150,12 +145,11 @@ def _example_ledger():
 @example(case=_example_ledger(), chunk_rows=1)
 def test_bytes_equal_a_cell_by_cell_reference(case, chunk_rows):
     # chunk_rows below the station count gives one minute per chunk
-    n, ledger = case
-    result = _ledger_result(ledger, node_ids=tuple(range(n)))
+    _, ledger = case
     with tempfile.TemporaryDirectory() as tmp, \
             mock.patch.object(report, "LEDGER_CHUNK_ROWS", chunk_rows):
         path = Path(tmp) / "ledger.csv"
-        write_ledger_csv(result, path)
+        write_ledger_csv(ledger, path)
         assert path.read_text(encoding="utf-8") == _naive_csv(ledger)
 
 
@@ -166,14 +160,22 @@ def test_peak_memory_does_not_grow_with_ledger_length(tmp_path):
     node_ids = tuple(range(49))
     peaks = {}
     for days in (1, 4):
-        ledger = _random_ledger(days * 1440 * len(node_ids), node_ids)
+        ledger = _random_ledger(days * 1440, node_ids)
         for name in LEDGER_COLUMNS[2:-2]:
-            ledger[name] = np.tile(ledger[name][:len(node_ids)], days * 1440)
-        result = _ledger_result(ledger, node_ids=node_ids)
+            ledger[name] = np.tile(ledger[name][0], (days * 1440, 1))
         tracemalloc.start()
         try:
-            write_ledger_csv(result, tmp_path / f"ledger{days}.csv")
+            write_ledger_csv(ledger, tmp_path / f"ledger{days}.csv")
             peaks[days] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
     assert peaks[4] <= 1.25 * peaks[1], peaks
+
+
+def test_metrics_json_refuses_non_finite_numbers(tmp_path):
+    # json.dumps would write Infinity, which strict JSON parsers reject
+    stats = SeasonStats(math.inf, 0.0, 0.0, 0.0, 0.0)
+    metrics = StudyMetrics(season_names=("spring",), seasons={"spring": stats},
+                           mean=stats, per_run=[])
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_metrics_json(metrics, {}, [42], tmp_path / "metrics.json")

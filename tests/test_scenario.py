@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from solarran import scenario as scenario_module
 from solarran.cli import main
 from solarran.scenario import (CONFIG_SCHEMA, EQUIPMENT, ConfigError, Scenario,
-                               WeatherError, load_config, load_weather_csv,
+                               WeatherError, WeatherSeries, load_config,
+                               load_weather_csv,
                                place_users, scenario_from_dict,
                                solar_declination_deg, solar_elevation_sin,
                                synth_study_series, synth_weather,
@@ -276,6 +278,47 @@ class TestSynthWeather:
         t_min, t_max = sc.season_temps["summer"]
         assert min(temps) == pytest.approx(t_min, abs=1e-9)
         assert max(temps) == pytest.approx(t_max, abs=1e-9)
+
+    def test_each_date_is_synthesized_once(self, tmp_path, monkeypatch):
+        # three pairs share the four dates' cloudless days; only the cloud
+        # factor is applied per pair
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return solar_elevation_sin(*args)
+
+        monkeypatch.setattr(scenario_module, "solar_elevation_sin", counted)
+        scenario_module._clear_sky_day.cache_clear()
+        config = write_config(tmp_path, {
+            "users": {"count": 5},
+            "nodes": {"layout": [{"id": 0, "x": 1500.0, "y": 1500.0}]}})
+        assert main(["simulate", "--config", str(config), "--runs", "3",
+                     "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == 4 * 1440
+
+
+class TestWeatherSeries:
+    """A series refuses the values no weather can have, naming the first
+    minute that has one."""
+
+    def test_negative_ghi(self):
+        series = synth_study_series(Scenario())
+        ghi = series.ghi_wm2.copy()
+        ghi[2000] = -1.0
+        with pytest.raises(WeatherError,
+                           match=r"minute 2000: ghi_wm2 must be finite and >= 0"):
+            WeatherSeries(ghi, series.temp_c)
+
+    @pytest.mark.parametrize("column, value", [
+        ("ghi_wm2", np.nan), ("ghi_wm2", np.inf), ("temp_c", np.inf),
+        ("temp_c", -np.nan)])
+    def test_non_finite_values(self, column, value):
+        day = synth_weather(Scenario(), SUMMER)
+        values = {"ghi_wm2": day.ghi_wm2.copy(), "temp_c": day.temp_c.copy()}
+        values[column][[700, 799]] = value
+        with pytest.raises(WeatherError, match=r"^minute 700: .* got "):
+            WeatherSeries(**values)
 
 
 class TestWeatherCsv:
