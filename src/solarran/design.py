@@ -42,9 +42,6 @@ class Assignment:
     users: dict[int, tuple[int, int, int]]
     node_loads: dict[int, int]
 
-    def __len__(self) -> int:
-        return len(self.users)
-
 
 @dataclass(frozen=True)
 class NetworkConfig:

@@ -53,6 +53,7 @@ class UavAirframe:
             v = getattr(self, name)
             if not 0 < v <= 1:
                 raise ParameterError(f"{name} must be in (0, 1], got {v}")
+        uav_hover_power(self)  # refuses a hover power that overflows
 
 
 @dataclass(frozen=True)
@@ -99,6 +100,9 @@ class RisSpec:
             raise ParameterError(
                 f"phase_bits {self.phase_bits} not in per-element power table "
                 f"{sorted(self.per_element_power)}")
+        if min(self.per_element_power.values()) < 0:
+            raise ParameterError(f"per_element_power entries must be >= 0, "
+                                 f"got {self.per_element_power}")
 
 
 @dataclass(frozen=True)
@@ -122,6 +126,8 @@ class PvSpec:
             raise ParameterError(f"temp_coeff must be <= 0, got {self.temp_coeff}")
         if self.noct <= 20:
             raise ParameterError(f"noct must be > 20 degC, got {self.noct}")
+        if self.stc_irradiance <= 0:
+            raise ParameterError(f"stc_irradiance must be > 0, got {self.stc_irradiance}")
 
 
 @dataclass(frozen=True)
@@ -164,7 +170,10 @@ def uav_hover_power(airframe: UavAirframe) -> float:
     if disk_area <= 0:
         raise ParameterError("rotor disk area must be positive")
     thrust = airframe.total_mass * STANDARD_GRAVITY
-    ideal = thrust ** 1.5 / math.sqrt(2.0 * airframe.air_density * disk_area)
+    try:
+        ideal = thrust ** 1.5 / math.sqrt(2.0 * airframe.air_density * disk_area)
+    except OverflowError:  # refused below, like any other non-finite power
+        ideal = math.inf
     drawn = ideal / (airframe.drive_efficiency * airframe.tether_efficiency)
     if not math.isfinite(drawn):
         raise ParameterError("hover power is not finite; check airframe parameters")

@@ -196,9 +196,6 @@ class SeasonStats:
     anuc_no_res: float
     anuc_with_res: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class StudyMetrics:

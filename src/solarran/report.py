@@ -48,7 +48,7 @@ def write_metrics_json(metrics: StudyMetrics, config_echo: dict,
         "seeds": list(seeds),
         "metrics": metrics.to_dict(),
     }
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=str,
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True,
                                allow_nan=False) + "\n", encoding="utf-8")
 
 

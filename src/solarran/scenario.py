@@ -56,22 +56,25 @@ DEFAULT_SEASON_TEMPS = {
 }
 
 
-_ISO_DAY = r"[0-9]{4}-[0-9]{2}-[0-9]{2}"
-_ISO_FORMS = {
-    datetime.date: ("YYYY-MM-DD", re.compile(_ISO_DAY)),
-    datetime.datetime: ("YYYY-MM-DDTHH:MM[:SS]",
-                        re.compile(_ISO_DAY + r"T[0-9]{2}:[0-9]{2}(:[0-9]{2})?")),
-}
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+# "THH:MM" of each minute of a day, built once
+_CLOCK = tuple(f"T{m // 60:02d}:{m % 60:02d}" for m in range(MINUTES_PER_DAY))
 
 
-def parse_iso(kind: type, text: str):
-    """text as a kind (datetime.date or datetime.datetime), read only in the
-    _ISO_FORMS form of that kind; ValueError otherwise. fromisoformat alone
-    reads more forms on Python 3.11 (20220320, 2022-W25-2) than on 3.10."""
-    form, pattern = _ISO_FORMS[kind]
-    if not pattern.fullmatch(text):
-        raise ValueError(f"{text!r} is not written {form}")
-    return kind.fromisoformat(text)
+def parse_date(text: str) -> datetime.date:
+    """text as a date, read only if written YYYY-MM-DD; ValueError otherwise.
+    date.fromisoformat alone reads more forms on Python 3.11 (20220320,
+    2022-W25-2) than on 3.10."""
+    if not _ISO_DATE.fullmatch(text):
+        raise ValueError(f"{text!r} is not written YYYY-MM-DD")
+    return datetime.date.fromisoformat(text)
+
+
+def _minute_stamps(dates: Sequence[datetime.date]) -> list[str]:
+    """The timestamp of every minute of dates, in their order, written
+    YYYY-MM-DDTHH:MM."""
+    return [day + clock for day in map(datetime.date.isoformat, dates)
+            for clock in _CLOCK]
 
 
 class ConfigError(ValueError):
@@ -395,7 +398,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
     sim = doc.get("simulation", {})
     if "dates" in sim:
         try:
-            dates = tuple(parse_iso(datetime.date, d) for d in sim["dates"])
+            dates = tuple(parse_date(d) for d in sim["dates"])
         except ValueError as exc:
             raise ConfigError(f"simulation.dates must be ISO dates: {exc}") from exc
     else:
@@ -496,14 +499,13 @@ def synth_study_series(scenario: Scenario,
 
 
 def load_weather_csv(path: str | Path,
-                     expected_dates: Optional[Sequence[datetime.date]] = None
-                     ) -> WeatherSeries:
-    """Parse a weather CSV and validate it row by row.
+                     expected_dates: Sequence[datetime.date]) -> WeatherSeries:
+    """Parse a weather CSV of expected_dates and validate it row by row.
 
-    Requirements: header ``timestamp,ghi_wm2,temp_c``; timestamps written
-    YYYY-MM-DDTHH:MM[:SS] on an exact 1-minute cadence starting at midnight; 1440 rows per day;
-    finite values, ghi >= 0. When expected_dates is given, the file's days
-    must match them in order. Errors cite the offending line number.
+    Requirements: header ``timestamp,ghi_wm2,temp_c``; one row for each
+    minute of expected_dates, in their order, stamped YYYY-MM-DDTHH:MM or
+    YYYY-MM-DDTHH:MM:00; finite values, ghi >= 0. Blank lines are skipped.
+    Errors cite the offending line number.
     """
     path = Path(path)
     if not path.exists():
@@ -515,19 +517,25 @@ def load_weather_csv(path: str | Path,
     if not lines or lines[0].strip() != "timestamp,ghi_wm2,temp_c":
         raise WeatherError("line 1: header must be 'timestamp,ghi_wm2,temp_c'")
 
+    stamps = _minute_stamps(expected_dates)
     ghi_column: list[float] = []
     temp_column: list[float] = []
-    days: list[datetime.date] = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         parts = line.split(",")
         if len(parts) != 3:
             raise WeatherError(f"line {lineno}: expected 3 fields, got {len(parts)}")
+        row = len(ghi_column)
+        if row == len(stamps):
+            raise WeatherError(f"line {lineno}: expected only {row} rows, "
+                               f"{MINUTES_PER_DAY} per date")
+        text, stamp = parts[0], stamps[row]
+        if text != stamp and text != stamp + ":00":
+            raise WeatherError(f"line {lineno}: {text!r} is not written "
+                               f"{stamp}[:00], the minute expected there")
         try:
-            ts = parse_iso(datetime.datetime, parts[0])
-            ghi = float(parts[1])
-            temp = float(parts[2])
+            ghi, temp = float(parts[1]), float(parts[2])
         except ValueError as exc:
             raise WeatherError(f"line {lineno}: {exc}") from exc
         if not (math.isfinite(ghi) and math.isfinite(temp)):
@@ -535,45 +543,27 @@ def load_weather_csv(path: str | Path,
                                f"finite, got {ghi} and {temp}")
         if ghi < 0:
             raise WeatherError(f"line {lineno}: ghi_wm2 must be >= 0, got {ghi}")
-        minute_of_day = len(ghi_column) % MINUTES_PER_DAY
-        expected_time = datetime.time(minute_of_day // 60, minute_of_day % 60)
-        if ts.time() != expected_time:
-            raise WeatherError(
-                f"line {lineno}: expected time {expected_time.isoformat()} "
-                f"(1-minute cadence, {MINUTES_PER_DAY} rows per day), "
-                f"got {ts.time().isoformat()}")
-        if minute_of_day == 0:
-            if days and ts.date() <= days[-1]:
-                raise WeatherError(f"line {lineno}: day {ts.date()} does not "
-                                   f"follow {days[-1]}")
-            days.append(ts.date())
-        elif ts.date() != days[-1]:
-            raise WeatherError(f"line {lineno}: date changed mid-day from "
-                               f"{days[-1]} to {ts.date()}")
         ghi_column.append(ghi)
         temp_column.append(temp)
 
-    if len(ghi_column) % MINUTES_PER_DAY != 0 or not ghi_column:
-        raise WeatherError(f"series has {len(ghi_column)} rows; must be a whole "
-                           f"number of {MINUTES_PER_DAY}-row days")
-    if expected_dates is not None and days != list(expected_dates):
-        raise WeatherError(f"file covers days {days}, expected {list(expected_dates)}")
+    if len(ghi_column) != len(stamps):
+        raise WeatherError(f"series has {len(ghi_column)} rows; expected {len(stamps)}"
+                           f", a whole day of {MINUTES_PER_DAY} rows per date")
     return WeatherSeries(ghi_column, temp_column)
 
 
 def write_weather_csv(weather: WeatherSeries,
                       dates: Sequence[datetime.date],
                       path: str | Path) -> None:
-    """Write a series in the CSV format load_weather_csv accepts; float
-    fields use repr so a round trip reproduces the series exactly."""
-    if len(weather) != len(dates) * MINUTES_PER_DAY:
+    """Write a series of dates' minutes as load_weather_csv reads it, each
+    row stamped YYYY-MM-DDTHH:MM:00; float fields use repr so a round trip
+    reproduces the series exactly."""
+    stamps = _minute_stamps(dates)
+    if len(weather) != len(stamps):
         raise WeatherError(f"{len(weather)} samples do not cover {len(dates)} "
                            f"whole days")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("timestamp,ghi_wm2,temp_c\n")
-        for i, (ghi, temp) in enumerate(zip(weather.ghi_wm2.tolist(),
-                                            weather.temp_c.tolist())):
-            date = dates[i // MINUTES_PER_DAY]
-            minute = i % MINUTES_PER_DAY
-            ts = datetime.datetime.combine(date, datetime.time(minute // 60, minute % 60))
-            fh.write(f"{ts.isoformat()},{ghi!r},{temp!r}\n")
+        for stamp, ghi, temp in zip(stamps, weather.ghi_wm2.tolist(),
+                                    weather.temp_c.tolist()):
+            fh.write(f"{stamp}:00,{ghi!r},{temp!r}\n")

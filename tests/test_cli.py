@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import dataclasses
+import datetime
 import json
 import math
 import os
@@ -43,6 +44,15 @@ def run_cli_process(*args):
         filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, "-m", "solarran.cli", *args],
                           capture_output=True, text=True, env=env, timeout=120)
+
+
+def study_files(config, out, *flags):
+    """The files of a one-pair study of config, seed 7, by name."""
+    assert main(["simulate", "--config", str(config), "--seed", "7",
+                 "--out", str(out), *flags]) == 0
+    files = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert len(files) == 8
+    return files
 
 
 class TestSimulate:
@@ -241,8 +251,17 @@ class TestSimulate:
          "area.width_m must be in (0, 10000000], got 1e+308"),
         ('{"nodes": {"altitude_m": 1e200}, "users": {"count": 5}}',
          "nodes.altitude_m must be in (0, 10000000], got 1e+200"),
+        ('{"pv": {"stc_irradiance": 0}}',
+         "invalid 'pv' section: stc_irradiance must be > 0, got 0.0"),
+        ('{"pv": {"stc_irradiance": -1000}}',
+         "invalid 'pv' section: stc_irradiance must be > 0, got -1000.0"),
+        ('{"ris": {"per_element_power": {"6": -1}}}',
+         "invalid 'ris' section: per_element_power entries must be >= 0"),
+        ('{"airframe": {"total_mass": 1e300}}',
+         "invalid 'airframe' section: hover power is not finite"),
     ], ids=["empty_layout", "nan", "infinity", "overflow", "huge_area",
-            "huge_altitude"])
+            "huge_altitude", "stc_zero", "stc_negative", "ris_negative",
+            "hover_overflow"])
     def test_rejected_config_exits_2(self, tmp_path, capsys, text, named):
         config = tmp_path / "bad.json"
         config.write_text(text)
@@ -438,10 +457,20 @@ class TestSimulate:
         merged = tmp_path / "weather.csv"
         merged.write_text("\n".join([csvs[0][0]] +
                                     [l for c in csvs for l in c[1:]]) + "\n")
-        out = tmp_path / "out"
-        rc = main(["simulate", "--config", str(config), "--seed", "7",
-                   "--weather", str(merged), "--out", str(out)])
-        assert rc == 0
+        assert study_files(config, tmp_path / "csv", "--weather",
+                           str(merged)) == study_files(config, tmp_path / "synth")
+
+    def test_csv_of_dates_out_of_calendar_order(self, tmp_path):
+        config = tmp_path / "unordered.json"
+        config.write_text(json.dumps({**TINY_CONFIG, "simulation": {
+            "runs": 1, "dates": ["2022-12-21", "2022-03-20", "2022-06-21",
+                                 "2022-09-23"]}}))
+        scenario = solarran.load_config(config)
+        weather = tmp_path / "weather.csv"
+        solarran.write_weather_csv(solarran.synth_study_series(scenario),
+                                   scenario.dates, weather)
+        assert study_files(config, tmp_path / "csv", "--weather",
+                           str(weather)) == study_files(config, tmp_path / "synth")
 
     @pytest.mark.parametrize("date", ["20220320", "2022-W11-7", "2022-03-20T00:00"],
                              ids=["basic", "iso_week", "with_time"])
@@ -493,21 +522,21 @@ class TestWeatherSynth:
         path = tmp_path / "day.csv"
         assert main(["weather-synth", "--date", "2022-06-21",
                      "--out", str(path)]) == 0
-        weather = load_weather_csv(path)
+        weather = load_weather_csv(path, [datetime.date(2022, 6, 21)])
         assert len(weather) == 1440
 
     def test_fully_overcast_is_all_zero(self, tmp_path):
         path = tmp_path / "day.csv"
         assert main(["weather-synth", "--date", "2022-06-21", "--cloud", "0",
                      "--out", str(path)]) == 0
-        weather = load_weather_csv(path)
+        weather = load_weather_csv(path, [datetime.date(2022, 6, 21)])
         assert (weather.ghi_wm2 == 0.0).all()
 
     def test_clear_sky_noon_value(self, tmp_path):
         path = tmp_path / "day.csv"
         assert main(["weather-synth", "--date", "2022-06-21", "--cloud", "1.0",
                      "--out", str(path)]) == 0
-        weather = load_weather_csv(path)
+        weather = load_weather_csv(path, [datetime.date(2022, 6, 21)])
         assert weather.ghi_wm2[720] == pytest.approx(857.1367, abs=0.05)
 
     def test_missing_out_directory_exits_2(self, tmp_path, capsys):

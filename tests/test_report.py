@@ -1,5 +1,6 @@
 """Tests for the ledger and metrics writers."""
 
+import datetime
 import math
 import tempfile
 import tracemalloc
@@ -179,3 +180,13 @@ def test_metrics_json_refuses_non_finite_numbers(tmp_path):
                            mean=stats, per_run=[])
     with pytest.raises(ValueError, match="not JSON compliant"):
         write_metrics_json(metrics, {}, [42], tmp_path / "metrics.json")
+
+
+def test_metrics_json_refuses_objects_json_cannot_encode(tmp_path):
+    # a date is not JSON; it must not be written as its str
+    stats = SeasonStats(0.0, 0.0, 0.0, 0.0, 0.0)
+    metrics = StudyMetrics(season_names=("spring",), seasons={"spring": stats},
+                           mean=stats, per_run=[])
+    with pytest.raises(TypeError, match="date is not JSON serializable"):
+        write_metrics_json(metrics, {"dates": [datetime.date(2022, 3, 20)]},
+                           [42], tmp_path / "metrics.json")

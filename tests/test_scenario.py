@@ -335,7 +335,7 @@ class TestWeatherCsv:
         day = synth_weather(sc, SUMMER)
         path = tmp_path / "day.csv"
         write_weather_csv(day, [SUMMER], path)
-        assert load_weather_csv(path) == day
+        assert load_weather_csv(path, [SUMMER]) == day
 
     def test_timestamps_without_seconds_load(self, tmp_path):
         day = synth_weather(Scenario(), SUMMER)
@@ -344,7 +344,7 @@ class TestWeatherCsv:
         short = tmp_path / "short.csv"
         short.write_text(re.sub(r"(T\d\d:\d\d):00,", r"\1,", path.read_text()))
         assert "T12:00," in short.read_text()
-        assert load_weather_csv(short) == day
+        assert load_weather_csv(short, [SUMMER]) == day
 
     def test_gap_is_reported_with_line_number(self, tmp_path):
         sc = Scenario()
@@ -356,14 +356,14 @@ class TestWeatherCsv:
         broken = tmp_path / "gap.csv"
         broken.write_text("\n".join(lines) + "\n")
         with pytest.raises(WeatherError, match="line 101.*01:39"):
-            load_weather_csv(broken)
+            load_weather_csv(broken, [SUMMER])
 
     def test_negative_ghi_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("timestamp,ghi_wm2,temp_c\n"
                         "2022-06-21T00:00:00,-5.0,10.0\n")
         with pytest.raises(WeatherError, match="line 2"):
-            load_weather_csv(path)
+            load_weather_csv(path, [SUMMER])
 
     @pytest.mark.parametrize("ghi, temp", [("nan", "10.0"), ("inf", "10.0"),
                                            ("5.0", "inf"), ("5.0", "-nan")])
@@ -373,13 +373,13 @@ class TestWeatherCsv:
                         "2022-06-21T00:00:00,0.0,10.0\n"
                         f"2022-06-21T00:01:00,{ghi},{temp}\n")
         with pytest.raises(WeatherError, match="line 3.*finite"):
-            load_weather_csv(path)
+            load_weather_csv(path, [SUMMER])
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("time,ghi,temp\n")
         with pytest.raises(WeatherError, match="header"):
-            load_weather_csv(path)
+            load_weather_csv(path, [SUMMER])
 
     def test_wrong_dates_rejected(self, tmp_path):
         sc = Scenario()
@@ -396,7 +396,7 @@ class TestWeatherCsv:
             rows.append(f"2022-06-21T{m // 60:02d}:{m % 60:02d}:00,0.0,10.0")
         path.write_text("\n".join(rows) + "\n")
         with pytest.raises(WeatherError, match="whole"):
-            load_weather_csv(path)
+            load_weather_csv(path, [SUMMER])
 
 
 def test_season_label_positional_and_by_month():
