@@ -10,14 +10,17 @@ energy in watt-hours, temperatures in degrees Celsius.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 STANDARD_GRAVITY = 9.80665  # m/s^2
 
 # Controller draw per reflecting element, by phase-shift resolution [W].
-DEFAULT_RIS_ELEMENT_POWER = {3: 0.0015, 4: 0.0045, 5: 0.006, 6: 0.0078}
+RIS_ELEMENT_POWER = {3: 0.0015, 4: 0.0045, 5: 0.006, 6: 0.0078}
+# Standard test conditions, at which a panel delivers its rated power.
+STC_IRRADIANCE = 1000.0  # W/m^2
+STC_CELL_TEMP = 25.0     # degC
 
 
 class ParameterError(ValueError):
@@ -62,7 +65,9 @@ class MimoSpec:
 
     Power when active: fixed_power + antenna_count * per_antenna_circuit_power
     + served_users * per_user_processing_power + radiated / pa_efficiency.
-    When the cell is switched off only sleep_power remains.
+    When the cell is switched off only sleep_power remains. The transmit
+    power is one of RadioParams.power_levels_dbm, whose top entry is the
+    transceiver maximum.
     """
 
     antenna_count: int = 64
@@ -70,7 +75,6 @@ class MimoSpec:
     per_antenna_circuit_power: float = 1.5  # W
     per_user_processing_power: float = 0.3  # W
     pa_efficiency: float = 0.5
-    max_tx_power_dbm: float = 40.0
     sleep_power: float = 5.0                # W
 
     def __post_init__(self):
@@ -86,23 +90,19 @@ class MimoSpec:
 
 @dataclass(frozen=True)
 class RisSpec:
-    """Passive reflective surface: element count and phase resolution."""
+    """Passive reflective surface: element count and phase resolution,
+    one of the resolutions RIS_ELEMENT_POWER lists."""
 
     element_count: int = 16
     phase_bits: int = 6
-    per_element_power: dict[int, float] = field(
-        default_factory=lambda: dict(DEFAULT_RIS_ELEMENT_POWER))
 
     def __post_init__(self):
         if self.element_count < 0:
             raise ParameterError(f"element_count must be >= 0, got {self.element_count}")
-        if self.phase_bits not in self.per_element_power:
+        if self.phase_bits not in RIS_ELEMENT_POWER:
             raise ParameterError(
                 f"phase_bits {self.phase_bits} not in per-element power table "
-                f"{sorted(self.per_element_power)}")
-        if min(self.per_element_power.values()) < 0:
-            raise ParameterError(f"per_element_power entries must be >= 0, "
-                                 f"got {self.per_element_power}")
+                f"{sorted(RIS_ELEMENT_POWER)}")
 
 
 @dataclass(frozen=True)
@@ -114,8 +114,6 @@ class PvSpec:
     derating_factor: float = 0.9
     temp_coeff: float = -0.0035     # 1/degC
     noct: float = 45.0              # degC, nominal operating cell temperature
-    stc_irradiance: float = 1000.0  # W/m^2
-    stc_cell_temp: float = 25.0     # degC
 
     def __post_init__(self):
         if self.rated_power < 0:
@@ -126,8 +124,6 @@ class PvSpec:
             raise ParameterError(f"temp_coeff must be <= 0, got {self.temp_coeff}")
         if self.noct <= 20:
             raise ParameterError(f"noct must be > 20 degC, got {self.noct}")
-        if self.stc_irradiance <= 0:
-            raise ParameterError(f"stc_irradiance must be > 0, got {self.stc_irradiance}")
 
 
 @dataclass(frozen=True)
@@ -190,15 +186,14 @@ def mimo_power(spec: MimoSpec, active: bool, served_users: int,
 
     Active cells pay the fixed share, circuit power per antenna, processing
     power per served user, and the radiated power scaled by amplifier
-    efficiency. Inactive cells idle at sleep_power.
+    efficiency. Inactive cells idle at sleep_power. tx_power_dbm is not
+    bounded here: the designer takes it from the power ladder, whose top
+    entry is the transceiver maximum.
     """
     if not active:
         return spec.sleep_power
     if served_users < 0:
         raise ParameterError(f"served_users must be >= 0, got {served_users}")
-    if tx_power_dbm > spec.max_tx_power_dbm:
-        raise ParameterError(
-            f"tx_power {tx_power_dbm} dBm exceeds max {spec.max_tx_power_dbm} dBm")
     return (spec.fixed_power
             + spec.antenna_count * spec.per_antenna_circuit_power
             + served_users * spec.per_user_processing_power
@@ -210,7 +205,7 @@ def ris_power(spec: RisSpec) -> float:
     per-element draw at the configured phase resolution."""
     if spec.element_count == 0:
         return 0.0
-    return spec.element_count * spec.per_element_power[spec.phase_bits]
+    return spec.element_count * RIS_ELEMENT_POWER[spec.phase_bits]
 
 
 def cell_temperature(ambient_c, ghi_wm2, noct_c: float):
@@ -227,7 +222,7 @@ def pv_power(spec: PvSpec, ghi_wm2, ambient_c):
     Takes floats, or one array entry per minute as the engine passes them."""
     t_cell = cell_temperature(ambient_c, ghi_wm2, spec.noct)
     out = (spec.rated_power * spec.derating_factor
-           * (ghi_wm2 / spec.stc_irradiance)
-           * (1.0 + spec.temp_coeff * (t_cell - spec.stc_cell_temp)))
+           * (ghi_wm2 / STC_IRRADIANCE)
+           * (1.0 + spec.temp_coeff * (t_cell - STC_CELL_TEMP)))
     # max(0.0, out) for floats and arrays: NaN and -0.0 become 0.0 (not fmax)
     return np.where(out > 0.0, out, 0.0)[()]

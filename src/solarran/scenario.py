@@ -201,13 +201,9 @@ class _JsonNumber(float):
 
 
 def _json_type(hint):
-    """The JSON type of a dataclass field: tuple[float, ...] is a list and
-    dict[int, float] an object keyed by integers."""
-    args = get_args(hint)
+    """The JSON type of a dataclass field: tuple[float, ...] is a list."""
     if get_origin(hint) is tuple:
-        return [args[0]]
-    if get_origin(hint) is dict:
-        return {args[0]: args[1]}
+        return [get_args(hint)[0]]
     return hint
 
 
@@ -241,8 +237,8 @@ SCALARS = (
 def _config_schema() -> dict:
     """The JSON type of every scenario value, as check_json reads it: float
     is a number and int an integer (a bool is neither), str a string, [t] a
-    list of t, {key: t} an object with only those keys, {int: t} an object
-    whose keys are integers, and Required(t) a t its object must contain.
+    list of t, {key: t} an object with only those keys, and Required(t) a t
+    its object must contain.
     Equipment sections and SCALARS take their types from the dataclass
     fields."""
     schema = {
@@ -271,11 +267,10 @@ _EXPECTED = {float: "a number", int: "an integer", str: "a string",
 
 def check_json(doc, schema, path: str = ""):
     """Return a parsed document as schema gives it (numbers float, lists
-    tuples, integer keys int), or raise ConfigError naming the dotted path
-    (area.width_m, nodes.layout[0].x) of the first value that is NaN,
-    infinite, an integer too large for a float, of the wrong JSON type, or
-    under a key the schema does not list, or of an object that lacks a
-    Required key."""
+    tuples), or raise ConfigError naming the dotted path (area.width_m,
+    nodes.layout[0].x) of the first value that is NaN, infinite, an integer
+    too large for a float, of the wrong JSON type, or under a key the schema
+    does not list, or of an object that lacks a Required key."""
     where = path or "<root>"
     if isinstance(schema, Required):
         schema = schema.kind
@@ -300,11 +295,7 @@ def check_json(doc, schema, path: str = ""):
     checked = {}
     for key, value in doc.items():
         key_path = f"{path}.{key}" if path else str(key)
-        if int in schema:
-            if not str(key).isdecimal():
-                raise ConfigError(f"{key_path}: expected an integer key")
-            checked[int(key)] = check_json(value, schema[int], key_path)
-        elif key in schema:
+        if key in schema:
             checked[key] = check_json(value, schema[key], key_path)
         else:
             raise ConfigError(f"{key_path}: unknown key; allowed: "
@@ -367,10 +358,6 @@ def scenario_from_dict(raw: dict) -> Scenario:
         except ValueError as exc:  # ParameterError too
             raise ConfigError(f"invalid '{name}' section: {exc}") from exc
     radio = equipment.pop("radio")
-    if radio.max_power_dbm != equipment["mimo"].max_tx_power_dbm:
-        raise ConfigError(
-            f"radio.power_levels_dbm max ({radio.max_power_dbm}) must equal "
-            f"mimo.max_tx_power_dbm ({equipment['mimo'].max_tx_power_dbm})")
 
     nodes_section = doc.get("nodes", {})
     altitude = nodes_section.get("altitude_m", NODE_ALTITUDE_M)

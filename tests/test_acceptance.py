@@ -49,9 +49,9 @@ def default_study():
 
 
 # The README study's files (`solarran simulate --config {} --seed 42`), as
-# the per-step reference implementation wrote them.
+# the per-step reference implementation wrote the summary and the ledgers.
 DEFAULT_STUDY_SHA256 = {
-    "metrics.json": "a85c32c28d2ec36ac5e7ea050a49238813db270a538c26ddbcecf65fe217fe4d",
+    "metrics.json": "5fdc3f42d522230926aa5bf04f281ce3e7efb5aa164f4aa22db106bc56cb1956",
     "summary.csv": "7c683084a63a80f53c8bc11597167e80f391a12f25a9c059c23b90052340b93e",
     "ledger_0_pv.csv": "1d3639dfb7d8468138534bc32b004ac52ec22d413eb490c90a406f2e8f609c85",
     "ledger_0_nopv.csv": "392a5df8f49a5fad07c4e038a8c1257376e5d3f5a1b6f8dae9d3cba97beebad4",

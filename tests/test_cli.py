@@ -251,17 +251,18 @@ class TestSimulate:
          "area.width_m must be in (0, 10000000], got 1e+308"),
         ('{"nodes": {"altitude_m": 1e200}, "users": {"count": 5}}',
          "nodes.altitude_m must be in (0, 10000000], got 1e+200"),
-        ('{"pv": {"stc_irradiance": 0}}',
-         "invalid 'pv' section: stc_irradiance must be > 0, got 0.0"),
-        ('{"pv": {"stc_irradiance": -1000}}',
-         "invalid 'pv' section: stc_irradiance must be > 0, got -1000.0"),
+        ('{"pv": {"stc_irradiance": 0}}', "pv.stc_irradiance: unknown key"),
+        ('{"pv": {"stc_irradiance": -1000}}', "pv.stc_irradiance: unknown key"),
+        ('{"pv": {"stc_cell_temp": 25.0}}', "pv.stc_cell_temp: unknown key"),
         ('{"ris": {"per_element_power": {"6": -1}}}',
-         "invalid 'ris' section: per_element_power entries must be >= 0"),
+         "ris.per_element_power: unknown key"),
+        ('{"mimo": {"max_tx_power_dbm": 40.0}}',
+         "mimo.max_tx_power_dbm: unknown key"),
         ('{"airframe": {"total_mass": 1e300}}',
          "invalid 'airframe' section: hover power is not finite"),
     ], ids=["empty_layout", "nan", "infinity", "overflow", "huge_area",
-            "huge_altitude", "stc_zero", "stc_negative", "ris_negative",
-            "hover_overflow"])
+            "huge_altitude", "stc_zero", "stc_negative", "stc_cell_temp",
+            "ris_negative", "max_tx", "hover_overflow"])
     def test_rejected_config_exits_2(self, tmp_path, capsys, text, named):
         config = tmp_path / "bad.json"
         config.write_text(text)

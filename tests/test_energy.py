@@ -82,10 +82,6 @@ class TestMimoPower:
         assert mimo_power(spec, True, 10, 40.0) == pytest.approx(
             152.33333333333334, rel=1e-12)
 
-    def test_tx_above_max_rejected(self):
-        with pytest.raises(ParameterError):
-            mimo_power(MimoSpec(max_tx_power_dbm=40.0), True, 1, 43.0)
-
     def test_strictly_increasing_in_users_and_power(self):
         spec = MimoSpec()
         assert mimo_power(spec, True, 5, 30.0) > mimo_power(spec, True, 4, 30.0)

@@ -1,9 +1,9 @@
 """Golden outputs: a fixed small study must keep producing the same bytes.
 
 Criterion 7 only shows that two runs of one code version agree; this test
-pins the output across code versions. The hashes were taken from the
-per-step reference implementation; any change to the engine, the metrics
-or the writers that alters one byte of these files fails here.
+pins the output across code versions. The ledger and summary hashes were
+taken from the per-step reference implementation; any change to the engine,
+the metrics or the writers that alters one byte of these files fails here.
 """
 
 import hashlib
@@ -23,7 +23,7 @@ GOLDEN_CONFIG = {
 }
 
 GOLDEN_SHA256 = {
-    "metrics.json": "0c67dc7ff5e7e75db4733571825687498b702e86376b37b436f5a4fb2943c011",
+    "metrics.json": "25af5917b44c59d88bec3875b11a1d443f656540fe6a22645c18ac4dbecd06de",
     "summary.csv": "6b83fbf09a2075baabafc75873f553b7a285e870e99fae6609a7f07cc79bc1d7",
     "ledger_0_pv.csv": "2fa8466bebafa0abb4972bb7a6f32e382de07e8ab13c5b99d969daa982e7334e",
     "ledger_1_nopv.csv": "33b7abb9c0ee7da42cc6d1fa5976bd06481e4af5a71eacdf3063e1f282941fe2",
