@@ -21,6 +21,12 @@ RIS_ELEMENT_POWER = {3: 0.0015, 4: 0.0045, 5: 0.006, 6: 0.0078}
 # Standard test conditions, at which a panel delivers its rated power.
 STC_IRRADIANCE = 1000.0  # W/m^2
 STC_CELL_TEMP = 25.0     # degC
+# Largest panel rating [W] and battery capacity [Wh]: a gigawatt and a
+# gigawatt-hour, far beyond any station, and small enough that day totals
+# and means over stations of harvests and charges stay finite under any
+# physical weather.
+MAX_RATED_POWER_W = 1e9
+MAX_CAPACITY_WH = 1e9
 
 
 class ParameterError(ValueError):
@@ -65,9 +71,8 @@ class MimoSpec:
 
     Power when active: fixed_power + antenna_count * per_antenna_circuit_power
     + served_users * per_user_processing_power + radiated / pa_efficiency.
-    When the cell is switched off only sleep_power remains. The transmit
-    power is one of RadioParams.power_levels_dbm, whose top entry is the
-    transceiver maximum.
+    When the cell is switched off only sleep_power remains. The transceiver
+    maximum is the top of the power ladder, RadioParams.max_power_dbm.
     """
 
     antenna_count: int = 64
@@ -116,8 +121,9 @@ class PvSpec:
     noct: float = 45.0              # degC, nominal operating cell temperature
 
     def __post_init__(self):
-        if self.rated_power < 0:
-            raise ParameterError(f"rated_power must be >= 0, got {self.rated_power}")
+        if not 0 <= self.rated_power <= MAX_RATED_POWER_W:
+            raise ParameterError(f"rated_power must be in [0, {MAX_RATED_POWER_W:.0f}], "
+                                 f"got {self.rated_power}")
         if not 0 < self.derating_factor <= 1:
             raise ParameterError(f"derating_factor must be in (0, 1], got {self.derating_factor}")
         if self.temp_coeff > 0:
@@ -140,8 +146,9 @@ class BatterySpec:
     flight_reserve: float = 0.05
 
     def __post_init__(self):
-        if self.capacity_wh <= 0:
-            raise ParameterError(f"capacity_wh must be > 0, got {self.capacity_wh}")
+        if not 0 < self.capacity_wh <= MAX_CAPACITY_WH:
+            raise ParameterError(f"capacity_wh must be in (0, {MAX_CAPACITY_WH:.0f}], "
+                                 f"got {self.capacity_wh}")
         if not 0 < self.charge_efficiency <= 1:
             raise ParameterError(
                 f"charge_efficiency must be in (0, 1], got {self.charge_efficiency}")

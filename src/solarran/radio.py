@@ -45,7 +45,7 @@ class RadioParams:
     reference_loss_at_1m_db is the free-space loss at 1 m for that carrier;
     beyond 1 m the loss grows with 10 * pathloss_exponent * log10(d).
     power_levels_dbm is the discrete transmit-power ladder the network
-    designer may pick from, highest entry equal to the transceiver maximum.
+    designer may pick from; its highest entry is the transceiver maximum.
     """
 
     pathloss_exponent: float = 2.9

@@ -238,9 +238,8 @@ def _config_schema() -> dict:
     """The JSON type of every scenario value, as check_json reads it: float
     is a number and int an integer (a bool is neither), str a string, [t] a
     list of t, {key: t} an object with only those keys, and Required(t) a t
-    its object must contain.
-    Equipment sections and SCALARS take their types from the dataclass
-    fields."""
+    its object must contain. Equipment sections and SCALARS take their types
+    from the dataclass fields."""
     schema = {
         "area": {}, "users": {},
         "nodes": {"altitude_m": float,

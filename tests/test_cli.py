@@ -16,6 +16,7 @@ import pytest
 import solarran
 import solarran.cli as cli
 from solarran.cli import main
+from solarran.energy import MAX_RATED_POWER_W
 from solarran.scenario import load_weather_csv
 
 TINY_CONFIG = {
@@ -219,19 +220,29 @@ class TestSimulate:
         assert not out.exists() or not list(out.iterdir())
 
     def test_non_finite_day_totals_exit_1_before_writing(self, tmp_path):
-        # a 1e308 W panel passes validation, but its day harvest overflows.
-        # In-process, an error filter on numpy's overflow RuntimeWarning
-        # would fail the run before any check could.
-        config = tmp_path / "huge_pv.json"
+        # The largest panel rating passes validation, and the weather loader
+        # bounds no temperature: at -1e304 degC on day 0 the linear
+        # temperature model's output overflows. In-process, an error filter
+        # on numpy's overflow RuntimeWarning would fail the run before any
+        # check could.
+        config = tmp_path / "big_pv.json"
         config.write_text(json.dumps({**TINY_CONFIG,
-                                      "pv": {"rated_power": 1e308}}))
+                                      "pv": {"rated_power": MAX_RATED_POWER_W}}))
+        scenario = solarran.load_config(config)
+        synth = solarran.synth_study_series(scenario)
+        temp_c = synth.temp_c.copy()
+        temp_c[:1440] = -1e304
+        weather = tmp_path / "cold.csv"
+        solarran.write_weather_csv(solarran.WeatherSeries(synth.ghi_wm2, temp_c),
+                                   scenario.dates, weather)
         out = tmp_path / "out"
         proc = run_cli_process("simulate", "--config", str(config),
-                               "--out", str(out))
+                               "--weather", str(weather), "--out", str(out))
         assert proc.returncode == 1, proc.stdout
         assert ("failure: with solar: day 0, node_id=0: harvested_wh is inf, "
                 "not finite") in proc.stderr
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["huge_pv.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["big_pv.json",
+                                                              "cold.csv"]
 
     def test_invalid_config_exits_2_and_cleans_up(self, tmp_path, capsys):
         config = tmp_path / "bad.json"
@@ -260,9 +271,16 @@ class TestSimulate:
          "mimo.max_tx_power_dbm: unknown key"),
         ('{"airframe": {"total_mass": 1e300}}',
          "invalid 'airframe' section: hover power is not finite"),
+        ('{"battery": {"capacity_wh": 1e308}, "simulation": {"runs": 1}}',
+         "invalid 'battery' section: capacity_wh must be in (0, 1000000000], "
+         "got 1e+308"),
+        ('{"pv": {"rated_power": 1e308}}',
+         "invalid 'pv' section: rated_power must be in [0, 1000000000], "
+         "got 1e+308"),
     ], ids=["empty_layout", "nan", "infinity", "overflow", "huge_area",
             "huge_altitude", "stc_zero", "stc_negative", "stc_cell_temp",
-            "ris_negative", "max_tx", "hover_overflow"])
+            "ris_negative", "max_tx", "hover_overflow", "huge_capacity",
+            "huge_panel"])
     def test_rejected_config_exits_2(self, tmp_path, capsys, text, named):
         config = tmp_path / "bad.json"
         config.write_text(text)

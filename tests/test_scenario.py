@@ -102,6 +102,14 @@ class TestLoadConfig:
         assert key_paths(json.loads(Path(path).read_text())) == key_paths(CONFIG_SCHEMA)
         assert load_config(path) == Scenario()
 
+    def test_readme_scenario_block_is_written_out_in_full(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = re.search(r"## Scenario file\n.*?```jsonc\n(.*?)```", readme,
+                          re.DOTALL).group(1)
+        block = re.sub(r"//[^\n]*", "", re.sub(r"/\*.*?\*/", "", block,
+                                               flags=re.DOTALL))
+        assert key_paths(json.loads(block)) == key_paths(CONFIG_SCHEMA)
+
 
 def key_paths(doc, path=""):
     """The dotted path of every leaf of a document or schema; list entries
