@@ -3,9 +3,9 @@ tethered, solar-assisted UAV base stations."""
 
 from importlib import resources
 
-from .design import (Assignment, CandidateTable, CellConfig,
-                     InstanceTooLargeError, NetworkConfig, brute_force_design,
-                     enumerate_candidates, greedy_design)
+from .design import (CandidateTable, CellConfig, InstanceTooLargeError,
+                     NetworkConfig, brute_force_design, enumerate_candidates,
+                     greedy_design, network_config)
 from .energy import (BatterySpec, MimoSpec, ParameterError, PvSpec, RisSpec,
                      UavAirframe, cell_temperature, mimo_power, pv_power,
                      ris_power, uav_hover_power)

@@ -31,35 +31,47 @@ MAX_ORACLE_USERS = 10
 @dataclass(frozen=True)
 class CellConfig:
     node_id: int
-    active: bool
-    tx_power_dbm: Optional[float]  # None when inactive
+    tx_power_dbm: Optional[float]  # None when the cell sleeps
 
-
-@dataclass(frozen=True)
-class Assignment:
-    """user_id -> (node_id, prbs_dl, prbs_ul), plus per-node block totals."""
-
-    users: dict[int, tuple[int, int, int]]
-    node_loads: dict[int, int]
+    @property
+    def active(self) -> bool:
+        return self.tx_power_dbm is not None
 
 
 @dataclass(frozen=True)
 class NetworkConfig:
+    """A designed network, as network_config builds it: the cells in
+    ascending node id order, the assignment map user_id -> (node_id,
+    prbs_dl, prbs_ul) in ascending user id order, and each station's
+    station_power_w draw [W], (hover, transceiver, reflective surface), in
+    the cells' order."""
+
     cells: tuple[CellConfig, ...]
-    assignment: Assignment
-    covered_count: int
-    total_power_w: float
+    users: dict[int, tuple[int, int, int]]
+    power_w: tuple[tuple[float, float, float], ...]
+
+    @property
+    def covered_count(self) -> int:
+        return len(self.users)
+
+    @property
+    def total_power_w(self) -> float:
+        total = 0.0
+        for hover, mimo, ris in self.power_w:
+            total += hover + ris  # this order keeps total_power_w's bits
+            total += mimo
+        return total
 
     def to_dict(self) -> dict:
         """Stable dictionary form; equal configs serialize byte-identically."""
+        loads: dict[int, int] = {}
+        for nid, dl, ul in self.users.values():
+            loads[nid] = loads.get(nid, 0) + dl + ul
         return {
             "cells": [{"node_id": c.node_id, "active": c.active,
-                       "tx_power_dbm": c.tx_power_dbm}
-                      for c in sorted(self.cells, key=lambda c: c.node_id)],
-            "assignment": {str(uid): list(self.assignment.users[uid])
-                           for uid in sorted(self.assignment.users)},
-            "node_loads": {str(nid): self.assignment.node_loads[nid]
-                           for nid in sorted(self.assignment.node_loads)},
+                       "tx_power_dbm": c.tx_power_dbm} for c in self.cells],
+            "assignment": {str(uid): list(link) for uid, link in self.users.items()},
+            "node_loads": {str(nid): loads[nid] for nid in sorted(loads)},
             "covered_count": self.covered_count,
             "total_power_w": self.total_power_w,
         }
@@ -111,37 +123,24 @@ def station_power_w(node: AccessNode, tx_power_dbm: Optional[float],
             ris_power(node.ris))
 
 
-def served_counts(users: dict[int, tuple[int, int, int]]) -> dict[int, int]:
-    """Users per serving node of an assignment map (user_id -> (node_id,
-    prbs_dl, prbs_ul)); nodes serving nobody are absent."""
+def network_config(nodes: Sequence[AccessNode], levels: dict[int, float],
+                   users: dict[int, tuple[int, int, int]]) -> NetworkConfig:
+    """The NetworkConfig of a design: the transmit level of each active cell
+    by node id, and the assignment map user_id -> (node_id, prbs_dl,
+    prbs_ul), whose users each belong to an active cell."""
     served: dict[int, int] = {}
-    for nid, _, _ in users.values():
+    for uid, (nid, _, _) in users.items():
+        if nid not in levels:
+            raise ValueError(f"user {uid} is assigned to node {nid}, "
+                             f"which has no active cell")
         served[nid] = served.get(nid, 0) + 1
-    return served
-
-
-def _network_config(nodes: Sequence[AccessNode], active: dict[int, float],
-                    users: dict[int, tuple[int, int, int]]) -> NetworkConfig:
-    """The NetworkConfig of a design: active levels by node id and the
-    assignment map; nodes must be in ascending id order."""
-    served = served_counts(users)
-    total_power = 0.0
-    for node in nodes:
-        hover, mimo, ris = station_power_w(node, active.get(node.node_id),
-                                           served.get(node.node_id, 0))
-        total_power += hover + ris  # this order keeps total_power_w's bits
-        total_power += mimo
-    loads: dict[int, int] = {}
-    for nid, dl, ul in users.values():
-        loads[nid] = loads.get(nid, 0) + dl + ul
-    cells = tuple(CellConfig(node_id=n.node_id, active=n.node_id in active,
-                             tx_power_dbm=active.get(n.node_id))
-                  for n in nodes)
-    return NetworkConfig(cells=cells,
-                         assignment=Assignment(users=dict(sorted(users.items())),
-                                               node_loads=dict(sorted(loads.items()))),
-                         covered_count=len(users),
-                         total_power_w=total_power)
+    node_list = sorted(nodes, key=lambda n: n.node_id)
+    return NetworkConfig(
+        cells=tuple(CellConfig(n.node_id, levels.get(n.node_id)) for n in node_list),
+        users=dict(sorted(users.items())),
+        power_w=tuple(station_power_w(n, levels.get(n.node_id),
+                                      served.get(n.node_id, 0))
+                      for n in node_list))
 
 
 def _fit_row(cost: np.ndarray, capacity: int) -> tuple[list[int], list[int], list[int]]:
@@ -258,7 +257,7 @@ def greedy_design(nodes: Sequence[AccessNode], users: Sequence[UserTerminal],
                              table.prbs_dl[n, users_of_n, lvl].tolist(),
                              table.prbs_ul[n, users_of_n, lvl].tolist()):
             assigned[table.user_ids[u]] = (node_id, int(dl), int(ul))
-    return _network_config(node_list, levels, assigned)
+    return network_config(node_list, levels, assigned)
 
 
 def brute_force_design(nodes: Sequence[AccessNode],
@@ -336,7 +335,7 @@ def brute_force_design(nodes: Sequence[AccessNode],
             else:
                 assert coverage(i + 1, cur) == target
 
-        config = _network_config(node_list, active, assignment)
+        config = network_config(node_list, active, assignment)
         if best is None or ((config.covered_count, -config.total_power_w)
                             > (best.covered_count, -best.total_power_w)):
             best = config

@@ -21,8 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .design import (NetworkConfig, greedy_design, served_counts,
-                     station_power_w)
+from .design import NetworkConfig, greedy_design
 from .energy import pv_power
 from .scenario import (MINUTES_PER_DAY, SEASONS, Scenario, WeatherError,
                        WeatherSeries, place_users)
@@ -93,11 +92,11 @@ def run_network(scenario: Scenario, weather: WeatherSeries, seed: int,
     left in the usable window, then pays the demand, and a fresh pack is
     swapped in when the charge goes negative. This reproduces a
     per-station, per-minute loop of the scalar reference in
-    tests/reference_engine.py bit for bit: each station draws what
-    station_power_w gives its cell, constant over the run; the panel output
-    is computed for all minutes up front (zero in the arm without the solar
-    feed); and since the step demand never exceeds the usable capacity a
-    minute needs at most one swap.
+    tests/reference_engine.py bit for bit: each station draws its
+    network.power_w, constant over the run; the panel output is computed
+    for all minutes up front (zero in the arm without the solar feed); and
+    since the step demand never exceeds the usable capacity a minute needs
+    at most one swap. The network's cells must be the scenario's stations.
 
     The ledger's flows are the stepped blocks reshaped to (arms, minutes,
     stations); the arm-independent columns are read-only broadcast views.
@@ -108,23 +107,17 @@ def run_network(scenario: Scenario, weather: WeatherSeries, seed: int,
         raise WeatherError(f"weather series has {len(weather)} minutes; "
                            f"{n_days} days need {n_steps}")
 
-    served = served_counts(network.assignment.users)
-    cell_by_node = {c.node_id: c for c in network.cells}
-
     nodes = sorted(scenario.nodes, key=lambda n: n.node_id)
     node_ids = tuple(n.node_id for n in nodes)
+    if tuple(c.node_id for c in network.cells) != node_ids:
+        raise ValueError(f"network designed for node ids "
+                         f"{[c.node_id for c in network.cells]}, but the "
+                         f"scenario's stations are {list(node_ids)}")
     n_nodes = len(nodes)
     hours = 1.0 / 60.0
 
-    draws = []
-    for node in nodes:
-        try:
-            draws.append([w * hours for w in station_power_w(
-                node, cell_by_node[node.node_id].tx_power_dbm,
-                served.get(node.node_id, 0))])
-        except ValueError as exc:
-            raise _step_error(0, node.node_id, exc) from exc
-    hover_wh, mimo_wh, ris_wh = np.array(draws, dtype=float).reshape(n_nodes, 3).T
+    hover_wh, mimo_wh, ris_wh = (np.array(network.power_w, dtype=float)
+                                 .reshape(n_nodes, 3) * hours).T
     demand = hover_wh + mimo_wh + ris_wh
     cap = np.array([n.battery.usable_capacity_wh for n in nodes], dtype=float)
     bad = np.flatnonzero((demand < 0) | (demand > cap))

@@ -5,8 +5,7 @@ import datetime
 
 import numpy as np
 
-from solarran.design import (Assignment, CellConfig, NetworkConfig,
-                             enumerate_candidates)
+from solarran.design import enumerate_candidates, network_config
 from solarran.engine import run_network
 from solarran.radio import Position
 from solarran.scenario import (MINUTES_PER_DAY, AccessNode, Scenario,
@@ -28,11 +27,9 @@ def one_station_day(node, ghi_wm2=0.0, temp_c=20.0, tx_power_dbm=None,
     None for a sleeping cell."""
     weather = WeatherSeries(*(np.broadcast_to(v, MINUTES_PER_DAY)
                               for v in (ghi_wm2, temp_c)))
-    network = NetworkConfig(
-        cells=(CellConfig(node.node_id, tx_power_dbm is not None, tx_power_dbm),),
-        assignment=Assignment(users={u: (node.node_id, 1, 1)
-                                     for u in range(served)}, node_loads={}),
-        covered_count=served, total_power_w=0.0)
+    levels = {} if tx_power_dbm is None else {node.node_id: tx_power_dbm}
+    network = network_config((node,), levels, {u: (node.node_id, 1, 1)
+                                               for u in range(served)})
     scenario = Scenario(nodes=(node,), dates=(datetime.date(2022, 6, 21),))
     return run_network(scenario, weather, seed=0, network=network)
 
@@ -52,18 +49,18 @@ def candidate_links(nodes, users, params, dl, ul):
 
 def check_assignment_valid(config, nodes, users, params, dl, ul):
     """Assignment invariants: links feasible at the final level, loads within
-    budget, one node per user, consistent bookkeeping."""
+    budget, one node per user, loads as to_dict reports them."""
     links = candidate_links(nodes, users, params, dl, ul)
     levels = {c.node_id: c.tx_power_dbm for c in config.cells if c.active}
     loads = {}
-    for uid, (nid, prbs_dl, prbs_ul) in config.assignment.users.items():
+    for uid, (nid, prbs_dl, prbs_ul) in config.users.items():
         assert nid in levels, f"user {uid} assigned to inactive node {nid}"
         assert links[(nid, uid, levels[nid])] == (True, prbs_dl, prbs_ul)
         loads[nid] = loads.get(nid, 0) + prbs_dl + prbs_ul
     for nid, load in loads.items():
         assert load <= params.total_prbs
-        assert config.assignment.node_loads[nid] == load
-    assert config.covered_count == len(config.assignment.users)
+    assert config.to_dict()["node_loads"] == {str(nid): loads[nid]
+                                              for nid in sorted(loads)}
 
 
 def check_local_minimality(config, nodes, users, params, dl, ul):
@@ -71,7 +68,7 @@ def check_local_minimality(config, nodes, users, params, dl, ul):
     coverage or breaking feasibility."""
     links = candidate_links(nodes, users, params, dl, ul)
     members = {}
-    for uid, (nid, _, _) in config.assignment.users.items():
+    for uid, (nid, _, _) in config.users.items():
         members.setdefault(nid, []).append(uid)
     for cell in config.cells:
         if not cell.active:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from solarran.design import NetworkConfig, _network_config
+from solarran.design import NetworkConfig, network_config
 from solarran.energy import mimo_power
 from solarran.radio import RadioParams, link_feasible
 from solarran.scenario import AccessNode, UserTerminal
@@ -100,4 +100,4 @@ def reference_greedy(nodes: Sequence[AccessNode], users: Sequence[UserTerminal],
                     assigned[uid] = (node_id, dl, ul)
                 break
 
-    return _network_config(node_list, active, assigned)
+    return network_config(node_list, active, assigned)

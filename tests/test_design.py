@@ -1,6 +1,7 @@
 """Tests for the cell-activation heuristic and its exhaustive reference."""
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from conftest import (candidate_links, check_assignment_valid,
                       check_local_minimality, make_node as node,
                       make_user as user)
 from solarran.design import (InstanceTooLargeError, _first_fit, _fit_row,
-                             brute_force_design, greedy_design, served_counts,
-                             station_power_w)
+                             brute_force_design, greedy_design,
+                             network_config, station_power_w)
 from solarran.energy import ris_power, uav_hover_power
 from solarran.radio import RadioParams
 from solarran.scenario import Scenario, place_users
@@ -115,7 +116,7 @@ class TestGreedyDesign:
         assert config.covered_count == 4
         assert all(c.active for c in config.cells)
         by_node = {}
-        for uid, (nid, _, _) in config.assignment.users.items():
+        for uid, (nid, _, _) in config.users.items():
             by_node.setdefault(nid, set()).add(uid)
         assert by_node == {0: {0, 1}, 1: {2, 3}}
         check_assignment_valid(config, nodes, users, PARAMS, 100, 25)
@@ -125,13 +126,14 @@ class TestGreedyDesign:
         config = greedy_design(sc.nodes, place_users(sc, 42), sc.radio,
                                sc.dl_rate_mbps, sc.ul_rate_mbps)
         assert {c.active for c in config.cells} == {True, False}
-        served = served_counts(config.assignment.users)
+        served = Counter(nid for nid, _, _ in config.users.values())
         by_id = {n.node_id: n for n in sc.nodes}
         total = 0.0
-        for cell in config.cells:
+        for cell, power_w in zip(config.cells, config.power_w, strict=True):
             hover, mimo, ris = station_power_w(by_id[cell.node_id],
                                                cell.tx_power_dbm,
-                                               served.get(cell.node_id, 0))
+                                               served[cell.node_id])
+            assert power_w == (hover, mimo, ris)
             total += hover + ris
             total += mimo
         assert total == config.total_power_w
@@ -163,6 +165,23 @@ class TestGreedyDesign:
         config = greedy_design(nodes, users, PARAMS, dl, ul)
         check_assignment_valid(config, nodes, users, PARAMS, dl, ul)
         check_local_minimality(config, nodes, users, PARAMS, dl, ul)
+
+
+class TestNetworkConfig:
+    def test_facts_follow_from_levels_and_users(self):
+        nodes = [node(1, 800, 0), node(0, 0, 0)]
+        config = network_config(nodes, {1: 34.0}, {5: (1, 3, 1), 2: (1, 2, 2)})
+        assert [(c.node_id, c.active, c.tx_power_dbm)
+                for c in config.cells] == [(0, False, None), (1, True, 34.0)]
+        assert list(config.users) == [2, 5]
+        assert config.covered_count == 2
+        assert config.to_dict()["node_loads"] == {"1": 8}
+
+    def test_user_of_a_sleeping_cell_refused(self):
+        with pytest.raises(ValueError, match="user 3 is assigned to node 1, "
+                                             "which has no active cell"):
+            network_config([node(0, 0, 0), node(1, 800, 0)], {0: 28.0},
+                           {3: (1, 2, 2)})
 
 
 class TestBruteForce:

@@ -2,12 +2,13 @@
 
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from conftest import one_station_day
 
-from solarran.design import greedy_design, served_counts, station_power_w
+from solarran.design import greedy_design, station_power_w
 from solarran.energy import (BatterySpec, mimo_power, ris_power,
                              uav_hover_power)
 from solarran.engine import (PairResult, SimulationError, compute_metrics,
@@ -151,12 +152,12 @@ class TestRunSimulation:
     def test_consumption_is_station_power_per_minute(self, small_scenario,
                                                      small_pair):
         cells = {c.node_id: c for c in small_pair.network.cells}
-        served = served_counts(small_pair.network.assignment.users)
+        served = Counter(nid for nid, _, _ in small_pair.network.users.values())
         per_step = small_pair.ledgers["consumed_wh"]
         nodes = sorted(small_scenario.nodes, key=lambda n: n.node_id)
         for i, node in enumerate(nodes):
             draw_w = sum(station_power_w(node, cells[node.node_id].tx_power_dbm,
-                                         served.get(node.node_id, 0)))
+                                         served[node.node_id]))
             # the engine scales each term by 1/60 before adding, so the
             # two sides are a few roundings apart
             assert per_step[..., i] == pytest.approx(draw_w / 60, rel=1e-15)
@@ -182,6 +183,21 @@ class TestStepErrors:
         with pytest.raises(SimulationError,
                            match=r"t=0, node_id=2: step demand .* one battery"):
             run_network(scenario, series, 3, network=designed(scenario, 3))
+
+
+    @pytest.mark.parametrize("nodes", [
+        lambda nodes: nodes[:3],
+        lambda nodes: tuple(dataclasses.replace(n, node_id=n.node_id + 10)
+                            for n in nodes),
+    ], ids=["fewer", "other_ids"])
+    def test_network_of_other_stations_refused(self, small_scenario, nodes):
+        network = designed(small_scenario, 3)
+        scenario = dataclasses.replace(small_scenario,
+                                       nodes=nodes(small_scenario.nodes))
+        series = synth_study_series(scenario, seed=3)
+        with pytest.raises(ValueError,
+                           match=r"network designed for node ids \[0, 1, 2, 3\]"):
+            run_network(scenario, series, 3, network=network)
 
 
 def _with_total(pair, name, index, delta):

@@ -13,7 +13,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from reference_engine import reference_step
 
-from solarran.design import Assignment, CellConfig, NetworkConfig
+from solarran.design import network_config
 from solarran.energy import (BatterySpec, PvSpec, UavAirframe, mimo_power,
                              pv_power, ris_power, uav_hover_power)
 from solarran.engine import LEDGER_COLUMNS, run_network
@@ -29,7 +29,7 @@ HOURS = 1.0 / 60.0  # one minute
 def reference_run(scenario, series, network, with_res):
     """One arm as loops: a reference_step per station and minute, a full
     pack every morning, and day totals summed in minute order."""
-    served = Counter(nid for nid, _, _ in network.assignment.users.values())
+    served = Counter(nid for nid, _, _ in network.users.values())
     cells = {c.node_id: c for c in network.cells}
     nodes = sorted(scenario.nodes, key=lambda n: n.node_id)
     n_days = len(scenario.dates)
@@ -84,7 +84,7 @@ def scenarios(draw):
     ids = draw(st.lists(st.integers(0, 50), min_size=n_nodes,
                         max_size=n_nodes, unique=True))
     unit = st.floats(0.0, 1.0)
-    nodes, cells, users = [], [], {}
+    nodes, levels, users = [], {}, {}
     for nid in ids:
         airframe = UavAirframe(total_mass=0.5 + 4.5 * draw(unit),
                                rotor_count=draw(st.integers(2, 8)),
@@ -97,17 +97,14 @@ def scenarios(draw):
                               flight_reserve=0.02 + 0.2 * draw(unit))
         nodes.append(AccessNode(node_id=nid, position=Position(0.0, 0.0, 50.0),
                                 airframe=airframe, pv=pv, battery=battery))
-        active = draw(st.booleans())
-        cells.append(CellConfig(nid, active, draw(st.sampled_from([28.0, 34.0, 40.0]))
-                                if active else None))
-        for _ in range(draw(st.integers(0, 6)) if active else 0):
-            users[len(users)] = (nid, 1, 1)
+        if draw(st.booleans()):
+            levels[nid] = draw(st.sampled_from([28.0, 34.0, 40.0]))
+            for _ in range(draw(st.integers(0, 6))):
+                users[len(users)] = (nid, 1, 1)
     n_days = draw(st.integers(1, 2))
     dates = tuple(datetime.date(2022, 6, 21 + d) for d in range(n_days))
     scenario = Scenario(nodes=tuple(nodes), dates=dates)
-    network = NetworkConfig(cells=tuple(cells),
-                            assignment=Assignment(users=users, node_loads={}),
-                            covered_count=len(users), total_power_w=0.0)
+    network = network_config(nodes, levels, users)
 
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n_steps = n_days * MINUTES_PER_DAY
