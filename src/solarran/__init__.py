@@ -8,7 +8,7 @@ from .design import (CandidateTable, CellConfig, InstanceTooLargeError,
                      greedy_design, network_config)
 from .energy import (BatterySpec, MimoSpec, ParameterError, PvSpec, RisSpec,
                      UavAirframe, cell_temperature, mimo_power, pv_power,
-                     ris_power, uav_hover_power)
+                     ris_power, station_power_w, uav_hover_power)
 from .engine import (PairResult, SeasonStats, SimulationError, StudyMetrics,
                      compute_metrics, run_network, run_pair,
                      verify_conservation)

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .energy import mimo_power, ris_power, uav_hover_power
+from .energy import mimo_power, station_power_w
 from .radio import RadioParams, link_feasible, link_table
 from .scenario import AccessNode, UserTerminal
 
@@ -110,17 +110,6 @@ def enumerate_candidates(nodes: Sequence[AccessNode],
     return CandidateTable(tuple(n.node_id for n in node_list),
                           tuple(u.user_id for u in user_list),
                           feasible, prbs_dl, prbs_ul)
-
-
-def station_power_w(node: AccessNode, tx_power_dbm: Optional[float],
-                    served_users: int) -> tuple[float, float, float]:
-    """Hover, transceiver and reflective-surface draw [W] of one station;
-    tx_power_dbm is None for a sleeping cell, as in CellConfig."""
-    active = tx_power_dbm is not None
-    return (uav_hover_power(node.airframe),
-            mimo_power(node.mimo, active, served_users,
-                       tx_power_dbm if active else 0.0),
-            ris_power(node.ris))
 
 
 def network_config(nodes: Sequence[AccessNode], levels: dict[int, float],

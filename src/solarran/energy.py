@@ -3,16 +3,21 @@
 Five models drive the energy balance: rotor hover power, MIMO transceiver
 power, reflective-surface controller power, photovoltaic output, and the
 usable window of the swappable ground-side battery, whose charge
-engine.run_network steps. All functions are pure; power is in watts,
-energy in watt-hours, temperatures in degrees Celsius.
+engine.run_network steps. station_power_w adds up a station's draw for
+the designer and the config check. All functions are pure; power is in
+watts, energy in watt-hours, temperatures in degrees Celsius.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .scenario import AccessNode
 
 STANDARD_GRAVITY = 9.80665  # m/s^2
 
@@ -27,6 +32,9 @@ STC_CELL_TEMP = 25.0     # degC
 # physical weather.
 MAX_RATED_POWER_W = 1e9
 MAX_CAPACITY_WH = 1e9
+# Largest fixed, per-antenna, per-user and sleep power of a transceiver [W],
+# a gigawatt for the same reason.
+MAX_MIMO_POWER_W = 1e9
 
 
 class ParameterError(ValueError):
@@ -72,7 +80,7 @@ class MimoSpec:
     Power when active: fixed_power + antenna_count * per_antenna_circuit_power
     + served_users * per_user_processing_power + radiated / pa_efficiency.
     When the cell is switched off only sleep_power remains. The transceiver
-    maximum is the top of the power ladder, RadioParams.max_power_dbm.
+    maximum is the top of the power ladder, RadioParams.power_levels_dbm.
     """
 
     antenna_count: int = 64
@@ -87,8 +95,10 @@ class MimoSpec:
             raise ParameterError(f"antenna_count must be >= 1, got {self.antenna_count}")
         for name in ("fixed_power", "per_antenna_circuit_power",
                      "per_user_processing_power", "sleep_power"):
-            if getattr(self, name) < 0:
-                raise ParameterError(f"{name} must be >= 0")
+            v = getattr(self, name)
+            if not 0 <= v <= MAX_MIMO_POWER_W:
+                raise ParameterError(f"{name} must be in [0, {MAX_MIMO_POWER_W:.0f}], "
+                                     f"got {v}")
         if not 0 < self.pa_efficiency <= 1:
             raise ParameterError(f"pa_efficiency must be in (0, 1], got {self.pa_efficiency}")
 
@@ -213,6 +223,17 @@ def ris_power(spec: RisSpec) -> float:
     if spec.element_count == 0:
         return 0.0
     return spec.element_count * RIS_ELEMENT_POWER[spec.phase_bits]
+
+
+def station_power_w(node: AccessNode, tx_power_dbm: Optional[float],
+                    served_users: int) -> tuple[float, float, float]:
+    """Hover, transceiver and reflective-surface draw [W] of one station;
+    tx_power_dbm is None for a sleeping cell, as in design.CellConfig."""
+    active = tx_power_dbm is not None
+    return (uav_hover_power(node.airframe),
+            mimo_power(node.mimo, active, served_users,
+                       tx_power_dbm if active else 0.0),
+            ris_power(node.ris))
 
 
 def cell_temperature(ambient_c, ghi_wm2, noct_c: float):

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .design import NetworkConfig, greedy_design
-from .energy import pv_power
+from .energy import ParameterError, pv_power
 from .scenario import (MINUTES_PER_DAY, SEASONS, Scenario, WeatherError,
                        WeatherSeries, place_users)
 
@@ -123,9 +123,9 @@ def run_network(scenario: Scenario, weather: WeatherSeries, seed: int,
     bad = np.flatnonzero((demand < 0) | (demand > cap))
     if bad.size:
         i = bad[0]
-        raise _step_error(0, node_ids[i],
-                          f"step demand {demand[i]} Wh outside [0, {cap[i]}] Wh; "
-                          "one battery cannot survive one step")
+        raise ParameterError(f"node_id={node_ids[i]}: step demand {demand[i]} Wh "
+                             f"outside [0, {cap[i]}] Wh, the usable battery; one "
+                             f"battery cannot survive one step")
 
     shape = (2, n_days, MINUTES_PER_DAY, n_nodes)
     harvested = np.zeros(shape)

@@ -71,10 +71,6 @@ class RadioParams:
                              f"got {self.power_levels_dbm}")
 
     @property
-    def max_power_dbm(self) -> float:
-        return self.power_levels_dbm[-1]
-
-    @property
     def noise_power_dbm(self) -> float:
         bandwidth_hz = self.bandwidth_mhz * 1e6
         return (THERMAL_NOISE_DBM_PER_HZ + 10.0 * math.log10(bandwidth_hz)

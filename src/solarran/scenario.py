@@ -25,7 +25,8 @@ from typing import Optional, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .energy import BatterySpec, MimoSpec, PvSpec, RisSpec, UavAirframe
+from .energy import (BatterySpec, MimoSpec, PvSpec, RisSpec, UavAirframe,
+                     station_power_w)
 from .radio import Position, RadioParams
 
 SOLAR_CONSTANT_WM2 = 1361.0
@@ -380,6 +381,17 @@ def scenario_from_dict(raw: dict) -> Scenario:
             raise ConfigError(f"nodes.layout ids must be distinct, got {ids}")
     else:
         nodes = default_node_grid(altitude, width, height, **equipment)
+    # every station has this equipment; the least draw any design can give
+    # one is hover, surface and the cheaper of sleep and an idle cell
+    least_wh = min(sum(w * (1.0 / 60.0) for w in station_power_w(nodes[0], level, 0))
+                   for level in (None, radio.power_levels_dbm[0]))
+    battery = equipment["battery"]
+    if least_wh > battery.usable_capacity_wh:
+        raise ConfigError(
+            f"battery.capacity_wh {battery.capacity_wh} with battery.flight_reserve "
+            f"{battery.flight_reserve} leaves {battery.usable_capacity_wh:.4g} Wh "
+            f"usable, less than one minute of a station's least draw, "
+            f"{least_wh * 60.0:.5g} W or {least_wh:.4g} Wh a minute")
 
     sim = doc.get("simulation", {})
     if "dates" in sim:

@@ -19,10 +19,10 @@ from conftest import (check_assignment_valid, check_local_minimality,
 from reference_engine import reference_step
 
 from solarran.cli import main
-from solarran.design import brute_force_design, greedy_design, station_power_w
+from solarran.design import brute_force_design, greedy_design
 from solarran.energy import (BatterySpec, MimoSpec, PvSpec, RisSpec,
                              UavAirframe, mimo_power, pv_power, ris_power,
-                             uav_hover_power)
+                             station_power_w, uav_hover_power)
 from solarran.engine import compute_metrics, run_pair
 from solarran.radio import Position, RadioParams
 from solarran.report import (scenario_echo, write_ledger_csv,

@@ -277,10 +277,27 @@ class TestSimulate:
         ('{"pv": {"rated_power": 1e308}}',
          "invalid 'pv' section: rated_power must be in [0, 1000000000], "
          "got 1e+308"),
+        ('{"mimo": {"fixed_power": 1e300}}',
+         "invalid 'mimo' section: fixed_power must be in [0, 1000000000], "
+         "got 1e+300"),
+        ('{"mimo": {"per_antenna_circuit_power": 1e300}}',
+         "per_antenna_circuit_power must be in [0, 1000000000]"),
+        ('{"mimo": {"per_user_processing_power": 1e300}}',
+         "per_user_processing_power must be in [0, 1000000000]"),
+        ('{"mimo": {"sleep_power": 1e300}}',
+         "sleep_power must be in [0, 1000000000]"),
+        ('{"battery": {"capacity_wh": 1}}',
+         "battery.capacity_wh 1.0 with battery.flight_reserve 0.05 leaves "
+         "0.95 Wh usable, less than one minute of a station's least draw, "
+         "159.46 W or 2.658 Wh a minute"),
+        ('{"battery": {"capacity_wh": 2.0}}', "leaves 1.9 Wh usable"),
+        ('{"airframe": {"total_mass": 1e203}}',
+         "least draw, 1.316e+306 W"),
     ], ids=["empty_layout", "nan", "infinity", "overflow", "huge_area",
             "huge_altitude", "stc_zero", "stc_negative", "stc_cell_temp",
             "ris_negative", "max_tx", "hover_overflow", "huge_capacity",
-            "huge_panel"])
+            "huge_panel", "huge_fixed", "huge_per_antenna", "huge_per_user",
+            "huge_sleep", "battery_1wh", "battery_2wh", "heavy_airframe"])
     def test_rejected_config_exits_2(self, tmp_path, capsys, text, named):
         config = tmp_path / "bad.json"
         config.write_text(text)
@@ -455,14 +472,17 @@ class TestSimulate:
 
     def test_failed_study_leaves_no_new_directories(self, tmp_path, capsys):
         # the stage opens before the first pair runs; the parents of --out
-        # made for it go with it when a pair fails
+        # made for it go with it when a pair fails. 3.8 Wh usable pays one
+        # minute of the least draw (2.658 Wh), so the config loads, but not
+        # one of a designed cell's (4.856 Wh)
         config = tmp_path / "tiny_battery.json"
         config.write_text(json.dumps({**TINY_CONFIG,
-                                      "battery": {"capacity_wh": 2.0}}))
+                                      "battery": {"capacity_wh": 4.0}}))
         rc = main(["simulate", "--config", str(config),
                    "--out", str(tmp_path / "a" / "b" / "out")])
-        assert rc == 1
-        assert "one battery cannot survive one step" in capsys.readouterr().err
+        assert rc == 2
+        assert ("error: node_id=0: step demand 4.856039266953886"
+                in capsys.readouterr().err)
         assert list(tmp_path.iterdir()) == [config]
 
     def test_csv_weather_roundtrip_drives_simulation(self, tmp_path):

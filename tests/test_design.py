@@ -12,8 +12,8 @@ from conftest import (candidate_links, check_assignment_valid,
                       make_user as user)
 from solarran.design import (InstanceTooLargeError, _first_fit, _fit_row,
                              brute_force_design, greedy_design,
-                             network_config, station_power_w)
-from solarran.energy import ris_power, uav_hover_power
+                             network_config)
+from solarran.energy import ris_power, station_power_w, uav_hover_power
 from solarran.radio import RadioParams
 from solarran.scenario import Scenario, place_users
 

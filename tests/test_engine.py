@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from conftest import one_station_day
 
-from solarran.design import greedy_design, station_power_w
-from solarran.energy import (BatterySpec, mimo_power, ris_power,
-                             uav_hover_power)
+from solarran.design import greedy_design
+from solarran.energy import (BatterySpec, ParameterError, mimo_power,
+                             ris_power, station_power_w, uav_hover_power)
 from solarran.engine import (PairResult, SimulationError, compute_metrics,
                              run_network, run_pair, verify_conservation)
 from solarran.scenario import (WeatherError, WeatherSeries, place_users,
@@ -171,8 +171,8 @@ class TestRunSimulation:
 
 
 class TestStepErrors:
-    """run_network refuses a minute that one battery cannot account for,
-    naming the minute and the station."""
+    """run_network refuses a network or a minute that one battery cannot
+    account for, naming the station."""
 
     def test_demand_above_capacity(self, small_scenario):
         tiny = BatterySpec(capacity_wh=2.0)  # 1.9 Wh usable, under one minute of hover
@@ -180,8 +180,8 @@ class TestStepErrors:
                       for n in small_scenario.nodes)
         scenario = dataclasses.replace(small_scenario, nodes=nodes)
         series = synth_study_series(scenario, seed=3)
-        with pytest.raises(SimulationError,
-                           match=r"t=0, node_id=2: step demand .* one battery"):
+        with pytest.raises(ParameterError,
+                           match=r"node_id=2: step demand .* one battery"):
             run_network(scenario, series, 3, network=designed(scenario, 3))
 
 

@@ -96,7 +96,7 @@ class TestLinkFeasible:
     def test_colocated_best_case(self):
         node = Position(0, 0, 50)
         user = Position(0, 0, 1.5)
-        feasible, dl, ul = link_feasible(node, user, PARAMS.max_power_dbm,
+        feasible, dl, ul = link_feasible(node, user, PARAMS.power_levels_dbm[-1],
                                          PARAMS, 100.0, 25.0)
         assert feasible
         # SE cap engaged: 36 + 9 blocks
@@ -105,7 +105,7 @@ class TestLinkFeasible:
     def test_below_min_snr_infeasible(self):
         node = Position(0, 0, 50)
         user = Position(10000.0, 0, 1.5)
-        feasible, _, _ = link_feasible(node, user, PARAMS.max_power_dbm,
+        feasible, _, _ = link_feasible(node, user, PARAMS.power_levels_dbm[-1],
                                        PARAMS, 1.0, 0.0)
         assert not feasible
 
