@@ -125,7 +125,7 @@ def run_network(scenario: Scenario, weather: WeatherSeries, seed: int,
         i = bad[0]
         raise ParameterError(f"node_id={node_ids[i]}: step demand {demand[i]} Wh "
                              f"outside [0, {cap[i]}] Wh, the usable battery; one "
-                             f"battery cannot survive one step")
+                             "battery cannot survive one step")
 
     shape = (2, n_days, MINUTES_PER_DAY, n_nodes)
     harvested = np.zeros(shape)
