@@ -35,6 +35,10 @@ MAX_CAPACITY_WH = 1e9
 # Largest fixed, per-antenna, per-user and sleep power of a transceiver [W],
 # a gigawatt for the same reason.
 MAX_MIMO_POWER_W = 1e9
+# Largest antenna count of a transceiver: a million elements, far beyond
+# any array, and small enough that the circuit draw stays finite with
+# per_antenna_circuit_power at its bound.
+MAX_ANTENNA_COUNT = 1_000_000
 
 
 class ParameterError(ValueError):
@@ -91,8 +95,9 @@ class MimoSpec:
     sleep_power: float = 5.0                # W
 
     def __post_init__(self):
-        if self.antenna_count < 1:
-            raise ParameterError(f"antenna_count must be >= 1, got {self.antenna_count}")
+        if not 1 <= self.antenna_count <= MAX_ANTENNA_COUNT:
+            raise ParameterError(f"antenna_count must be in [1, {MAX_ANTENNA_COUNT}], "
+                                 f"got {self.antenna_count}")
         for name in ("fixed_power", "per_antenna_circuit_power",
                      "per_user_processing_power", "sleep_power"):
             v = getattr(self, name)

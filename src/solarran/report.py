@@ -9,9 +9,12 @@ in-memory accounting bit for bit).
 An arm's ledger is a (minute, station) table per column, which only
 write_ledger_csv flattens to rows. A column whose bits repeat every minute
 (node_id, the station power columns and, without solar, every flow but the
-state of charge) is formatted once per station. The others are formatted
-per chunk of whole minutes, each distinct value once, and each chunk is
-written with one join.
+state of charge) is formatted once per station. A column whose later days
+repeat day 0 bit for bit (without solar, the state of charge) is formatted
+for day 0 only. The others are formatted per chunk of whole minutes, each
+distinct value once, and each chunk is written with one join. A
+whole-minute range of a ledger can be written on its own, so that two
+processes can share one ledger.
 """
 
 from __future__ import annotations
@@ -81,32 +84,68 @@ def _cells(values: np.ndarray, as_float: bool, suffix: str) -> np.ndarray:
     return np.array(text, dtype=object)[where.reshape(values.shape)]
 
 
-def write_ledger_csv(ledger: dict[str, np.ndarray], path: Path) -> None:
+def _repeats(keys: np.ndarray, period: int) -> bool:
+    """Whether every minute (row) of keys equals the minute period rows
+    before it. A broadcast minute axis (stride 0) answers at once; other
+    tables are compared in doubling blocks of minutes, up to the first block
+    that differs."""
+    if keys.strides[0] == 0:
+        return True
+    lo, size = period, 1
+    while lo < len(keys):
+        hi = min(lo + size, len(keys))
+        if not (keys[lo:hi] == keys[lo - period:hi - period]).all():
+            return False
+        lo, size = hi, 2 * size
+    return True
+
+
+def write_ledger_csv(ledger: dict[str, np.ndarray], path: Path,
+                     start: int = 0, stop: int | None = None) -> None:
     """One arm's ledger, a (minute, station) table per LEDGER_COLUMNS name,
-    as one CSV row per (minute, station), minute-major. Each run of adjacent
-    columns that repeat every minute is one text per station."""
+    as one CSV row per (minute, station), minute-major.
+
+    Only the minutes [start, stop) are written (all by default), with the
+    header only when the range starts at minute 0 and is not empty, so the
+    files of adjacent ranges join to the whole ledger's bytes. A column
+    that repeats every minute is one text per station, and each run of
+    adjacent such columns is joined into one; a column whose later days
+    repeat day 0 bit for bit is formatted for day 0 only, and each minute
+    takes the text of its minute of the day.
+    """
     n_minutes, n_nodes = ledger["t"].shape
-    parts = []  # (column, as_float, suffix), or an array of per-station texts
+    stop = n_minutes if stop is None else stop
+    if not 0 <= start <= stop <= n_minutes:
+        raise ValueError(f"minutes [{start}, {stop}) outside the ledger's "
+                         f"{n_minutes}")
+    # (column, as_float, suffix), or the texts of one minute or of one day
+    parts: list = []
     for name in LEDGER_COLUMNS:
         as_float = name in LEDGER_COLUMNS[2:-1]
         # every cell carries its separator; the last column's ends the row
         part = (name, as_float, "\n" if name == LEDGER_COLUMNS[-1] else ",")
         keys = np.asarray(ledger[name], dtype=np.float64 if as_float else np.int64)
         keys = keys.view(np.int64)
-        if (keys == keys[0]).all():
+        if _repeats(keys, 1):
             part = _cells(ledger[name][0], *part[1:])
-            if parts and isinstance(parts[-1], np.ndarray):
+            if parts and isinstance(parts[-1], np.ndarray) and parts[-1].ndim == 1:
                 part = parts.pop() + part  # object arrays: str + str per station
+        elif n_minutes > MINUTES_PER_DAY and _repeats(keys, MINUTES_PER_DAY):
+            part = _cells(ledger[name][:MINUTES_PER_DAY], *part[1:])
         parts.append(part)
     chunk_minutes = max(LEDGER_CHUNK_ROWS // n_nodes, 1)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(LEDGER_COLUMNS) + "\n")
-        for lo in range(0, n_minutes, chunk_minutes):
-            hi = min(lo + chunk_minutes, n_minutes)
+        if start == 0 < stop:
+            fh.write(",".join(LEDGER_COLUMNS) + "\n")
+        for lo in range(start, stop, chunk_minutes):
+            hi = min(lo + chunk_minutes, stop)
             block = np.empty((hi - lo, n_nodes, len(parts)), dtype=object)
             for j, part in enumerate(parts):
-                block[..., j] = (part if isinstance(part, np.ndarray) else
-                                 _cells(ledger[part[0]][lo:hi], *part[1:]))
+                if not isinstance(part, np.ndarray):
+                    part = _cells(ledger[part[0]][lo:hi], *part[1:])
+                elif part.ndim == 2:  # one day's texts
+                    part = part[np.arange(lo, hi) % MINUTES_PER_DAY]
+                block[..., j] = part
             fh.write("".join(block.ravel().tolist()))
 
 

@@ -37,6 +37,12 @@ NODE_ALTITUDE_M = 50.0
 # Largest area side and station altitude [m]: 10,000 km, far beyond any
 # study, and small enough that squared station-user distances stay finite.
 MAX_EXTENT_M = 1e7
+# Physical bounds of a weather minute. GHI [W/m^2] is at most 2000, above
+# the solar constant with room for the brief enhancement at cloud edges;
+# air temperature [degC] lies within 100 degrees of zero, beyond the
+# coldest and hottest ever recorded (-89.2 and 56.7).
+MAX_GHI_WM2 = 2000.0
+MIN_TEMP_C, MAX_TEMP_C = -100.0, 100.0
 
 SEASONS = ("spring", "summer", "autumn", "winter")
 
@@ -105,12 +111,17 @@ class UserTerminal:
     position: Position
 
 
+_BOUNDS = (f"ghi_wm2 must be finite and >= 0, at most {MAX_GHI_WM2:g}, and "
+           f"temp_c finite and in [{MIN_TEMP_C:g}, {MAX_TEMP_C:g}]")
+
+
 @dataclass(frozen=True, eq=False)
 class WeatherSeries:
     """Minute weather: global horizontal irradiance [W/m^2] and ambient
     temperature [degC], one float64 entry per minute. Both arrays are
-    read-only copies of what was passed in; every value is finite and GHI
-    is >= 0; == compares their values."""
+    read-only copies of what was passed in; every GHI is in [0,
+    MAX_GHI_WM2] and every temperature in [MIN_TEMP_C, MAX_TEMP_C]; ==
+    compares their values."""
 
     ghi_wm2: np.ndarray
     temp_c: np.ndarray
@@ -124,12 +135,13 @@ class WeatherSeries:
             raise WeatherError(f"ghi_wm2 and temp_c must be 1-D and of equal "
                                f"length, got shapes {self.ghi_wm2.shape} and "
                                f"{self.temp_c.shape}")
-        bad = np.flatnonzero(~((self.ghi_wm2 >= 0) & np.isfinite(self.ghi_wm2)
-                               & np.isfinite(self.temp_c)))
+        # NaN fails every comparison
+        bad = np.flatnonzero(~((self.ghi_wm2 >= 0) & (self.ghi_wm2 <= MAX_GHI_WM2)
+                               & (self.temp_c >= MIN_TEMP_C)
+                               & (self.temp_c <= MAX_TEMP_C)))
         if bad.size:
             t = bad[0]
-            raise WeatherError(f"minute {t}: ghi_wm2 must be finite and >= 0 "
-                               f"and temp_c finite, got {self.ghi_wm2[t]} "
+            raise WeatherError(f"minute {t}: {_BOUNDS}, got {self.ghi_wm2[t]} "
                                f"and {self.temp_c[t]}")
 
     def __len__(self) -> int:
@@ -406,8 +418,10 @@ def scenario_from_dict(raw: dict) -> Scenario:
 
     season_temps = dict(DEFAULT_SEASON_TEMPS)
     for season, pair in doc.get("weather", {}).get("season_temps", {}).items():
-        if len(pair) != 2 or pair[0] > pair[1]:
-            raise ConfigError(f"weather.season_temps.{season} must be [min, max], "
+        if (len(pair) != 2 or pair[0] > pair[1] or pair[0] < MIN_TEMP_C
+                or pair[1] > MAX_TEMP_C):
+            raise ConfigError(f"weather.season_temps.{season} must be [min, max] "
+                              f"within [{MIN_TEMP_C:g}, {MAX_TEMP_C:g}], "
                               f"got {list(pair)}")
         season_temps[season] = pair
 
@@ -502,8 +516,8 @@ def load_weather_csv(path: str | Path,
 
     Requirements: header ``timestamp,ghi_wm2,temp_c``; one row for each
     minute of expected_dates, in their order, stamped YYYY-MM-DDTHH:MM or
-    YYYY-MM-DDTHH:MM:00; finite values, ghi >= 0. Blank lines are skipped.
-    Errors cite the offending line number.
+    YYYY-MM-DDTHH:MM:00; values within WeatherSeries' bounds. Blank lines
+    are skipped. Errors cite the offending line number.
     """
     path = Path(path)
     if not path.exists():
@@ -536,11 +550,8 @@ def load_weather_csv(path: str | Path,
             ghi, temp = float(parts[1]), float(parts[2])
         except ValueError as exc:
             raise WeatherError(f"line {lineno}: {exc}") from exc
-        if not (math.isfinite(ghi) and math.isfinite(temp)):
-            raise WeatherError(f"line {lineno}: ghi_wm2 and temp_c must be "
-                               f"finite, got {ghi} and {temp}")
-        if ghi < 0:
-            raise WeatherError(f"line {lineno}: ghi_wm2 must be >= 0, got {ghi}")
+        if not (0 <= ghi <= MAX_GHI_WM2 and MIN_TEMP_C <= temp <= MAX_TEMP_C):
+            raise WeatherError(f"line {lineno}: {_BOUNDS}, got {ghi} and {temp}")
         ghi_column.append(ghi)
         temp_column.append(temp)
 

@@ -220,29 +220,46 @@ class TestSimulate:
         assert not out.exists() or not list(out.iterdir())
 
     def test_non_finite_day_totals_exit_1_before_writing(self, tmp_path):
-        # The largest panel rating passes validation, and the weather loader
-        # bounds no temperature: at -1e304 degC on day 0 the linear
-        # temperature model's output overflows. In-process, an error filter
-        # on numpy's overflow RuntimeWarning would fail the run before any
-        # check could.
+        # The weather is bounded at load, but pv.temp_coeff is bounded only
+        # above: at -1e300 per degC the largest panel's output overflows on
+        # day 0. In-process, an error filter on numpy's overflow
+        # RuntimeWarning would fail the run before any check could.
         config = tmp_path / "big_pv.json"
-        config.write_text(json.dumps({**TINY_CONFIG,
-                                      "pv": {"rated_power": MAX_RATED_POWER_W}}))
-        scenario = solarran.load_config(config)
-        synth = solarran.synth_study_series(scenario)
-        temp_c = synth.temp_c.copy()
-        temp_c[:1440] = -1e304
-        weather = tmp_path / "cold.csv"
-        solarran.write_weather_csv(solarran.WeatherSeries(synth.ghi_wm2, temp_c),
-                                   scenario.dates, weather)
+        config.write_text(json.dumps({**TINY_CONFIG, "pv": {
+            "rated_power": MAX_RATED_POWER_W, "temp_coeff": -1e300}}))
         out = tmp_path / "out"
         proc = run_cli_process("simulate", "--config", str(config),
-                               "--weather", str(weather), "--out", str(out))
+                               "--out", str(out))
         assert proc.returncode == 1, proc.stdout
         assert ("failure: with solar: day 0, node_id=0: harvested_wh is inf, "
                 "not finite") in proc.stderr
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["big_pv.json",
-                                                              "cold.csv"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["big_pv.json"]
+
+    @pytest.mark.parametrize("column, value", [
+        ("ghi_wm2", 1e308), ("ghi_wm2", 2000.5), ("temp_c", -1e304),
+        ("temp_c", -1e308), ("temp_c", 100.5)],
+        ids=["ghi_1e308", "ghi_above_bound", "temp_minus_1e304",
+             "temp_minus_1e308", "temp_above_bound"])
+    def test_rejected_weather_exits_2(self, tmp_path, capsys, column, value):
+        # minute 700 of day 0 is line 702 of the CSV
+        config = write_tiny_config(tmp_path)
+        scenario = solarran.load_config(config)
+        weather = tmp_path / "weather.csv"
+        solarran.write_weather_csv(solarran.synth_study_series(scenario),
+                                   scenario.dates, weather)
+        lines = weather.read_text().split("\n")
+        stamp, ghi, temp = lines[701].split(",")
+        ghi, temp = (value, float(temp)) if column == "ghi_wm2" else (float(ghi), value)
+        lines[701] = f"{stamp},{ghi!r},{temp!r}"
+        weather.write_text("\n".join(lines))
+        rc = main(["simulate", "--config", str(config), "--weather",
+                   str(weather), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert ("line 702: ghi_wm2 must be finite and >= 0, at most 2000, and "
+                f"temp_c finite and in [-100, 100], got {ghi} and {temp}"
+                in capsys.readouterr().err)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["tiny.json",
+                                                              "weather.csv"]
 
     def test_invalid_config_exits_2_and_cleans_up(self, tmp_path, capsys):
         config = tmp_path / "bad.json"
@@ -293,11 +310,17 @@ class TestSimulate:
         ('{"battery": {"capacity_wh": 2.0}}', "leaves 1.9 Wh usable"),
         ('{"airframe": {"total_mass": 1e203}}',
          "least draw, 1.316e+306 W"),
+        ('{"weather": {"season_temps": {"winter": [-1e304, 2.0]}}}',
+         "weather.season_temps.winter must be [min, max] within [-100, 100], "
+         "got [-1e+304, 2.0]"),
+        ('{"mimo": {"antenna_count": 1%s}}' % ("0" * 300),
+         "invalid 'mimo' section: antenna_count must be in [1, 1000000], got 1000"),
     ], ids=["empty_layout", "nan", "infinity", "overflow", "huge_area",
             "huge_altitude", "stc_zero", "stc_negative", "stc_cell_temp",
             "ris_negative", "max_tx", "hover_overflow", "huge_capacity",
             "huge_panel", "huge_fixed", "huge_per_antenna", "huge_per_user",
-            "huge_sleep", "battery_1wh", "battery_2wh", "heavy_airframe"])
+            "huge_sleep", "battery_1wh", "battery_2wh", "heavy_airframe",
+            "cold_season", "huge_antenna_count"])
     def test_rejected_config_exits_2(self, tmp_path, capsys, text, named):
         config = tmp_path / "bad.json"
         config.write_text(text)
@@ -423,23 +446,25 @@ class TestSimulate:
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "tiny.json"]
 
-    @pytest.mark.parametrize("failing", ["nopv", "pv"],
-                             ids=["child_writer", "parent_writer"])
+    @pytest.mark.parametrize("failing", ["_nopv.csv", "_pv.csv", "_pv.part"],
+                             ids=["child_writer", "parent_writer",
+                                  "child_tail_writer"])
     def test_failed_ledger_writer_leaves_the_previous_study(
             self, tmp_path, capfd, monkeypatch, failing):
-        # the no-solar ledger is written by a forked child, which inherits
-        # the patched writer; capfd sees its stderr too
+        # the forked child writes the no-solar ledger and then the with-solar
+        # ledger's tail into a part file; it inherits the patched writer, and
+        # capfd sees its stderr too
         config = write_tiny_config(tmp_path)
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
         before = {p.name: p.read_bytes() for p in out.iterdir()}
         real_write = cli.write_ledger_csv
 
-        def failing_write(ledger, path):
-            if path.name.endswith(f"_{failing}.csv"):
+        def failing_write(ledger, path, start=0, stop=None):
+            if path.name.endswith(failing):
                 path.write_text("partial")
                 raise OSError(f"disk full writing {failing}")
-            real_write(ledger, path)
+            real_write(ledger, path, start, stop)
 
         monkeypatch.setattr(cli, "write_ledger_csv", failing_write)
         capfd.readouterr()
@@ -448,9 +473,11 @@ class TestSimulate:
         assert rc == 1
         err = capfd.readouterr().err
         assert f"failure: disk full writing {failing}" in err
-        if failing == "nopv":
-            assert "writing ledger_0_nopv.csv failed (exit status 1)" in err
+        if failing != "_pv.csv":
+            assert ("writing ledger_0_nopv.csv and ledger_0_pv.part failed "
+                    "(exit status 1)") in err
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        # the stage, and any part file in it, is gone
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "tiny.json"]
         with pytest.raises(ChildProcessError):  # every writer child was reaped
             os.waitpid(-1, os.WNOHANG)

@@ -10,10 +10,14 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from test_golden import GOLDEN_CONFIG, grid_config, write_cloudy_weather
 
 from solarran import report
-from solarran.engine import LEDGER_COLUMNS, SeasonStats, StudyMetrics
+from solarran.cli import CHILD_PV_SHARE
+from solarran.engine import LEDGER_COLUMNS, SeasonStats, StudyMetrics, run_pair
 from solarran.report import write_ledger_csv, write_metrics_json
+from solarran.scenario import (MINUTES_PER_DAY, load_weather_csv,
+                               scenario_from_dict, synth_study_series)
 
 
 def _random_ledger(minutes, node_ids):
@@ -171,6 +175,90 @@ def test_peak_memory_does_not_grow_with_ledger_length(tmp_path):
         finally:
             tracemalloc.stop()
     assert peaks[4] <= 1.25 * peaks[1], peaks
+
+
+@pytest.fixture(scope="module")
+def golden_pairs(tmp_path_factory):
+    """The first pair of each golden study, by station count: 3 stations
+    with synthesized weather, 25 likewise, and 49 with CSV weather."""
+    weather_csv = tmp_path_factory.mktemp("weather") / "weather.csv"
+    write_cloudy_weather(weather_csv, 611)
+    pairs = {}
+    for config, seed, csv in ((GOLDEN_CONFIG, 42, False),
+                              (grid_config(5, 500), 611, False),
+                              (grid_config(7, 1000), 611, True)):
+        scenario = scenario_from_dict(config)
+        weather = (load_weather_csv(weather_csv, scenario.dates) if csv
+                   else synth_study_series(scenario, seed=seed))
+        pairs[len(scenario.nodes)] = run_pair(scenario, weather, seed)
+    return pairs
+
+
+@pytest.mark.parametrize("stations", [3, 25, 49])
+def test_minute_ranges_join_to_the_whole_ledger(tmp_path, golden_pairs,
+                                                stations):
+    # the with-solar ledger, split as the CLI splits it and around the
+    # first chunk's edge; an empty range writes an empty file
+    ledger = golden_pairs[stations].ledger(1)
+    n = ledger["t"].shape[0]
+    chunk = report.LEDGER_CHUNK_ROWS // stations
+    write_ledger_csv(ledger, tmp_path / "whole.csv")
+    whole = (tmp_path / "whole.csv").read_bytes()
+    for split in (0, 1, chunk - 1, chunk + 1, n - int(n * CHILD_PV_SHARE),
+                  n - 1, n):
+        write_ledger_csv(ledger, tmp_path / "head.csv", 0, split)
+        write_ledger_csv(ledger, tmp_path / "tail.csv", split)
+        joined = ((tmp_path / "head.csv").read_bytes()
+                  + (tmp_path / "tail.csv").read_bytes())
+        assert joined == whole, split
+
+
+@pytest.mark.parametrize("start, stop", [(-1, 5), (5, 4), (0, 4 * 1440 + 1)])
+def test_range_outside_the_ledger_is_refused(tmp_path, golden_pairs, start,
+                                             stop):
+    with pytest.raises(ValueError, match="outside the ledger's 5760"):
+        write_ledger_csv(golden_pairs[3].ledger(1), tmp_path / "x.csv",
+                         start, stop)
+
+
+def test_no_solar_state_of_charge_is_formatted_for_one_day(
+        tmp_path, golden_pairs, monkeypatch):
+    # without solar every float column but soc_wh is one value per station,
+    # and soc_wh repeats day 0: one day of it is formatted, not four
+    ledger = golden_pairs[3].ledger(0)
+    formatted = []
+
+    def counted(values, as_float, suffix):
+        if as_float:
+            formatted.append(np.size(values))
+        return cells(values, as_float, suffix)
+
+    cells = report._cells
+    monkeypatch.setattr(report, "_cells", counted)
+    write_ledger_csv(ledger, tmp_path / "nopv.csv")
+    assert sorted(formatted) == [3] * 8 + [3 * MINUTES_PER_DAY]
+    assert (tmp_path / "nopv.csv").read_text(encoding="utf-8") == _naive_csv(ledger)
+
+
+def test_day_repeats_match_a_cell_by_cell_reference(tmp_path, monkeypatch):
+    # soc_wh repeats day 0 over two days and a partial third; harvested_wh
+    # does too but for one sign bit in the partial day, so it is formatted
+    # per chunk. Ranges that start after day 0 still take day 0's text.
+    monkeypatch.setattr(report, "LEDGER_CHUNK_ROWS", 500)
+    minutes = 2 * MINUTES_PER_DAY + 7
+    ledger = _random_ledger(minutes, (4, 7, 9))
+    rng = np.random.default_rng(8)
+    for name in ("soc_wh", "harvested_wh"):
+        day = rng.choice(FLOAT_CELLS, (MINUTES_PER_DAY, 3))
+        ledger[name] = np.concatenate([day, day, day[:7]])
+    ledger["harvested_wh"][-3, 1] = -ledger["harvested_wh"][-3, 1]
+    expected = _naive_csv(ledger)
+    for split in (0, 1439, 1440, 2000, minutes):
+        write_ledger_csv(ledger, tmp_path / "head.csv", 0, split)
+        write_ledger_csv(ledger, tmp_path / "tail.csv", split)
+        joined = ((tmp_path / "head.csv").read_text(encoding="utf-8")
+                  + (tmp_path / "tail.csv").read_text(encoding="utf-8"))
+        assert joined == expected, split
 
 
 def test_metrics_json_refuses_non_finite_numbers(tmp_path):

@@ -14,10 +14,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from solarran import scenario as scenario_module
 from solarran.cli import main
 from solarran.design import greedy_design
-from solarran.scenario import (CONFIG_SCHEMA, EQUIPMENT, ConfigError, Scenario,
+from solarran.scenario import (CONFIG_SCHEMA, EQUIPMENT, MAX_GHI_WM2,
+                               MAX_TEMP_C, MIN_TEMP_C, ConfigError, Scenario,
                                WeatherError, WeatherSeries, load_config,
-                               load_weather_csv,
-                               place_users, scenario_from_dict,
+                               load_weather_csv, place_users, scenario_from_dict,
                                solar_declination_deg, solar_elevation_sin,
                                synth_study_series, synth_weather,
                                write_weather_csv)
@@ -331,6 +331,23 @@ class TestWeatherSeries:
         values[column][[700, 799]] = value
         with pytest.raises(WeatherError, match=r"^minute 700: .* got "):
             WeatherSeries(**values)
+
+    @pytest.mark.parametrize("column, value", [
+        ("ghi_wm2", MAX_GHI_WM2 * (1 + 1e-15)), ("ghi_wm2", 1e308),
+        ("temp_c", MIN_TEMP_C * (1 + 1e-15)), ("temp_c", MAX_TEMP_C * (1 + 1e-15)),
+        ("temp_c", -1e304)])
+    def test_values_beyond_physical_bounds(self, column, value):
+        day = synth_weather(Scenario(), SUMMER)
+        values = {"ghi_wm2": day.ghi_wm2.copy(), "temp_c": day.temp_c.copy()}
+        values[column][700] = value
+        with pytest.raises(WeatherError, match=r"^minute 700: .* at most 2000"):
+            WeatherSeries(**values)
+
+    def test_values_at_the_bounds_load(self):
+        day = synth_weather(Scenario(), SUMMER)
+        ghi, temp = day.ghi_wm2.copy(), day.temp_c.copy()
+        ghi[700], temp[700], temp[701] = MAX_GHI_WM2, MIN_TEMP_C, MAX_TEMP_C
+        assert WeatherSeries(ghi, temp).temp_c[701] == MAX_TEMP_C
 
 
 class TestWeatherCsv:
