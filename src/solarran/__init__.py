@@ -1,7 +1,11 @@
 """Deterministic energy-balance simulator for a 5G access network served by
 tethered, solar-assisted UAV base stations."""
 
+import os
 from importlib import resources
+
+# Before numpy loads: one BLAS thread, so simulate forks a single-threaded process
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .design import (CandidateTable, CellConfig, InstanceTooLargeError,
                      NetworkConfig, brute_force_design, enumerate_candidates,

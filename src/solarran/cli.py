@@ -29,14 +29,14 @@ import tempfile
 from pathlib import Path
 
 from .design import InstanceTooLargeError, brute_force_design, greedy_design
-from .energy import ParameterError
+from .energy import ParameterError, Range
 from .engine import compute_metrics, run_pair, verify_conservation
 from .radio import Position
 from .report import (format_summary_table, scenario_echo, timeseries_rows,
                      write_ledger_csv, write_metrics_json, write_summary_csv,
                      write_timeseries_csvs)
-from .scenario import (CONFIG_SCHEMA, NODE_ALTITUDE_M, SEASONS, USER_HEIGHT_M,
-                       AccessNode, ConfigError, Required, Scenario,
+from .scenario import (CONFIG_SCHEMA, NODE_ALTITUDE_M, SCALARS, SEASONS,
+                       USER_HEIGHT_M, AccessNode, ConfigError, Required, Scenario,
                        UserTerminal, WeatherError, WeatherSeries, check_json,
                        load_config, load_weather_csv, parse_date, read_json,
                        scenario_from_dict, synth_study_series, synth_weather,
@@ -83,10 +83,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     try:
         scenario = load_config(args.config)
         runs = scenario.run_count if args.runs is None else args.runs
-        if runs < 1:
-            raise ConfigError(f"--runs must be >= 1, got {runs}")
-        if args.seed < 0:
-            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+        SCALARS["run_count"][1].check("--runs", runs, ConfigError)
+        Range(0).check("--seed", args.seed, ConfigError)
 
         csv_weather = None
         if args.weather != "synth":
@@ -217,14 +215,15 @@ def cmd_weather_synth(args: argparse.Namespace) -> int:
         print(f"error: invalid --date: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        scenario = scenario_from_dict({"simulation": {"latitude_deg": args.lat},
-                                       "weather": {"cloud_factor": args.cloud}})
+        for flag, name, value in (("--lat", "latitude_deg", args.lat),
+                                  ("--cloud", "cloud_factor", args.cloud)):
+            check_json(value, float, flag)  # NaN or infinite
+            SCALARS[name][1].check(flag, value, ConfigError)
     except ConfigError as exc:
-        message = (str(exc).replace("simulation.latitude_deg", "--lat")
-                   .replace("weather.cloud_factor", "--cloud"))
-        print(f"error: {message}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    weather = synth_weather(scenario, date)
+    weather = synth_weather(Scenario(latitude_deg=args.lat,
+                                     cloud_factor=args.cloud), date)
     try:
         write_weather_csv(weather, [date], args.out)
     except OSError as exc:

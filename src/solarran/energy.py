@@ -10,9 +10,11 @@ watts, energy in watt-hours, temperatures in degrees Celsius.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import (TYPE_CHECKING, Annotated, NamedTuple, Optional,
+                    get_type_hints)
 
 import numpy as np
 
@@ -39,10 +41,59 @@ MAX_MIMO_POWER_W = 1e9
 # any array, and small enough that the circuit draw stays finite with
 # per_antenna_circuit_power at its bound.
 MAX_ANTENNA_COUNT = 1_000_000
+# Steepest panel temperature coefficient [1/degC] and hottest nominal
+# operating cell temperature [degC]: twice those of real panels, which lose
+# 0.2-0.5% of their output per degree at a NOCT of 40-50 degC. With them the
+# temperature factor of pv_power lies in [-1.75, 2.25] under bounded weather.
+MIN_TEMP_COEFF = -0.01
+MAX_NOCT_C = 100.0
 
 
 class ParameterError(ValueError):
     """A physical parameter is outside its valid domain."""
+
+
+class Range(NamedTuple):
+    """The interval a number must lie in, from lo to hi (unbounded above
+    when hi is None), each end closed unless marked open; check tests a
+    value, refusing NaN, and str() gives the text of its message."""
+
+    lo: float
+    hi: Optional[float] = None
+    lo_open: bool = False
+    hi_open: bool = False
+
+    def __str__(self) -> str:
+        if self.hi is None:
+            return f"{'>' if self.lo_open else '>='} {self.lo:.15g}"
+        return (f"in {'(' if self.lo_open else '['}{self.lo:.15g}, "
+                f"{self.hi:.15g}{')' if self.hi_open else ']'}")
+
+    def check(self, name: str, value, error: type = ParameterError) -> None:
+        """Raise error, naming name, unless value lies in this range."""
+        hi = self.hi
+        if not ((value > self.lo if self.lo_open else value >= self.lo)
+                and (hi is None or (value < hi if self.hi_open else value <= hi))):
+            raise error(f"{name} must be {self}, got {value}")
+
+
+@functools.cache
+def declared_ranges(cls) -> tuple[tuple[str, Range], ...]:
+    """(field, Range) of each dataclass field Annotated with a Range."""
+    return tuple((name, bounds)
+                 for name, hint in get_type_hints(cls, include_extras=True).items()
+                 for bounds in getattr(hint, "__metadata__", ())
+                 if isinstance(bounds, Range))
+
+
+def check_ranges(obj) -> None:
+    """Raise ParameterError naming the first field outside its Range."""
+    for name, bounds in declared_ranges(type(obj)):
+        bounds.check(name, getattr(obj, name))
+
+
+Fraction = Annotated[float, Range(0, 1, lo_open=True)]  # an efficiency or derating
+MimoPower = Annotated[float, Range(0, MAX_MIMO_POWER_W)]  # W
 
 
 @dataclass(frozen=True)
@@ -54,26 +105,15 @@ class UavAirframe:
     losses, tether_efficiency the ground-to-air power feed.
     """
 
-    total_mass: float = 2.396       # kg
-    rotor_count: int = 4
-    rotor_radius: float = 0.2       # m
-    air_density: float = 1.225      # kg/m^3
-    drive_efficiency: float = 0.7
-    tether_efficiency: float = 0.95
+    total_mass: Annotated[float, Range(0)] = 2.396                   # kg
+    rotor_count: Annotated[int, Range(1)] = 4
+    rotor_radius: Annotated[float, Range(0, lo_open=True)] = 0.2     # m
+    air_density: Annotated[float, Range(0, lo_open=True)] = 1.225    # kg/m^3
+    drive_efficiency: Fraction = 0.7
+    tether_efficiency: Fraction = 0.95
 
     def __post_init__(self):
-        if self.total_mass < 0:
-            raise ParameterError(f"total_mass must be >= 0, got {self.total_mass}")
-        if self.rotor_count < 1:
-            raise ParameterError(f"rotor_count must be >= 1, got {self.rotor_count}")
-        if self.rotor_radius <= 0:
-            raise ParameterError(f"rotor_radius must be > 0, got {self.rotor_radius}")
-        if self.air_density <= 0:
-            raise ParameterError(f"air_density must be > 0, got {self.air_density}")
-        for name in ("drive_efficiency", "tether_efficiency"):
-            v = getattr(self, name)
-            if not 0 < v <= 1:
-                raise ParameterError(f"{name} must be in (0, 1], got {v}")
+        check_ranges(self)
         uav_hover_power(self)  # refuses a hover power that overflows
 
 
@@ -87,25 +127,14 @@ class MimoSpec:
     maximum is the top of the power ladder, RadioParams.power_levels_dbm.
     """
 
-    antenna_count: int = 64
-    fixed_power: float = 20.0               # W
-    per_antenna_circuit_power: float = 1.5  # W
-    per_user_processing_power: float = 0.3  # W
-    pa_efficiency: float = 0.5
-    sleep_power: float = 5.0                # W
+    antenna_count: Annotated[int, Range(1, MAX_ANTENNA_COUNT)] = 64
+    fixed_power: MimoPower = 20.0
+    per_antenna_circuit_power: MimoPower = 1.5
+    per_user_processing_power: MimoPower = 0.3
+    pa_efficiency: Fraction = 0.5
+    sleep_power: MimoPower = 5.0
 
-    def __post_init__(self):
-        if not 1 <= self.antenna_count <= MAX_ANTENNA_COUNT:
-            raise ParameterError(f"antenna_count must be in [1, {MAX_ANTENNA_COUNT}], "
-                                 f"got {self.antenna_count}")
-        for name in ("fixed_power", "per_antenna_circuit_power",
-                     "per_user_processing_power", "sleep_power"):
-            v = getattr(self, name)
-            if not 0 <= v <= MAX_MIMO_POWER_W:
-                raise ParameterError(f"{name} must be in [0, {MAX_MIMO_POWER_W:.0f}], "
-                                     f"got {v}")
-        if not 0 < self.pa_efficiency <= 1:
-            raise ParameterError(f"pa_efficiency must be in (0, 1], got {self.pa_efficiency}")
+    __post_init__ = check_ranges
 
 
 @dataclass(frozen=True)
@@ -113,12 +142,11 @@ class RisSpec:
     """Passive reflective surface: element count and phase resolution,
     one of the resolutions RIS_ELEMENT_POWER lists."""
 
-    element_count: int = 16
+    element_count: Annotated[int, Range(0)] = 16
     phase_bits: int = 6
 
     def __post_init__(self):
-        if self.element_count < 0:
-            raise ParameterError(f"element_count must be >= 0, got {self.element_count}")
+        check_ranges(self)
         if self.phase_bits not in RIS_ELEMENT_POWER:
             raise ParameterError(
                 f"phase_bits {self.phase_bits} not in per-element power table "
@@ -130,21 +158,12 @@ class PvSpec:
     """Thin-film solar panel: rated output with derating and a linear
     temperature coefficient around standard test conditions."""
 
-    rated_power: float = 120.0      # W at STC
-    derating_factor: float = 0.9
-    temp_coeff: float = -0.0035     # 1/degC
-    noct: float = 45.0              # degC, nominal operating cell temperature
+    rated_power: Annotated[float, Range(0, MAX_RATED_POWER_W)] = 120.0  # W at STC
+    derating_factor: Fraction = 0.9
+    temp_coeff: Annotated[float, Range(MIN_TEMP_COEFF, 0)] = -0.0035    # 1/degC
+    noct: Annotated[float, Range(20, MAX_NOCT_C, lo_open=True)] = 45.0  # degC, NOCT
 
-    def __post_init__(self):
-        if not 0 <= self.rated_power <= MAX_RATED_POWER_W:
-            raise ParameterError(f"rated_power must be in [0, {MAX_RATED_POWER_W:.0f}], "
-                                 f"got {self.rated_power}")
-        if not 0 < self.derating_factor <= 1:
-            raise ParameterError(f"derating_factor must be in (0, 1], got {self.derating_factor}")
-        if self.temp_coeff > 0:
-            raise ParameterError(f"temp_coeff must be <= 0, got {self.temp_coeff}")
-        if self.noct <= 20:
-            raise ParameterError(f"noct must be > 20 degC, got {self.noct}")
+    __post_init__ = check_ranges
 
 
 @dataclass(frozen=True)
@@ -156,20 +175,11 @@ class BatterySpec:
     capacity * (1 - flight_reserve).
     """
 
-    capacity_wh: float = 763.0
-    charge_efficiency: float = 0.95
-    flight_reserve: float = 0.05
+    capacity_wh: Annotated[float, Range(0, MAX_CAPACITY_WH, lo_open=True)] = 763.0
+    charge_efficiency: Fraction = 0.95
+    flight_reserve: Annotated[float, Range(0, 1, lo_open=True, hi_open=True)] = 0.05
 
-    def __post_init__(self):
-        if not 0 < self.capacity_wh <= MAX_CAPACITY_WH:
-            raise ParameterError(f"capacity_wh must be in (0, {MAX_CAPACITY_WH:.0f}], "
-                                 f"got {self.capacity_wh}")
-        if not 0 < self.charge_efficiency <= 1:
-            raise ParameterError(
-                f"charge_efficiency must be in (0, 1], got {self.charge_efficiency}")
-        if not 0 < self.flight_reserve < 1:
-            raise ParameterError(
-                f"flight_reserve must be in (0, 1), got {self.flight_reserve}")
+    __post_init__ = check_ranges
 
     @property
     def usable_capacity_wh(self) -> float:

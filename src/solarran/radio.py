@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Annotated, Callable, Optional
 
 import numpy as np
+
+from .energy import Range, check_ranges
 
 THERMAL_NOISE_DBM_PER_HZ = -174.0
 
@@ -48,11 +50,11 @@ class RadioParams:
     designer may pick from; its highest entry is the transceiver maximum.
     """
 
-    pathloss_exponent: float = 2.9
+    pathloss_exponent: Annotated[float, Range(2)] = 2.9
     reference_loss_at_1m_db: float = 43.3
     bandwidth_mhz: float = 100.0
     prb_bandwidth_khz: float = 360.0
-    total_prbs: int = 273
+    total_prbs: Annotated[int, Range(1)] = 273
     noise_figure_db: float = 9.0
     antenna_gain_dbi: float = 8.0
     min_snr_db: float = -6.0
@@ -60,10 +62,7 @@ class RadioParams:
     power_levels_dbm: tuple[float, ...] = (28.0, 34.0, 40.0)
 
     def __post_init__(self):
-        if self.pathloss_exponent < 2:
-            raise ValueError(f"pathloss_exponent must be >= 2, got {self.pathloss_exponent}")
-        if self.total_prbs < 1:
-            raise ValueError(f"total_prbs must be >= 1, got {self.total_prbs}")
+        check_ranges(self)
         if len(self.power_levels_dbm) < 1:
             raise ValueError("power_levels_dbm must not be empty")
         if list(self.power_levels_dbm) != sorted(set(self.power_levels_dbm)):

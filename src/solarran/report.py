@@ -70,16 +70,15 @@ def write_summary_csv(metrics: StudyMetrics, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _cells(values: np.ndarray, as_float: bool, suffix: str) -> np.ndarray:
-    """Each value as its CSV cell: repr for floats, str for ints, then suffix.
+def _cells(values: np.ndarray, suffix: str) -> np.ndarray:
+    """Each value of an int64 or float64 array as its CSV cell: its repr
+    (for an int, its str), then suffix.
 
     Every distinct value is formatted once and fancy-indexed back into
-    place, in the shape of values. Floats are keyed by their bit pattern, so
-    0.0 and -0.0 (and any two NaN payloads) keep their own text.
+    place, in the shape of values. Values are keyed by their bits, so 0.0
+    and -0.0 (and any two NaN payloads) keep their own text.
     """
-    values = np.asarray(values, dtype=np.float64 if as_float else np.int64)
     distinct, where = np.unique(values.view(np.int64), return_inverse=True)
-    # the repr of a Python int is its str
     text = [repr(v) + suffix for v in distinct.view(values.dtype).tolist()]
     return np.array(text, dtype=object)[where.reshape(values.shape)]
 
@@ -102,50 +101,44 @@ def _repeats(keys: np.ndarray, period: int) -> bool:
 
 def write_ledger_csv(ledger: dict[str, np.ndarray], path: Path,
                      start: int = 0, stop: int | None = None) -> None:
-    """One arm's ledger, a (minute, station) table per LEDGER_COLUMNS name,
-    as one CSV row per (minute, station), minute-major.
+    """One arm's ledger, an int64 or float64 (minute, station) table per
+    LEDGER_COLUMNS name, as one CSV row per (minute, station), minute-major.
 
     Only the minutes [start, stop) are written (all by default), with the
     header only when the range starts at minute 0 and is not empty, so the
-    files of adjacent ranges join to the whole ledger's bytes. A column
-    that repeats every minute is one text per station, and each run of
-    adjacent such columns is joined into one; a column whose later days
-    repeat day 0 bit for bit is formatted for day 0 only, and each minute
-    takes the text of its minute of the day.
+    files of adjacent ranges join to the whole ledger's bytes. A column whose
+    bits repeat with a period of 1 or MINUTES_PER_DAY minutes, under the
+    ledger's length, is formatted for one period, each minute taking its
+    minute of the period's text; adjacent columns of period 1 are joined.
     """
     n_minutes, n_nodes = ledger["t"].shape
     stop = n_minutes if stop is None else stop
     if not 0 <= start <= stop <= n_minutes:
         raise ValueError(f"minutes [{start}, {stop}) outside the ledger's "
                          f"{n_minutes}")
-    # (column, as_float, suffix), or the texts of one minute or of one day
+    # (column, suffix, period, texts of one period); period None: per chunk
     parts: list = []
     for name in LEDGER_COLUMNS:
-        as_float = name in LEDGER_COLUMNS[2:-1]
         # every cell carries its separator; the last column's ends the row
-        part = (name, as_float, "\n" if name == LEDGER_COLUMNS[-1] else ",")
-        keys = np.asarray(ledger[name], dtype=np.float64 if as_float else np.int64)
-        keys = keys.view(np.int64)
-        if _repeats(keys, 1):
-            part = _cells(ledger[name][0], *part[1:])
-            if parts and isinstance(parts[-1], np.ndarray) and parts[-1].ndim == 1:
-                part = parts.pop() + part  # object arrays: str + str per station
-        elif n_minutes > MINUTES_PER_DAY and _repeats(keys, MINUTES_PER_DAY):
-            part = _cells(ledger[name][:MINUTES_PER_DAY], *part[1:])
-        parts.append(part)
+        suffix = "\n" if name == LEDGER_COLUMNS[-1] else ","
+        values = ledger[name]
+        period = next((p for p in (1, MINUTES_PER_DAY)
+                       if p < n_minutes and _repeats(values.view(np.int64), p)), None)
+        texts = None if period is None else _cells(values[:period], suffix)
+        if period == 1 and parts and parts[-1][2] == 1:
+            texts = parts.pop()[3] + texts  # object arrays: str + str per station
+        parts.append((name, suffix, period, texts))
     chunk_minutes = max(LEDGER_CHUNK_ROWS // n_nodes, 1)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         if start == 0 < stop:
             fh.write(",".join(LEDGER_COLUMNS) + "\n")
         for lo in range(start, stop, chunk_minutes):
             hi = min(lo + chunk_minutes, stop)
+            minutes = np.arange(lo, hi)
             block = np.empty((hi - lo, n_nodes, len(parts)), dtype=object)
-            for j, part in enumerate(parts):
-                if not isinstance(part, np.ndarray):
-                    part = _cells(ledger[part[0]][lo:hi], *part[1:])
-                elif part.ndim == 2:  # one day's texts
-                    part = part[np.arange(lo, hi) % MINUTES_PER_DAY]
-                block[..., j] = part
+            for j, (name, suffix, period, texts) in enumerate(parts):
+                block[..., j] = (_cells(ledger[name][lo:hi], suffix)
+                                 if period is None else texts[minutes % period])
             fh.write("".join(block.ravel().tolist()))
 
 

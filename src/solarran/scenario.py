@@ -25,8 +25,8 @@ from typing import Optional, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .energy import (BatterySpec, MimoSpec, PvSpec, RisSpec, UavAirframe,
-                     station_power_w)
+from .energy import (BatterySpec, MimoSpec, PvSpec, Range, RisSpec,
+                     UavAirframe, station_power_w)
 from .radio import Position, RadioParams
 
 SOLAR_CONSTANT_WM2 = 1361.0
@@ -36,7 +36,7 @@ USER_HEIGHT_M = 1.5
 NODE_ALTITUDE_M = 50.0
 # Largest area side and station altitude [m]: 10,000 km, far beyond any
 # study, and small enough that squared station-user distances stay finite.
-MAX_EXTENT_M = 1e7
+EXTENT_M = Range(0, 1e7, lo_open=True)
 # Physical bounds of a weather minute. GHI [W/m^2] is at most 2000, above
 # the solar constant with room for the brief enhancement at cloud edges;
 # air temperature [degC] lies within 100 degrees of zero, beyond the
@@ -229,22 +229,19 @@ class Required:
 EQUIPMENT = {"airframe": UavAirframe, "mimo": MimoSpec, "ris": RisSpec,
              "pv": PvSpec, "battery": BatterySpec, "radio": RadioParams}
 
-# The scenario's own scalars: JSON path, the Scenario field that gives the
-# value's type and default, and the range the value must lie in.
-SCALARS = (
-    ("area.width_m", "area_width_m", lambda v: 0 < v <= MAX_EXTENT_M,
-     f"in (0, {MAX_EXTENT_M:.0f}]"),
-    ("area.height_m", "area_height_m", lambda v: 0 < v <= MAX_EXTENT_M,
-     f"in (0, {MAX_EXTENT_M:.0f}]"),
-    ("users.count", "user_count", lambda v: v >= 0, ">= 0"),
-    ("users.dl_mbps", "dl_rate_mbps", lambda v: v >= 0, ">= 0"),
-    ("users.ul_mbps", "ul_rate_mbps", lambda v: v >= 0, ">= 0"),
-    ("simulation.runs", "run_count", lambda v: v >= 1, ">= 1"),
-    ("simulation.latitude_deg", "latitude_deg", lambda v: -90 <= v <= 90,
-     "in [-90, 90]"),
-    ("weather.cloud_factor", "cloud_factor", lambda v: 0 <= v <= 1, "in [0, 1]"),
-    ("weather.cloud_jitter", "cloud_jitter", lambda v: 0 <= v < 1, "in [0, 1)"),
-)
+# The scenario's own scalars: the Scenario field that gives the value's
+# type and default, its JSON path, and the range the value must lie in.
+SCALARS = {
+    "area_width_m": ("area.width_m", EXTENT_M),
+    "area_height_m": ("area.height_m", EXTENT_M),
+    "user_count": ("users.count", Range(0)),
+    "dl_rate_mbps": ("users.dl_mbps", Range(0)),
+    "ul_rate_mbps": ("users.ul_mbps", Range(0)),
+    "run_count": ("simulation.runs", Range(1)),
+    "latitude_deg": ("simulation.latitude_deg", Range(-90, 90)),
+    "cloud_factor": ("weather.cloud_factor", Range(0, 1)),
+    "cloud_jitter": ("weather.cloud_jitter", Range(0, 1, hi_open=True)),
+}
 
 
 def _config_schema() -> dict:
@@ -265,7 +262,7 @@ def _config_schema() -> dict:
            for name, cls in EQUIPMENT.items()},
     }
     scenario_types = get_type_hints(Scenario)
-    for path, name, _, _ in SCALARS:
+    for name, (path, _) in SCALARS.items():
         section, key = path.split(".")
         schema[section][key] = scenario_types[name]
     return schema
@@ -354,12 +351,11 @@ def scenario_from_dict(raw: dict) -> Scenario:
     from it keeps the Scenario default."""
     doc = check_json(raw, CONFIG_SCHEMA)
     values = {}
-    for path, name, in_range, text in SCALARS:
+    for name, (path, bounds) in SCALARS.items():
         section, key = path.split(".")
         if key in doc.get(section, {}):
-            value = values[name] = doc[section][key]
-            if not in_range(value):
-                raise ConfigError(f"{path} must be {text}, got {value}")
+            values[name] = doc[section][key]
+            bounds.check(path, values[name], ConfigError)
     width = values.get("area_width_m", Scenario.area_width_m)
     height = values.get("area_height_m", Scenario.area_height_m)
 
@@ -373,9 +369,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
 
     nodes_section = doc.get("nodes", {})
     altitude = nodes_section.get("altitude_m", NODE_ALTITUDE_M)
-    if not 0 < altitude <= MAX_EXTENT_M:
-        raise ConfigError(f"nodes.altitude_m must be in (0, {MAX_EXTENT_M:.0f}], "
-                          f"got {altitude}")
+    EXTENT_M.check("nodes.altitude_m", altitude, ConfigError)
     if "layout" in nodes_section:
         nodes = tuple(AccessNode(node_id=entry.get("id", i),
                                  position=Position(entry["x"], entry["y"], altitude),

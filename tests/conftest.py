@@ -3,6 +3,7 @@ validity and stepping one station through a day."""
 
 import datetime
 
+import solarran  # noqa: F401 - before numpy, so that OpenBLAS starts no thread
 import numpy as np
 
 from solarran.design import enumerate_candidates, network_config

@@ -15,8 +15,8 @@ import pytest
 
 import solarran
 import solarran.cli as cli
+import solarran.engine as engine
 from solarran.cli import main
-from solarran.energy import MAX_RATED_POWER_W
 from solarran.scenario import load_weather_csv
 
 TINY_CONFIG = {
@@ -37,13 +37,15 @@ def write_tiny_config(tmp_path):
     return path
 
 
-def run_cli_process(*args):
-    """`python -m solarran.cli *args` in a fresh interpreter, importing
-    this solarran, with default warning filters."""
+def run_cli_process(*args, entry=("-m", "solarran.cli")):
+    """`python -m solarran.cli *args` (or entry in place of -m solarran.cli)
+    in a fresh interpreter, importing this solarran, with default warning
+    filters and no OPENBLAS_NUM_THREADS of its own."""
     package_root = str(Path(solarran.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-m", "solarran.cli", *args],
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    return subprocess.run([sys.executable, *entry, *args],
                           capture_output=True, text=True, env=env, timeout=120)
 
 
@@ -219,21 +221,25 @@ class TestSimulate:
                 in capsys.readouterr().err)
         assert not out.exists() or not list(out.iterdir())
 
-    def test_non_finite_day_totals_exit_1_before_writing(self, tmp_path):
-        # The weather is bounded at load, but pv.temp_coeff is bounded only
-        # above: at -1e300 per degC the largest panel's output overflows on
-        # day 0. In-process, an error filter on numpy's overflow
-        # RuntimeWarning would fail the run before any check could.
-        config = tmp_path / "big_pv.json"
-        config.write_text(json.dumps({**TINY_CONFIG, "pv": {
-            "rated_power": MAX_RATED_POWER_W, "temp_coeff": -1e300}}))
+    def test_non_finite_day_totals_exit_1_before_writing(self, tmp_path, capsys,
+                                                          monkeypatch):
+        # Weather and panel are bounded at load, so no config overflows the
+        # panel's output: an infinite minute of it is put in by hand.
+        real_pv_power = engine.pv_power
+
+        def one_infinite_minute(*args):
+            watts = real_pv_power(*args).copy()
+            watts[700] = math.inf
+            return watts
+
+        monkeypatch.setattr(engine, "pv_power", one_infinite_minute)
         out = tmp_path / "out"
-        proc = run_cli_process("simulate", "--config", str(config),
-                               "--out", str(out))
-        assert proc.returncode == 1, proc.stdout
+        rc = main(["simulate", "--config", str(write_tiny_config(tmp_path)),
+                   "--out", str(out)])
+        assert rc == 1
         assert ("failure: with solar: day 0, node_id=0: harvested_wh is inf, "
-                "not finite") in proc.stderr
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["big_pv.json"]
+                "not finite") in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["tiny.json"]
 
     @pytest.mark.parametrize("column, value", [
         ("ghi_wm2", 1e308), ("ghi_wm2", 2000.5), ("temp_c", -1e304),
@@ -315,12 +321,19 @@ class TestSimulate:
          "got [-1e+304, 2.0]"),
         ('{"mimo": {"antenna_count": 1%s}}' % ("0" * 300),
          "invalid 'mimo' section: antenna_count must be in [1, 1000000], got 1000"),
+        ('{"pv": {"noct": 1e300}}',
+         "invalid 'pv' section: noct must be in (20, 100], got 1e+300"),
+        ('{"pv": {"rated_power": 1e9, "temp_coeff": -1e300}}',
+         "invalid 'pv' section: temp_coeff must be in [-0.01, 0], got -1e+300"),
+        ('{"pv": {"temp_coeff": -5}}',
+         "invalid 'pv' section: temp_coeff must be in [-0.01, 0], got -5.0"),
     ], ids=["empty_layout", "nan", "infinity", "overflow", "huge_area",
             "huge_altitude", "stc_zero", "stc_negative", "stc_cell_temp",
             "ris_negative", "max_tx", "hover_overflow", "huge_capacity",
             "huge_panel", "huge_fixed", "huge_per_antenna", "huge_per_user",
             "huge_sleep", "battery_1wh", "battery_2wh", "heavy_airframe",
-            "cold_season", "huge_antenna_count"])
+            "cold_season", "huge_antenna_count", "hot_noct",
+            "overflowing_temp_coeff", "steep_temp_coeff"])
     def test_rejected_config_exits_2(self, tmp_path, capsys, text, named):
         config = tmp_path / "bad.json"
         config.write_text(text)
@@ -581,6 +594,30 @@ class TestSimulate:
         assert proc.stdout.count("run pair(s), seeds 42..43") == 1
         assert proc.stdout.count("outputs in ") == 1
         assert proc.stdout.splitlines()[-1] == f"outputs in {tmp_path / 'out'}"
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                        reason="counts threads under Linux's /proc")
+    def test_ledger_writer_is_forked_from_one_thread(self, tmp_path):
+        # Python 3.12+ warns about a fork in a process with more than one
+        # thread, and numpy's OpenBLAS starts one unless told otherwise
+        counts = tmp_path / "threads.txt"
+        script = tmp_path / "counting_cli.py"
+        script.write_text(
+            "import os, sys\n"
+            "fork = os.fork\n"
+            "def counting_fork():\n"
+            f"    with open({str(counts)!r}, 'a') as fh:\n"
+            "        print(len(os.listdir('/proc/self/task')), file=fh)\n"
+            "    return fork()\n"
+            "os.fork = counting_fork\n"
+            "from solarran.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+        proc = run_cli_process("simulate", "--config",
+                               str(write_tiny_config(tmp_path)),
+                               "--out", str(tmp_path / "out"),
+                               entry=(str(script),))
+        assert proc.returncode == 0, proc.stderr
+        assert counts.read_text() == "1\n"
 
 
 class TestWeatherSynth:

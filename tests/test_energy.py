@@ -9,7 +9,7 @@ from hypothesis import example, given, strategies as st
 from reference_engine import reference_step
 
 from solarran.energy import (BatterySpec, MimoSpec, ParameterError, PvSpec,
-                             RisSpec, UavAirframe, cell_temperature,
+                             Range, RisSpec, UavAirframe, cell_temperature,
                              mimo_power, pv_power, ris_power, uav_hover_power)
 from solarran.radio import Position
 from solarran.scenario import AccessNode
@@ -63,6 +63,24 @@ class TestHoverPower:
             UavAirframe(total_mass=-1.0)
         with pytest.raises(ParameterError):
             UavAirframe(drive_efficiency=0.0)
+
+
+class TestRange:
+    @pytest.mark.parametrize("bounds, text", [
+        (Range(0), ">= 0"), (Range(0, lo_open=True), "> 0"),
+        (Range(0, 1, lo_open=True), "in (0, 1]"),
+        (Range(0, 1, hi_open=True), "in [0, 1)"),
+        (Range(0, 1, lo_open=True, hi_open=True), "in (0, 1)"),
+        (Range(-0.01, 0), "in [-0.01, 0]"), (Range(0, 1e9), "in [0, 1000000000]"),
+        (Range(1, 1_000_000), "in [1, 1000000]"),
+        (Range(0, 1e7, lo_open=True), "in (0, 10000000]")])
+    def test_text(self, bounds, text):
+        assert str(bounds) == text
+
+    @pytest.mark.parametrize("value", [0.0, 1.0, math.nan, -math.inf])
+    def test_open_ends_and_nan_are_refused(self, value):
+        with pytest.raises(ParameterError, match=r"^x must be in \(0, 1\), got "):
+            Range(0, 1, lo_open=True, hi_open=True).check("x", value)
 
 
 class TestMimoPower:

@@ -228,10 +228,10 @@ def test_no_solar_state_of_charge_is_formatted_for_one_day(
     ledger = golden_pairs[3].ledger(0)
     formatted = []
 
-    def counted(values, as_float, suffix):
-        if as_float:
+    def counted(values, suffix):
+        if values.dtype == np.float64:
             formatted.append(np.size(values))
-        return cells(values, as_float, suffix)
+        return cells(values, suffix)
 
     cells = report._cells
     monkeypatch.setattr(report, "_cells", counted)

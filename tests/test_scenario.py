@@ -3,6 +3,7 @@
 import dataclasses
 import datetime
 import json
+import math
 import re
 import typing
 from pathlib import Path
@@ -14,8 +15,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from solarran import scenario as scenario_module
 from solarran.cli import main
 from solarran.design import greedy_design
-from solarran.scenario import (CONFIG_SCHEMA, EQUIPMENT, MAX_GHI_WM2,
-                               MAX_TEMP_C, MIN_TEMP_C, ConfigError, Scenario,
+from solarran.energy import declared_ranges
+from solarran.scenario import (CONFIG_SCHEMA, EQUIPMENT, EXTENT_M, MAX_GHI_WM2,
+                               MAX_TEMP_C, MIN_TEMP_C, SCALARS, ConfigError,
+                               Scenario,
                                WeatherError, WeatherSeries, load_config,
                                load_weather_csv, place_users, scenario_from_dict,
                                solar_declination_deg, solar_elevation_sin,
@@ -30,6 +33,56 @@ def write_config(tmp_path, payload):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
     return path
+
+
+def _declared_bounds():
+    """(section, key, Range, JSON type) of every declared input bound: the
+    equipment and radio fields, SCALARS and the station altitude."""
+    scenario_types = typing.get_type_hints(Scenario)
+    rows = [(section, key, bounds, typing.get_type_hints(cls)[key])
+            for section, cls in EQUIPMENT.items()
+            for key, bounds in declared_ranges(cls)]
+    rows += [(*path.split("."), bounds, scenario_types[name])
+             for name, (path, bounds) in SCALARS.items()]
+    return rows + [("nodes", "altitude_m", EXTENT_M, float)]
+
+
+BOUNDS = _declared_bounds()
+
+
+def _edges(bounds, kind):
+    """(value, in range) at each finite end of bounds: a closed end itself,
+    then the nearest number of kind beyond the end, or an open end itself."""
+    for end, is_open, outward in ((bounds.lo, bounds.lo_open, -1),
+                                  (bounds.hi, bounds.hi_open, 1)):
+        if end is None:
+            continue
+        end = kind(end)
+        if not is_open:
+            yield end, True
+            end = (end + outward if kind is int
+                   else math.nextafter(end, outward * math.inf))
+        yield end, False
+
+
+def test_every_input_bound_is_declared():
+    # 20 equipment fields, 2 radio fields, 9 scenario scalars, the altitude
+    assert len(BOUNDS) == 32
+
+
+@pytest.mark.parametrize("section, key, bounds, kind", BOUNDS,
+                         ids=[f"{s}.{k}" for s, k, _, _ in BOUNDS])
+def test_declared_bounds_at_their_edges(section, key, bounds, kind):
+    for value, in_range in _edges(bounds, kind):
+        raw = {section: {key: value}}
+        if in_range:
+            scenario_from_dict(raw)
+            continue
+        with pytest.raises(ConfigError) as info:
+            scenario_from_dict(raw)
+        message = str(info.value)
+        assert section in message
+        assert f"{key} must be {bounds}, got {value}" in message
 
 
 class TestLoadConfig:
