@@ -150,8 +150,8 @@ def _run_and_write(scenario: Scenario, weather: WeatherSeries, seed: int,
     if pid == 0:  # the child never returns: no finally or buffer runs twice
         code = 1
         try:
-            write_ledger_csv(pair.ledger(0), nopv)
-            write_ledger_csv(pair.ledger(1), part, split)
+            write_ledger_csv(pair.ledgers[0], nopv)
+            write_ledger_csv(pair.ledgers[1], part, split)
             code = 0
         except BaseException as exc:  # noqa: BLE001 - reported by exit status
             print(f"failure: {exc}", file=sys.stderr)
@@ -159,7 +159,7 @@ def _run_and_write(scenario: Scenario, weather: WeatherSeries, seed: int,
         finally:
             os._exit(code)
     try:
-        write_ledger_csv(pair.ledger(1), pv, 0, split)
+        write_ledger_csv(pair.ledgers[1], pv, 0, split)
         rows = timeseries_rows(pair, weather)
     finally:
         status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
@@ -169,7 +169,7 @@ def _run_and_write(scenario: Scenario, weather: WeatherSeries, seed: int,
     with open(part, "rb") as tail, open(pv, "ab") as head:
         shutil.copyfileobj(tail, head)
     part.unlink()
-    return dataclasses.replace(pair, ledgers={}), rows
+    return dataclasses.replace(pair, ledgers=()), rows
 
 
 STUDY_FILE = re.compile(r"ledger_\d+_(pv|nopv)\.csv|metrics\.json|summary\.csv"

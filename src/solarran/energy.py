@@ -87,9 +87,12 @@ def declared_ranges(cls) -> tuple[tuple[str, Range], ...]:
 
 
 def check_ranges(obj) -> None:
-    """Raise ParameterError naming the first field outside its Range."""
+    """Raise ParameterError naming the first field, or the field of the
+    first entry of a tuple, outside its Range."""
     for name, bounds in declared_ranges(type(obj)):
-        bounds.check(name, getattr(obj, name))
+        value = getattr(obj, name)
+        for entry in value if isinstance(value, tuple) else (value,):
+            bounds.check(name, entry)
 
 
 Fraction = Annotated[float, Range(0, 1, lo_open=True)]  # an efficiency or derating

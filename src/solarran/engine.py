@@ -6,12 +6,12 @@ network once; every step accounts each station's consumption, harvest,
 battery draw, and swap events. Days are energetically independent; the
 pack starts each day full while the swap counter keeps accumulating.
 
-``run_network`` steps a pair's two runs, the arms, as one block shaped
-(arms, days, stations), one day's 1440 minutes at a time; the arm without
-the solar feed is the same recurrence with zero charge. It returns one
-PairResult, whose ledgers keep the block's (arms, minutes, stations) shape.
-The tests hold it bit for bit to a scalar reference stepped per station
-and minute (tests/reference_engine.py).
+``run_network`` steps a pair's two runs, the arms, as one block of 1 + days
+rows, one day's 1440 minutes at a time. Row 0 is the arm without the solar
+feed, the same recurrence with zero charge, whose days are the same bits
+and are stepped once; rows 1.. are the days with it. The tests hold it bit
+for bit to a scalar reference stepped per station and minute
+(tests/reference_engine.py).
 """
 
 from __future__ import annotations
@@ -45,7 +45,8 @@ class PairResult:
 
     Day totals are shaped (arms, days, stations), but for the shared
     consumed_wh, (days, stations); stations are in node_ids order. ledgers
-    maps each LEDGER_COLUMNS name to an (arms, minutes, stations) block.
+    holds one dict per arm, mapping each LEDGER_COLUMNS name to a (day,
+    minute, station) table.
     """
 
     seed: int
@@ -58,11 +59,7 @@ class PairResult:
     pv_wasted_wh: np.ndarray
     swaps: np.ndarray
     peak_pv_w: np.ndarray
-    ledgers: dict[str, np.ndarray] = field(repr=False)
-
-    def ledger(self, arm: int) -> dict[str, np.ndarray]:
-        """One arm's ledger: each column as a (minute, station) table."""
-        return {name: column[arm] for name, column in self.ledgers.items()}
+    ledgers: tuple[dict[str, np.ndarray], ...] = field(repr=False)
 
 
 def _step_error(t: int, node_id: int, problem) -> SimulationError:
@@ -85,7 +82,8 @@ def run_pair(scenario: Scenario, weather: WeatherSeries,
 def run_network(scenario: Scenario, weather: WeatherSeries, seed: int,
                 network: NetworkConfig) -> PairResult:
     """The without- and with-renewables runs of a designed network, stepped
-    as one block shaped (arms, days, stations) over the minutes of a day.
+    as one block of one day without and every day with the solar feed, by
+    stations, over the minutes of a day.
 
     Deterministic given (scenario, weather, network); seed is only
     recorded. Each minute a pack first accepts its charge, up to the room
@@ -98,8 +96,11 @@ def run_network(scenario: Scenario, weather: WeatherSeries, seed: int,
     since the step demand never exceeds the usable capacity a minute needs
     at most one swap. The network's cells must be the scenario's stations.
 
-    The ledger's flows are the stepped blocks reshaped to (arms, minutes,
-    stations); the arm-independent columns are read-only broadcast views.
+    Each arm's ledger columns are (day, minute, station) tables, the
+    with-solar flows views of rows 1... Every repeat is a read-only
+    broadcast view: the shared columns, and without solar a harvest of 0.0,
+    the consumption as the draw and row 0's state of charge every day; its
+    swap counter is row 0's plus the day index times row 0's count.
     """
     n_days = len(scenario.dates)
     n_steps = n_days * MINUTES_PER_DAY
@@ -127,10 +128,11 @@ def run_network(scenario: Scenario, weather: WeatherSeries, seed: int,
                              f"outside [0, {cap[i]}] Wh, the usable battery; one "
                              "battery cannot survive one step")
 
-    shape = (2, n_days, MINUTES_PER_DAY, n_nodes)
+    # row 0 is the one day without solar, rows 1.. the days with it
+    shape = (1 + n_days, MINUTES_PER_DAY, n_nodes)
     harvested = np.zeros(shape)
     for i, node in enumerate(nodes):
-        harvested[1, ..., i] = (pv_power(
+        harvested[1:, :, i] = (pv_power(
             node.pv, weather.ghi_wm2, weather.temp_c) * hours).reshape(
                 n_days, MINUTES_PER_DAY)
     charge = harvested * np.array([n.battery.charge_efficiency for n in nodes],
@@ -142,43 +144,50 @@ def run_network(scenario: Scenario, weather: WeatherSeries, seed: int,
     level = cap  # days are independent: a full pack every morning
     for m in range(MINUTES_PER_DAY):
         # fmin(charge, room) is min(charge, room) even when room is NaN
-        acc = np.fmin(charge[:, :, m], cap - level, out=accepted[:, :, m])
-        now = np.add(level, acc, out=soc[:, :, m])
+        acc = np.fmin(charge[:, m], cap - level, out=accepted[:, m])
+        now = np.add(level, acc, out=soc[:, m])
         np.subtract(now, demand, out=now)
-        swap = np.less(now, 0.0, out=swapped[:, :, m])
+        swap = np.less(now, 0.0, out=swapped[:, m])
         np.add(now, cap, out=now, where=swap)
         level = now
 
-    over = np.argwhere(soc[:, :, :-1] > cap + 1e-12)
+    over = np.argwhere(soc[:, :-1] > cap + 1e-12)
     if len(over):
-        arm, day, minute, i = over[0]
-        raise _step_error(int(day * MINUTES_PER_DAY + minute + 1), node_ids[i],
-                          f"soc {soc[arm, day, minute, i]} above usable "
-                          f"capacity {cap[i]}")
+        row, minute, i = over[0]
+        raise _step_error(int(max(row - 1, 0) * MINUTES_PER_DAY + minute + 1),
+                          node_ids[i], f"soc {soc[row, minute, i]} above usable "
+                                       f"capacity {cap[i]}")
 
-    consumed = np.broadcast_to(demand, shape[1:])
-    pv_used = np.where(consumed < accepted, consumed, accepted)
+    pv_used = np.where(demand < accepted, demand, accepted)
     pv_wasted = charge - accepted
+    arms = np.array([[0] * n_days, range(1, n_days + 1)])  # (arm, day) -> row
 
-    def day_totals(per_step):
-        # cumsum adds in minute order, as a running += would; a copy pins no buffer
-        return np.cumsum(per_step, axis=-2)[..., -1, :].copy()
+    def day_totals(per_step, rows=arms):
+        # cumsum adds in minute order, as a running += would; indexing copies
+        return np.cumsum(per_step, axis=1)[rows, -1]
 
-    table = (2, n_steps, n_nodes)
+    counter = np.cumsum(swapped, axis=1, dtype=np.int64)  # within each day
+    swaps = counter[arms, -1]
+    before = (np.cumsum(swaps, axis=1) - swaps)[:, :, None]  # on earlier days
+    counter[1:] += before[1]
+
+    table = (n_days, MINUTES_PER_DAY, n_nodes)
+    shared = [np.broadcast_to(v, table) for v in (  # t, node_id, station power
+        np.arange(n_steps, dtype=np.int64).reshape(n_days, MINUTES_PER_DAY, 1),
+        np.array(node_ids, dtype=np.int64), demand, hover_wh, mimo_wh, ris_wh)]
+    zero = np.broadcast_to(0.0, table)
+    # each arm's own columns: the flows, soc_wh and swaps
+    own = ((zero, zero, zero, shared[2], np.broadcast_to(soc[0], table),
+            counter[0] + before[0]),
+           (harvested[1:], pv_used[1:], pv_wasted[1:], demand - pv_used[1:],
+            soc[1:], counter[1:]))
     return PairResult(
         seed=seed, network=network, node_ids=node_ids, usable_capacity_wh=cap,
-        consumed_wh=day_totals(consumed), harvested_wh=day_totals(harvested),
-        pv_used_wh=day_totals(pv_used), pv_wasted_wh=day_totals(pv_wasted),
-        swaps=swapped.sum(axis=2, dtype=np.int64),
-        peak_pv_w=(harvested * 60.0).max(axis=2),
-        ledgers=dict(zip(LEDGER_COLUMNS, (  # t, node_id, power, flows, swaps
-            np.broadcast_to(np.arange(n_steps, dtype=np.int64)[:, None], table),
-            np.broadcast_to(np.array(node_ids, dtype=np.int64), table),
-            *(np.broadcast_to(v, table)
-              for v in (demand, hover_wh, mimo_wh, ris_wh)),
-            *(v.reshape(table) for v in (harvested, pv_used, pv_wasted,
-                                         consumed - pv_used, soc)),
-            np.cumsum(swapped.reshape(table), axis=1, dtype=np.int64)))))
+        consumed_wh=day_totals(np.broadcast_to(demand, shape), arms[0]),
+        harvested_wh=day_totals(harvested), pv_used_wh=day_totals(pv_used),
+        pv_wasted_wh=day_totals(pv_wasted), swaps=swaps,
+        peak_pv_w=(harvested * 60.0).max(axis=1)[arms],
+        ledgers=tuple(dict(zip(LEDGER_COLUMNS, (*shared, *arm))) for arm in own))
 
 
 @dataclass(frozen=True)
@@ -294,8 +303,7 @@ def verify_conservation(pair: PairResult) -> None:
 
 def _verify_arm(pair: PairResult, arm: int) -> None:
     tol = CONSERVATION_TOL_WH
-    led = pair.ledger(arm)
-    n_days = len(pair.consumed_wh)
+    led = pair.ledgers[arm]
     totals = {"consumed_wh": pair.consumed_wh,
               **{name: getattr(pair, name)[arm] for name in (
                   "harvested_wh", "pv_used_wh", "pv_wasted_wh", "peak_pv_w")}}
@@ -310,14 +318,14 @@ def _verify_arm(pair: PairResult, arm: int) -> None:
     over = (led["soc_wh"] - pair.usable_capacity_wh).max()
     if not over <= tol:
         raise SimulationError(f"state of charge exceeds usable capacity by {over}")
-    if not (np.diff(led["swaps"], axis=0) >= 0).all():
+    if not (np.diff(led["swaps"].reshape(-1, len(pair.node_ids)), axis=0)
+            >= 0).all():
         raise SimulationError("swap counter decreased")
     sums = {}  # per day: (from the ledger, from the day totals)
     for name in ("consumed_wh", "pv_used_wh"):
-        per_day = led[name].reshape(n_days, MINUTES_PER_DAY, -1)
-        sums[name] = per_day.sum(axis=(1, 2)), totals[name].sum(axis=1)
+        sums[name] = led[name].sum(axis=(1, 2)), totals[name].sum(axis=1)
         _check_days(np.abs(sums[name][0] - sums[name][1]),
-                    tol * per_day[0].size,
+                    tol * led[name][0].size,
                     f"{name} day totals differ from the ledger")
     # AREC as compute_metrics reports it: 100 * pv_used / consumed, else 0
     arec = [100.0 * used / np.where(consumed > 0, consumed, np.inf)
@@ -334,8 +342,7 @@ def _verify_arm(pair: PairResult, arm: int) -> None:
                         lambda d, i: f"{swaps[d, i]} swaps without solar, closed "
                                      f"form floor(E/U) gives {np.floor(ratio[d, i]):.0f}")
     # each day's count is the rise of the ledger's cumulative swaps column
-    rises = np.diff(led["swaps"].reshape(n_days, MINUTES_PER_DAY, -1)[:, -1],
-                    axis=0, prepend=0)
+    rises = np.diff(led["swaps"][:, -1], axis=0, prepend=0)
     _check_stations(swaps != rises, pair.node_ids, lambda d, i: (
         f"{swaps[d, i]} swaps, but the ledger's swaps column rose by "
         f"{rises[d, i]}"))

@@ -24,8 +24,28 @@ THERMAL_NOISE_DBM_PER_HZ = -174.0
 # after propagation, so every other entry compares and rounds alike.
 BOUNDARY_RTOL = 1e-9
 # Below this spectral efficiency, log2(1 + y) loses the digits of y to the
-# rounding of 1 + y, and the error of se is no longer relative to se.
+# rounding of 1 + y, and the error of se is no longer relative to se. It is
+# also the lowest se_cap.
 SE_FLOOR = 1e-3
+# Largest magnitude of a decibel input (a gain, loss, noise figure, SNR
+# threshold or transmit power): 1000 dB, a ratio of 1e100, far beyond any
+# link budget. Within these bounds every SNR lies between about -4700 and
+# +1300 dB, so 10 ** (snr / 10), the spectral efficiency and, with the
+# users' rate bound, every block count stay finite.
+MAX_DB = 1000.0
+# Highest transmit power [dBm]: a gigawatt, as energy.MAX_MIMO_POWER_W.
+MAX_TX_POWER_DBM = 120.0
+# Steepest path loss: measured exponents run from 2 (free space) to about
+# 6 (inside buildings).
+MAX_PATHLOSS_EXPONENT = 10.0
+# Narrowest and widest carrier or resource block [Hz]: 1 kHz, below NR's
+# 180 kHz block, to 1 THz, beyond any carrier. The narrowest bounds the
+# noise floor from below, and so the SNR from above.
+MIN_BANDWIDTH_HZ, MAX_BANDWIDTH_HZ = 1e3, 1e12
+# Most resource blocks of a cell: a billion, far beyond NR's 275 a carrier,
+# and exact as float64 and int64 block counts.
+MAX_TOTAL_PRBS = 10**9
+Decibels = Annotated[float, Range(-MAX_DB, MAX_DB)]
 
 
 @dataclass(frozen=True)
@@ -48,18 +68,22 @@ class RadioParams:
     beyond 1 m the loss grows with 10 * pathloss_exponent * log10(d).
     power_levels_dbm is the discrete transmit-power ladder the network
     designer may pick from; its highest entry is the transceiver maximum.
+    A loss and a noise figure are never below 0 dB.
     """
 
-    pathloss_exponent: Annotated[float, Range(2)] = 2.9
-    reference_loss_at_1m_db: float = 43.3
-    bandwidth_mhz: float = 100.0
-    prb_bandwidth_khz: float = 360.0
-    total_prbs: Annotated[int, Range(1)] = 273
-    noise_figure_db: float = 9.0
-    antenna_gain_dbi: float = 8.0
-    min_snr_db: float = -6.0
-    se_cap: float = 7.8               # bit/s/Hz
-    power_levels_dbm: tuple[float, ...] = (28.0, 34.0, 40.0)
+    pathloss_exponent: Annotated[float, Range(2, MAX_PATHLOSS_EXPONENT)] = 2.9
+    reference_loss_at_1m_db: Annotated[float, Range(0, MAX_DB)] = 43.3
+    bandwidth_mhz: Annotated[float, Range(MIN_BANDWIDTH_HZ / 1e6,
+                                          MAX_BANDWIDTH_HZ / 1e6)] = 100.0
+    prb_bandwidth_khz: Annotated[float, Range(MIN_BANDWIDTH_HZ / 1e3,
+                                              MAX_BANDWIDTH_HZ / 1e3)] = 360.0
+    total_prbs: Annotated[int, Range(1, MAX_TOTAL_PRBS)] = 273
+    noise_figure_db: Annotated[float, Range(0, MAX_DB)] = 9.0
+    antenna_gain_dbi: Decibels = 8.0
+    min_snr_db: Decibels = -6.0
+    se_cap: Annotated[float, Range(SE_FLOOR)] = 7.8  # bit/s/Hz
+    power_levels_dbm: Annotated[tuple[float, ...], Range(
+        -MAX_DB, MAX_TX_POWER_DBM)] = (28.0, 34.0, 40.0)  # each entry
 
     def __post_init__(self):
         check_ranges(self)

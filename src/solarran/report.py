@@ -6,15 +6,15 @@ summary.csv rounds to two decimals with dot separators; metrics.json
 precision (ledger floats use repr, so sums recomputed from disk match the
 in-memory accounting bit for bit).
 
-An arm's ledger is a (minute, station) table per column, which only
-write_ledger_csv flattens to rows. A column whose bits repeat every minute
-(node_id, the station power columns and, without solar, every flow but the
-state of charge) is formatted once per station. A column whose later days
-repeat day 0 bit for bit (without solar, the state of charge) is formatted
-for day 0 only. The others are formatted per chunk of whole minutes, each
-distinct value once, and each chunk is written with one join. A
-whole-minute range of a ledger can be written on its own, so that two
-processes can share one ledger.
+An arm's ledger is a (day, minute, station) table per column, which only
+write_ledger_csv flattens to rows. Its period comes from its strides, not
+from its values: a column broadcast over days and minutes (node_id, the
+station power columns and, without solar, every flow but the state of
+charge) is formatted once per station, and a column broadcast over days
+(without solar, the state of charge) for one day. The others are formatted
+per chunk of whole minutes, each distinct value once, and each chunk is
+written with one join. A whole-minute range of a ledger can be written on
+its own, so that two processes can share one ledger.
 """
 
 from __future__ import annotations
@@ -83,51 +83,42 @@ def _cells(values: np.ndarray, suffix: str) -> np.ndarray:
     return np.array(text, dtype=object)[where.reshape(values.shape)]
 
 
-def _repeats(keys: np.ndarray, period: int) -> bool:
-    """Whether every minute (row) of keys equals the minute period rows
-    before it. A broadcast minute axis (stride 0) answers at once; other
-    tables are compared in doubling blocks of minutes, up to the first block
-    that differs."""
-    if keys.strides[0] == 0:
-        return True
-    lo, size = period, 1
-    while lo < len(keys):
-        hi = min(lo + size, len(keys))
-        if not (keys[lo:hi] == keys[lo - period:hi - period]).all():
-            return False
-        lo, size = hi, 2 * size
-    return True
-
-
 def write_ledger_csv(ledger: dict[str, np.ndarray], path: Path,
                      start: int = 0, stop: int | None = None) -> None:
-    """One arm's ledger, an int64 or float64 (minute, station) table per
-    LEDGER_COLUMNS name, as one CSV row per (minute, station), minute-major.
+    """One arm's ledger, an int64 or float64 (day, minute, station) table
+    per LEDGER_COLUMNS name, as one CSV row per (minute, station),
+    minute-major.
 
-    Only the minutes [start, stop) are written (all by default), with the
-    header only when the range starts at minute 0 and is not empty, so the
-    files of adjacent ranges join to the whole ledger's bytes. A column whose
-    bits repeat with a period of 1 or MINUTES_PER_DAY minutes, under the
-    ledger's length, is formatted for one period, each minute taking its
-    minute of the period's text; adjacent columns of period 1 are joined.
+    Only the minutes [start, stop) of the whole ledger are written (all by
+    default), with the header only when the range starts at minute 0 and is
+    not empty, so the files of adjacent ranges join to the whole ledger's
+    bytes. A column's strides give its period: with day and minute strides
+    0 it is formatted once per station, with day stride 0 for one day, and
+    otherwise per chunk; each minute takes its minute of the period's text,
+    and adjacent columns of period 1 are joined.
     """
-    n_minutes, n_nodes = ledger["t"].shape
+    n_days, day_minutes, n_nodes = ledger["t"].shape
+    n_minutes = n_days * day_minutes
     stop = n_minutes if stop is None else stop
     if not 0 <= start <= stop <= n_minutes:
         raise ValueError(f"minutes [{start}, {stop}) outside the ledger's "
                          f"{n_minutes}")
-    # (column, suffix, period, texts of one period); period None: per chunk
+    # (period, texts of one period, suffix); period None: a minute table
+    # formatted per chunk
     parts: list = []
     for name in LEDGER_COLUMNS:
         # every cell carries its separator; the last column's ends the row
         suffix = "\n" if name == LEDGER_COLUMNS[-1] else ","
         values = ledger[name]
-        period = next((p for p in (1, MINUTES_PER_DAY)
-                       if p < n_minutes and _repeats(values.view(np.int64), p)), None)
-        texts = None if period is None else _cells(values[:period], suffix)
-        if period == 1 and parts and parts[-1][2] == 1:
-            texts = parts.pop()[3] + texts  # object arrays: str + str per station
-        parts.append((name, suffix, period, texts))
+        day_stride, minute_stride = values.strides[:2]
+        if day_stride:
+            parts.append((None, values.reshape(n_minutes, n_nodes), suffix))
+            continue
+        period = 1 if minute_stride == 0 else day_minutes
+        texts = _cells(values[0, :period], suffix)
+        if period == 1 and parts and parts[-1][0] == 1:
+            texts = parts.pop()[1] + texts  # object arrays: str + str per station
+        parts.append((period, texts, suffix))
     chunk_minutes = max(LEDGER_CHUNK_ROWS // n_nodes, 1)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         if start == 0 < stop:
@@ -136,33 +127,33 @@ def write_ledger_csv(ledger: dict[str, np.ndarray], path: Path,
             hi = min(lo + chunk_minutes, stop)
             minutes = np.arange(lo, hi)
             block = np.empty((hi - lo, n_nodes, len(parts)), dtype=object)
-            for j, (name, suffix, period, texts) in enumerate(parts):
-                block[..., j] = (_cells(ledger[name][lo:hi], suffix)
-                                 if period is None else texts[minutes % period])
+            for j, (period, source, suffix) in enumerate(parts):
+                block[..., j] = (_cells(source[lo:hi], suffix)
+                                 if period is None else source[minutes % period])
             fh.write("".join(block.ravel().tolist()))
 
 
 def timeseries_rows(pair: PairResult, weather: WeatherSeries) -> np.ndarray:
-    """One pair's share of the time series, shaped (3, minutes): the
+    """One pair's share of the time series, shaped (3, days, minutes): the
     weather's GHI and the station means of the with-solar run's state of
     charge and panel output. The CLI sums these over runs in run order."""
-    led = pair.ledgers
-    return np.stack([weather.ghi_wm2, led["soc_wh"][1].mean(axis=1),
-                     led["harvested_wh"][1].mean(axis=1) * 60.0])
+    led = pair.ledgers[1]
+    soc = led["soc_wh"].mean(axis=2)
+    return np.stack([weather.ghi_wm2.reshape(soc.shape), soc,
+                     led["harvested_wh"].mean(axis=2) * 60.0])
 
 
 def write_timeseries_csvs(means: np.ndarray, season_names: Sequence[str],
                           out_dir: Path) -> None:
     """Per-season minute profiles from the run means of timeseries_rows:
     GHI, and state of charge and panel output averaged over stations."""
-    ghi, soc, pv_w = means
     for day, name in enumerate(season_names):
-        path = out_dir / f"timeseries_{name}.csv"
-        lo = day * MINUTES_PER_DAY
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        ghi, soc, pv_w = means[:, day]
+        with open(out_dir / f"timeseries_{name}.csv", "w", encoding="utf-8",
+                  newline="\n") as fh:
             fh.write("minute,mean_ghi_wm2,mean_soc_wh,mean_pv_w\n")
             for m in range(MINUTES_PER_DAY):
-                fh.write(f"{m},{ghi[lo + m]:.6f},{soc[lo + m]:.6f},{pv_w[lo + m]:.6f}\n")
+                fh.write(f"{m},{ghi[m]:.6f},{soc[m]:.6f},{pv_w[m]:.6f}\n")
 
 
 def format_summary_table(metrics: StudyMetrics) -> str:

@@ -43,6 +43,12 @@ EXTENT_M = Range(0, 1e7, lo_open=True)
 # coldest and hottest ever recorded (-89.2 and 56.7).
 MAX_GHI_WM2 = 2000.0
 MIN_TEMP_C, MAX_TEMP_C = -100.0, 100.0
+# Most terminals of a study: a million, far beyond what a study area's
+# cells serve (numpy cannot even hold the positions of 1e30).
+MAX_USER_COUNT = 1_000_000
+# Highest rate of a terminal [Mbit/s]: a terabit per second, beyond any
+# terminal; with the radio bounds it keeps every block count finite.
+MAX_RATE_MBPS = 1e6
 
 SEASONS = ("spring", "summer", "autumn", "winter")
 
@@ -234,9 +240,9 @@ EQUIPMENT = {"airframe": UavAirframe, "mimo": MimoSpec, "ris": RisSpec,
 SCALARS = {
     "area_width_m": ("area.width_m", EXTENT_M),
     "area_height_m": ("area.height_m", EXTENT_M),
-    "user_count": ("users.count", Range(0)),
-    "dl_rate_mbps": ("users.dl_mbps", Range(0)),
-    "ul_rate_mbps": ("users.ul_mbps", Range(0)),
+    "user_count": ("users.count", Range(0, MAX_USER_COUNT)),
+    "dl_rate_mbps": ("users.dl_mbps", Range(0, MAX_RATE_MBPS)),
+    "ul_rate_mbps": ("users.ul_mbps", Range(0, MAX_RATE_MBPS)),
     "run_count": ("simulation.runs", Range(1)),
     "latitude_deg": ("simulation.latitude_deg", Range(-90, 90)),
     "cloud_factor": ("weather.cloud_factor", Range(0, 1)),

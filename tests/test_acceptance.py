@@ -66,8 +66,8 @@ def test_default_study_golden_bytes(default_study, tmp_path):
                        [MASTER_SEED + r for r in range(len(pairs))],
                        tmp_path / "metrics.json")
     write_summary_csv(metrics, tmp_path / "summary.csv")
-    write_ledger_csv(pairs[0].ledger(1), tmp_path / "ledger_0_pv.csv")
-    write_ledger_csv(pairs[0].ledger(0), tmp_path / "ledger_0_nopv.csv")
+    write_ledger_csv(pairs[0].ledgers[1], tmp_path / "ledger_0_pv.csv")
+    write_ledger_csv(pairs[0].ledgers[0], tmp_path / "ledger_0_nopv.csv")
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in DEFAULT_STUDY_SHA256}
     assert got == DEFAULT_STUDY_SHA256
@@ -110,12 +110,12 @@ def test_criterion_1_conservation_suite():
             float(rng.choice([28.0, 34.0, 40.0])) if active else None,
             int(rng.integers(0, 8)) if active else 0)
         for arm in (0, 1):
-            led = pair.ledger(arm)
+            led = pair.ledgers[arm]
             gap = np.abs(led["consumed_wh"] - (led["drawn_wh"] + led["pv_used_wh"]))
             assert gap.max() <= 1e-9, f"conservation gap {gap.max()}"
             assert (-1e-12 <= led["soc_wh"]).all()
             assert (led["soc_wh"] <= cap + 1e-9).all()
-            assert (np.diff(led["swaps"], axis=0) >= 0).all()
+            assert (np.diff(led["swaps"], axis=1) >= 0).all()
 
         soc, swaps = cap, 0
         for _ in range(int(rng.integers(30, 80))):
@@ -145,17 +145,16 @@ def test_criterion_2_arec_identity(default_study, tmp_path):
     the ledgers, within 1e-9, for every run and season."""
     _, pairs, metrics, _ = default_study
     for r, pair in enumerate(pairs):
-        led = pair.ledger(1)
+        led = pair.ledgers[1]
         for day, name in enumerate(SEASONS):
-            rows = slice(day * 1440, (day + 1) * 1440)
-            used = float(np.sum(led["pv_used_wh"][rows]))
-            consumed = float(np.sum(led["consumed_wh"][rows]))
+            used = float(np.sum(led["pv_used_wh"][day]))
+            consumed = float(np.sum(led["consumed_wh"][day]))
             reported = metrics.per_run[r]["seasons"][name]["arec_percent"]
             assert abs(reported - 100.0 * used / consumed) <= 1e-9
 
     # the identity must survive the trip through the on-disk ledger
     path = tmp_path / "ledger.csv"
-    write_ledger_csv(pairs[0].ledger(1), path)
+    write_ledger_csv(pairs[0].ledgers[1], path)
     lines = path.read_text().splitlines()[1:]
     per_day_used = [0.0] * 4
     per_day_consumed = [0.0] * 4

@@ -5,6 +5,7 @@ import datetime
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -17,6 +18,7 @@ import solarran
 import solarran.cli as cli
 import solarran.engine as engine
 from solarran.cli import main
+from solarran.design import network_config
 from solarran.scenario import load_weather_csv
 
 TINY_CONFIG = {
@@ -147,10 +149,11 @@ class TestSimulate:
 
         def leaky_run_pair(*args, **kwargs):
             pair = real_run_pair(*args, **kwargs)
-            pv_used = pair.ledgers["pv_used_wh"].copy()
-            pv_used[1] += 1e-6
+            no_solar, with_solar = pair.ledgers
+            pv_used = with_solar["pv_used_wh"].copy()
+            pv_used += 1e-6
             return dataclasses.replace(
-                pair, ledgers={**pair.ledgers, "pv_used_wh": pv_used})
+                pair, ledgers=(no_solar, {**with_solar, "pv_used_wh": pv_used}))
 
         monkeypatch.setattr(cli, "run_pair", leaky_run_pair)
         out = tmp_path / "out"
@@ -267,6 +270,40 @@ class TestSimulate:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["tiny.json",
                                                               "weather.csv"]
 
+    @pytest.mark.parametrize("edit, named", [
+        (lambda lines: [*lines[:5], lines[5] + ",0.0", *lines[6:]],
+         "line 6: expected 3 fields, got 4"),
+        (lambda lines: [*lines[:-1], lines[-2], lines[-1]],
+         "line 5762: expected only 5760 rows"),
+        (lambda lines: [*lines[:5], re.sub(",[^,]*,", ",abc,", lines[5]),
+                        *lines[6:]],
+         "line 6: could not convert string to float: 'abc'"),
+    ], ids=["four_fields", "extra_row", "unparsable"])
+    def test_malformed_weather_exits_2(self, tmp_path, capsys, edit, named):
+        config, weather = write_tiny_config(tmp_path), tmp_path / "weather.csv"
+        scenario = solarran.load_config(config)
+        solarran.write_weather_csv(solarran.synth_study_series(scenario),
+                                   scenario.dates, weather)
+        weather.write_text("\n".join(edit(weather.read_text().split("\n"))))
+        rc = main(["simulate", "--config", str(config), "--weather",
+                   str(weather), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert named in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["tiny.json",
+                                                              "weather.csv"]
+
+    def test_blank_weather_lines_are_skipped(self, tmp_path):
+        config, weather = write_tiny_config(tmp_path), tmp_path / "weather.csv"
+        scenario = solarran.load_config(config)
+        series = solarran.synth_study_series(scenario)
+        solarran.write_weather_csv(series, scenario.dates, weather)
+        lines = weather.read_text().split("\n")
+        weather.write_text("\n".join([*lines[:3], "", *lines[3:9], "  ",
+                                      *lines[9:], ""]))
+        assert load_weather_csv(weather, scenario.dates) == series
+        assert main(["simulate", "--config", str(config), "--weather",
+                     str(weather), "--out", str(tmp_path / "out")]) == 0
+
     def test_invalid_config_exits_2_and_cleans_up(self, tmp_path, capsys):
         config = tmp_path / "bad.json"
         config.write_text('{"users": {"count": -3}}')
@@ -327,13 +364,41 @@ class TestSimulate:
          "invalid 'pv' section: temp_coeff must be in [-0.01, 0], got -1e+300"),
         ('{"pv": {"temp_coeff": -5}}',
          "invalid 'pv' section: temp_coeff must be in [-0.01, 0], got -5.0"),
+        ('{"radio": {"bandwidth_mhz": 0}}',
+         "invalid 'radio' section: bandwidth_mhz must be in [0.001, 1000000], "
+         "got 0.0"),
+        ('{"radio": {"bandwidth_mhz": -5}}',
+         "bandwidth_mhz must be in [0.001, 1000000], got -5.0"),
+        ('{"radio": {"prb_bandwidth_khz": 0}}',
+         "prb_bandwidth_khz must be in [1, 1000000000], got 0.0"),
+        ('{"radio": {"prb_bandwidth_khz": -360}}',
+         "prb_bandwidth_khz must be in [1, 1000000000], got -360.0"),
+        ('{"radio": {"se_cap": 0}}',
+         "invalid 'radio' section: se_cap must be >= 0.001, got 0.0"),
+        ('{"radio": {"total_prbs": 1%s}}' % ("0" * 30),
+         "total_prbs must be in [1, 1000000000], got 1" + "0" * 30),
+        ('{"radio": {"power_levels_dbm": [1e308]}}',
+         "invalid 'radio' section: power_levels_dbm must be in [-1000, 120], "
+         "got 1e+308"),
+        ('{"radio": {"reference_loss_at_1m_db": -1e308}}',
+         "reference_loss_at_1m_db must be in [0, 1000], got -1e+308"),
+        ('{"users": {"dl_mbps": 1e308}}',
+         "users.dl_mbps must be in [0, 1000000], got 1e+308"),
+        ('{"users": {"count": 1%s}}' % ("0" * 30),
+         "users.count must be in [0, 1000000], got 1" + "0" * 30),
+        ('{"radio": {"power_levels_dbm": []}}',
+         "invalid 'radio' section: power_levels_dbm must not be empty"),
     ], ids=["empty_layout", "nan", "infinity", "overflow", "huge_area",
             "huge_altitude", "stc_zero", "stc_negative", "stc_cell_temp",
             "ris_negative", "max_tx", "hover_overflow", "huge_capacity",
             "huge_panel", "huge_fixed", "huge_per_antenna", "huge_per_user",
             "huge_sleep", "battery_1wh", "battery_2wh", "heavy_airframe",
             "cold_season", "huge_antenna_count", "hot_noct",
-            "overflowing_temp_coeff", "steep_temp_coeff"])
+            "overflowing_temp_coeff", "steep_temp_coeff", "zero_bandwidth",
+            "negative_bandwidth", "zero_prb_bandwidth", "negative_prb_bandwidth",
+            "zero_se_cap", "huge_total_prbs", "huge_power_level",
+            "negative_reference_loss", "huge_dl_rate", "huge_user_count",
+            "empty_power_levels"])
     def test_rejected_config_exits_2(self, tmp_path, capsys, text, named):
         config = tmp_path / "bad.json"
         config.write_text(text)
@@ -731,14 +796,30 @@ class TestOracle:
          "nodes[0].zz: unknown key"),
         ('{"nodes": [{"id": 0, "x": 0, "y": 0}, {"id": 0.5, "x": 1, "y": 0}]}',
          "nodes[1].id: expected an integer, got 0.5"),
+        ('{"nodes": [{"id": 0, "x": 0, "y": 0}, {"id": 0, "x": 1, "y": 0}]}',
+         "duplicate node ids in instance"),
+        ('{"users": [{"id": 3, "x": 0, "y": 0}, {"id": 3, "x": 1, "y": 0}]}',
+         "duplicate user ids in instance"),
     ], ids=["root", "nodes", "node", "coordinate", "misspelt_key",
-            "fractional_id"])
+            "fractional_id", "duplicate_node_ids", "duplicate_user_ids"])
     def test_wrong_typed_instance_exits_2(self, tmp_path, capsys, text, named):
         path = tmp_path / "instance.json"
         path.write_text(text)
         rc = main(["oracle", "--instance", str(path)])
         assert rc == 2
         assert named in capsys.readouterr().err
+
+    def test_greedy_worse_than_exhaustive_fails(self, capsys, monkeypatch):
+        # a greedy design that covers nobody: the bundled instance's
+        # exhaustive design covers 4
+        monkeypatch.setattr(cli, "greedy_design",
+                            lambda nodes, *rest: network_config(nodes, {}, {}))
+        rc = main(["oracle", "--instance", solarran.example_oracle_instance_path()])
+        assert rc == 1
+        out = capsys.readouterr().out
+        assert "greedy: covered 0" in out
+        assert "exhaustive: covered 4" in out
+        assert out.endswith("FAIL\n")
 
     def test_node_without_coordinate_exits_2(self, tmp_path, capsys):
         path = tmp_path / "no_y.json"

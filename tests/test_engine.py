@@ -53,18 +53,18 @@ class TestStep:
 
     def test_night_inactive_cell(self, small_scenario):
         node = small_scenario.nodes[0]
-        led = one_station_day(node, 0.0, 5.0).ledger(1)
+        led = one_station_day(node, 0.0, 5.0).ledgers[1]
         expected = (uav_hover_power(node.airframe) + node.mimo.sleep_power
                     + ris_power(node.ris)) / 60.0
-        assert led["consumed_wh"][0, 0] == pytest.approx(expected, rel=1e-12)
+        assert led["consumed_wh"][0, 0, 0] == pytest.approx(expected, rel=1e-12)
         assert not led["harvested_wh"].any()
-        assert led["mimo_wh"][0, 0] == pytest.approx(node.mimo.sleep_power / 60.0)
-        assert led["soc_wh"][0, 0] < node.battery.usable_capacity_wh
+        assert led["mimo_wh"][0, 0, 0] == pytest.approx(node.mimo.sleep_power / 60.0)
+        assert led["soc_wh"][0, 0, 0] < node.battery.usable_capacity_wh
 
     def test_without_res_harvest_is_zero(self, small_scenario):
         pair = one_station_day(small_scenario.nodes[0], 800.0, 20.0, 40.0, 3)
-        assert not pair.ledger(0)["harvested_wh"].any()
-        assert (pair.ledger(1)["harvested_wh"] > 0.0).all()
+        assert not pair.ledgers[0]["harvested_wh"].any()
+        assert (pair.ledgers[1]["harvested_wh"] > 0.0).all()
 
     def test_constant_draw_day_sums_exactly(self, small_scenario):
         node = small_scenario.nodes[0]
@@ -84,14 +84,15 @@ class TestRunSimulation:
                 for _ in range(2))
         assert np.array_equal(a.consumed_wh, b.consumed_wh)
         assert np.array_equal(a.swaps, b.swaps)
-        for col in a.ledgers:
-            assert np.array_equal(a.ledgers[col], b.ledgers[col])
+        for led_a, led_b in zip(a.ledgers, b.ledgers):
+            for col in led_a:
+                assert np.array_equal(led_a[col], led_b[col])
         assert a.network.to_dict() == b.network.to_dict()
 
     def test_shape_and_flags(self, small_pair):
         assert small_pair.consumed_wh.shape == (4, 4)
         assert small_pair.swaps.shape == (2, 4, 4)
-        assert small_pair.ledger(0)["t"].shape == (5760, 4)
+        assert small_pair.ledgers[0]["t"].shape == (4, 1440, 4)
         assert not small_pair.harvested_wh[0].any()
         assert small_pair.harvested_wh[1].sum() > 0
 
@@ -107,14 +108,23 @@ class TestRunSimulation:
 
     def test_arm_independent_columns_are_views(self, small_pair):
         # one value per station (per minute for t) behind each column, not
-        # an (arms, minutes, stations) copy: the repeated axes have stride 0
+        # a (day, minute, station) copy: the repeated axes have stride 0
         n = len(small_pair.node_ids)
-        for name in ARM_FREE:
-            column = small_pair.ledgers[name]
-            assert column.shape == (2, 5760, n), name
-            assert not column.flags.writeable, name
-            repeated = (0, 2) if name == "t" else (0, 1)
-            assert [column.strides[a] for a in repeated] == [0, 0], name
+        for ledger in small_pair.ledgers:
+            for name in ARM_FREE:
+                column = ledger[name]
+                assert column.shape == (4, 1440, n), name
+                assert not column.flags.writeable, name
+                repeated = (2,) if name == "t" else (0, 1)
+                assert [column.strides[a] for a in repeated] == [0] * len(repeated), name
+
+    def test_no_solar_repeats_are_views(self, small_pair):
+        # the no-solar day is stepped once: its state of charge repeats over
+        # the days, and its harvest, panel flows and draw over every minute
+        no_solar = small_pair.ledgers[0]
+        assert no_solar["soc_wh"].strides[0] == 0
+        assert [no_solar[name].strides[:2] for name in (
+            "harvested_wh", "pv_used_wh", "pv_wasted_wh", "drawn_wh")] == [(0, 0)] * 4
 
     def test_weather_gap_refused(self, small_scenario):
         series = synth_study_series(small_scenario, seed=3)
@@ -153,7 +163,7 @@ class TestRunSimulation:
                                                      small_pair):
         cells = {c.node_id: c for c in small_pair.network.cells}
         served = Counter(nid for nid, _, _ in small_pair.network.users.values())
-        per_step = small_pair.ledgers["consumed_wh"]
+        per_step = small_pair.ledgers[0]["consumed_wh"]
         nodes = sorted(small_scenario.nodes, key=lambda n: n.node_id)
         for i, node in enumerate(nodes):
             draw_w = sum(station_power_w(node, cells[node.node_id].tx_power_dbm,
@@ -216,10 +226,11 @@ class TestVerifyConservation:
         ("swaps", -1, "swap counter decreased"),
     ])
     def test_violations_raise(self, small_pair, column, value, message):
-        tampered = small_pair.ledgers[column].copy()
-        tampered[1, 25, 0] = value  # with solar, minute 25, station 0
+        no_solar, with_solar = small_pair.ledgers
+        tampered = with_solar[column].copy()
+        tampered[0, 25, 0] = value  # with solar, minute 25, station 0
         bad = dataclasses.replace(
-            small_pair, ledgers={**small_pair.ledgers, column: tampered})
+            small_pair, ledgers=(no_solar, {**with_solar, column: tampered}))
         with pytest.raises(SimulationError, match=f"^with solar: .*{message}"):
             verify_conservation(bad)
 
@@ -253,11 +264,12 @@ class TestVerifyConservation:
         # day counts and in the ledger's cumulative column alike
         swaps = small_pair.swaps.copy()
         swaps[1] += 1
-        counter = small_pair.ledgers["swaps"].copy()
-        counter[1] += small_pair.ledgers["t"][1] // 1440 + 1
+        no_solar, with_solar = small_pair.ledgers
+        counter = with_solar["swaps"].copy()
+        counter += with_solar["t"] // 1440 + 1
         verify_conservation(dataclasses.replace(
             small_pair, swaps=swaps,
-            ledgers={**small_pair.ledgers, "swaps": counter}))
+            ledgers=(no_solar, {**with_solar, "swaps": counter})))
 
     def test_whole_multiple_swap_count_is_not_checked(self, small_pair):
         # E/U a whole number k: k or k - 1 swaps are both accepted, as in
@@ -269,12 +281,14 @@ class TestVerifyConservation:
         swaps = small_pair.swaps.copy()
         swaps[0, 0, 0], swaps[0, 1, 0] = k, k - 1
         # the ledger drops station 0's last swap of day 1 too
-        counter = small_pair.ledgers["swaps"].copy()
-        last = 1440 + np.flatnonzero(np.diff(counter[0, 1439:2880, 0]))[-1]
-        counter[0, last:, 0] -= 1
+        no_solar, with_solar = small_pair.ledgers
+        counter = no_solar["swaps"].copy()
+        minutes = counter.reshape(-1, counter.shape[-1])  # a view of the copy
+        last = 1440 + np.flatnonzero(np.diff(minutes[1439:2880, 0]))[-1]
+        minutes[last:, 0] -= 1
         verify_conservation(dataclasses.replace(
             small_pair, usable_capacity_wh=cap, swaps=swaps,
-            ledgers={**small_pair.ledgers, "swaps": counter}))
+            ledgers=({**no_solar, "swaps": counter}, with_solar)))
 
     @pytest.mark.parametrize("arm", [0, 1])
     def test_swaps_must_match_the_ledger_counter(self, small_pair, arm):
@@ -319,7 +333,7 @@ def _fake_pair(seed, swaps_per_day, harvested=0.0, pv_used=0.0,
         pv_wasted_wh=arms(0.0, 0.0),
         swaps=arms(swaps_per_day, swaps_per_day if swaps_with_res is None
                    else swaps_with_res, dtype=np.int64),
-        peak_pv_w=arms(0.0, 0.0), ledgers={})
+        peak_pv_w=arms(0.0, 0.0), ledgers=())
 
 
 class TestComputeMetrics:

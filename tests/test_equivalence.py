@@ -61,7 +61,8 @@ def reference_run(scenario, series, network, with_res):
                 rows[t, i] = (t, node.node_id, demand, hover, mimo, ris,
                               *flows[1:], drawn, soc, swaps)
             totals[:, day, i] = (*sums, swaps - at_start, peak)
-    # (minute, station) tables, as in PairResult.ledger
+    # (day, minute, station) tables, as in PairResult.ledgers
+    rows = rows.reshape(n_days, MINUTES_PER_DAY, *rows.shape[1:])
     ledger = {name: rows[..., j] for j, name in enumerate(LEDGER_COLUMNS)}
     for name in ("t", "node_id", "swaps"):  # whole numbers, exact as floats
         ledger[name] = ledger[name].astype(np.int64)
@@ -120,11 +121,11 @@ def scenarios(draw):
 def test_array_recurrence_matches_scalar_step(case):
     scenario, series, network = case
     pair = run_network(scenario, series, seed=0, network=network)
-    assert list(pair.ledgers) == list(LEDGER_COLUMNS)
     for arm in (0, 1):
+        assert list(pair.ledgers[arm]) == list(LEDGER_COLUMNS)
         ledger, totals = reference_run(scenario, series, network, bool(arm))
         for name in LEDGER_COLUMNS:
-            assert_bits_equal(pair.ledger(arm)[name], ledger[name],
+            assert_bits_equal(pair.ledgers[arm][name], ledger[name],
                               (arm, name))
         for name in DAY_TOTALS:
             # the arms share one consumed_wh

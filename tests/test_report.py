@@ -20,14 +20,14 @@ from solarran.scenario import (MINUTES_PER_DAY, load_weather_csv,
                                scenario_from_dict, synth_study_series)
 
 
-def _random_ledger(minutes, node_ids):
-    """(minute, station) tables of random values over node_ids."""
+def _random_ledger(days, node_ids):
+    """(day, minute, station) tables of random values over node_ids."""
     rng = np.random.default_rng(5)
-    shape = (minutes, len(node_ids))
+    shape = (days, MINUTES_PER_DAY, len(node_ids))
     ledger = {name: rng.uniform(-1.0, 1.0, shape)
               for name in LEDGER_COLUMNS[2:-1]}
-    ledger["t"] = np.broadcast_to(np.arange(minutes, dtype=np.int64)[:, None],
-                                  shape)
+    ledger["t"] = np.broadcast_to(np.arange(days * MINUTES_PER_DAY, dtype=np.int64)
+                                  .reshape(days, -1, 1), shape)
     ledger["node_id"] = np.broadcast_to(np.array(node_ids, dtype=np.int64),
                                         shape)
     ledger["swaps"] = rng.integers(0, 20, shape)
@@ -35,12 +35,12 @@ def _random_ledger(minutes, node_ids):
 
 
 def test_signed_zeros_keep_their_own_repr(tmp_path):
-    values = np.array([0.0, -0.0, 0.1 + 0.2, -0.0, 1e-300, 0.0, 5.0])[:, None]
-    n = len(values)
+    values = np.array([0.0, -0.0, 0.1 + 0.2, -0.0, 1e-300, 0.0, 5.0])[None, :, None]
+    n = values.size
     ledger = {name: values.copy() for name in LEDGER_COLUMNS[2:-1]}
-    ledger["t"] = np.arange(n, dtype=np.int64)[:, None]
-    ledger["node_id"] = np.zeros((n, 1), dtype=np.int64)
-    ledger["swaps"] = np.array([[0], [0], [1], [1], [1], [2], [2]])
+    ledger["t"] = np.arange(n, dtype=np.int64)[None, :, None]
+    ledger["node_id"] = np.zeros((1, n, 1), dtype=np.int64)
+    ledger["swaps"] = np.array([[[0], [0], [1], [1], [1], [2], [2]]])
     path = tmp_path / "ledger.csv"
     write_ledger_csv(ledger, path)
 
@@ -51,32 +51,33 @@ def test_signed_zeros_keep_their_own_repr(tmp_path):
     assert [r[2] for r in rows] == ["0.0", "-0.0", "0.30000000000000004",
                                     "-0.0", "1e-300", "0.0", "5.0"]
     for i, row in enumerate(rows):
-        expected = ([str(i), "0"] + [repr(float(values[i, 0]))] * 9
-                    + [str(int(ledger["swaps"][i, 0]))])
+        expected = ([str(i), "0"] + [repr(float(values[0, i, 0]))] * 9
+                    + [str(int(ledger["swaps"][0, i, 0]))])
         assert row == expected
 
 
 def test_rows_span_several_day_chunks(tmp_path):
-    # three stations over two days plus a partial third, more rows than one
-    # block: chunking must not drop, repeat or reorder rows
-    minutes = 2 * 1440 + 7
-    ledger = _random_ledger(minutes, (4, 7, 9))
+    # three stations over three days, more rows than one block: chunking
+    # must not drop, repeat or reorder rows
+    minutes = 3 * 1440
+    ledger = _random_ledger(3, (4, 7, 9))
     path = tmp_path / "ledger.csv"
     write_ledger_csv(ledger, path)
     lines = path.read_text(encoding="utf-8").splitlines()[1:]
     assert len(lines) == 3 * minutes
+    table = {c: ledger[c].reshape(minutes, 3) for c in LEDGER_COLUMNS}
     for i in (0, 4319, 4320, 4321, 3 * minutes - 1):
         cell = divmod(i, 3)
-        expected = ([str(int(ledger[c][cell])) for c in ("t", "node_id")]
-                    + [repr(float(ledger[c][cell])) for c in LEDGER_COLUMNS[2:-1]]
-                    + [str(int(ledger["swaps"][cell]))])
+        expected = ([str(int(table[c][cell])) for c in ("t", "node_id")]
+                    + [repr(float(table[c][cell])) for c in LEDGER_COLUMNS[2:-1]]
+                    + [str(int(table["swaps"][cell]))])
         assert lines[i].split(",") == expected
 
 
 def test_block_size_leaves_the_bytes_alone(tmp_path, monkeypatch):
     # blocks of 7 rows hold two whole minutes of three stations, and end
     # across days
-    ledger = _random_ledger(2 * 1440 + 7, (4, 7, 9))
+    ledger = _random_ledger(3, (4, 7, 9))
     write_ledger_csv(ledger, tmp_path / "default.csv")
     monkeypatch.setattr(report, "LEDGER_CHUNK_ROWS", 7)
     write_ledger_csv(ledger, tmp_path / "small.csv")
@@ -100,24 +101,26 @@ def _naive_csv(ledger):
 
 @st.composite
 def station_ledgers(draw):
-    """(stations, ledger): each column varies freely or repeats one value
-    per station every minute; one cell may break a repeating column."""
+    """(stations, ledger): each column varies freely, repeats one day every
+    day, or repeats one value per station every minute, the repeats as
+    broadcast views; one cell may break a repeating column's copy."""
     n = draw(st.integers(1, 60))
-    minutes = draw(st.integers(1, 4))
+    days, minutes = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    shape = (days, minutes, n)
     ledger = {}
     for name in LEDGER_COLUMNS:
         cells = (st.sampled_from(FLOAT_CELLS) if name in LEDGER_COLUMNS[2:-1]
                  else st.integers(-2**63, 2**63 - 1))
-        per_station = draw(st.booleans())
-        size = n if per_station else n * minutes
+        # the axes the column varies over: all, a day's, or the station's
+        own = shape[draw(st.integers(0, 2)):]
+        size = math.prod(own)
         column = np.array(draw(st.lists(cells, min_size=size, max_size=size)),
                           dtype=float if name in LEDGER_COLUMNS[2:-1] else int)
-        ledger[name] = column.reshape(-1, n).repeat(
-            minutes if per_station else 1, axis=0)
+        ledger[name] = np.broadcast_to(column.reshape(own), shape)
     if draw(st.booleans()):
         name = draw(st.sampled_from(LEDGER_COLUMNS))
-        cell = divmod(draw(st.integers(0, n * minutes - 1)), n)
-        column = ledger[name]
+        cell = np.unravel_index(draw(st.integers(0, n * days * minutes - 1)), shape)
+        column = ledger[name] = ledger[name].copy()
         # a float's sign bit flips (0.0 <-> -0.0, and a NaN's payload); an
         # int's low bit flips
         column[cell] = -column[cell] if column.dtype == float else column[cell] ^ 1
@@ -125,23 +128,25 @@ def station_ledgers(draw):
 
 
 def _example_ledger():
-    """Two stations over three minutes. Station-constant runs follow t
-    (node_id to hover_wh), sit in the middle (pv_used_wh) and end the row
-    (swaps); constant columns hold 0.0 beside -0.0 and a NaN; drawn_wh is
-    constant but for (minute 2, station 1)."""
+    """Two stations over one day of three minutes. Station-constant runs,
+    broadcast views, follow t (node_id to hover_wh), sit in the middle
+    (pv_used_wh) and end the row (swaps); constant columns hold 0.0 beside
+    -0.0 and a NaN; drawn_wh is a copy, constant but for (minute 2, station
+    1)."""
     n, minutes = 2, 3
     per_station = {"node_id": [4, 9], "consumed_wh": [0.0, -0.0],
                    "hover_wh": [math.nan, 1e-300], "pv_used_wh": [5.0, 5.0],
                    "drawn_wh": [-0.0, -0.0], "swaps": [3, 0]}
-    ledger = {name: np.tile(np.array(
-        v, dtype=float if name in LEDGER_COLUMNS[2:-1] else int), (minutes, 1))
+    ledger = {name: np.broadcast_to(np.array(
+        v, dtype=float if name in LEDGER_COLUMNS[2:-1] else int), (1, minutes, n))
         for name, v in per_station.items()}
-    ledger["drawn_wh"][2, 1] = 0.0
+    ledger["drawn_wh"] = ledger["drawn_wh"].copy()
+    ledger["drawn_wh"][0, 2, 1] = 0.0
     rng = np.random.default_rng(3)
-    ledger["t"] = np.repeat(np.arange(minutes), n).reshape(minutes, n)
+    ledger["t"] = np.repeat(np.arange(minutes), n).reshape(1, minutes, n)
     for name in ("mimo_wh", "ris_wh", "harvested_wh", "pv_wasted_wh",
                  "soc_wh"):
-        ledger[name] = rng.choice(FLOAT_CELLS, (minutes, n))
+        ledger[name] = rng.choice(FLOAT_CELLS, (1, minutes, n))
     return n, ledger
 
 
@@ -165,9 +170,9 @@ def test_peak_memory_does_not_grow_with_ledger_length(tmp_path):
     node_ids = tuple(range(49))
     peaks = {}
     for days in (1, 4):
-        ledger = _random_ledger(days * 1440, node_ids)
+        ledger = _random_ledger(days, node_ids)
         for name in LEDGER_COLUMNS[2:-2]:
-            ledger[name] = np.tile(ledger[name][0], (days * 1440, 1))
+            ledger[name] = np.broadcast_to(ledger[name][0, 0], ledger[name].shape)
         tracemalloc.start()
         try:
             write_ledger_csv(ledger, tmp_path / f"ledger{days}.csv")
@@ -199,8 +204,8 @@ def test_minute_ranges_join_to_the_whole_ledger(tmp_path, golden_pairs,
                                                 stations):
     # the with-solar ledger, split as the CLI splits it and around the
     # first chunk's edge; an empty range writes an empty file
-    ledger = golden_pairs[stations].ledger(1)
-    n = ledger["t"].shape[0]
+    ledger = golden_pairs[stations].ledgers[1]
+    n = ledger["t"][..., 0].size
     chunk = report.LEDGER_CHUNK_ROWS // stations
     write_ledger_csv(ledger, tmp_path / "whole.csv")
     whole = (tmp_path / "whole.csv").read_bytes()
@@ -217,7 +222,7 @@ def test_minute_ranges_join_to_the_whole_ledger(tmp_path, golden_pairs,
 def test_range_outside_the_ledger_is_refused(tmp_path, golden_pairs, start,
                                              stop):
     with pytest.raises(ValueError, match="outside the ledger's 5760"):
-        write_ledger_csv(golden_pairs[3].ledger(1), tmp_path / "x.csv",
+        write_ledger_csv(golden_pairs[3].ledgers[1], tmp_path / "x.csv",
                          start, stop)
 
 
@@ -225,7 +230,7 @@ def test_no_solar_state_of_charge_is_formatted_for_one_day(
         tmp_path, golden_pairs, monkeypatch):
     # without solar every float column but soc_wh is one value per station,
     # and soc_wh repeats day 0: one day of it is formatted, not four
-    ledger = golden_pairs[3].ledger(0)
+    ledger = golden_pairs[3].ledgers[0]
     formatted = []
 
     def counted(values, suffix):
@@ -241,17 +246,19 @@ def test_no_solar_state_of_charge_is_formatted_for_one_day(
 
 
 def test_day_repeats_match_a_cell_by_cell_reference(tmp_path, monkeypatch):
-    # soc_wh repeats day 0 over two days and a partial third; harvested_wh
-    # does too but for one sign bit in the partial day, so it is formatted
-    # per chunk. Ranges that start after day 0 still take day 0's text.
+    # soc_wh is one day broadcast over three days; harvested_wh is a copy
+    # of one day repeated but for one sign bit in the third day, so it is
+    # formatted per chunk. Ranges that start after day 0 still take day 0's
+    # text.
     monkeypatch.setattr(report, "LEDGER_CHUNK_ROWS", 500)
-    minutes = 2 * MINUTES_PER_DAY + 7
-    ledger = _random_ledger(minutes, (4, 7, 9))
+    minutes = 3 * MINUTES_PER_DAY
+    ledger = _random_ledger(3, (4, 7, 9))
     rng = np.random.default_rng(8)
     for name in ("soc_wh", "harvested_wh"):
         day = rng.choice(FLOAT_CELLS, (MINUTES_PER_DAY, 3))
-        ledger[name] = np.concatenate([day, day, day[:7]])
-    ledger["harvested_wh"][-3, 1] = -ledger["harvested_wh"][-3, 1]
+        ledger[name] = np.broadcast_to(day, ledger[name].shape)
+    ledger["harvested_wh"] = ledger["harvested_wh"].copy()
+    ledger["harvested_wh"][2, -3, 1] = -ledger["harvested_wh"][2, -3, 1]
     expected = _naive_csv(ledger)
     for split in (0, 1439, 1440, 2000, minutes):
         write_ledger_csv(ledger, tmp_path / "head.csv", 0, split)

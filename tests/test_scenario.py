@@ -66,15 +66,17 @@ def _edges(bounds, kind):
 
 
 def test_every_input_bound_is_declared():
-    # 20 equipment fields, 2 radio fields, 9 scenario scalars, the altitude
-    assert len(BOUNDS) == 32
+    # 20 equipment fields, 10 radio fields, 9 scenario scalars, the altitude
+    assert len(BOUNDS) == 40
 
 
 @pytest.mark.parametrize("section, key, bounds, kind", BOUNDS,
                          ids=[f"{s}.{k}" for s, k, _, _ in BOUNDS])
 def test_declared_bounds_at_their_edges(section, key, bounds, kind):
-    for value, in_range in _edges(bounds, kind):
-        raw = {section: {key: value}}
+    # a tuple field's bound holds for each entry: one entry is tried
+    entry = typing.get_args(kind)[0] if typing.get_origin(kind) is tuple else kind
+    for value, in_range in _edges(bounds, entry):
+        raw = {section: {key: value if entry is kind else [value]}}
         if in_range:
             scenario_from_dict(raw)
             continue
@@ -395,6 +397,14 @@ class TestWeatherSeries:
         values[column][700] = value
         with pytest.raises(WeatherError, match=r"^minute 700: .* at most 2000"):
             WeatherSeries(**values)
+
+    @pytest.mark.parametrize("ghi, temp", [
+        (np.zeros(3), np.zeros(4)), (np.zeros((2, 3)), np.zeros((2, 3)))],
+        ids=["unequal", "two_d"])
+    def test_arrays_of_other_shapes(self, ghi, temp):
+        with pytest.raises(WeatherError, match=r"^ghi_wm2 and temp_c must be 1-D "
+                                               r"and of equal length, got shapes"):
+            WeatherSeries(ghi, temp)
 
     def test_values_at_the_bounds_load(self):
         day = synth_weather(Scenario(), SUMMER)
