@@ -16,8 +16,7 @@ from .energy import (BatterySpec, MimoSpec, ParameterError, PvSpec, RisSpec,
 from .engine import (PairResult, SeasonStats, SimulationError, StudyMetrics,
                      compute_metrics, run_network, run_pair,
                      verify_conservation)
-from .radio import (Position, RadioParams, link_feasible, link_table,
-                    path_loss, required_prbs, snr, spectral_efficiency)
+from .radio import Position, RadioParams, link_table
 from .scenario import (AccessNode, ConfigError, Scenario, UserTerminal,
                        WeatherError, WeatherSeries, default_node_grid,
                        load_config, load_weather_csv, place_users,

@@ -35,10 +35,11 @@ from .radio import Position
 from .report import (format_summary_table, scenario_echo, timeseries_rows,
                      write_ledger_csv, write_metrics_json, write_summary_csv,
                      write_timeseries_csvs)
-from .scenario import (CONFIG_SCHEMA, NODE_ALTITUDE_M, SCALARS, SEASONS,
-                       USER_HEIGHT_M, AccessNode, ConfigError, Required, Scenario,
-                       UserTerminal, WeatherError, WeatherSeries, check_json,
-                       load_config, load_weather_csv, parse_date, read_json,
+from .scenario import (CONFIG_SCHEMA, EXTENT_M, NODE_ALTITUDE_M, SCALARS,
+                       SEASONS, USER_HEIGHT_M, AccessNode, ConfigError,
+                       Required, Scenario, UserTerminal, WeatherError,
+                       WeatherSeries, check_json, load_config,
+                       load_weather_csv, parse_date, read_json,
                        scenario_from_dict, synth_study_series, synth_weather,
                        write_weather_csv)
 
@@ -234,9 +235,11 @@ def cmd_weather_synth(args: argparse.Namespace) -> int:
 
 
 # An oracle instance: radio parameters as in a scenario, the users' rates,
-# and every node and user position.
+# and every node and user position. Each coordinate [m] lies within a
+# scenario's largest extent of the origin, so squared distances stay finite.
 _POINT = {"id": Required(int), "x": Required(float), "y": Required(float),
           "z": float}
+COORD_M = Range(-EXTENT_M.hi, EXTENT_M.hi)
 INSTANCE_SCHEMA = {"radio": CONFIG_SCHEMA["radio"], "dl_mbps": float,
                    "ul_mbps": float, "nodes": [_POINT], "users": [_POINT]}
 
@@ -249,14 +252,20 @@ def _load_instance(path: str) -> tuple[list[AccessNode], list[UserTerminal],
         "radio": raw.get("radio", {}),
         "users": {"count": 0, **rates},
     })
-    nodes = [AccessNode(node_id=n["id"],
-                        position=Position(n["x"], n["y"],
-                                          n.get("z", NODE_ALTITUDE_M)))
-             for n in raw.get("nodes", ())]
-    users = [UserTerminal(user_id=u["id"],
-                          position=Position(u["x"], u["y"],
-                                            u.get("z", USER_HEIGHT_M)))
-             for u in raw.get("users", ())]
+
+    def points(section: str, height: float):
+        """(id, Position) of each point of section, at height unless it
+        gives z."""
+        for i, point in enumerate(raw.get(section, ())):
+            xyz = (point["x"], point["y"], point.get("z", height))
+            for key, value in zip("xyz", xyz):
+                COORD_M.check(f"{section}[{i}].{key}", value, ConfigError)
+            yield point["id"], Position(*xyz)
+
+    nodes = [AccessNode(node_id=i, position=p)
+             for i, p in points("nodes", NODE_ALTITUDE_M)]
+    users = [UserTerminal(user_id=i, position=p)
+             for i, p in points("users", USER_HEIGHT_M)]
     if len({n.node_id for n in nodes}) != len(nodes):
         raise ConfigError("duplicate node ids in instance")
     if len({u.user_id for u in users}) != len(users):

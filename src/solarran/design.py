@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .energy import mimo_power, station_power_w
-from .radio import RadioParams, link_feasible, link_table
+from .radio import RadioParams, link_table
 from .scenario import AccessNode, UserTerminal
 
 
@@ -100,13 +100,13 @@ def enumerate_candidates(nodes: Sequence[AccessNode],
                          dl_rate_mbps: float,
                          ul_rate_mbps: float) -> CandidateTable:
     """Evaluate every (node, user, power level) link once, with
-    radio.link_table; its boundary entries go through link_feasible."""
+    radio.link_table."""
     node_list = sorted(nodes, key=lambda n: n.node_id)
     user_list = sorted(users, key=lambda u: u.user_id)
     feasible, prbs_dl, prbs_ul = link_table(
         [(n.position.x, n.position.y, n.position.z) for n in node_list],
         [(u.position.x, u.position.y, u.position.z) for u in user_list],
-        params, dl_rate_mbps, ul_rate_mbps, fallback=link_feasible)
+        params, dl_rate_mbps, ul_rate_mbps)
     return CandidateTable(tuple(n.node_id for n in node_list),
                           tuple(u.user_id for u in user_list),
                           feasible, prbs_dl, prbs_ul)

@@ -47,6 +47,9 @@ MAX_ANTENNA_COUNT = 1_000_000
 # temperature factor of pv_power lies in [-1.75, 2.25] under bounded weather.
 MIN_TEMP_COEFF = -0.01
 MAX_NOCT_C = 100.0
+# Longest rotor blade [m]: a kilometre, far beyond any rotor (a heavy-lift
+# helicopter's is about 16 m), so the disk area stays finite.
+MAX_ROTOR_RADIUS_M = 1e3
 
 
 class ParameterError(ValueError):
@@ -110,7 +113,8 @@ class UavAirframe:
 
     total_mass: Annotated[float, Range(0)] = 2.396                   # kg
     rotor_count: Annotated[int, Range(1)] = 4
-    rotor_radius: Annotated[float, Range(0, lo_open=True)] = 0.2     # m
+    rotor_radius: Annotated[float, Range(0, MAX_ROTOR_RADIUS_M,
+                                         lo_open=True)] = 0.2       # m
     air_density: Annotated[float, Range(0, lo_open=True)] = 1.225    # kg/m^3
     drive_efficiency: Fraction = 0.7
     tether_efficiency: Fraction = 0.95
@@ -203,8 +207,8 @@ def uav_hover_power(airframe: UavAirframe) -> float:
     thrust = airframe.total_mass * STANDARD_GRAVITY
     try:
         ideal = thrust ** 1.5 / math.sqrt(2.0 * airframe.air_density * disk_area)
-    except OverflowError:  # refused below, like any other non-finite power
-        ideal = math.inf
+    except (OverflowError, ZeroDivisionError):  # the divisor may underflow
+        ideal = math.inf  # refused below, like any other non-finite power
     drawn = ideal / (airframe.drive_efficiency * airframe.tether_efficiency)
     if not math.isfinite(drawn):
         raise ParameterError("hover power is not finite; check airframe parameters")

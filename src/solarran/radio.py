@@ -1,16 +1,16 @@
-"""Link-budget primitives: log-distance path loss, SNR, capped spectral
+"""The link budget: log-distance path loss, SNR, capped spectral
 efficiency, and resource-block sizing for fixed-rate users.
 
-link_feasible evaluates one link with `math`; link_table evaluates every
-(node, user, power level) link of a network with numpy and gives the same
-answer for each of them.
+link_table evaluates every (node, user, power level) link of a network
+with numpy; the few links that lie near a boundary it recomputes with
+`math`, in _scalar_link.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Annotated, Callable, Optional
+from typing import Annotated, Callable
 
 import numpy as np
 
@@ -54,11 +54,6 @@ class Position:
     y: float
     z: float = 0.0
 
-    def distance_to(self, other: "Position") -> float:
-        return math.sqrt((self.x - other.x) ** 2
-                         + (self.y - other.y) ** 2
-                         + (self.z - other.z) ** 2)
-
 
 @dataclass(frozen=True)
 class RadioParams:
@@ -100,60 +95,29 @@ class RadioParams:
                 + self.noise_figure_db)
 
 
-def path_loss(a: Position, b: Position, params: RadioParams) -> float:
-    """Log-distance path loss [dB]; distances below 1 m clamp to the
-    reference loss. Symmetric in its endpoints."""
-    d = max(1.0, a.distance_to(b))
-    return (params.reference_loss_at_1m_db
-            + 10.0 * params.pathloss_exponent * math.log10(d))
-
-
-def snr(tx_power_dbm: float, pl_db: float, params: RadioParams) -> float:
-    """Received SNR [dB] over the full bandwidth."""
-    return (tx_power_dbm + params.antenna_gain_dbi - pl_db
-            - params.noise_power_dbm)
-
-
-def spectral_efficiency(snr_db: float, params: RadioParams) -> float:
-    """Shannon spectral efficiency [bit/s/Hz], capped at the modulation
-    ceiling se_cap. Positive for any finite SNR."""
-    return min(params.se_cap, math.log2(1.0 + 10.0 ** (snr_db / 10.0)))
-
-
-def required_prbs(rate_mbps: float, se: float,
-                  params: RadioParams) -> Optional[int]:
-    """Resource blocks needed to carry rate_mbps at spectral efficiency se.
-
-    Returns None when se <= 0 (the link cannot carry any rate), which
-    callers must treat as infeasible rather than as a block count.
-    """
-    if rate_mbps < 0:
-        raise ValueError(f"rate must be >= 0, got {rate_mbps}")
-    if rate_mbps == 0:
-        return 0
-    if se <= 0:
-        return None
-    prb_rate_bps = se * params.prb_bandwidth_khz * 1e3
-    return math.ceil(rate_mbps * 1e6 / prb_rate_bps)
-
-
-def link_feasible(node_pos: Position, user_pos: Position, tx_power_dbm: float,
-                  params: RadioParams, dl_rate_mbps: float,
-                  ul_rate_mbps: float) -> tuple[bool, int, int]:
-    """Check whether one node can serve one user at the given power.
-
-    Feasible iff the SNR clears min_snr_db (boundary inclusive) and the
-    downlink plus uplink block demand fits within one cell's total_prbs.
-    Returns (feasible, downlink blocks, uplink blocks); both block counts
-    are 0 whenever they cannot be computed.
-    """
-    pl = path_loss(node_pos, user_pos, params)
-    snr_db = snr(tx_power_dbm, pl, params)
-    se = spectral_efficiency(snr_db, params)
-    prbs_dl = required_prbs(dl_rate_mbps, se, params)
-    prbs_ul = required_prbs(ul_rate_mbps, se, params)
-    if prbs_dl is None or prbs_ul is None:
+def _scalar_link(a: Position, b: Position, tx_power_dbm: float,
+                 params: RadioParams, dl_rate_mbps: float,
+                 ul_rate_mbps: float) -> tuple[bool, int, int]:
+    """One link of link_table with `math`: (feasible, downlink blocks,
+    uplink blocks), both block counts 0 when the spectral efficiency is 0
+    and a rate is not. Feasible iff the SNR clears min_snr_db (boundary
+    inclusive) and both block counts fit within one cell's total_prbs."""
+    d = max(1.0, math.sqrt((a.x - b.x) ** 2 + (a.y - b.y) ** 2
+                           + (a.z - b.z) ** 2))
+    pl = (params.reference_loss_at_1m_db
+          + 10.0 * params.pathloss_exponent * math.log10(d))
+    snr_db = (tx_power_dbm + params.antenna_gain_dbi - pl
+              - params.noise_power_dbm)
+    se = min(params.se_cap, math.log2(1.0 + 10.0 ** (snr_db / 10.0)))
+    blocks = []
+    for rate in (dl_rate_mbps, ul_rate_mbps):
+        if rate < 0:
+            raise ValueError(f"rate must be >= 0, got {rate}")
+        blocks.append(0 if rate == 0 else None if se <= 0 else math.ceil(
+            rate * 1e6 / (se * params.prb_bandwidth_khz * 1e3)))
+    if None in blocks:
         return False, 0, 0
+    prbs_dl, prbs_ul = blocks
     feasible = (snr_db >= params.min_snr_db
                 and prbs_dl + prbs_ul <= params.total_prbs)
     return feasible, prbs_dl, prbs_ul
@@ -161,16 +125,16 @@ def link_feasible(node_pos: Position, user_pos: Position, tx_power_dbm: float,
 
 def link_table(node_xyz, user_xyz, params: RadioParams, dl_rate_mbps: float,
                ul_rate_mbps: float, *,
-               fallback: Callable[..., tuple[bool, int, int]] = link_feasible
+               fallback: Callable[..., tuple[bool, int, int]] = _scalar_link
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every (node, user, power level) link of a network in one array pass.
 
     node_xyz and user_xyz are (nodes, 3) and (users, 3) coordinates; the
     results are shaped (nodes, users, levels), levels in the order of
     params.power_levels_dbm: feasibility, then downlink and uplink block
-    counts as whole float64 numbers. Each entry equals link_feasible's
+    counts as whole float64 numbers. Each entry equals _scalar_link's
     answer for that link. Entries near a boundary are recomputed by
-    fallback (called like link_feasible): an SNR within BOUNDARY_RTOL of
+    fallback (called like _scalar_link): an SNR within BOUNDARY_RTOL of
     min_snr_db, a ceil argument within BOUNDARY_RTOL of a whole number, a
     non-finite value, a spectral efficiency below SE_FLOOR, a negative rate.
     """

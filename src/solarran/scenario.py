@@ -414,7 +414,8 @@ def scenario_from_dict(raw: dict) -> Scenario:
     else:
         dates = DEFAULT_DATES
     if len(dates) != 4 or len(set(dates)) != 4:
-        raise ConfigError(f"simulation.dates must be 4 distinct dates, got {dates}")
+        raise ConfigError(f"simulation.dates must be 4 distinct dates, got "
+                          f"{[d.isoformat() for d in dates]}")
 
     season_temps = dict(DEFAULT_SEASON_TEMPS)
     for season, pair in doc.get("weather", {}).get("season_temps", {}).items():

@@ -2,18 +2,19 @@
 
 This is the per-link, per-user greedy that design.greedy_design replaced
 with array code. It builds its candidate table with the scalar
-radio.link_feasible, one (node, user, level) at a time, so it shares no
-array code with the production designer; the equivalence tests hold
-greedy_design to it NetworkConfig for NetworkConfig.
+reference_radio.link_feasible, one (node, user, level) at a time, so it
+shares no array code with the production designer; the equivalence tests
+hold greedy_design to it NetworkConfig for NetworkConfig.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
+from reference_radio import link_feasible
 from solarran.design import NetworkConfig, network_config
 from solarran.energy import mimo_power
-from solarran.radio import RadioParams, link_feasible
+from solarran.radio import RadioParams
 from solarran.scenario import AccessNode, UserTerminal
 
 

@@ -388,6 +388,15 @@ class TestSimulate:
          "users.count must be in [0, 1000000], got 1" + "0" * 30),
         ('{"radio": {"power_levels_dbm": []}}',
          "invalid 'radio' section: power_levels_dbm must not be empty"),
+        ('{"airframe": {"rotor_radius": 1e200}}',
+         "invalid 'airframe' section: rotor_radius must be in (0, 1000], "
+         "got 1e+200"),
+        ('{"airframe": {"air_density": 5e-324, "rotor_radius": 0.1}}',
+         "invalid 'airframe' section: hover power is not finite"),
+        ('{"simulation": {"dates": ["2022-03-20", "2022-03-20", "2022-06-21", '
+         '"2022-09-23"]}}',
+         "simulation.dates must be 4 distinct dates, got ['2022-03-20', "
+         "'2022-03-20', '2022-06-21', '2022-09-23']"),
     ], ids=["empty_layout", "nan", "infinity", "overflow", "huge_area",
             "huge_altitude", "stc_zero", "stc_negative", "stc_cell_temp",
             "ris_negative", "max_tx", "hover_overflow", "huge_capacity",
@@ -398,7 +407,8 @@ class TestSimulate:
             "negative_bandwidth", "zero_prb_bandwidth", "negative_prb_bandwidth",
             "zero_se_cap", "huge_total_prbs", "huge_power_level",
             "negative_reference_loss", "huge_dl_rate", "huge_user_count",
-            "empty_power_levels"])
+            "empty_power_levels", "huge_rotor_radius", "thin_air",
+            "repeated_date"])
     def test_rejected_config_exits_2(self, tmp_path, capsys, text, named):
         config = tmp_path / "bad.json"
         config.write_text(text)
@@ -820,6 +830,23 @@ class TestOracle:
         assert "greedy: covered 0" in out
         assert "exhaustive: covered 4" in out
         assert out.endswith("FAIL\n")
+
+    @pytest.mark.parametrize("section, i, key, value", [
+        ("users", 0, "x", 1e300), ("nodes", 1, "z", -1.5e7)],
+        ids=["huge_user_x", "deep_node_z"])
+    def test_coordinate_beyond_the_extent_exits_2(self, tmp_path, capsys,
+                                                  section, i, key, value):
+        # squared distances would overflow: refused before any link is seen
+        with open(solarran.example_oracle_instance_path()) as f:
+            instance = json.load(f)
+        instance[section][i][key] = value
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(instance))
+        rc = main(["oracle", "--instance", str(path)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {section}[{i}].{key} must be in [-10000000, 10000000], "
+            f"got {value}\n")
 
     def test_node_without_coordinate_exits_2(self, tmp_path, capsys):
         path = tmp_path / "no_y.json"

@@ -1,9 +1,9 @@
 """The array link table and the array greedy against their scalar references.
 
 radio.link_table must give, for every (node, user, level), exactly what the
-scalar link_feasible gives; greedy_design must build exactly the
-NetworkConfig of the loop greedy in reference_design. No tolerance is
-allowed: block counts and total_power_w compare with ==.
+scalar link_feasible of reference_radio gives; greedy_design must build
+exactly the NetworkConfig of the loop greedy in reference_design. No
+tolerance is allowed: block counts and total_power_w compare with ==.
 """
 
 import math
@@ -15,8 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import candidate_links
 from reference_design import reference_candidates, reference_greedy
+from reference_radio import link_feasible
 from solarran.design import greedy_design
-from solarran.radio import Position, RadioParams, link_feasible, link_table
+from solarran.radio import Position, RadioParams, link_table
 from solarran.scenario import (AccessNode, Scenario, UserTerminal,
                                place_users, scenario_from_dict)
 
@@ -73,6 +74,17 @@ def link_instances(draw):
     return nodes, users, params, draw(rate), draw(rate)
 
 
+def assert_default_fallback_matches(node, user, params, dl, ul):
+    """link_table's own boundary recompute, its default fallback, gives
+    link_feasible's answer at every level of one link."""
+    feasible, prbs_dl, prbs_ul = link_table([node], [user], params, dl, ul)
+    for lvl, level in enumerate(params.power_levels_dbm):
+        want = link_feasible(Position(*node), Position(*user), level, params,
+                             dl, ul)
+        assert (bool(feasible[0, 0, lvl]), int(prbs_dl[0, 0, lvl]),
+                int(prbs_ul[0, 0, lvl])) == want, level
+
+
 @settings(max_examples=300, deadline=None)
 @given(link_instances())
 def test_link_table_matches_link_feasible(instance):
@@ -107,6 +119,7 @@ def test_whole_block_demand_goes_to_the_scalar_path():
     want = link_feasible(Position(0, 0, 50), Position(0, 0, 50), 40.0, PARAMS, dl, ul)
     assert want == (True, 13, 4)
     assert (bool(feasible[0, 0, 2]), int(prbs_dl[0, 0, 2]), int(prbs_ul[0, 0, 2])) == want
+    assert_default_fallback_matches((0.0, 0.0, 50.0), (0.0, 0.0, 50.0), PARAMS, dl, ul)
 
 
 def test_snr_edge_goes_to_the_scalar_path():
@@ -120,6 +133,7 @@ def test_snr_edge_goes_to_the_scalar_path():
     link_table([(0.0, 0.0, 0.0)], [(edge, 0.0, 0.0)], PARAMS, 20.0, 5.0,
                fallback=fallback)
     assert calls == [34.0]
+    assert_default_fallback_matches((0.0, 0.0, 0.0), (edge, 0.0, 0.0), PARAMS, 20.0, 5.0)
 
 
 def test_ordinary_links_stay_on_the_array_path():

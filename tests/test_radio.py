@@ -1,10 +1,12 @@
-"""Tests for the link-budget chain."""
+"""Tests for the link-budget chain: the scalar reference that
+radio.link_table is held to, and the radio parameters' checks."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from solarran.radio import (Position, RadioParams, link_feasible, path_loss,
-                            required_prbs, snr, spectral_efficiency)
+from reference_radio import (link_feasible, path_loss, required_prbs, snr,
+                             spectral_efficiency)
+from solarran.radio import Position, RadioParams
 
 PARAMS = RadioParams()
 
