@@ -31,17 +31,16 @@ from pathlib import Path
 from .design import InstanceTooLargeError, brute_force_design, greedy_design
 from .energy import ParameterError, Range
 from .engine import compute_metrics, run_pair, verify_conservation
-from .radio import Position
+from .radio import COORD_M, Position
 from .report import (format_summary_table, scenario_echo, timeseries_rows,
                      write_ledger_csv, write_metrics_json, write_summary_csv,
                      write_timeseries_csvs)
-from .scenario import (CONFIG_SCHEMA, EXTENT_M, NODE_ALTITUDE_M, SCALARS,
-                       SEASONS, USER_HEIGHT_M, AccessNode, ConfigError,
-                       Required, Scenario, UserTerminal, WeatherError,
-                       WeatherSeries, check_json, load_config,
-                       load_weather_csv, parse_date, read_json,
-                       scenario_from_dict, synth_study_series, synth_weather,
-                       write_weather_csv)
+from .scenario import (CONFIG_SCHEMA, NODE_ALTITUDE_M, SCALARS, SEASONS,
+                       USER_HEIGHT_M, AccessNode, ConfigError, Required,
+                       Scenario, UserTerminal, WeatherError, WeatherSeries,
+                       check_json, load_config, load_weather_csv, parse_date,
+                       read_json, scenario_from_dict, synth_study_series,
+                       synth_weather, write_weather_csv)
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -235,11 +234,10 @@ def cmd_weather_synth(args: argparse.Namespace) -> int:
 
 
 # An oracle instance: radio parameters as in a scenario, the users' rates,
-# and every node and user position. Each coordinate [m] lies within a
-# scenario's largest extent of the origin, so squared distances stay finite.
+# and every node and user position, each coordinate [m] within COORD_M,
+# so that squared distances stay finite.
 _POINT = {"id": Required(int), "x": Required(float), "y": Required(float),
           "z": float}
-COORD_M = Range(-EXTENT_M.hi, EXTENT_M.hi)
 INSTANCE_SCHEMA = {"radio": CONFIG_SCHEMA["radio"], "dl_mbps": float,
                    "ul_mbps": float, "nodes": [_POINT], "users": [_POINT]}
 

@@ -62,10 +62,6 @@ class PairResult:
     ledgers: tuple[dict[str, np.ndarray], ...] = field(repr=False)
 
 
-def _step_error(t: int, node_id: int, problem) -> SimulationError:
-    return SimulationError(f"step failed at t={t}, node_id={node_id}: {problem}")
-
-
 def run_pair(scenario: Scenario, weather: WeatherSeries,
              seed: int) -> PairResult:
     """The without- and with-renewables runs sharing the same seed, user
@@ -92,9 +88,10 @@ def run_network(scenario: Scenario, weather: WeatherSeries, seed: int,
     per-station, per-minute loop of the scalar reference in
     tests/reference_engine.py bit for bit: each station draws its
     network.power_w, constant over the run; the panel output is computed
-    for all minutes up front (zero in the arm without the solar feed); and
-    since the step demand never exceeds the usable capacity a minute needs
-    at most one swap. The network's cells must be the scenario's stations.
+    once for all minutes up front (zero in the arm without the solar feed);
+    and since the step demand never exceeds the usable capacity a minute
+    needs at most one swap. The network's cells must be the scenario's
+    stations, which share one panel and one battery (else ValueError).
 
     Each arm's ledger columns are (day, minute, station) tables, the
     with-solar flows views of rows 1... Every repeat is a read-only
@@ -114,32 +111,34 @@ def run_network(scenario: Scenario, weather: WeatherSeries, seed: int,
         raise ValueError(f"network designed for node ids "
                          f"{[c.node_id for c in network.cells]}, but the "
                          f"scenario's stations are {list(node_ids)}")
+    pv, battery = nodes[0].pv, nodes[0].battery
+    for node in nodes:
+        if (node.pv, node.battery) != (pv, battery):
+            raise ValueError(f"node_id={node.node_id}'s panel or battery differs"
+                             f" from node_id={node_ids[0]}'s; stations share both")
     n_nodes = len(nodes)
     hours = 1.0 / 60.0
 
     hover_wh, mimo_wh, ris_wh = (np.array(network.power_w, dtype=float)
                                  .reshape(n_nodes, 3) * hours).T
     demand = hover_wh + mimo_wh + ris_wh
-    cap = np.array([n.battery.usable_capacity_wh for n in nodes], dtype=float)
+    cap = battery.usable_capacity_wh
     bad = np.flatnonzero((demand < 0) | (demand > cap))
     if bad.size:
         i = bad[0]
         raise ParameterError(f"node_id={node_ids[i]}: step demand {demand[i]} Wh "
-                             f"outside [0, {cap[i]}] Wh, the usable battery; one "
+                             f"outside [0, {cap}] Wh, the usable battery; one "
                              "battery cannot survive one step")
 
-    # row 0 is the one day without solar, rows 1.. the days with it
+    # row 0 is the one day without solar, rows 1.. the days with it; the
+    # panel output is the same at every station, so it is held once
     shape = (1 + n_days, MINUTES_PER_DAY, n_nodes)
-    harvested = np.zeros(shape)
-    for i, node in enumerate(nodes):
-        harvested[1:, :, i] = (pv_power(
-            node.pv, weather.ghi_wm2, weather.temp_c) * hours).reshape(
-                n_days, MINUTES_PER_DAY)
-    charge = harvested * np.array([n.battery.charge_efficiency for n in nodes],
-                                  dtype=float)
+    harvested = np.zeros((1 + n_days, MINUTES_PER_DAY, 1))
+    harvested[1:] = (pv_power(pv, weather.ghi_wm2, weather.temp_c)
+                     * hours).reshape(n_days, MINUTES_PER_DAY, 1)
+    charge = harvested * battery.charge_efficiency
 
-    accepted = np.empty(shape)
-    soc = np.empty(shape)
+    accepted, soc = np.empty(shape), np.empty(shape)
     swapped = np.empty(shape, dtype=bool)
     level = cap  # days are independent: a full pack every morning
     for m in range(MINUTES_PER_DAY):
@@ -154,9 +153,9 @@ def run_network(scenario: Scenario, weather: WeatherSeries, seed: int,
     over = np.argwhere(soc[:, :-1] > cap + 1e-12)
     if len(over):
         row, minute, i = over[0]
-        raise _step_error(int(max(row - 1, 0) * MINUTES_PER_DAY + minute + 1),
-                          node_ids[i], f"soc {soc[row, minute, i]} above usable "
-                                       f"capacity {cap[i]}")
+        t = max(row - 1, 0) * MINUTES_PER_DAY + minute + 1
+        raise SimulationError(f"step failed at t={t}, node_id={node_ids[i]}: soc "
+                              f"{soc[row, minute, i]} above usable capacity {cap}")
 
     pv_used = np.where(demand < accepted, demand, accepted)
     pv_wasted = charge - accepted
@@ -179,14 +178,15 @@ def run_network(scenario: Scenario, weather: WeatherSeries, seed: int,
     # each arm's own columns: the flows, soc_wh and swaps
     own = ((zero, zero, zero, shared[2], np.broadcast_to(soc[0], table),
             counter[0] + before[0]),
-           (harvested[1:], pv_used[1:], pv_wasted[1:], demand - pv_used[1:],
-            soc[1:], counter[1:]))
+           (np.broadcast_to(harvested[1:], table), pv_used[1:], pv_wasted[1:],
+            demand - pv_used[1:], soc[1:], counter[1:]))
     return PairResult(
-        seed=seed, network=network, node_ids=node_ids, usable_capacity_wh=cap,
-        consumed_wh=day_totals(np.broadcast_to(demand, shape), arms[0]),
-        harvested_wh=day_totals(harvested), pv_used_wh=day_totals(pv_used),
-        pv_wasted_wh=day_totals(pv_wasted), swaps=swaps,
-        peak_pv_w=(harvested * 60.0).max(axis=1)[arms],
+        seed=seed, network=network, node_ids=node_ids, swaps=swaps,
+        usable_capacity_wh=np.full(n_nodes, cap),
+        consumed_wh=day_totals(np.broadcast_to(demand, shape)[:1], arms[0]),
+        harvested_wh=np.repeat(day_totals(harvested), n_nodes, axis=2),
+        pv_used_wh=day_totals(pv_used), pv_wasted_wh=day_totals(pv_wasted),
+        peak_pv_w=np.repeat((harvested * 60.0).max(axis=1)[arms], n_nodes, axis=2),
         ledgers=tuple(dict(zip(LEDGER_COLUMNS, (*shared, *arm))) for arm in own))
 
 

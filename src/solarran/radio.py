@@ -45,6 +45,10 @@ MIN_BANDWIDTH_HZ, MAX_BANDWIDTH_HZ = 1e3, 1e12
 # Most resource blocks of a cell: a billion, far beyond NR's 275 a carrier,
 # and exact as float64 and int64 block counts.
 MAX_TOTAL_PRBS = 10**9
+# Largest magnitude of a coordinate [m]: 10,000 km, far beyond any study,
+# and small enough that squared node-user distances stay finite.
+MAX_COORD_M = 1e7
+COORD_M = Range(-MAX_COORD_M, MAX_COORD_M)
 Decibels = Annotated[float, Range(-MAX_DB, MAX_DB)]
 
 
@@ -133,13 +137,21 @@ def link_table(node_xyz, user_xyz, params: RadioParams, dl_rate_mbps: float,
     results are shaped (nodes, users, levels), levels in the order of
     params.power_levels_dbm: feasibility, then downlink and uplink block
     counts as whole float64 numbers. Each entry equals _scalar_link's
-    answer for that link. Entries near a boundary are recomputed by
+    answer for that link. A coordinate outside COORD_M, NaN included, is
+    refused with ValueError. Entries near a boundary are recomputed by
     fallback (called like _scalar_link): an SNR within BOUNDARY_RTOL of
     min_snr_db, a ceil argument within BOUNDARY_RTOL of a whole number, a
     non-finite value, a spectral efficiency below SE_FLOOR, a negative rate.
     """
     node_xyz = np.asarray(node_xyz, dtype=np.float64).reshape(-1, 3)
     user_xyz = np.asarray(user_xyz, dtype=np.float64).reshape(-1, 3)
+    for name, xyz in (("node", node_xyz), ("user", user_xyz)):
+        with np.errstate(invalid="ignore"):
+            outside = np.argwhere(~(np.abs(xyz) <= MAX_COORD_M))
+        if len(outside):
+            i, axis = outside[0]
+            COORD_M.check(f"{name} {i} {'xyz'[axis]}", float(xyz[i, axis]),
+                          ValueError)
     levels = params.power_levels_dbm
     diff = node_xyz[:, None, :] - user_xyz[None, :, :]
     sq = diff * diff

@@ -27,16 +27,15 @@ import numpy as np
 
 from .energy import (BatterySpec, MimoSpec, PvSpec, Range, RisSpec,
                      UavAirframe, station_power_w)
-from .radio import Position, RadioParams
+from .radio import MAX_COORD_M, Position, RadioParams
 
 SOLAR_CONSTANT_WM2 = 1361.0
 ATMOSPHERIC_TRANSMITTANCE = 0.75
 MINUTES_PER_DAY = 1440
 USER_HEIGHT_M = 1.5
 NODE_ALTITUDE_M = 50.0
-# Largest area side and station altitude [m]: 10,000 km, far beyond any
-# study, and small enough that squared station-user distances stay finite.
-EXTENT_M = Range(0, 1e7, lo_open=True)
+# Largest area side and station altitude [m]: radio's largest coordinate.
+EXTENT_M = Range(0, MAX_COORD_M, lo_open=True)
 # Physical bounds of a weather minute. GHI [W/m^2] is at most 2000, above
 # the solar constant with room for the brief enhancement at cloud edges;
 # air temperature [degC] lies within 100 degrees of zero, beyond the
@@ -393,8 +392,9 @@ def scenario_from_dict(raw: dict) -> Scenario:
             raise ConfigError(f"nodes.layout ids must be distinct, got {ids}")
     else:
         nodes = default_node_grid(altitude, width, height, **equipment)
-    # every station has this equipment; the least draw any design can give
-    # one is hover, surface and the cheaper of sleep and an idle cell
+    # every station has this equipment, as engine.run_network requires of
+    # the panel and battery; the least draw any design can give one is
+    # hover, surface and the cheaper of sleep and an idle cell
     least_wh = min(sum(w * (1.0 / 60.0) for w in station_power_w(nodes[0], level, 0))
                    for level in (None, radio.power_levels_dbm[0]))
     battery = equipment["battery"]

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from conftest import one_station_day
 
-from solarran.design import greedy_design
-from solarran.energy import (BatterySpec, ParameterError, mimo_power,
+from solarran import engine
+from solarran.design import greedy_design, network_config
+from solarran.energy import (BatterySpec, ParameterError, PvSpec, mimo_power,
                              ris_power, station_power_w, uav_hover_power)
 from solarran.engine import (PairResult, SimulationError, compute_metrics,
                              run_network, run_pair, verify_conservation)
@@ -118,6 +119,33 @@ class TestRunSimulation:
                 repeated = (2,) if name == "t" else (0, 1)
                 assert [column.strides[a] for a in repeated] == [0] * len(repeated), name
 
+    def test_panel_output_is_held_once(self, small_pair):
+        # every station shares the panel: the with-solar harvest column
+        # holds one value per minute, repeated over the stations
+        column = small_pair.ledgers[1]["harvested_wh"]
+        assert not column.flags.writeable
+        assert column.strides[2] == 0
+
+    @pytest.mark.parametrize("config,n_nodes", [({}, 9), ({
+        "nodes": {"layout": [{"id": i, "x": 250.0 + 400.0 * (i % 7),
+                              "y": 250.0 + 400.0 * (i // 7)} for i in range(49)]},
+    }, 49)], ids=["default", "49_stations"])
+    def test_panel_evaluated_once(self, monkeypatch, config, n_nodes):
+        calls = []
+        pv_power = engine.pv_power
+
+        def counted(*args):
+            calls.append(args)
+            return pv_power(*args)
+
+        monkeypatch.setattr(engine, "pv_power", counted)
+        scenario = scenario_from_dict(config)
+        network = network_config(scenario.nodes, {}, {})  # every cell asleep
+        pair = run_network(scenario, synth_study_series(scenario, seed=3), 3,
+                           network=network)
+        assert len(pair.node_ids) == n_nodes
+        assert len(calls) == 1
+
     def test_no_solar_repeats_are_views(self, small_pair):
         # the no-solar day is stepped once: its state of charge repeats over
         # the days, and its harvest, panel flows and draw over every minute
@@ -185,14 +213,38 @@ class TestStepErrors:
     account for, naming the station."""
 
     def test_demand_above_capacity(self, small_scenario):
-        tiny = BatterySpec(capacity_wh=2.0)  # 1.9 Wh usable, under one minute of hover
-        nodes = tuple(dataclasses.replace(n, battery=tiny) if n.node_id == 2 else n
-                      for n in small_scenario.nodes)
-        scenario = dataclasses.replace(small_scenario, nodes=nodes)
+        # only node 2 serves; every station's battery holds more than a
+        # sleeping station's one-minute draw and less than node 2's
+        network = network_config(small_scenario.nodes, {2: 34.0},
+                                 {0: (2, 1, 1), 1: (2, 1, 1)})
+        sleeping_wh, active_wh = (sum(network.power_w[i]) / 60.0 for i in (0, 2))
+        assert sleeping_wh < active_wh
+        reserve = BatterySpec().flight_reserve
+        battery = BatterySpec(
+            capacity_wh=(sleeping_wh + active_wh) / 2 / (1.0 - reserve))
+        assert sleeping_wh < battery.usable_capacity_wh < active_wh
+        scenario = dataclasses.replace(small_scenario, nodes=tuple(
+            dataclasses.replace(n, battery=battery) for n in small_scenario.nodes))
         series = synth_study_series(scenario, seed=3)
         with pytest.raises(ParameterError,
                            match=r"node_id=2: step demand .* one battery"):
-            run_network(scenario, series, 3, network=designed(scenario, 3))
+            run_network(scenario, series, 3, network=network)
+
+    @pytest.mark.parametrize("part,spec", [
+        ("pv", PvSpec(rated_power=60.0)),
+        ("battery", BatterySpec(capacity_wh=900.0)),
+    ], ids=["mixed_panel", "mixed_battery"])
+    def test_mixed_equipment_refused(self, small_scenario, part, spec):
+        # nodes 1 and 3 differ from node 0; listed in reverse, the first in
+        # node-id order is still the one named
+        nodes = tuple(dataclasses.replace(n, **{part: spec})
+                      if n.node_id in (1, 3) else n
+                      for n in reversed(small_scenario.nodes))
+        scenario = dataclasses.replace(small_scenario, nodes=nodes)
+        series = synth_study_series(scenario, seed=3)
+        with pytest.raises(ValueError, match=r"node_id=1's panel or battery "
+                                             r"differs from node_id=0's"):
+            run_network(scenario, series, 3, network=designed(small_scenario, 3))
 
 
     @pytest.mark.parametrize("nodes", [

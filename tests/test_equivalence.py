@@ -43,7 +43,7 @@ def reference_run(scenario, series, network, with_res):
                        cell.tx_power_dbm if cell.active else 0.0),
             ris_power(node.ris)))
         demand = hover + mimo + ris
-        # one panel call per station over the whole series, as the engine does
+        # one panel call per station over the whole series
         pv_w = (pv_power(node.pv, series.ghi_wm2, series.temp_c) if with_res
                 else np.zeros(len(series))).tolist()
         cap, swaps = node.battery.usable_capacity_wh, 0
@@ -85,17 +85,19 @@ def scenarios(draw):
     ids = draw(st.lists(st.integers(0, 50), min_size=n_nodes,
                         max_size=n_nodes, unique=True))
     unit = st.floats(0.0, 1.0)
+    # a network's stations share one panel and one battery; each has its
+    # own airframe, and so its own draw
+    pv = PvSpec(rated_power=draw(st.sampled_from([0.0, 60.0, 120.0, 2000.0])),
+                derating_factor=0.5 + 0.5 * draw(unit),
+                temp_coeff=-0.01 * draw(unit))
+    battery = BatterySpec(capacity_wh=50.0 + 1450.0 * draw(unit),
+                          charge_efficiency=0.5 + 0.5 * draw(unit),
+                          flight_reserve=0.02 + 0.2 * draw(unit))
     nodes, levels, users = [], {}, {}
     for nid in ids:
         airframe = UavAirframe(total_mass=0.5 + 4.5 * draw(unit),
                                rotor_count=draw(st.integers(2, 8)),
                                rotor_radius=0.1 + 0.4 * draw(unit))
-        pv = PvSpec(rated_power=draw(st.sampled_from([0.0, 60.0, 120.0, 2000.0])),
-                    derating_factor=0.5 + 0.5 * draw(unit),
-                    temp_coeff=-0.01 * draw(unit))
-        battery = BatterySpec(capacity_wh=50.0 + 1450.0 * draw(unit),
-                              charge_efficiency=0.5 + 0.5 * draw(unit),
-                              flight_reserve=0.02 + 0.2 * draw(unit))
         nodes.append(AccessNode(node_id=nid, position=Position(0.0, 0.0, 50.0),
                                 airframe=airframe, pv=pv, battery=battery))
         if draw(st.booleans()):

@@ -1,12 +1,17 @@
 """Tests for the link-budget chain: the scalar reference that
-radio.link_table is held to, and the radio parameters' checks."""
+radio.link_table is held to, and the checks of the radio parameters and of
+link_table's coordinates."""
+
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import make_node, make_user
 from reference_radio import (link_feasible, path_loss, required_prbs, snr,
                              spectral_efficiency)
-from solarran.radio import Position, RadioParams
+from solarran.design import greedy_design
+from solarran.radio import Position, RadioParams, link_table
 
 PARAMS = RadioParams()
 
@@ -149,3 +154,29 @@ def test_power_ladder_validation():
         RadioParams(pathloss_exponent=1.5)
     with pytest.raises(ValueError):
         RadioParams(total_prbs=0)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 1e300],
+                         ids=["nan", "inf", "1e300"])
+@pytest.mark.parametrize("side", ["node", "user"])
+def test_coordinate_outside_the_extent_refused(side, value):
+    # unchecked, a NaN coordinate reads as a colocated link (max(1, nan) is
+    # 1 in math) and 1e300 overflows the squared distance
+    nodes = [(0.0, 0.0, 50.0), (100.0, 0.0, 50.0)]
+    users = [(10.0, 0.0, 1.5), (20.0, 0.0, 1.5)]
+    points = nodes if side == "node" else users
+    points[1] = (points[1][0], value, points[1][2])
+    message = re.escape(f"{side} 1 y must be in [-10000000, 10000000], "
+                        f"got {value}")
+    with pytest.raises(ValueError, match=message):
+        link_table(nodes, users, PARAMS, 1.0, 1.0)
+    with pytest.raises(ValueError, match=message):
+        greedy_design([make_node(i, *p) for i, p in enumerate(nodes)],
+                      [make_user(i, *p) for i, p in enumerate(users)],
+                      PARAMS, 1.0, 1.0)
+
+
+def test_coordinates_at_the_extent_accepted():
+    feasible, _, _ = link_table([(1e7, -1e7, 1e7)], [(-1e7, 1e7, -1e7)],
+                                PARAMS, 1.0, 1.0)
+    assert not feasible.any()
