@@ -131,7 +131,8 @@ def link_table(node_xyz, user_xyz, params: RadioParams, dl_rate_mbps: float,
                ul_rate_mbps: float, *,
                fallback: Callable[..., tuple[bool, int, int]] = _scalar_link
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every (node, user, power level) link of a network in one array pass.
+    """Every (node, user, power level) link of a network, one power level
+    at a time.
 
     node_xyz and user_xyz are (nodes, 3) and (users, 3) coordinates; the
     results are shaped (nodes, users, levels), levels in the order of
@@ -153,30 +154,56 @@ def link_table(node_xyz, user_xyz, params: RadioParams, dl_rate_mbps: float,
             COORD_M.check(f"{name} {i} {'xyz'[axis]}", float(xyz[i, axis]),
                           ValueError)
     levels = params.power_levels_dbm
-    diff = node_xyz[:, None, :] - user_xyz[None, :, :]
-    sq = diff * diff
-    d = np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])
+    shape = (len(node_xyz), len(user_xyz), len(levels))
+    feasible = np.empty(shape, dtype=bool)
+    guard = np.empty(shape, dtype=bool)
+    prbs_dl, prbs_ul = np.zeros(shape), np.zeros(shape)
+    # The distance and the path loss are (nodes, users) arrays, and each
+    # power level's link budget is worked out in a few (nodes, users)
+    # slices, so nothing but the results is (nodes, users, levels). The
+    # squares are summed in x, y, z order, as _scalar_link sums them.
+    pl = np.zeros(shape[:2])
+    for axis in range(3):
+        sq = np.subtract.outer(node_xyz[:, axis], user_xyz[:, axis])
+        sq *= sq
+        pl += sq
+    del sq
+    np.sqrt(pl, out=pl)
+    noise_dbm = params.noise_power_dbm
+    snr_tol = BOUNDARY_RTOL * max(1.0, abs(params.min_snr_db))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        pl = (params.reference_loss_at_1m_db
-              + 10.0 * params.pathloss_exponent * np.log10(np.maximum(1.0, d)))
-        snr_db = ((np.asarray(levels) + params.antenna_gain_dbi)
-                  - pl[..., None] - params.noise_power_dbm)
-        raw_se = np.log2(1.0 + 10.0 ** (snr_db / 10.0))
-        se = np.minimum(params.se_cap, raw_se)
-        guard = (~np.isfinite(raw_se)
-                 | (np.abs(snr_db - params.min_snr_db)
-                    <= BOUNDARY_RTOL * max(1.0, abs(params.min_snr_db))))
-        prbs = []
-        for rate in (dl_rate_mbps, ul_rate_mbps):
-            if rate == 0:
-                prbs.append(np.zeros(se.shape))
-                continue
-            x = rate * 1e6 / (se * params.prb_bandwidth_khz * 1e3)
-            guard |= ((rate < 0) | (se < SE_FLOOR) | ~np.isfinite(x)
-                      | (np.abs(x - np.rint(x)) <= BOUNDARY_RTOL * x))
-            prbs.append(np.ceil(x))
-    prbs_dl, prbs_ul = prbs
-    feasible = (snr_db >= params.min_snr_db) & (prbs_dl + prbs_ul <= params.total_prbs)
+        np.maximum(pl, 1.0, out=pl)
+        np.log10(pl, out=pl)
+        pl *= 10.0 * params.pathloss_exponent
+        pl += params.reference_loss_at_1m_db
+        for k, lifted_dbm in enumerate(np.asarray(levels)
+                                       + params.antenna_gain_dbi):
+            snr_db = lifted_dbm - pl
+            snr_db -= noise_dbm
+            raw_se = snr_db / 10.0
+            np.power(10.0, raw_se, out=raw_se)
+            raw_se += 1.0
+            np.log2(raw_se, out=raw_se)
+            se = np.minimum(params.se_cap, raw_se)
+            near = ~np.isfinite(raw_se)
+            del raw_se
+            near |= np.abs(snr_db - params.min_snr_db) <= snr_tol
+            for rate, prbs in ((dl_rate_mbps, prbs_dl), (ul_rate_mbps, prbs_ul)):
+                if rate == 0:
+                    continue
+                x = se * params.prb_bandwidth_khz
+                x *= 1e3
+                np.divide(rate * 1e6, x, out=x)
+                near |= ((rate < 0) | (se < SE_FLOOR) | ~np.isfinite(x)
+                         | (np.abs(x - np.rint(x)) <= BOUNDARY_RTOL * x))
+                np.ceil(x, out=prbs[..., k])
+                del x
+            del se
+            feasible[..., k] = ((snr_db >= params.min_snr_db)
+                                & (prbs_dl[..., k] + prbs_ul[..., k]
+                                   <= params.total_prbs))
+            guard[..., k] = near
+            del snr_db, near
     for n, u, lvl in zip(*np.nonzero(guard)):
         feasible[n, u, lvl], prbs_dl[n, u, lvl], prbs_ul[n, u, lvl] = fallback(
             Position(*node_xyz[n].tolist()), Position(*user_xyz[u].tolist()),

@@ -149,11 +149,11 @@ def write_timeseries_csvs(means: np.ndarray, season_names: Sequence[str],
     GHI, and state of charge and panel output averaged over stations."""
     for day, name in enumerate(season_names):
         ghi, soc, pv_w = means[:, day]
+        rows = [f"{m},{ghi[m]:.6f},{soc[m]:.6f},{pv_w[m]:.6f}\n"
+                for m in range(MINUTES_PER_DAY)]
         with open(out_dir / f"timeseries_{name}.csv", "w", encoding="utf-8",
                   newline="\n") as fh:
-            fh.write("minute,mean_ghi_wm2,mean_soc_wh,mean_pv_w\n")
-            for m in range(MINUTES_PER_DAY):
-                fh.write(f"{m},{ghi[m]:.6f},{soc[m]:.6f},{pv_w[m]:.6f}\n")
+            fh.write("".join(["minute,mean_ghi_wm2,mean_soc_wh,mean_pv_w\n", *rows]))
 
 
 def format_summary_table(metrics: StudyMetrics) -> str:
