@@ -10,13 +10,14 @@ brute_force_design is the exhaustive reference for small instances.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .energy import mimo_power, station_power_w
-from .radio import RadioParams, link_table
+from .radio import RadioParams, checked_xyz, link_table
 from .scenario import AccessNode, UserTerminal
 
 
@@ -26,6 +27,12 @@ class InstanceTooLargeError(ValueError):
 
 MAX_ORACLE_NODES = 4
 MAX_ORACLE_USERS = 10
+# (node, user) pairs whose links greedy_design evaluates at once, rounded
+# down to whole nodes (one at least): the default 9-node/100-user network is
+# one block, the dense 49/1000 one seven blocks of at most 8 nodes. There the
+# greedy's traced peak reads 2.6 MiB at 4,096 pairs, 2.9 at 8,192, 3.9 at
+# 16,384 and 7.9 in one block, its time the same within noise.
+DESIGN_BLOCK_PAIRS = 8192
 
 
 @dataclass(frozen=True)
@@ -84,7 +91,8 @@ class CandidateTable:
     feasible, prbs_dl and prbs_ul are shaped (nodes, users, levels), with
     nodes and users in the ascending id order of node_ids and user_ids and
     levels in the order of the radio's power_levels_dbm; the block counts
-    are whole float64 numbers.
+    are whole float64 numbers. brute_force_design indexes one; greedy_design
+    evaluates its links in node blocks and never holds a whole table.
     """
 
     node_ids: tuple[int, ...]
@@ -132,19 +140,30 @@ def network_config(nodes: Sequence[AccessNode], levels: dict[int, float],
                       for n in node_list))
 
 
-def _fit_row(cost: np.ndarray, capacity: int) -> tuple[list[int], list[int], list[int]]:
-    """The first-fit data of one (node, level) row of block costs: the
-    ascending positions of the users whose cost fits an empty cell, their
-    costs as whole ints, and the suffix minimum of those costs."""
-    fits = (cost <= capacity).nonzero()[0]
-    blocks = cost[fits].astype(np.int64)
-    least = np.minimum.accumulate(blocks[::-1])[::-1]
-    return fits.tolist(), blocks.tolist(), least.tolist()
+def _fit_rows(cost: np.ndarray, capacity: int
+              ) -> list[tuple[list[int], list[int], list[int]]]:
+    """The first-fit data of each row of a (rows, users) array of block
+    costs, one row per (node, level): the ascending positions of the users
+    whose cost fits an empty cell, their costs as whole ints, and the
+    suffix minimum of those costs."""
+    fit = cost <= capacity
+    at = np.flatnonzero(fit)
+    row, fits = np.divmod(at, cost.shape[1])
+    blocks = cost.ravel()[at].astype(np.int64)
+    # one int object per user, which every row's positions share
+    fits = np.arange(cost.shape[1], dtype=object)[fits]
+    # Every row's suffix minima in one pass: lifting each row's costs above
+    # those of all earlier rows keeps a later row's out of its minima.
+    lift = row * (capacity + 1)
+    least = np.minimum.accumulate((blocks + lift)[::-1])[::-1] - lift
+    ends = np.cumsum(fit.sum(axis=1)).tolist()
+    return [(fits[lo:hi].tolist(), blocks[lo:hi].tolist(), least[lo:hi].tolist())
+            for lo, hi in zip([0, *ends], ends)]
 
 
 def _first_fit(row: tuple[list[int], list[int], list[int]], capacity: int,
               taken: list[bool]) -> list[int]:
-    """Positions that a first-fit scan of a _fit_row row admits: in order,
+    """Positions that a first-fit scan of a _fit_rows row admits: in order,
     each user not yet taken is admitted if its cost fits in the blocks
     left. The scan stops once the blocks left are fewer than every later
     cost.
@@ -184,25 +203,55 @@ def greedy_design(nodes: Sequence[AccessNode], users: Sequence[UserTerminal],
     over a user that does not fit without changing the blocks left, so
     taking users a candidate did not admit leaves its result unchanged.
 
+    Every link is evaluated once, by radio.link_table, for one block of
+    about DESIGN_BLOCK_PAIRS (node, user) pairs at a time: consecutive
+    nodes and every user, both in id order. Of a block's float64 results
+    the first-fit data of its (node, level) rows and the downlink share of
+    each fitting user's blocks are kept, as lists of ints, so the whole
+    (nodes, users, levels) table is never held.
+
     Deterministic: identical inputs give an identical NetworkConfig.
     """
     node_list = sorted(nodes, key=lambda n: n.node_id)
-    table = enumerate_candidates(node_list, users, params, dl_rate_mbps, ul_rate_mbps)
+    user_list = sorted(users, key=lambda u: u.user_id)
+    # checked whole, so that a refusal names a node's position in node_list
+    node_xyz = checked_xyz([(n.position.x, n.position.y, n.position.z)
+                            for n in node_list], "node")
+    user_xyz = checked_xyz([(u.position.x, u.position.y, u.position.z)
+                            for u in user_list], "user")
     capacity = params.total_prbs
-    # Blocks per (node, level, user); an infeasible link costs more than a
-    # whole cell, so "fits in the blocks left" also means "feasible".
-    cost = np.ascontiguousarray(np.where(
-        table.feasible, table.prbs_dl + table.prbs_ul, capacity + 1
-    ).transpose(0, 2, 1))
-
     levels_dbm = params.power_levels_dbm
+    fit_rows = []  # _fit_rows data of each (node, level) row, node-major
+    dl_rows = []  # each row's downlink blocks of the users that fit
+    block = max(DESIGN_BLOCK_PAIRS // max(len(user_list), 1), 1)
+    for lo in range(0, len(node_list), block):
+        hi = min(lo + block, len(node_list))
+        feasible, dl, ul = link_table(node_xyz[lo:hi], user_xyz, params,
+                                      dl_rate_mbps, ul_rate_mbps)
+        # Blocks per (node, level) row and user, rows in fit_rows' order; an
+        # infeasible link costs more than a whole cell, so "fits in the
+        # blocks left" also means "feasible".
+        shape = ((hi - lo) * len(levels_dbm), len(user_list))
+        cost = np.where(feasible, dl + ul, capacity + 1)
+        cost = cost.transpose(0, 2, 1).reshape(shape)
+        block_rows = _fit_rows(cost, capacity)
+        fit_rows += block_rows
+        shares = np.take(dl.transpose(0, 2, 1), np.flatnonzero(cost <= capacity))
+        shares = shares.astype(np.int64).tolist()
+        at = 0
+        for fits, _, _ in block_rows:
+            dl_rows.append(shares[at:at + len(fits)])
+            at += len(fits)
+        # freed before the next block's links are evaluated
+        del feasible, dl, ul, cost, shares
+
     rows = [(n, lvl) for n in range(len(node_list)) for lvl in range(len(levels_dbm))]
-    fit_rows = [_fit_row(cost[n, lvl], capacity) for n, lvl in rows]
     # scored[r] is row r's (key, admitted), or None once it must be re-scored
     scored: list[Optional[tuple]] = [None] * len(rows)
-    admits = np.zeros((len(rows), len(table.user_ids)), dtype=bool)
-    taken = [False] * len(table.user_ids)
-    members: dict[int, np.ndarray] = {}  # active node position -> user positions
+    admits = np.zeros((len(rows), len(user_list)), dtype=bool)
+    taken = [False] * len(user_list)
+    # active node position -> (level it was activated at, user positions)
+    members: dict[int, tuple[int, list[int]]] = {}
 
     while True:
         best = None
@@ -222,11 +271,12 @@ def greedy_design(nodes: Sequence[AccessNode], users: Sequence[UserTerminal],
                 scored[r] = (key, admitted)
             key, admitted = scored[r]
             if key is not None and (best is None or key < best[0]):
-                best = (key, n, admitted)
+                best = (key, r, admitted)
         if best is None:
             break
-        _, n, admitted = best
-        members[n] = np.array(admitted)
+        _, r, admitted = best
+        n, lvl = rows[r]
+        members[n] = (lvl, admitted)
         for u in admitted:
             taken[u] = True
         stale = admits[:, admitted].any(axis=1)
@@ -236,16 +286,21 @@ def greedy_design(nodes: Sequence[AccessNode], users: Sequence[UserTerminal],
 
     levels: dict[int, float] = {}
     assigned: dict[int, tuple[int, int, int]] = {}
-    for n, users_of_n in members.items():
-        # The level the cell was activated at passes, so a lowest one exists.
-        load = cost[n][:, users_of_n].sum(axis=1)
-        lvl = int(np.flatnonzero(load <= capacity)[0])
-        node_id = table.node_ids[n]
-        levels[node_id] = params.power_levels_dbm[lvl]
-        for u, dl, ul in zip(users_of_n.tolist(),
-                             table.prbs_dl[n, users_of_n, lvl].tolist(),
-                             table.prbs_ul[n, users_of_n, lvl].tolist()):
-            assigned[table.user_ids[u]] = (node_id, int(dl), int(ul))
+    for n, (top, admitted) in members.items():
+        # The level the cell was activated at passes, so the trim stops there
+        # at the latest. A user that does not fit a row is not in its fits.
+        for lvl in range(top + 1):
+            r = n * len(levels_dbm) + lvl
+            fits, blocks, _ = fit_rows[r]
+            at = [bisect_left(fits, u) for u in admitted]
+            if (all(i < len(fits) and fits[i] == u for i, u in zip(at, admitted))
+                    and sum(blocks[i] for i in at) <= capacity):
+                break
+        node_id = node_list[n].node_id
+        levels[node_id] = levels_dbm[lvl]
+        for u, i in zip(admitted, at):
+            dl = dl_rows[r][i]
+            assigned[user_list[u].user_id] = (node_id, dl, blocks[i] - dl)
     return network_config(node_list, levels, assigned)
 
 

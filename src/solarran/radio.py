@@ -127,6 +127,20 @@ def _scalar_link(a: Position, b: Position, tx_power_dbm: float,
     return feasible, prbs_dl, prbs_ul
 
 
+def checked_xyz(points, name: str) -> np.ndarray:
+    """points as a (k, 3) float64 array. A coordinate outside COORD_M, NaN
+    included, is refused with ValueError naming the point's position in
+    points (as `name`) and its axis."""
+    xyz = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    with np.errstate(invalid="ignore"):
+        outside = np.argwhere(~(np.abs(xyz) <= MAX_COORD_M))
+    if len(outside):
+        i, axis = outside[0]
+        COORD_M.check(f"{name} {i} {'xyz'[axis]}", float(xyz[i, axis]),
+                      ValueError)
+    return xyz
+
+
 def link_table(node_xyz, user_xyz, params: RadioParams, dl_rate_mbps: float,
                ul_rate_mbps: float, *,
                fallback: Callable[..., tuple[bool, int, int]] = _scalar_link
@@ -139,20 +153,14 @@ def link_table(node_xyz, user_xyz, params: RadioParams, dl_rate_mbps: float,
     params.power_levels_dbm: feasibility, then downlink and uplink block
     counts as whole float64 numbers. Each entry equals _scalar_link's
     answer for that link. A coordinate outside COORD_M, NaN included, is
-    refused with ValueError. Entries near a boundary are recomputed by
-    fallback (called like _scalar_link): an SNR within BOUNDARY_RTOL of
-    min_snr_db, a ceil argument within BOUNDARY_RTOL of a whole number, a
-    non-finite value, a spectral efficiency below SE_FLOOR, a negative rate.
+    refused with ValueError by checked_xyz. Entries near a boundary are
+    recomputed by fallback (called like _scalar_link): an SNR within
+    BOUNDARY_RTOL of min_snr_db, a ceil argument within BOUNDARY_RTOL of a
+    whole number, a non-finite value, a spectral efficiency below SE_FLOOR,
+    a negative rate.
     """
-    node_xyz = np.asarray(node_xyz, dtype=np.float64).reshape(-1, 3)
-    user_xyz = np.asarray(user_xyz, dtype=np.float64).reshape(-1, 3)
-    for name, xyz in (("node", node_xyz), ("user", user_xyz)):
-        with np.errstate(invalid="ignore"):
-            outside = np.argwhere(~(np.abs(xyz) <= MAX_COORD_M))
-        if len(outside):
-            i, axis = outside[0]
-            COORD_M.check(f"{name} {i} {'xyz'[axis]}", float(xyz[i, axis]),
-                          ValueError)
+    node_xyz = checked_xyz(node_xyz, "node")
+    user_xyz = checked_xyz(user_xyz, "user")
     levels = params.power_levels_dbm
     shape = (len(node_xyz), len(user_xyz), len(levels))
     feasible = np.empty(shape, dtype=bool)

@@ -439,12 +439,9 @@ def place_users(scenario: Scenario, seed: int) -> tuple[UserTerminal, ...]:
     """
     rng = np.random.default_rng(seed)
     coords = rng.random((scenario.user_count, 2))
-    return tuple(
-        UserTerminal(user_id=i,
-                     position=Position(float(coords[i, 0] * scenario.area_width_m),
-                                       float(coords[i, 1] * scenario.area_height_m),
-                                       USER_HEIGHT_M))
-        for i in range(scenario.user_count))
+    coords *= (scenario.area_width_m, scenario.area_height_m)
+    return tuple(UserTerminal(user_id=i, position=Position(x, y, USER_HEIGHT_M))
+                 for i, (x, y) in enumerate(coords.tolist()))
 
 
 def solar_declination_deg(day_of_year: int) -> float:

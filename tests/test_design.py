@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import (candidate_links, check_assignment_valid,
                       check_local_minimality, make_node as node,
                       make_user as user)
-from solarran.design import (InstanceTooLargeError, _first_fit, _fit_row,
+from solarran.design import (InstanceTooLargeError, _first_fit, _fit_rows,
                              brute_force_design, greedy_design,
                              network_config)
 from solarran.energy import ris_power, station_power_w, uav_hover_power
@@ -67,7 +67,7 @@ class TestFirstFit:
     def test_scan_is_a_full_first_fit_that_ignores_users_it_passed_over(
             self, instance):
         costs, capacity, taken, take_next = instance
-        row = _fit_row(np.array(costs, dtype=float), capacity)
+        [row] = _fit_rows(np.array([costs], dtype=float), capacity)
         admitted = _first_fit(row, capacity, taken)
         assert admitted == full_first_fit(costs, capacity, taken)
         # the invariant greedy_design's cache rests on
@@ -79,10 +79,36 @@ class TestFirstFit:
         # an expensive early user fills the cell; once another cell takes
         # it, the cheap ones behind it fit, so such a row must be re-scored
         costs = [10, 1, 1, 1, 11]
-        row = _fit_row(np.array(costs, dtype=float), 10)
+        [row] = _fit_rows(np.array([costs], dtype=float), 10)
         assert row == ([0, 1, 2, 3], [10, 1, 1, 1], [1, 1, 1, 1])
         assert _first_fit(row, 10, [False] * 5) == [0]
         assert _first_fit(row, 10, [True] + [False] * 4) == [1, 2, 3]
+
+
+@st.composite
+def cost_blocks(draw):
+    """A (rows, users) array of whole block costs, as greedy_design builds
+    for a block of nodes (capacity + 1 marks an infeasible link), in float64
+    or its narrowest dtype, and its capacity."""
+    capacity = draw(st.integers(0, 40))
+    n_users = draw(st.integers(0, 12))
+    row = st.lists(st.integers(0, capacity + 1), min_size=n_users,
+                   max_size=n_users)
+    rows = draw(st.lists(row, max_size=6))
+    dtype = draw(st.sampled_from([np.float64, np.min_scalar_type(capacity + 1)]))
+    return np.array(rows, dtype=dtype).reshape(len(rows), n_users), capacity
+
+
+@settings(max_examples=300, deadline=None)
+@given(cost_blocks())
+def test_fit_rows_are_each_rows_own(block):
+    cost, capacity = block
+    want = []
+    for row in cost.tolist():
+        fits = [u for u, c in enumerate(row) if c <= capacity]
+        blocks = [int(row[u]) for u in fits]
+        want.append((fits, blocks, [min(blocks[i:]) for i in range(len(blocks))]))
+    assert _fit_rows(cost, capacity) == want
 
 
 class TestGreedyDesign:

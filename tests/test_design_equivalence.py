@@ -6,16 +6,20 @@ exactly the NetworkConfig of the loop greedy in reference_design. No
 tolerance is allowed: block counts and total_power_w compare with ==.
 """
 
+import contextlib
 import math
 import random
 import re
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import candidate_links
 from reference_design import reference_candidates, reference_greedy
 from reference_radio import link_feasible
+from solarran import design
 from solarran.design import greedy_design
 from solarran.radio import Position, RadioParams, link_table
 from solarran.scenario import (AccessNode, Scenario, UserTerminal,
@@ -181,15 +185,59 @@ def design_instances(draw):
     return nodes, users, params, draw(rate), draw(rate), shuffler
 
 
-@settings(max_examples=300, deadline=None)
-@given(design_instances())
-def test_greedy_matches_the_loop_reference(instance):
+def xyz(points) -> np.ndarray:
+    """The (k, 3) coordinates of nodes or users, in the given order."""
+    return np.array([(p.position.x, p.position.y, p.position.z)
+                     for p in points]).reshape(-1, 3)
+
+
+@contextlib.contextmanager
+def links_evaluated_once(nodes, users, block_pairs=design.DESIGN_BLOCK_PAIRS):
+    """Run greedy_design inside with design.DESIGN_BLOCK_PAIRS set to
+    block_pairs; on exit, require that its link_table calls took every user
+    and consecutive blocks of nodes, both in id order, that together hold
+    each node exactly once."""
+    calls = []
+
+    def counting_link_table(node_xyz, user_xyz, *args, **kwargs):
+        calls.append((np.array(node_xyz).reshape(-1, 3),
+                      np.array(user_xyz).reshape(-1, 3)))
+        return link_table(node_xyz, user_xyz, *args, **kwargs)
+
+    with mock.patch.object(design, "link_table", counting_link_table), \
+            mock.patch.object(design, "DESIGN_BLOCK_PAIRS", block_pairs):
+        yield
+    per_block = max(block_pairs // max(len(users), 1), 1)
+    assert all(0 < len(node_xyz) <= per_block for node_xyz, _ in calls)
+    for _, user_xyz in calls:
+        np.testing.assert_array_equal(
+            user_xyz, xyz(sorted(users, key=lambda u: u.user_id)))
+    np.testing.assert_array_equal(
+        np.concatenate([node_xyz for node_xyz, _ in calls] or [np.empty((0, 3))]),
+        xyz(sorted(nodes, key=lambda n: n.node_id)))
+
+
+def check_greedy_matches(instance, block_pairs):
     nodes, users, params, dl, ul, shuffler = instance
     want = reference_greedy(nodes, users, params, dl, ul)
     nodes, users = list(nodes), list(users)
     shuffler.shuffle(nodes)
     shuffler.shuffle(users)
-    assert greedy_design(nodes, users, params, dl, ul) == want
+    with links_evaluated_once(nodes, users, block_pairs):
+        assert greedy_design(nodes, users, params, dl, ul) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(design_instances())
+def test_greedy_matches_the_loop_reference(instance):
+    check_greedy_matches(instance, design.DESIGN_BLOCK_PAIRS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(design_instances())
+def test_greedy_matches_the_loop_reference_in_one_node_blocks(instance):
+    # every instance with two or more nodes spans as many blocks
+    check_greedy_matches(instance, 1)
 
 
 def test_greedy_matches_the_loop_reference_on_default_seeds():
@@ -216,19 +264,37 @@ def test_greedy_matches_the_loop_reference_on_a_crowded_cell():
 
 
 
-@pytest.mark.parametrize("seed, user_count",
-                         [(1, 200), (2, 225), (3, 250), (4, 275), (5, 300)])
-def test_greedy_matches_the_loop_reference_on_a_mid_size_grid(seed, user_count):
-    # 16 stations at the cell centres of a 4x4 grid over the default 3 km
-    # square: cells that overlap and fill up, so there are many rounds and
-    # activations that take users other (cell, level) candidates admitted
+MID_SIZE_GRIDS = pytest.mark.parametrize(
+    "seed, user_count", [(1, 200), (2, 225), (3, 250), (4, 275), (5, 300)])
+
+
+def mid_size_grid_args(seed: int, user_count: int) -> tuple:
+    """greedy_design's arguments for 16 stations at the cell centres of a
+    4x4 grid over the default 3 km square: cells that overlap and fill up,
+    so there are many rounds and activations that take users other (cell,
+    level) candidates admitted."""
     layout = [{"id": 4 * j + i, "x": 375.0 + 750.0 * i, "y": 375.0 + 750.0 * j}
               for j in range(4) for i in range(4)]
     sc = scenario_from_dict({"users": {"count": user_count, "dl_mbps": 20.0,
                                        "ul_mbps": 5.0},
                              "nodes": {"layout": layout}})
-    args = (sc.nodes, place_users(sc, seed), sc.radio, sc.dl_rate_mbps,
+    return (sc.nodes, place_users(sc, seed), sc.radio, sc.dl_rate_mbps,
             sc.ul_rate_mbps)
+
+
+@MID_SIZE_GRIDS
+def test_greedy_matches_the_loop_reference_on_a_mid_size_grid(seed, user_count):
+    args = mid_size_grid_args(seed, user_count)
     want = reference_greedy(*args)
-    assert greedy_design(*args) == want
+    with links_evaluated_once(*args[:2]):
+        assert greedy_design(*args) == want
     assert sum(c.active for c in want.cells) >= 8
+
+
+@MID_SIZE_GRIDS
+def test_greedy_matches_the_loop_reference_on_a_mid_size_grid_in_one_node_blocks(
+        seed, user_count):
+    args = mid_size_grid_args(seed, user_count)
+    want = reference_greedy(*args)
+    with links_evaluated_once(*args[:2], block_pairs=1):
+        assert greedy_design(*args) == want

@@ -84,3 +84,20 @@ def test_link_table_memory_is_bounded():
         tracemalloc.stop()
     result_bytes = sum(a.nbytes for a in tables)
     assert peak <= 3 * result_bytes, (peak, result_bytes)
+
+
+def test_greedy_design_memory_is_bounded():
+    # greedy_design evaluates links a block of nodes at a time and keeps
+    # only compact block counts and each (node, level) row's first-fit data,
+    # never the whole table
+    result_bytes = sum(a.nbytes for a in link_table(*dense_link_inputs(7)))
+    sc = scenario_from_dict(dense_config())
+    args = (sc.nodes, place_users(sc, 7), sc.radio, sc.dl_rate_mbps,
+            sc.ul_rate_mbps)
+    tracemalloc.start()
+    try:
+        greedy_design(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * result_bytes, (peak, result_bytes)

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 from conftest import make_node, make_user
 from reference_radio import (link_feasible, path_loss, required_prbs, snr,
                              spectral_efficiency)
+from solarran import design
 from solarran.design import greedy_design
 from solarran.radio import Position, RadioParams, link_table
 
@@ -174,6 +175,17 @@ def test_coordinate_outside_the_extent_refused(side, value):
         greedy_design([make_node(i, *p) for i, p in enumerate(nodes)],
                       [make_user(i, *p) for i, p in enumerate(users)],
                       PARAMS, 1.0, 1.0)
+
+
+def test_refusal_names_the_node_in_its_whole_list(monkeypatch):
+    # greedy_design evaluates one node per block here; the refused node is
+    # the third of the list and the first of its block
+    monkeypatch.setattr(design, "DESIGN_BLOCK_PAIRS", 1)
+    nodes = [make_node(i, 100.0 * i, 0.0) for i in range(3)]
+    nodes[2] = make_node(2, 200.0, float("nan"))
+    with pytest.raises(ValueError, match=re.escape(
+            "node 2 y must be in [-10000000, 10000000], got nan")):
+        greedy_design(nodes, [make_user(0, 10.0, 0.0)], PARAMS, 1.0, 1.0)
 
 
 def test_coordinates_at_the_extent_accepted():
