@@ -7,9 +7,8 @@ from importlib import resources
 # Before numpy loads: one BLAS thread, so simulate forks a single-threaded process
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .design import (CandidateTable, CellConfig, InstanceTooLargeError,
-                     NetworkConfig, brute_force_design, enumerate_candidates,
-                     greedy_design, network_config)
+from .design import (CellConfig, InstanceTooLargeError, NetworkConfig,
+                     brute_force_design, greedy_design, network_config)
 from .energy import (BatterySpec, MimoSpec, ParameterError, PvSpec, RisSpec,
                      UavAirframe, cell_temperature, mimo_power, pv_power,
                      ris_power, station_power_w, uav_hover_power)

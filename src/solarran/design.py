@@ -10,7 +10,6 @@ brute_force_design is the exhaustive reference for small instances.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -30,8 +29,8 @@ MAX_ORACLE_USERS = 10
 # (node, user) pairs whose links greedy_design evaluates at once, rounded
 # down to whole nodes (one at least): the default 9-node/100-user network is
 # one block, the dense 49/1000 one seven blocks of at most 8 nodes. There the
-# greedy's traced peak reads 2.6 MiB at 4,096 pairs, 2.9 at 8,192, 3.9 at
-# 16,384 and 7.9 in one block, its time the same within noise.
+# greedy's traced peak reads 2.5 MiB at 4,096 pairs, 2.6 at 8,192, 3.0 at
+# 16,384 and 5.0 in one block, its time the same within noise.
 DESIGN_BLOCK_PAIRS = 8192
 
 
@@ -84,60 +83,43 @@ class NetworkConfig:
         }
 
 
-@dataclass(frozen=True, eq=False)
-class CandidateTable:
-    """Every (node, user, power level) link of a network as arrays.
-
-    feasible, prbs_dl and prbs_ul are shaped (nodes, users, levels), with
-    nodes and users in the ascending id order of node_ids and user_ids and
-    levels in the order of the radio's power_levels_dbm; the block counts
-    are whole float64 numbers. brute_force_design indexes one; greedy_design
-    evaluates its links in node blocks and never holds a whole table.
-    """
-
-    node_ids: tuple[int, ...]
-    user_ids: tuple[int, ...]
-    feasible: np.ndarray
-    prbs_dl: np.ndarray
-    prbs_ul: np.ndarray
-
-
-def enumerate_candidates(nodes: Sequence[AccessNode],
-                         users: Sequence[UserTerminal],
-                         params: RadioParams,
-                         dl_rate_mbps: float,
-                         ul_rate_mbps: float) -> CandidateTable:
-    """Evaluate every (node, user, power level) link once, with
-    radio.link_table."""
-    node_list = sorted(nodes, key=lambda n: n.node_id)
-    user_list = sorted(users, key=lambda u: u.user_id)
-    feasible, prbs_dl, prbs_ul = link_table(
-        [(n.position.x, n.position.y, n.position.z) for n in node_list],
-        [(u.position.x, u.position.y, u.position.z) for u in user_list],
-        params, dl_rate_mbps, ul_rate_mbps)
-    return CandidateTable(tuple(n.node_id for n in node_list),
-                          tuple(u.user_id for u in user_list),
-                          feasible, prbs_dl, prbs_ul)
-
-
 def network_config(nodes: Sequence[AccessNode], levels: dict[int, float],
                    users: dict[int, tuple[int, int, int]]) -> NetworkConfig:
     """The NetworkConfig of a design: the transmit level of each active cell
     by node id, and the assignment map user_id -> (node_id, prbs_dl,
     prbs_ul), whose users each belong to an active cell."""
+    node_list = sorted(nodes, key=lambda n: n.node_id)
+    stray = set(levels) - {n.node_id for n in node_list}
+    if stray:
+        raise ValueError(f"node {min(stray)} has a level but is not in nodes")
     served: dict[int, int] = {}
     for uid, (nid, _, _) in users.items():
         if nid not in levels:
             raise ValueError(f"user {uid} is assigned to node {nid}, "
                              f"which has no active cell")
         served[nid] = served.get(nid, 0) + 1
-    node_list = sorted(nodes, key=lambda n: n.node_id)
     return NetworkConfig(
         cells=tuple(CellConfig(n.node_id, levels.get(n.node_id)) for n in node_list),
         users=dict(sorted(users.items())),
         power_w=tuple(station_power_w(n, levels.get(n.node_id),
                                       served.get(n.node_id, 0))
                       for n in node_list))
+
+
+def _link_blocks(node_xyz, user_xyz, params: RadioParams, dl_rate_mbps: float,
+                 ul_rate_mbps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Every link of radio.link_table as two (nodes, levels, users) arrays of
+    the narrowest unsigned dtype that holds total_prbs + 1: its blocks, and
+    their downlink share. An infeasible link costs total_prbs + 1 blocks, more
+    than a whole cell, so "fits an empty cell" also means "feasible", and its
+    share is 0."""
+    feasible, dl, cost = link_table(node_xyz, user_xyz, params, dl_rate_mbps,
+                                    ul_rate_mbps)
+    cost += dl
+    cost[~feasible] = params.total_prbs + 1
+    dl[~feasible] = 0
+    dtype = np.min_scalar_type(params.total_prbs + 1)
+    return tuple(a.transpose(0, 2, 1).astype(dtype, order="C") for a in (cost, dl))
 
 
 def _fit_rows(cost: np.ndarray, capacity: int
@@ -203,12 +185,13 @@ def greedy_design(nodes: Sequence[AccessNode], users: Sequence[UserTerminal],
     over a user that does not fit without changing the blocks left, so
     taking users a candidate did not admit leaves its result unchanged.
 
-    Every link is evaluated once, by radio.link_table, for one block of
-    about DESIGN_BLOCK_PAIRS (node, user) pairs at a time: consecutive
-    nodes and every user, both in id order. Of a block's float64 results
-    the first-fit data of its (node, level) rows and the downlink share of
-    each fitting user's blocks are kept, as lists of ints, so the whole
-    (nodes, users, levels) table is never held.
+    Every link is evaluated once, by _link_blocks, for one block of about
+    DESIGN_BLOCK_PAIRS (node, user) pairs at a time: consecutive nodes and
+    every user, both in id order. Of a block only the first-fit data of its
+    (node, level) rows and each node's two narrow (levels, users) arrays of
+    block costs and downlink shares are kept, so link_table's float64
+    (nodes, users, levels) results are never held whole. The trim reads an
+    active cell's costs at each level up to the one it was activated at.
 
     Deterministic: identical inputs give an identical NetworkConfig.
     """
@@ -222,28 +205,15 @@ def greedy_design(nodes: Sequence[AccessNode], users: Sequence[UserTerminal],
     capacity = params.total_prbs
     levels_dbm = params.power_levels_dbm
     fit_rows = []  # _fit_rows data of each (node, level) row, node-major
-    dl_rows = []  # each row's downlink blocks of the users that fit
+    costs, shares = [], []  # each node's (levels, users) _link_blocks arrays
     block = max(DESIGN_BLOCK_PAIRS // max(len(user_list), 1), 1)
     for lo in range(0, len(node_list), block):
-        hi = min(lo + block, len(node_list))
-        feasible, dl, ul = link_table(node_xyz[lo:hi], user_xyz, params,
-                                      dl_rate_mbps, ul_rate_mbps)
-        # Blocks per (node, level) row and user, rows in fit_rows' order; an
-        # infeasible link costs more than a whole cell, so "fits in the
-        # blocks left" also means "feasible".
-        shape = ((hi - lo) * len(levels_dbm), len(user_list))
-        cost = np.where(feasible, dl + ul, capacity + 1)
-        cost = cost.transpose(0, 2, 1).reshape(shape)
-        block_rows = _fit_rows(cost, capacity)
-        fit_rows += block_rows
-        shares = np.take(dl.transpose(0, 2, 1), np.flatnonzero(cost <= capacity))
-        shares = shares.astype(np.int64).tolist()
-        at = 0
-        for fits, _, _ in block_rows:
-            dl_rows.append(shares[at:at + len(fits)])
-            at += len(fits)
-        # freed before the next block's links are evaluated
-        del feasible, dl, ul, cost, shares
+        cost, dl = _link_blocks(node_xyz[lo:lo + block], user_xyz, params,
+                                dl_rate_mbps, ul_rate_mbps)
+        fit_rows += _fit_rows(cost.reshape(len(cost) * len(levels_dbm),
+                                           len(user_list)), capacity)
+        costs += list(cost)
+        shares += list(dl)
 
     rows = [(n, lvl) for n in range(len(node_list)) for lvl in range(len(levels_dbm))]
     # scored[r] is row r's (key, admitted), or None once it must be re-scored
@@ -288,19 +258,15 @@ def greedy_design(nodes: Sequence[AccessNode], users: Sequence[UserTerminal],
     assigned: dict[int, tuple[int, int, int]] = {}
     for n, (top, admitted) in members.items():
         # The level the cell was activated at passes, so the trim stops there
-        # at the latest. A user that does not fit a row is not in its fits.
-        for lvl in range(top + 1):
-            r = n * len(levels_dbm) + lvl
-            fits, blocks, _ = fit_rows[r]
-            at = [bisect_left(fits, u) for u in admitted]
-            if (all(i < len(fits) and fits[i] == u for i, u in zip(at, admitted))
-                    and sum(blocks[i] for i in at) <= capacity):
-                break
+        # at the latest. An infeasible link costs more than a whole cell, so
+        # at a level whose blocks fit the cell every link is feasible.
+        blocks = costs[n][:top + 1, admitted].tolist()
+        lvl = next(k for k, row in enumerate(blocks) if sum(row) <= capacity)
         node_id = node_list[n].node_id
         levels[node_id] = levels_dbm[lvl]
-        for u, i in zip(admitted, at):
-            dl = dl_rows[r][i]
-            assigned[user_list[u].user_id] = (node_id, dl, blocks[i] - dl)
+        for u, cost, dl in zip(admitted, blocks[lvl],
+                               shares[n][lvl, admitted].tolist()):
+            assigned[user_list[u].user_id] = (node_id, dl, cost - dl)
     return network_config(node_list, levels, assigned)
 
 
@@ -321,24 +287,24 @@ def brute_force_design(nodes: Sequence[AccessNode],
             f"instance has {len(node_list)} nodes / {len(user_list)} users; "
             f"limits are {MAX_ORACLE_NODES} / {MAX_ORACLE_USERS}")
 
-    table = enumerate_candidates(node_list, user_list, params,
-                                 dl_rate_mbps, ul_rate_mbps)
+    costs, shares = (a.tolist() for a in _link_blocks(
+        [(n.position.x, n.position.y, n.position.z) for n in node_list],
+        [(u.position.x, u.position.y, u.position.z) for u in user_list],
+        params, dl_rate_mbps, ul_rate_mbps))
+    node_ids = [n.node_id for n in node_list]
     n_users = len(user_list)
     levels = params.power_levels_dbm
-    feasible = table.feasible.tolist()
-    # whole block counts; an infeasible link's, which may be huge, read 0
-    prbs_dl, prbs_ul = (np.where(table.feasible, prbs, 0).astype(int).tolist()
-                        for prbs in (table.prbs_dl, table.prbs_ul))
 
     best = None
     for combo in itertools.product([None, *range(len(levels))],
                                    repeat=len(node_list)):
         on = [(n, k) for n, k in enumerate(combo) if k is not None]
-        active = {table.node_ids[n]: levels[k] for n, k in on}
+        active = {node_ids[n]: levels[k] for n, k in on}
         # per user: [(index in on, node_id, blocks, prbs_dl, prbs_ul)]
-        options = [[(idx, table.node_ids[n], prbs_dl[n][u][k] + prbs_ul[n][u][k],
-                     prbs_dl[n][u][k], prbs_ul[n][u][k])
-                    for idx, (n, k) in enumerate(on) if feasible[n][u][k]]
+        options = [[(idx, node_ids[n], costs[n][k][u], shares[n][k][u],
+                     costs[n][k][u] - shares[n][k][u])
+                    for idx, (n, k) in enumerate(on)
+                    if costs[n][k][u] <= params.total_prbs]
                    for u in range(n_users)]
 
         memo: dict[tuple[int, tuple[int, ...]], int] = {}

@@ -6,9 +6,9 @@ import datetime
 import solarran  # noqa: F401 - before numpy, so that OpenBLAS starts no thread
 import numpy as np
 
-from solarran.design import enumerate_candidates, network_config
+from solarran.design import network_config
 from solarran.engine import run_network
-from solarran.radio import Position
+from solarran.radio import Position, link_table
 from solarran.scenario import (MINUTES_PER_DAY, AccessNode, Scenario,
                                UserTerminal, WeatherSeries)
 
@@ -36,15 +36,20 @@ def one_station_day(node, ghi_wm2=0.0, temp_c=20.0, tx_power_dbm=None,
 
 
 def candidate_links(nodes, users, params, dl, ul):
-    """The arrays of enumerate_candidates as a dict keyed (node_id, user_id,
-    level_dbm) of (feasible, prbs_dl, prbs_ul), in the table's node, user
-    and level order."""
-    table = enumerate_candidates(nodes, users, params, dl, ul)
-    return {(nid, uid, level): (bool(table.feasible[n, u, k]),
-                                int(table.prbs_dl[n, u, k]),
-                                int(table.prbs_ul[n, u, k]))
-            for n, nid in enumerate(table.node_ids)
-            for u, uid in enumerate(table.user_ids)
+    """The arrays of link_table as a dict keyed (node_id, user_id, level_dbm)
+    of (feasible, prbs_dl, prbs_ul), nodes and users in ascending id order
+    and levels in the radio's order."""
+    nodes = sorted(nodes, key=lambda n: n.node_id)
+    users = sorted(users, key=lambda u: u.user_id)
+    feasible, prbs_dl, prbs_ul = link_table(
+        [(n.position.x, n.position.y, n.position.z) for n in nodes],
+        [(u.position.x, u.position.y, u.position.z) for u in users],
+        params, dl, ul)
+    return {(node.node_id, user.user_id, level): (bool(feasible[n, u, k]),
+                                                  int(prbs_dl[n, u, k]),
+                                                  int(prbs_ul[n, u, k]))
+            for n, node in enumerate(nodes)
+            for u, user in enumerate(users)
             for k, level in enumerate(params.power_levels_dbm)}
 
 

@@ -14,8 +14,8 @@ from solarran.design import (InstanceTooLargeError, _first_fit, _fit_rows,
                              brute_force_design, greedy_design,
                              network_config)
 from solarran.energy import ris_power, station_power_w, uav_hover_power
-from solarran.radio import RadioParams
-from solarran.scenario import Scenario, place_users
+from solarran.radio import MAX_TOTAL_PRBS, RadioParams
+from solarran.scenario import Scenario, default_node_grid, place_users
 
 PARAMS = RadioParams()
 
@@ -209,6 +209,11 @@ class TestNetworkConfig:
             network_config([node(0, 0, 0), node(1, 800, 0)], {0: 28.0},
                            {3: (1, 2, 2)})
 
+    def test_level_of_a_node_not_in_nodes_refused(self):
+        with pytest.raises(ValueError, match="node 99 has a level but is not "
+                                             "in nodes"):
+            network_config(default_node_grid(), {99: 28.0}, {0: (99, 1, 1)})
+
 
 class TestBruteForce:
     def test_zero_nodes(self):
@@ -246,7 +251,8 @@ class TestBruteForce:
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
     def test_greedy_never_beats_oracle(self, data):
-        params = RadioParams(total_prbs=data.draw(st.sampled_from([40, 80, 273])))
+        params = RadioParams(total_prbs=data.draw(st.sampled_from(
+            [40, 80, 255, 273, 65_535, MAX_TOTAL_PRBS])))
         n_nodes = data.draw(st.integers(1, 3))
         n_users = data.draw(st.integers(1, 6))
         nodes = [node(i, data.draw(st.floats(0, 1200)),

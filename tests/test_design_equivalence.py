@@ -21,7 +21,7 @@ from reference_design import reference_candidates, reference_greedy
 from reference_radio import link_feasible
 from solarran import design
 from solarran.design import greedy_design
-from solarran.radio import Position, RadioParams, link_table
+from solarran.radio import MAX_TOTAL_PRBS, Position, RadioParams, link_table
 from solarran.scenario import (AccessNode, Scenario, UserTerminal,
                                place_users, scenario_from_dict)
 
@@ -169,8 +169,10 @@ def test_candidate_table_is_the_scalar_dict():
 @st.composite
 def design_instances(draw):
     """Small networks with unique but scattered ids, tight to generous block
-    budgets, zero rates, stacked users, and a shuffled input order."""
-    params = RadioParams(total_prbs=draw(st.sampled_from([20, 40, 80, 273])))
+    budgets (total_prbs + 1 of 8, 16 and 32 bits), zero rates, stacked
+    users, and a shuffled input order."""
+    params = RadioParams(total_prbs=draw(st.sampled_from(
+        [20, 40, 80, 255, 273, 65_535, MAX_TOTAL_PRBS])))
     node_ids = draw(st.lists(st.integers(0, 99), max_size=5, unique=True))
     user_ids = draw(st.lists(st.integers(0, 999), max_size=12, unique=True))
     spot = st.tuples(st.floats(0, 1500), st.floats(0, 1500))

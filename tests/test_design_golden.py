@@ -6,17 +6,22 @@ to the link budget or the greedy designer that alters one user's cell,
 one block count or one bit of total_power_w fails here. A design sees only
 the links the greedy picks; the link-table golden pins every entry of the
 dense network's table, the infeasible and the boundary-guarded ones too.
+The brute-force golden pins the exhaustive oracle's plans the same way.
 """
 
 import hashlib
 import json
+import random
 import tracemalloc
 
 import pytest
 
-from solarran.design import greedy_design
-from solarran.radio import link_table
-from solarran.scenario import place_users, scenario_from_dict
+import solarran
+from solarran.cli import _load_instance
+from solarran.design import brute_force_design, greedy_design
+from solarran.radio import MAX_TOTAL_PRBS, Position, RadioParams, link_table
+from solarran.scenario import (AccessNode, UserTerminal, place_users,
+                               scenario_from_dict)
 
 
 def dense_config() -> dict:
@@ -49,9 +54,43 @@ def test_golden_design(config, seed, digest):
     assert got == digest
 
 
+# (seed, nodes, users, total_prbs, dl_mbps, ul_mbps) of the seeded oracle
+# instances: tight budgets that leave users out, and budgets whose
+# total_prbs + 1 needs 8, 16 and 32 bits.
+ORACLE_INSTANCES = [(1, 2, 6, 40, 50.0, 10.0), (2, 3, 8, 80, 25.0, 5.0),
+                    (3, 4, 10, 273, 50.0, 10.0), (4, 4, 10, 20, 10.0, 2.5),
+                    (5, 4, 10, 255, 100.0, 25.0),
+                    (6, 3, 9, 65_535, 100.0, 0.0),
+                    (7, 4, 8, MAX_TOTAL_PRBS, 50.0, 10.0)]
+GOLDEN_BRUTE_FORCE = "5f544f6554f912b0f23ff93089db0f00cdcf5cd028218a01272782cfffb3914e"
+
+
+def oracle_instances():
+    """brute_force_design's arguments for the bundled oracle instance, then
+    for each of ORACLE_INSTANCES: nodes and users at uniform spots of a
+    1.2 km square."""
+    nodes, users, sc = _load_instance(solarran.example_oracle_instance_path())
+    yield nodes, users, sc.radio, sc.dl_rate_mbps, sc.ul_rate_mbps
+    for seed, n_nodes, n_users, total_prbs, dl, ul in ORACLE_INSTANCES:
+        rng = random.Random(seed)
+        nodes = [AccessNode(node_id=i, position=Position(
+            rng.uniform(0, 1200), rng.uniform(0, 1200), 50.0))
+            for i in range(n_nodes)]
+        users = [UserTerminal(user_id=i, position=Position(
+            rng.uniform(0, 1200), rng.uniform(0, 1200), 1.5))
+            for i in range(n_users)]
+        yield nodes, users, RadioParams(total_prbs=total_prbs), dl, ul
+
+
+def test_golden_brute_force_design():
+    plans = [brute_force_design(*args).to_dict() for args in oracle_instances()]
+    got = hashlib.sha256(json.dumps(plans).encode()).hexdigest()
+    assert got == GOLDEN_BRUTE_FORCE
+
+
 def dense_link_inputs(seed: int) -> tuple:
     """link_table's arguments for the dense network and one user snapshot,
-    nodes and users in id order as design.enumerate_candidates passes them."""
+    nodes and users in id order, as the designers pass them."""
     sc = scenario_from_dict(dense_config())
     nodes = sorted(sc.nodes, key=lambda n: n.node_id)
     users = sorted(place_users(sc, seed), key=lambda u: u.user_id)
@@ -88,8 +127,8 @@ def test_link_table_memory_is_bounded():
 
 def test_greedy_design_memory_is_bounded():
     # greedy_design evaluates links a block of nodes at a time and keeps
-    # only compact block counts and each (node, level) row's first-fit data,
-    # never the whole table
+    # only narrow integer block costs and downlink shares and each (node,
+    # level) row's first-fit data, never the whole float64 table
     result_bytes = sum(a.nbytes for a in link_table(*dense_link_inputs(7)))
     sc = scenario_from_dict(dense_config())
     args = (sc.nodes, place_users(sc, 7), sc.radio, sc.dl_rate_mbps,
