@@ -47,6 +47,44 @@ def test_golden_study_bytes(tmp_path, capsys):
     assert got == GOLDEN_SHA256
 
 
+# The golden study with a value other than the default in every equipment
+# section, so that each spec reaches the designer, the engine and the echo.
+EQUIPMENT_CONFIG = {
+    **GOLDEN_CONFIG,
+    "airframe": {"total_mass": 2.1, "rotor_count": 6, "rotor_radius": 0.18},
+    "mimo": {"antenna_count": 32, "fixed_power": 25.0, "sleep_power": 4.0,
+             "pa_efficiency": 0.4},
+    "ris": {"element_count": 32, "phase_bits": 4},
+    "pv": {"rated_power": 150.0, "temp_coeff": -0.004, "noct": 47.0},
+    "battery": {"capacity_wh": 900.0, "charge_efficiency": 0.9,
+                "flight_reserve": 0.1},
+}
+
+EQUIPMENT_SHA256 = {
+    "ledger_0_nopv.csv": "0f839ba986bc69c33892ee9086dddb0c57b53074974bdaf5f090d836af896fc1",
+    "ledger_0_pv.csv": "47c03d13b58323718fa4ad9c224ba3895c444032c863da80041ad6f350f60baf",
+    "ledger_1_nopv.csv": "0d258d95415660c8b22eea300d0964324b5e2e449b3397fa25f1a2983a19c2f8",
+    "ledger_1_pv.csv": "65237c7e7852121308f98d4c5cd9eed81490dffb009d10994a52d65e1aeb1e3d",
+    "metrics.json": "314125c7446f3a9adcff2c52c4f93533e57648d426fde51c2122645664c1bc6c",
+    "summary.csv": "6b04a5747afcf4dde317fe39ab894da3ffa9713485909a9f0d1b58a317b08dfd",
+    "timeseries_autumn.csv": "250315fd75ac6e89f2d6794acb7132a6b8bd25f613e90adae81b1a583168bc7c",
+    "timeseries_spring.csv": "5d79c3e54e79e354ccf34e865d313f45acef6a098140edf699c95a80157c9448",
+    "timeseries_summer.csv": "5d2430bcd9a17ceed4256f769f263a5796c44fc4ec1d3000c8d6faebf1d4b193",
+    "timeseries_winter.csv": "ce0aac613b1629386a028116656b444d3a03de23f48f3b1aa432115f7f9fc723",
+}
+
+
+def test_equipment_study_bytes(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(EQUIPMENT_CONFIG), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config), "--seed", "42",
+                 "--out", str(out)]) == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in sorted(out.iterdir())}
+    assert got == EQUIPMENT_SHA256
+
+
 def grid_config(side: int, users: int) -> dict:
     """side x side stations at the cell centres of the default 3 km square,
     users at 20/5 Mbps, one run pair."""
