@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .energy import mimo_power, station_power_w
+from .energy import Equipment, mimo_power, station_power_w
 from .radio import RadioParams, checked_xyz, link_table
 from .scenario import AccessNode, UserTerminal
 
@@ -84,7 +84,8 @@ class NetworkConfig:
 
 
 def network_config(nodes: Sequence[AccessNode], levels: dict[int, float],
-                   users: dict[int, tuple[int, int, int]]) -> NetworkConfig:
+                   users: dict[int, tuple[int, int, int]],
+                   equipment: Equipment) -> NetworkConfig:
     """The NetworkConfig of a design: the transmit level of each active cell
     by node id, and the assignment map user_id -> (node_id, prbs_dl,
     prbs_ul), whose users each belong to an active cell."""
@@ -101,7 +102,7 @@ def network_config(nodes: Sequence[AccessNode], levels: dict[int, float],
     return NetworkConfig(
         cells=tuple(CellConfig(n.node_id, levels.get(n.node_id)) for n in node_list),
         users=dict(sorted(users.items())),
-        power_w=tuple(station_power_w(n, levels.get(n.node_id),
+        power_w=tuple(station_power_w(equipment, levels.get(n.node_id),
                                       served.get(n.node_id, 0))
                       for n in node_list))
 
@@ -166,7 +167,9 @@ def _first_fit(row: tuple[list[int], list[int], list[int]], capacity: int,
 
 def greedy_design(nodes: Sequence[AccessNode], users: Sequence[UserTerminal],
                   params: RadioParams, dl_rate_mbps: float,
-                  ul_rate_mbps: float) -> NetworkConfig:
+                  ul_rate_mbps: float,
+                  # a default, as perfbench/design_sweep.py passes the first five
+                  equipment: Equipment = Equipment()) -> NetworkConfig:
     """Coverage-first greedy activation with a power-trim pass.
 
     1. Every cell starts as a candidate at every power level (the ladder
@@ -204,6 +207,7 @@ def greedy_design(nodes: Sequence[AccessNode], users: Sequence[UserTerminal],
                             for u in user_list], "user")
     capacity = params.total_prbs
     levels_dbm = params.power_levels_dbm
+    mimo = equipment.mimo
     fit_rows = []  # _fit_rows data of each (node, level) row, node-major
     costs, shares = [], []  # each node's (levels, users) _link_blocks arrays
     block = max(DESIGN_BLOCK_PAIRS // max(len(user_list), 1), 1)
@@ -232,11 +236,9 @@ def greedy_design(nodes: Sequence[AccessNode], users: Sequence[UserTerminal],
                 admitted = _first_fit(fit_rows[r], capacity, taken)
                 key = None
                 if admitted:
-                    node = node_list[n]
-                    added_power = (mimo_power(node.mimo, True, len(admitted),
-                                              levels_dbm[lvl])
-                                   - node.mimo.sleep_power)
-                    key = (-len(admitted), added_power, node.node_id)
+                    added_power = (mimo_power(mimo, True, len(admitted),
+                                              levels_dbm[lvl]) - mimo.sleep_power)
+                    key = (-len(admitted), added_power, node_list[n].node_id)
                     admits[r, admitted] = True
                 scored[r] = (key, admitted)
             key, admitted = scored[r]
@@ -267,13 +269,13 @@ def greedy_design(nodes: Sequence[AccessNode], users: Sequence[UserTerminal],
         for u, cost, dl in zip(admitted, blocks[lvl],
                                shares[n][lvl, admitted].tolist()):
             assigned[user_list[u].user_id] = (node_id, dl, cost - dl)
-    return network_config(node_list, levels, assigned)
+    return network_config(node_list, levels, assigned, equipment)
 
 
 def brute_force_design(nodes: Sequence[AccessNode],
                        users: Sequence[UserTerminal], params: RadioParams,
-                       dl_rate_mbps: float,
-                       ul_rate_mbps: float) -> NetworkConfig:
+                       dl_rate_mbps: float, ul_rate_mbps: float,
+                       equipment: Equipment) -> NetworkConfig:
     """Exhaustive reference: best coverage, then least power.
 
     Enumerates every on/off-and-level combination and, per combination,
@@ -345,7 +347,7 @@ def brute_force_design(nodes: Sequence[AccessNode],
             else:
                 assert coverage(i + 1, cur) == target
 
-        config = network_config(node_list, active, assignment)
+        config = network_config(node_list, active, assignment, equipment)
         if best is None or ((config.covered_count, -config.total_power_w)
                             > (best.covered_count, -best.total_power_w)):
             best = config

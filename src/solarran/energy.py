@@ -3,9 +3,10 @@
 Five models drive the energy balance: rotor hover power, MIMO transceiver
 power, reflective-surface controller power, photovoltaic output, and the
 usable window of the swappable ground-side battery, whose charge
-engine.run_network steps. station_power_w adds up a station's draw for
-the designer and the config check. All functions are pure; power is in
-watts, energy in watt-hours, temperatures in degrees Celsius.
+engine.run_network steps. Every station of a scenario carries one
+Equipment of the five, from which station_power_w adds up its draw. All
+functions are pure; power is in watts, energy in watt-hours, temperatures
+in degrees Celsius.
 """
 
 from __future__ import annotations
@@ -13,13 +14,9 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Annotated, NamedTuple, Optional,
-                    get_type_hints)
+from typing import Annotated, NamedTuple, Optional, get_type_hints
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .scenario import AccessNode
 
 STANDARD_GRAVITY = 9.80665  # m/s^2
 
@@ -247,15 +244,26 @@ def ris_power(spec: RisSpec) -> float:
     return spec.element_count * RIS_ELEMENT_POWER[spec.phase_bits]
 
 
-def station_power_w(node: AccessNode, tx_power_dbm: Optional[float],
+@dataclass(frozen=True)
+class Equipment:
+    """The five specs that every station of a scenario carries."""
+
+    airframe: UavAirframe = UavAirframe()
+    mimo: MimoSpec = MimoSpec()
+    ris: RisSpec = RisSpec()
+    pv: PvSpec = PvSpec()
+    battery: BatterySpec = BatterySpec()
+
+
+def station_power_w(equipment: Equipment, tx_power_dbm: Optional[float],
                     served_users: int) -> tuple[float, float, float]:
     """Hover, transceiver and reflective-surface draw [W] of one station;
     tx_power_dbm is None for a sleeping cell, as in design.CellConfig."""
     active = tx_power_dbm is not None
-    return (uav_hover_power(node.airframe),
-            mimo_power(node.mimo, active, served_users,
+    return (uav_hover_power(equipment.airframe),
+            mimo_power(equipment.mimo, active, served_users,
                        tx_power_dbm if active else 0.0),
-            ris_power(node.ris))
+            ris_power(equipment.ris))
 
 
 def cell_temperature(ambient_c, ghi_wm2, noct_c: float):

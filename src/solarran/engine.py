@@ -46,13 +46,13 @@ class PairResult:
     Day totals are shaped (arms, days, stations), but for the shared
     consumed_wh, (days, stations); stations are in node_ids order. ledgers
     holds one dict per arm, mapping each LEDGER_COLUMNS name to a (day,
-    minute, station) table.
+    minute, station) table; usable_capacity_wh is every station's.
     """
 
     seed: int
     network: NetworkConfig
     node_ids: tuple[int, ...]
-    usable_capacity_wh: np.ndarray
+    usable_capacity_wh: float
     consumed_wh: np.ndarray
     harvested_wh: np.ndarray
     pv_used_wh: np.ndarray
@@ -71,7 +71,8 @@ def run_pair(scenario: Scenario, weather: WeatherSeries,
     """
     users = place_users(scenario, seed)
     network = greedy_design(scenario.nodes, users, scenario.radio,
-                            scenario.dl_rate_mbps, scenario.ul_rate_mbps)
+                            scenario.dl_rate_mbps, scenario.ul_rate_mbps,
+                            scenario.equipment)
     return run_network(scenario, weather, seed, network)
 
 
@@ -91,7 +92,7 @@ def run_network(scenario: Scenario, weather: WeatherSeries, seed: int,
     once for all minutes up front (zero in the arm without the solar feed);
     and since the step demand never exceeds the usable capacity a minute
     needs at most one swap. The network's cells must be the scenario's
-    stations, which share one panel and one battery (else ValueError).
+    stations (else ValueError).
 
     Each arm's ledger columns are (day, minute, station) tables, the
     with-solar flows views of rows 1... Every repeat is a read-only
@@ -105,18 +106,13 @@ def run_network(scenario: Scenario, weather: WeatherSeries, seed: int,
         raise WeatherError(f"weather series has {len(weather)} minutes; "
                            f"{n_days} days need {n_steps}")
 
-    nodes = sorted(scenario.nodes, key=lambda n: n.node_id)
-    node_ids = tuple(n.node_id for n in nodes)
+    node_ids = tuple(sorted(n.node_id for n in scenario.nodes))
     if tuple(c.node_id for c in network.cells) != node_ids:
         raise ValueError(f"network designed for node ids "
                          f"{[c.node_id for c in network.cells]}, but the "
                          f"scenario's stations are {list(node_ids)}")
-    pv, battery = nodes[0].pv, nodes[0].battery
-    for node in nodes:
-        if (node.pv, node.battery) != (pv, battery):
-            raise ValueError(f"node_id={node.node_id}'s panel or battery differs"
-                             f" from node_id={node_ids[0]}'s; stations share both")
-    n_nodes = len(nodes)
+    pv, battery = scenario.equipment.pv, scenario.equipment.battery
+    n_nodes = len(node_ids)
     hours = 1.0 / 60.0
 
     hover_wh, mimo_wh, ris_wh = (np.array(network.power_w, dtype=float)
@@ -182,7 +178,7 @@ def run_network(scenario: Scenario, weather: WeatherSeries, seed: int,
             demand - pv_used[1:], soc[1:], counter[1:]))
     return PairResult(
         seed=seed, network=network, node_ids=node_ids, swaps=swaps,
-        usable_capacity_wh=np.full(n_nodes, cap),
+        usable_capacity_wh=cap,
         consumed_wh=day_totals(np.broadcast_to(demand, shape)[:1], arms[0]),
         harvested_wh=np.repeat(day_totals(harvested), n_nodes, axis=2),
         pv_used_wh=day_totals(pv_used), pv_wasted_wh=day_totals(pv_wasted),

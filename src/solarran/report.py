@@ -42,8 +42,12 @@ TIMESERIES_CHUNK_MINUTES = 240
 
 
 def scenario_echo(scenario: Scenario) -> dict:
-    """JSON-ready snapshot of the fully resolved scenario."""
+    """JSON-ready snapshot of the fully resolved scenario, each node entry
+    holding the scenario's equipment sections beside its id and position."""
     echo = dataclasses.asdict(scenario)
+    equipment = echo.pop("equipment")
+    for node in echo["nodes"]:
+        node.update(equipment)
     echo["dates"] = [d.isoformat() for d in scenario.dates]
     return echo
 

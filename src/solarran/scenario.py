@@ -1,9 +1,11 @@
 """Scenario configuration, user placement, and minute-resolution weather.
 
 The scenario file is JSON; every key is optional and falls back to the
-defaults of Scenario and the equipment dataclasses. check_json walks a
-document once against CONFIG_SCHEMA and reports the first unknown key,
-missing required key, wrong type or non-finite number at its dotted path.
+defaults of Scenario and the equipment dataclasses, whose five sections
+build the one energy.Equipment that every station carries. check_json
+walks a document once against CONFIG_SCHEMA and reports the first unknown
+key, missing required key, wrong type or non-finite number at its dotted
+path.
 
 Weather comes either from a CSV feed (header ``timestamp,ghi_wm2,temp_c``,
 one row per minute) or from the built-in clear-sky synthesizer; either way
@@ -25,8 +27,7 @@ from typing import Optional, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .energy import (BatterySpec, MimoSpec, PvSpec, Range, RisSpec,
-                     UavAirframe, station_power_w)
+from .energy import Equipment, Range, station_power_w
 from .radio import MAX_COORD_M, Position, RadioParams
 
 SOLAR_CONSTANT_WM2 = 1361.0
@@ -99,15 +100,10 @@ class WeatherError(ValueError):
 
 @dataclass(frozen=True)
 class AccessNode:
-    """One tethered UAV base station with all of its equipment specs."""
+    """One tethered UAV base station; its equipment is the scenario's."""
 
     node_id: int
     position: Position
-    airframe: UavAirframe = UavAirframe()
-    mimo: MimoSpec = MimoSpec()
-    ris: RisSpec = RisSpec()
-    pv: PvSpec = PvSpec()
-    battery: BatterySpec = BatterySpec()
 
 
 @dataclass(frozen=True)
@@ -167,6 +163,7 @@ class Scenario:
     ul_rate_mbps: float = 25.0
     nodes: tuple[AccessNode, ...] = field(
         default_factory=lambda: default_node_grid())
+    equipment: Equipment = Equipment()
     radio: RadioParams = RadioParams()
     run_count: int = 10
     dates: tuple[datetime.date, ...] = DEFAULT_DATES
@@ -190,22 +187,14 @@ class Scenario:
 
 def default_node_grid(scenario_altitude: float = NODE_ALTITUDE_M,
                       area_width: float = Scenario.area_width_m,
-                      area_height: float = Scenario.area_height_m,
-                      **equipment) -> tuple[AccessNode, ...]:
+                      area_height: float = Scenario.area_height_m
+                      ) -> tuple[AccessNode, ...]:
     """Example deployment: nine stations on a 3x3 grid of cell centers,
-    with the AccessNode equipment (airframe, mimo, ris, pv, battery) given
-    by keyword or its defaults."""
-    nodes = []
-    xs = [area_width * (2 * i + 1) / 6 for i in range(3)]
-    ys = [area_height * (2 * j + 1) / 6 for j in range(3)]
-    node_id = 0
-    for y in ys:
-        for x in xs:
-            nodes.append(AccessNode(
-                node_id=node_id,
-                position=Position(x, y, scenario_altitude), **equipment))
-            node_id += 1
-    return tuple(nodes)
+    numbered row by row."""
+    return tuple(AccessNode(3 * j + i, Position(area_width * (2 * i + 1) / 6,
+                                                area_height * (2 * j + 1) / 6,
+                                                scenario_altitude))
+                 for j in range(3) for i in range(3))
 
 
 class _JsonNumber(float):
@@ -231,8 +220,8 @@ class Required:
     kind: object
 
 
-EQUIPMENT = {"airframe": UavAirframe, "mimo": MimoSpec, "ris": RisSpec,
-             "pv": PvSpec, "battery": BatterySpec, "radio": RadioParams}
+# The config sections read into a dataclass each: Equipment's and the radio
+EQUIPMENT = {**get_type_hints(Equipment), "radio": RadioParams}
 
 # The scenario's own scalars: the Scenario field that gives the value's
 # type and default, its JSON path, and the range the value must lie in.
@@ -364,21 +353,21 @@ def scenario_from_dict(raw: dict) -> Scenario:
     width = values.get("area_width_m", Scenario.area_width_m)
     height = values.get("area_height_m", Scenario.area_height_m)
 
-    equipment = {}
+    sections = {}
     for name, cls in EQUIPMENT.items():
         try:
-            equipment[name] = cls(**doc.get(name, {}))
+            sections[name] = cls(**doc.get(name, {}))
         except ValueError as exc:  # ParameterError too
             raise ConfigError(f"invalid '{name}' section: {exc}") from exc
-    radio = equipment.pop("radio")
+    radio = sections.pop("radio")
+    equipment = Equipment(**sections)
 
     nodes_section = doc.get("nodes", {})
     altitude = nodes_section.get("altitude_m", NODE_ALTITUDE_M)
     EXTENT_M.check("nodes.altitude_m", altitude, ConfigError)
     if "layout" in nodes_section:
-        nodes = tuple(AccessNode(node_id=entry.get("id", i),
-                                 position=Position(entry["x"], entry["y"], altitude),
-                                 **equipment)
+        nodes = tuple(AccessNode(entry.get("id", i),
+                                 Position(entry["x"], entry["y"], altitude))
                       for i, entry in enumerate(nodes_section["layout"]))
         if not nodes:
             raise ConfigError("nodes.layout must list at least one station")
@@ -391,13 +380,12 @@ def scenario_from_dict(raw: dict) -> Scenario:
         if len(set(ids)) != len(ids):
             raise ConfigError(f"nodes.layout ids must be distinct, got {ids}")
     else:
-        nodes = default_node_grid(altitude, width, height, **equipment)
-    # every station has this equipment, as engine.run_network requires of
-    # the panel and battery; the least draw any design can give one is
-    # hover, surface and the cheaper of sleep and an idle cell
-    least_wh = min(sum(w * (1.0 / 60.0) for w in station_power_w(nodes[0], level, 0))
+        nodes = default_node_grid(altitude, width, height)
+    # the least draw any design can give a station is hover, surface and
+    # the cheaper of sleep and an idle cell
+    least_wh = min(sum(w * (1.0 / 60.0) for w in station_power_w(equipment, level, 0))
                    for level in (None, radio.power_levels_dbm[0]))
-    battery = equipment["battery"]
+    battery = equipment.battery
     if least_wh > battery.usable_capacity_wh:
         raise ConfigError(
             f"battery.capacity_wh {battery.capacity_wh} with battery.flight_reserve "
@@ -426,8 +414,8 @@ def scenario_from_dict(raw: dict) -> Scenario:
                               f"got {list(pair)}")
         season_temps[season] = pair
 
-    return Scenario(**values, nodes=nodes, radio=radio, dates=dates,
-                    season_temps=season_temps)
+    return Scenario(**values, nodes=nodes, equipment=equipment, radio=radio,
+                    dates=dates, season_temps=season_temps)
 
 
 def place_users(scenario: Scenario, seed: int) -> tuple[UserTerminal, ...]:

@@ -7,6 +7,7 @@ import solarran  # noqa: F401 - before numpy, so that OpenBLAS starts no thread
 import numpy as np
 
 from solarran.design import network_config
+from solarran.energy import Equipment
 from solarran.engine import run_network
 from solarran.radio import Position, link_table
 from solarran.scenario import (MINUTES_PER_DAY, AccessNode, Scenario,
@@ -21,17 +22,20 @@ def make_user(uid, x, y, z=1.5):
     return UserTerminal(user_id=uid, position=Position(x, y, z))
 
 
-def one_station_day(node, ghi_wm2=0.0, temp_c=20.0, tx_power_dbm=None,
-                    served=0):
-    """The PairResult of run_network for one station over one day; the weather
-    is per-minute arrays or one value for every minute, and tx_power_dbm is
-    None for a sleeping cell."""
+def one_station_day(equipment=Equipment(), ghi_wm2=0.0, temp_c=20.0,
+                    tx_power_dbm=None, served=0):
+    """The PairResult of run_network for one station, node 0, with equipment
+    over one day; the weather is per-minute arrays or one value for every
+    minute, and tx_power_dbm is None for a sleeping cell."""
     weather = WeatherSeries(*(np.broadcast_to(v, MINUTES_PER_DAY)
                               for v in (ghi_wm2, temp_c)))
+    node = make_node(0, 0.0, 0.0)
     levels = {} if tx_power_dbm is None else {node.node_id: tx_power_dbm}
     network = network_config((node,), levels, {u: (node.node_id, 1, 1)
-                                               for u in range(served)})
-    scenario = Scenario(nodes=(node,), dates=(datetime.date(2022, 6, 21),))
+                                               for u in range(served)},
+                             equipment)
+    scenario = Scenario(nodes=(node,), equipment=equipment,
+                        dates=(datetime.date(2022, 6, 21),))
     return run_network(scenario, weather, seed=0, network=network)
 
 

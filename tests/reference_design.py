@@ -13,7 +13,7 @@ from typing import Sequence
 
 from reference_radio import link_feasible
 from solarran.design import NetworkConfig, network_config
-from solarran.energy import mimo_power
+from solarran.energy import Equipment, mimo_power
 from solarran.radio import RadioParams
 from solarran.scenario import AccessNode, UserTerminal
 
@@ -52,9 +52,11 @@ def _admit_users(table, node_id: int, level: float, candidates: Sequence[int],
 
 def reference_greedy(nodes: Sequence[AccessNode], users: Sequence[UserTerminal],
                      params: RadioParams, dl_rate_mbps: float,
-                     ul_rate_mbps: float) -> NetworkConfig:
+                     ul_rate_mbps: float,
+                     equipment: Equipment = Equipment()) -> NetworkConfig:
     """Coverage-first greedy activation with a power-trim pass (see
-    design.greedy_design for the rules)."""
+    design.greedy_design for the rules), every station carrying
+    equipment."""
     node_list = sorted(nodes, key=lambda n: n.node_id)
     table = reference_candidates(node_list, users, params, dl_rate_mbps, ul_rate_mbps)
 
@@ -74,8 +76,8 @@ def reference_greedy(nodes: Sequence[AccessNode], users: Sequence[UserTerminal],
                                            unassigned, params.total_prbs)
                 if not admitted:
                     continue
-                added_power = (mimo_power(node.mimo, True, len(admitted), level)
-                               - node.mimo.sleep_power)
+                added_power = (mimo_power(equipment.mimo, True, len(admitted),
+                                          level) - equipment.mimo.sleep_power)
                 key = (-len(admitted), added_power, node.node_id)
                 if best_key is None or key < best_key:
                     best_key = key
@@ -101,4 +103,4 @@ def reference_greedy(nodes: Sequence[AccessNode], users: Sequence[UserTerminal],
                     assigned[uid] = (node_id, dl, ul)
                 break
 
-    return network_config(node_list, active, assigned)
+    return network_config(node_list, active, assigned, equipment)

@@ -20,15 +20,14 @@ from reference_engine import reference_step
 
 from solarran.cli import main
 from solarran.design import brute_force_design, greedy_design
-from solarran.energy import (BatterySpec, MimoSpec, PvSpec, RisSpec,
-                             UavAirframe, mimo_power, pv_power, ris_power,
-                             station_power_w, uav_hover_power)
+from solarran.energy import (BatterySpec, Equipment, MimoSpec, PvSpec,
+                             RisSpec, UavAirframe, mimo_power, pv_power,
+                             ris_power, station_power_w, uav_hover_power)
 from solarran.engine import compute_metrics, run_pair
-from solarran.radio import Position, RadioParams
+from solarran.radio import RadioParams
 from solarran.report import (scenario_echo, write_ledger_csv,
                              write_metrics_json, write_summary_csv)
-from solarran.scenario import (SEASONS, AccessNode, scenario_from_dict,
-                               synth_study_series)
+from solarran.scenario import SEASONS, scenario_from_dict, synth_study_series
 
 MASTER_SEED = 42
 
@@ -97,16 +96,16 @@ def test_criterion_1_conservation_suite():
         battery = BatterySpec(capacity_wh=float(rng.uniform(300, 1500)),
                               charge_efficiency=float(rng.uniform(0.8, 1.0)),
                               flight_reserve=float(rng.uniform(0.02, 0.10)))
-        node = AccessNode(node_id=0, position=Position(0, 0, 50),
-                          airframe=_random_airframe(rng),
-                          mimo=MimoSpec(pa_efficiency=float(rng.uniform(0.2, 0.9))),
-                          ris=RisSpec(),
-                          pv=PvSpec(rated_power=float(rng.uniform(50, 300))),
-                          battery=battery)
+        equipment = Equipment(
+            airframe=_random_airframe(rng),
+            mimo=MimoSpec(pa_efficiency=float(rng.uniform(0.2, 0.9))),
+            ris=RisSpec(),
+            pv=PvSpec(rated_power=float(rng.uniform(50, 300))),
+            battery=battery)
         cap = battery.usable_capacity_wh
         active = bool(rng.integers(0, 2))
         pair = one_station_day(
-            node, rng.uniform(0, 1100, 1440), rng.uniform(-15, 35, 1440),
+            equipment, rng.uniform(0, 1100, 1440), rng.uniform(-15, 35, 1440),
             float(rng.choice([28.0, 34.0, 40.0])) if active else None,
             int(rng.integers(0, 8)) if active else 0)
         for arm in (0, 1):
@@ -122,9 +121,9 @@ def test_criterion_1_conservation_suite():
             active = bool(rng.integers(0, 2))
             users = int(rng.integers(0, 8)) if active else 0
             level = float(rng.choice([28.0, 34.0, 40.0])) if active else 0.0
-            demand = (uav_hover_power(node.airframe) + ris_power(node.ris)
-                      + mimo_power(node.mimo, active, users, level)) / 60.0
-            harvested = (pv_power(node.pv, float(rng.uniform(0, 1100)),
+            demand = (uav_hover_power(equipment.airframe) + ris_power(equipment.ris)
+                      + mimo_power(equipment.mimo, active, users, level)) / 60.0
+            harvested = (pv_power(equipment.pv, float(rng.uniform(0, 1100)),
                                   float(rng.uniform(-15, 35))) / 60.0
                          if rng.integers(0, 2) else 0.0)
             prev_swaps = swaps
@@ -198,16 +197,15 @@ def test_criterion_4_closed_form_swap_oracle():
     rng = np.random.default_rng(4004)
     checked = 0
     while checked < 20:
-        node = AccessNode(node_id=0, position=Position(0, 0, 50),
-                          airframe=_random_airframe(rng))
+        equipment = Equipment(airframe=_random_airframe(rng))
         level = float(rng.choice([28.0, 34.0, 40.0]))
-        daily = 24.0 * sum(station_power_w(node, level, 3))
+        daily = 24.0 * sum(station_power_w(equipment, level, 3))
         reserve = float(rng.uniform(0.02, 0.10))
         capacity = daily / float(rng.uniform(0.2, 12.0)) / (1.0 - reserve)
-        node = dataclasses.replace(node, battery=BatterySpec(
+        equipment = dataclasses.replace(equipment, battery=BatterySpec(
             capacity_wh=capacity, flight_reserve=reserve))
-        pair = one_station_day(node, tx_power_dbm=level, served=3)
-        e, u = pair.consumed_wh[0, 0], pair.usable_capacity_wh[0]
+        pair = one_station_day(equipment, tx_power_dbm=level, served=3)
+        e, u = pair.consumed_wh[0, 0], pair.usable_capacity_wh
         # skip draws sitting on an exact multiple of the usable window,
         # where the swap count is knife-edge by construction
         if abs(e / u - round(e / u)) < 1e-6:
@@ -258,7 +256,7 @@ def test_criterion_6_optimizer_against_oracle():
         greedy = greedy_design(nodes, users, params, dl, ul)
         check_assignment_valid(greedy, nodes, users, params, dl, ul)
         check_local_minimality(greedy, nodes, users, params, dl, ul)
-        oracle = brute_force_design(nodes, users, params, dl, ul)
+        oracle = brute_force_design(nodes, users, params, dl, ul, Equipment())
         assert greedy.covered_count <= oracle.covered_count
         if greedy.covered_count == oracle.covered_count:
             coverage_match += 1

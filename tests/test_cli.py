@@ -823,7 +823,8 @@ class TestOracle:
         # a greedy design that covers nobody: the bundled instance's
         # exhaustive design covers 4
         monkeypatch.setattr(cli, "greedy_design",
-                            lambda nodes, *rest: network_config(nodes, {}, {}))
+                            lambda nodes, *rest: network_config(nodes, {}, {},
+                                                                rest[-1]))
         rc = main(["oracle", "--instance", solarran.example_oracle_instance_path()])
         assert rc == 1
         out = capsys.readouterr().out

@@ -13,11 +13,13 @@ from conftest import (candidate_links, check_assignment_valid,
 from solarran.design import (InstanceTooLargeError, _first_fit, _fit_rows,
                              brute_force_design, greedy_design,
                              network_config)
-from solarran.energy import ris_power, station_power_w, uav_hover_power
+from solarran.energy import (Equipment, ris_power, station_power_w,
+                             uav_hover_power)
 from solarran.radio import MAX_TOTAL_PRBS, RadioParams
 from solarran.scenario import Scenario, default_node_grid, place_users
 
 PARAMS = RadioParams()
+EQUIPMENT = Equipment()
 
 
 class TestEnumerateCandidates:
@@ -117,8 +119,8 @@ class TestGreedyDesign:
         config = greedy_design(nodes, [], PARAMS, 100, 25)
         assert config.covered_count == 0
         assert not any(c.active for c in config.cells)
-        expected = sum(uav_hover_power(n.airframe) + ris_power(n.ris)
-                       + n.mimo.sleep_power for n in nodes)
+        expected = sum(uav_hover_power(EQUIPMENT.airframe) + ris_power(EQUIPMENT.ris)
+                       + EQUIPMENT.mimo.sleep_power for n in nodes)
         assert config.total_power_w == pytest.approx(expected)
 
     def test_single_cell_trims_to_lowest_sufficient_level(self):
@@ -130,7 +132,7 @@ class TestGreedyDesign:
         assert config.covered_count == 5
         assert config.cells[0].active
         assert config.cells[0].tx_power_dbm == 28.0
-        oracle = brute_force_design(nodes, users, PARAMS, 100, 25)
+        oracle = brute_force_design(nodes, users, PARAMS, 100, 25, EQUIPMENT)
         assert oracle.covered_count == 5
         assert config.total_power_w == pytest.approx(oracle.total_power_w)
 
@@ -153,11 +155,9 @@ class TestGreedyDesign:
                                sc.dl_rate_mbps, sc.ul_rate_mbps)
         assert {c.active for c in config.cells} == {True, False}
         served = Counter(nid for nid, _, _ in config.users.values())
-        by_id = {n.node_id: n for n in sc.nodes}
         total = 0.0
         for cell, power_w in zip(config.cells, config.power_w, strict=True):
-            hover, mimo, ris = station_power_w(by_id[cell.node_id],
-                                               cell.tx_power_dbm,
+            hover, mimo, ris = station_power_w(sc.equipment, cell.tx_power_dbm,
                                                served[cell.node_id])
             assert power_w == (hover, mimo, ris)
             total += hover + ris
@@ -196,7 +196,8 @@ class TestGreedyDesign:
 class TestNetworkConfig:
     def test_facts_follow_from_levels_and_users(self):
         nodes = [node(1, 800, 0), node(0, 0, 0)]
-        config = network_config(nodes, {1: 34.0}, {5: (1, 3, 1), 2: (1, 2, 2)})
+        config = network_config(nodes, {1: 34.0}, {5: (1, 3, 1), 2: (1, 2, 2)},
+                                EQUIPMENT)
         assert [(c.node_id, c.active, c.tx_power_dbm)
                 for c in config.cells] == [(0, False, None), (1, True, 34.0)]
         assert list(config.users) == [2, 5]
@@ -207,24 +208,25 @@ class TestNetworkConfig:
         with pytest.raises(ValueError, match="user 3 is assigned to node 1, "
                                              "which has no active cell"):
             network_config([node(0, 0, 0), node(1, 800, 0)], {0: 28.0},
-                           {3: (1, 2, 2)})
+                           {3: (1, 2, 2)}, EQUIPMENT)
 
     def test_level_of_a_node_not_in_nodes_refused(self):
         with pytest.raises(ValueError, match="node 99 has a level but is not "
                                              "in nodes"):
-            network_config(default_node_grid(), {99: 28.0}, {0: (99, 1, 1)})
+            network_config(default_node_grid(), {99: 28.0}, {0: (99, 1, 1)},
+                           EQUIPMENT)
 
 
 class TestBruteForce:
     def test_zero_nodes(self):
-        config = brute_force_design([], [user(0, 0, 0)], PARAMS, 100, 25)
+        config = brute_force_design([], [user(0, 0, 0)], PARAMS, 100, 25, EQUIPMENT)
         assert config.covered_count == 0
         assert config.total_power_w == 0.0
 
     def test_single_feasible_configuration(self):
         nodes = [node(0, 0, 0)]
         users = [user(0, 5, 5)]
-        config = brute_force_design(nodes, users, PARAMS, 100, 25)
+        config = brute_force_design(nodes, users, PARAMS, 100, 25, EQUIPMENT)
         assert config.covered_count == 1
         assert config.cells[0].active
         assert config.cells[0].tx_power_dbm == 28.0
@@ -236,17 +238,17 @@ class TestBruteForce:
         params = RadioParams(total_prbs=20)
         nodes = [node(0, 0, 0, 50), node(1, 200, 0, 50)]
         users = [user(0, 2, 0), user(1, 8, 0)]
-        config = brute_force_design(nodes, users, params, 50.0, 0.0)
+        config = brute_force_design(nodes, users, params, 50.0, 0.0, EQUIPMENT)
         assert config.covered_count == 2
         assert all(c.active for c in config.cells)
 
     def test_refuses_large_instances(self):
         nodes = [node(i, 100 * i, 0) for i in range(5)]
         with pytest.raises(InstanceTooLargeError):
-            brute_force_design(nodes, [], PARAMS, 100, 25)
+            brute_force_design(nodes, [], PARAMS, 100, 25, EQUIPMENT)
         users = [user(i, 10 * i, 0) for i in range(11)]
         with pytest.raises(InstanceTooLargeError):
-            brute_force_design([node(0, 0, 0)], users, PARAMS, 100, 25)
+            brute_force_design([node(0, 0, 0)], users, PARAMS, 100, 25, EQUIPMENT)
 
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
@@ -260,7 +262,7 @@ class TestBruteForce:
         users = [user(i, data.draw(st.floats(0, 1200)),
                       data.draw(st.floats(0, 1200))) for i in range(n_users)]
         greedy = greedy_design(nodes, users, params, 50.0, 10.0)
-        oracle = brute_force_design(nodes, users, params, 50.0, 10.0)
+        oracle = brute_force_design(nodes, users, params, 50.0, 10.0, EQUIPMENT)
         assert greedy.covered_count <= oracle.covered_count
         if greedy.covered_count == oracle.covered_count:
             assert greedy.total_power_w >= oracle.total_power_w - 1e-9

@@ -19,6 +19,7 @@ import pytest
 import solarran
 from solarran.cli import _load_instance
 from solarran.design import brute_force_design, greedy_design
+from solarran.energy import Equipment
 from solarran.radio import MAX_TOTAL_PRBS, Position, RadioParams, link_table
 from solarran.scenario import (AccessNode, UserTerminal, place_users,
                                scenario_from_dict)
@@ -70,7 +71,7 @@ def oracle_instances():
     for each of ORACLE_INSTANCES: nodes and users at uniform spots of a
     1.2 km square."""
     nodes, users, sc = _load_instance(solarran.example_oracle_instance_path())
-    yield nodes, users, sc.radio, sc.dl_rate_mbps, sc.ul_rate_mbps
+    yield nodes, users, sc.radio, sc.dl_rate_mbps, sc.ul_rate_mbps, sc.equipment
     for seed, n_nodes, n_users, total_prbs, dl, ul in ORACLE_INSTANCES:
         rng = random.Random(seed)
         nodes = [AccessNode(node_id=i, position=Position(
@@ -79,7 +80,7 @@ def oracle_instances():
         users = [UserTerminal(user_id=i, position=Position(
             rng.uniform(0, 1200), rng.uniform(0, 1200), 1.5))
             for i in range(n_users)]
-        yield nodes, users, RadioParams(total_prbs=total_prbs), dl, ul
+        yield nodes, users, RadioParams(total_prbs=total_prbs), dl, ul, Equipment()
 
 
 def test_golden_brute_force_design():

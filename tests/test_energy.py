@@ -8,11 +8,10 @@ from conftest import one_station_day
 from hypothesis import example, given, strategies as st
 from reference_engine import reference_step
 
-from solarran.energy import (BatterySpec, MimoSpec, ParameterError, PvSpec,
-                             Range, RisSpec, UavAirframe, cell_temperature,
-                             mimo_power, pv_power, ris_power, uav_hover_power)
-from solarran.radio import Position
-from solarran.scenario import AccessNode
+from solarran.energy import (BatterySpec, Equipment, MimoSpec, ParameterError,
+                             PvSpec, Range, RisSpec, UavAirframe,
+                             cell_temperature, mimo_power, pv_power, ris_power,
+                             uav_hover_power)
 
 # Frozen reference values, evaluated by hand with an independent calculator.
 HOVER_REF_AIRFRAME = UavAirframe(total_mass=2.0, rotor_count=4, rotor_radius=0.2,
@@ -203,12 +202,11 @@ class TestBatteryStep:
 
     def test_fresh_battery_starts_at_usable_cap(self):
         spec = BatterySpec(capacity_wh=763.0, flight_reserve=0.05)
-        pair = one_station_day(AccessNode(0, Position(0.0, 0.0, 50.0),
-                                          battery=spec))
+        pair = one_station_day(Equipment(battery=spec))
         led = pair.ledgers[0]
-        assert pair.usable_capacity_wh[0] == pytest.approx(724.85)
+        assert pair.usable_capacity_wh == pytest.approx(724.85)
         assert led["soc_wh"][0, 0, 0] == (
-            pair.usable_capacity_wh[0] - led["consumed_wh"][0, 0, 0])
+            pair.usable_capacity_wh - led["consumed_wh"][0, 0, 0])
 
     @given(soc_frac=st.floats(0.0, 1.0),
            demand=st.floats(0.0, 700.0),

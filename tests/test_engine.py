@@ -10,8 +10,9 @@ from conftest import one_station_day
 
 from solarran import engine
 from solarran.design import greedy_design, network_config
-from solarran.energy import (BatterySpec, ParameterError, PvSpec, mimo_power,
-                             ris_power, station_power_w, uav_hover_power)
+from solarran.energy import (BatterySpec, Equipment, MimoSpec, ParameterError,
+                             mimo_power, ris_power, station_power_w,
+                             uav_hover_power)
 from solarran.engine import (PairResult, SimulationError, compute_metrics,
                              run_network, run_pair, verify_conservation)
 from solarran.scenario import (WeatherError, WeatherSeries, place_users,
@@ -35,7 +36,7 @@ def designed(scenario, seed):
     """The network run_pair would design for this scenario and seed."""
     return greedy_design(scenario.nodes, place_users(scenario, seed),
                          scenario.radio, scenario.dl_rate_mbps,
-                         scenario.ul_rate_mbps)
+                         scenario.ul_rate_mbps, scenario.equipment)
 
 
 @pytest.fixture(scope="module")
@@ -53,28 +54,30 @@ class TestStep:
     """One station stepped through one day."""
 
     def test_night_inactive_cell(self, small_scenario):
-        node = small_scenario.nodes[0]
-        led = one_station_day(node, 0.0, 5.0).ledgers[1]
-        expected = (uav_hover_power(node.airframe) + node.mimo.sleep_power
-                    + ris_power(node.ris)) / 60.0
+        equipment = small_scenario.equipment
+        led = one_station_day(equipment, 0.0, 5.0).ledgers[1]
+        expected = (uav_hover_power(equipment.airframe) + equipment.mimo.sleep_power
+                    + ris_power(equipment.ris)) / 60.0
         assert led["consumed_wh"][0, 0, 0] == pytest.approx(expected, rel=1e-12)
         assert not led["harvested_wh"].any()
-        assert led["mimo_wh"][0, 0, 0] == pytest.approx(node.mimo.sleep_power / 60.0)
-        assert led["soc_wh"][0, 0, 0] < node.battery.usable_capacity_wh
+        assert led["mimo_wh"][0, 0, 0] == pytest.approx(
+            equipment.mimo.sleep_power / 60.0)
+        assert led["soc_wh"][0, 0, 0] < equipment.battery.usable_capacity_wh
 
     def test_without_res_harvest_is_zero(self, small_scenario):
-        pair = one_station_day(small_scenario.nodes[0], 800.0, 20.0, 40.0, 3)
+        pair = one_station_day(small_scenario.equipment, 800.0, 20.0, 40.0, 3)
         assert not pair.ledgers[0]["harvested_wh"].any()
         assert (pair.ledgers[1]["harvested_wh"] > 0.0).all()
 
     def test_constant_draw_day_sums_exactly(self, small_scenario):
-        node = small_scenario.nodes[0]
-        power_w = (uav_hover_power(node.airframe)
-                   + mimo_power(node.mimo, True, 2, 34.0) + ris_power(node.ris))
-        pair = one_station_day(node, 0.0, 5.0, 34.0, 2)
+        equipment = small_scenario.equipment
+        power_w = (uav_hover_power(equipment.airframe)
+                   + mimo_power(equipment.mimo, True, 2, 34.0)
+                   + ris_power(equipment.ris))
+        pair = one_station_day(equipment, 0.0, 5.0, 34.0, 2)
         assert pair.consumed_wh[0, 0] == pytest.approx(24.0 * power_w, rel=1e-9)
         assert pair.swaps[0, 0, 0] == math.floor(
-            24.0 * power_w / node.battery.usable_capacity_wh)
+            24.0 * power_w / equipment.battery.usable_capacity_wh)
 
 
 class TestRunSimulation:
@@ -140,7 +143,8 @@ class TestRunSimulation:
 
         monkeypatch.setattr(engine, "pv_power", counted)
         scenario = scenario_from_dict(config)
-        network = network_config(scenario.nodes, {}, {})  # every cell asleep
+        network = network_config(scenario.nodes, {}, {},  # every cell asleep
+                                 scenario.equipment)
         pair = run_network(scenario, synth_study_series(scenario, seed=3), 3,
                            network=network)
         assert len(pair.node_ids) == n_nodes
@@ -153,6 +157,22 @@ class TestRunSimulation:
         assert no_solar["soc_wh"].strides[0] == 0
         assert [no_solar[name].strides[:2] for name in (
             "harvested_wh", "pv_used_wh", "pv_wasted_wh", "drawn_wh")] == [(0, 0)] * 4
+
+    def test_scenario_equipment_reaches_designer_and_engine(self,
+                                                            small_scenario):
+        # two users: at least two of the four cells sleep
+        equipment = Equipment(mimo=MimoSpec(sleep_power=7.0),
+                              battery=BatterySpec(capacity_wh=900.0))
+        scenario = dataclasses.replace(small_scenario, user_count=2,
+                                       equipment=equipment)
+        pair = run_pair(scenario, synth_study_series(scenario, seed=11), 11)
+        sleeping = [i for i, cell in enumerate(pair.network.cells)
+                    if not cell.active]
+        assert len(sleeping) >= 2
+        assert all(pair.network.power_w[i][1] == 7.0 for i in sleeping)
+        assert (pair.ledgers[1]["mimo_wh"][..., sleeping] == 7.0 / 60.0).all()
+        assert pair.usable_capacity_wh == equipment.battery.usable_capacity_wh
+        verify_conservation(pair)
 
     def test_weather_gap_refused(self, small_scenario):
         series = synth_study_series(small_scenario, seed=3)
@@ -178,8 +198,7 @@ class TestRunSimulation:
         assert with_res[1].sum() < no_res[1].sum()
 
     def test_conservation(self, small_pair):
-        assert (small_pair.usable_capacity_wh
-                == BatterySpec().usable_capacity_wh).all()
+        assert small_pair.usable_capacity_wh == BatterySpec().usable_capacity_wh
         verify_conservation(small_pair)
 
     def test_consumption_independent_of_weather_without_res(self, small_pair):
@@ -194,7 +213,8 @@ class TestRunSimulation:
         per_step = small_pair.ledgers[0]["consumed_wh"]
         nodes = sorted(small_scenario.nodes, key=lambda n: n.node_id)
         for i, node in enumerate(nodes):
-            draw_w = sum(station_power_w(node, cells[node.node_id].tx_power_dbm,
+            draw_w = sum(station_power_w(small_scenario.equipment,
+                                         cells[node.node_id].tx_power_dbm,
                                          served[node.node_id]))
             # the engine scales each term by 1/60 before adding, so the
             # two sides are a few roundings apart
@@ -203,7 +223,7 @@ class TestRunSimulation:
     def test_peak_harvest_bounded_by_panel_physics(self, small_scenario, small_pair):
         from solarran.energy import pv_power
         series = synth_study_series(small_scenario, seed=11)
-        pv = small_scenario.nodes[0].pv
+        pv = small_scenario.equipment.pv
         physical_max = pv_power(pv, series.ghi_wm2, series.temp_c).max()
         assert small_pair.peak_pv_w[1].max() <= physical_max + 1e-9
 
@@ -216,36 +236,20 @@ class TestStepErrors:
         # only node 2 serves; every station's battery holds more than a
         # sleeping station's one-minute draw and less than node 2's
         network = network_config(small_scenario.nodes, {2: 34.0},
-                                 {0: (2, 1, 1), 1: (2, 1, 1)})
+                                 {0: (2, 1, 1), 1: (2, 1, 1)},
+                                 small_scenario.equipment)
         sleeping_wh, active_wh = (sum(network.power_w[i]) / 60.0 for i in (0, 2))
         assert sleeping_wh < active_wh
         reserve = BatterySpec().flight_reserve
         battery = BatterySpec(
             capacity_wh=(sleeping_wh + active_wh) / 2 / (1.0 - reserve))
         assert sleeping_wh < battery.usable_capacity_wh < active_wh
-        scenario = dataclasses.replace(small_scenario, nodes=tuple(
-            dataclasses.replace(n, battery=battery) for n in small_scenario.nodes))
+        scenario = dataclasses.replace(small_scenario, equipment=dataclasses.replace(
+            small_scenario.equipment, battery=battery))
         series = synth_study_series(scenario, seed=3)
         with pytest.raises(ParameterError,
                            match=r"node_id=2: step demand .* one battery"):
             run_network(scenario, series, 3, network=network)
-
-    @pytest.mark.parametrize("part,spec", [
-        ("pv", PvSpec(rated_power=60.0)),
-        ("battery", BatterySpec(capacity_wh=900.0)),
-    ], ids=["mixed_panel", "mixed_battery"])
-    def test_mixed_equipment_refused(self, small_scenario, part, spec):
-        # nodes 1 and 3 differ from node 0; listed in reverse, the first in
-        # node-id order is still the one named
-        nodes = tuple(dataclasses.replace(n, **{part: spec})
-                      if n.node_id in (1, 3) else n
-                      for n in reversed(small_scenario.nodes))
-        scenario = dataclasses.replace(small_scenario, nodes=nodes)
-        series = synth_study_series(scenario, seed=3)
-        with pytest.raises(ValueError, match=r"node_id=1's panel or battery "
-                                             r"differs from node_id=0's"):
-            run_network(scenario, series, 3, network=designed(small_scenario, 3))
-
 
     @pytest.mark.parametrize("nodes", [
         lambda nodes: nodes[:3],
@@ -327,8 +331,8 @@ class TestVerifyConservation:
         # E/U a whole number k: k or k - 1 swaps are both accepted, as in
         # criterion 4; a larger window keeps every SOC inside its bound
         e = small_pair.consumed_wh[0, 0]
-        k = math.floor(e / small_pair.usable_capacity_wh[0])
-        cap = small_pair.usable_capacity_wh.copy()
+        k = math.floor(e / small_pair.usable_capacity_wh)
+        cap = np.full(len(small_pair.node_ids), small_pair.usable_capacity_wh)
         cap[0] = e / k
         swaps = small_pair.swaps.copy()
         swaps[0, 0, 0], swaps[0, 1, 0] = k, k - 1
@@ -344,7 +348,7 @@ class TestVerifyConservation:
 
     @pytest.mark.parametrize("arm", [0, 1])
     def test_swaps_must_match_the_ledger_counter(self, small_pair, arm):
-        cap = small_pair.usable_capacity_wh.copy()
+        cap = np.full(len(small_pair.node_ids), small_pair.usable_capacity_wh)
         if arm == 0:  # E/U a whole number k: the closed form lets k - 1 pass
             cap[2] = small_pair.consumed_wh[3, 2] / small_pair.swaps[0, 3, 2]
         bad = _with_total(small_pair, "swaps", (arm, 3, 2), -1)
@@ -379,7 +383,7 @@ def _fake_pair(seed, swaps_per_day, harvested=0.0, pv_used=0.0,
 
     return PairResult(
         seed=seed, network=None, node_ids=(0,),
-        usable_capacity_wh=np.array([BatterySpec().usable_capacity_wh]),
+        usable_capacity_wh=BatterySpec().usable_capacity_wh,
         consumed_wh=np.full((4, 1), consumed),
         harvested_wh=arms(0.0, harvested), pv_used_wh=arms(0.0, pv_used),
         pv_wasted_wh=arms(0.0, 0.0),
@@ -413,7 +417,7 @@ class TestComputeMetrics:
 
     def test_one_season_per_day(self, small_scenario):
         with pytest.raises(ValueError, match="1 days for 4 seasons"):
-            compute_metrics([one_station_day(small_scenario.nodes[0])])
+            compute_metrics([one_station_day(small_scenario.equipment)])
 
     def test_metrics_against_real_pair(self, small_pair):
         metrics = compute_metrics([small_pair])

@@ -14,8 +14,8 @@ from hypothesis import given, settings, strategies as st
 from reference_engine import reference_step
 
 from solarran.design import network_config
-from solarran.energy import (BatterySpec, PvSpec, UavAirframe, mimo_power,
-                             pv_power, ris_power, uav_hover_power)
+from solarran.energy import (BatterySpec, Equipment, PvSpec, UavAirframe,
+                             mimo_power, pv_power, ris_power, uav_hover_power)
 from solarran.engine import LEDGER_COLUMNS, run_network
 from solarran.radio import Position
 from solarran.scenario import (MINUTES_PER_DAY, AccessNode, Scenario,
@@ -32,28 +32,29 @@ def reference_run(scenario, series, network, with_res):
     served = Counter(nid for nid, _, _ in network.users.values())
     cells = {c.node_id: c for c in network.cells}
     nodes = sorted(scenario.nodes, key=lambda n: n.node_id)
+    equipment = scenario.equipment
     n_days = len(scenario.dates)
     rows = np.zeros((len(series), len(nodes), len(LEDGER_COLUMNS)))
     totals = np.zeros((len(DAY_TOTALS), n_days, len(nodes)))
     for i, node in enumerate(nodes):
         cell = cells[node.node_id]
         hover, mimo, ris = (w * HOURS for w in (
-            uav_hover_power(node.airframe),
-            mimo_power(node.mimo, cell.active, served[node.node_id],
+            uav_hover_power(equipment.airframe),
+            mimo_power(equipment.mimo, cell.active, served[node.node_id],
                        cell.tx_power_dbm if cell.active else 0.0),
-            ris_power(node.ris)))
+            ris_power(equipment.ris)))
         demand = hover + mimo + ris
         # one panel call per station over the whole series
-        pv_w = (pv_power(node.pv, series.ghi_wm2, series.temp_c) if with_res
+        pv_w = (pv_power(equipment.pv, series.ghi_wm2, series.temp_c) if with_res
                 else np.zeros(len(series))).tolist()
-        cap, swaps = node.battery.usable_capacity_wh, 0
+        cap, swaps = equipment.battery.usable_capacity_wh, 0
         for day in range(n_days):
             soc, at_start = cap, swaps
             sums, peak = [0.0] * 4, 0.0
             for t in range(day * MINUTES_PER_DAY, (day + 1) * MINUTES_PER_DAY):
                 harvested = pv_w[t] * HOURS
                 soc, swaps, used, wasted, drawn = reference_step(
-                    soc, swaps, cap, node.battery.charge_efficiency, demand,
+                    soc, swaps, cap, equipment.battery.charge_efficiency, demand,
                     harvested)
                 flows = (demand, harvested, used, wasted)
                 sums = [s + f for s, f in zip(sums, flows)]
@@ -85,29 +86,29 @@ def scenarios(draw):
     ids = draw(st.lists(st.integers(0, 50), min_size=n_nodes,
                         max_size=n_nodes, unique=True))
     unit = st.floats(0.0, 1.0)
-    # a network's stations share one panel and one battery; each has its
-    # own airframe, and so its own draw
+    # a scenario's stations share one equipment record; each draws by its
+    # own cell's level and users
     pv = PvSpec(rated_power=draw(st.sampled_from([0.0, 60.0, 120.0, 2000.0])),
                 derating_factor=0.5 + 0.5 * draw(unit),
                 temp_coeff=-0.01 * draw(unit))
     battery = BatterySpec(capacity_wh=50.0 + 1450.0 * draw(unit),
                           charge_efficiency=0.5 + 0.5 * draw(unit),
                           flight_reserve=0.02 + 0.2 * draw(unit))
+    airframe = UavAirframe(total_mass=0.5 + 4.5 * draw(unit),
+                           rotor_count=draw(st.integers(2, 8)),
+                           rotor_radius=0.1 + 0.4 * draw(unit))
+    equipment = Equipment(airframe=airframe, pv=pv, battery=battery)
     nodes, levels, users = [], {}, {}
     for nid in ids:
-        airframe = UavAirframe(total_mass=0.5 + 4.5 * draw(unit),
-                               rotor_count=draw(st.integers(2, 8)),
-                               rotor_radius=0.1 + 0.4 * draw(unit))
-        nodes.append(AccessNode(node_id=nid, position=Position(0.0, 0.0, 50.0),
-                                airframe=airframe, pv=pv, battery=battery))
+        nodes.append(AccessNode(node_id=nid, position=Position(0.0, 0.0, 50.0)))
         if draw(st.booleans()):
             levels[nid] = draw(st.sampled_from([28.0, 34.0, 40.0]))
             for _ in range(draw(st.integers(0, 6))):
                 users[len(users)] = (nid, 1, 1)
     n_days = draw(st.integers(1, 2))
     dates = tuple(datetime.date(2022, 6, 21 + d) for d in range(n_days))
-    scenario = Scenario(nodes=tuple(nodes), dates=dates)
-    network = network_config(nodes, levels, users)
+    scenario = Scenario(nodes=tuple(nodes), equipment=equipment, dates=dates)
+    network = network_config(nodes, levels, users, equipment)
 
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n_steps = n_days * MINUTES_PER_DAY

@@ -149,7 +149,7 @@ class TestLoadConfig:
         import solarran
         sc = load_config(solarran.example_config_path())
         assert len(sc.nodes) == 9
-        assert sc.nodes[0].airframe.total_mass == pytest.approx(2.396)
+        assert sc.equipment.airframe.total_mass == pytest.approx(2.396)
 
     def test_bundled_example_is_written_out_in_full(self):
         import solarran
