@@ -275,10 +275,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     try:
         nodes, users, scenario = _load_instance(args.instance)
         # the exhaustive search goes first: it refuses oversized instances
-        args = (scenario.radio, scenario.dl_rate_mbps, scenario.ul_rate_mbps,
-                scenario.equipment)
-        brute = brute_force_design(nodes, users, *args)
-        greedy = greedy_design(nodes, users, *args)
+        inputs = (nodes, users, scenario.radio, scenario.dl_rate_mbps,
+                  scenario.ul_rate_mbps, scenario.equipment)
+        brute = brute_force_design(*inputs)
+        greedy = greedy_design(*inputs)
     except (ConfigError, InstanceTooLargeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
