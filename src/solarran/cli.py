@@ -110,7 +110,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             write_metrics_json(metrics, scenario_echo(scenario), seeds,
                                stage / "metrics.json")
             write_summary_csv(metrics, stage / "summary.csv")
-            write_timeseries_csvs(series_sums / runs, SEASONS, stage)
+            write_timeseries_csvs(series_sums / runs, stage)
         print(f"{runs} run pair(s), seeds {seeds[0]}..{seeds[-1]}, "
               f"{len(scenario.nodes)} stations, {scenario.user_count} users")
         print(format_summary_table(metrics))

@@ -236,8 +236,8 @@ def greedy_design(nodes: Sequence[AccessNode], users: Sequence[UserTerminal],
                 admitted = _first_fit(fit_rows[r], capacity, taken)
                 key = None
                 if admitted:
-                    added_power = (mimo_power(mimo, True, len(admitted),
-                                              levels_dbm[lvl]) - mimo.sleep_power)
+                    added_power = (mimo_power(mimo, levels_dbm[lvl],
+                                              len(admitted)) - mimo.sleep_power)
                     key = (-len(admitted), added_power, node_list[n].node_id)
                     admits[r, admitted] = True
                 scored[r] = (key, admitted)

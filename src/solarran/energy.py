@@ -216,17 +216,17 @@ def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
 
-def mimo_power(spec: MimoSpec, active: bool, served_users: int,
-               tx_power_dbm: float) -> float:
-    """Transceiver power [W] for one cell.
+def mimo_power(spec: MimoSpec, tx_power_dbm: Optional[float],
+               served_users: int) -> float:
+    """Transceiver power [W] of one cell at tx_power_dbm, None if it sleeps.
 
     Active cells pay the fixed share, circuit power per antenna, processing
     power per served user, and the radiated power scaled by amplifier
-    efficiency. Inactive cells idle at sleep_power. tx_power_dbm is not
-    bounded here: the designer takes it from the power ladder, whose top
-    entry is the transceiver maximum.
+    efficiency. A sleeping cell idles at sleep_power; served_users is not
+    read. tx_power_dbm is not bounded here: the designer takes it from the
+    power ladder, whose top entry is the transceiver maximum.
     """
-    if not active:
+    if tx_power_dbm is None:
         return spec.sleep_power
     if served_users < 0:
         raise ParameterError(f"served_users must be >= 0, got {served_users}")
@@ -239,8 +239,6 @@ def mimo_power(spec: MimoSpec, active: bool, served_users: int,
 def ris_power(spec: RisSpec) -> float:
     """Controller power [W] of the reflective surface: count times the
     per-element draw at the configured phase resolution."""
-    if spec.element_count == 0:
-        return 0.0
     return spec.element_count * RIS_ELEMENT_POWER[spec.phase_bits]
 
 
@@ -258,11 +256,9 @@ class Equipment:
 def station_power_w(equipment: Equipment, tx_power_dbm: Optional[float],
                     served_users: int) -> tuple[float, float, float]:
     """Hover, transceiver and reflective-surface draw [W] of one station;
-    tx_power_dbm is None for a sleeping cell, as in design.CellConfig."""
-    active = tx_power_dbm is not None
+    tx_power_dbm is None for a sleeping cell, as in mimo_power."""
     return (uav_hover_power(equipment.airframe),
-            mimo_power(equipment.mimo, active, served_users,
-                       tx_power_dbm if active else 0.0),
+            mimo_power(equipment.mimo, tx_power_dbm, served_users),
             ris_power(equipment.ris))
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Annotated, Callable
+from typing import Annotated
 
 import numpy as np
 
@@ -142,9 +142,7 @@ def checked_xyz(points, name: str) -> np.ndarray:
 
 
 def link_table(node_xyz, user_xyz, params: RadioParams, dl_rate_mbps: float,
-               ul_rate_mbps: float, *,
-               fallback: Callable[..., tuple[bool, int, int]] = _scalar_link
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+               ul_rate_mbps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every (node, user, power level) link of a network, one power level
     at a time.
 
@@ -154,10 +152,10 @@ def link_table(node_xyz, user_xyz, params: RadioParams, dl_rate_mbps: float,
     counts as whole float64 numbers. Each entry equals _scalar_link's
     answer for that link. A coordinate outside COORD_M, NaN included, is
     refused with ValueError by checked_xyz. Entries near a boundary are
-    recomputed by fallback (called like _scalar_link): an SNR within
-    BOUNDARY_RTOL of min_snr_db, a ceil argument within BOUNDARY_RTOL of a
-    whole number, a non-finite value, a spectral efficiency below SE_FLOOR,
-    a negative rate.
+    recomputed by _scalar_link, read from this module at each call so that
+    it can be patched or wrapped: an SNR within BOUNDARY_RTOL of
+    min_snr_db, a ceil argument within BOUNDARY_RTOL of a whole number, a
+    non-finite value, a spectral efficiency below SE_FLOOR, a negative rate.
     """
     node_xyz = checked_xyz(node_xyz, "node")
     user_xyz = checked_xyz(user_xyz, "user")
@@ -213,7 +211,7 @@ def link_table(node_xyz, user_xyz, params: RadioParams, dl_rate_mbps: float,
             guard[..., k] = near
             del snr_db, near
     for n, u, lvl in zip(*np.nonzero(guard)):
-        feasible[n, u, lvl], prbs_dl[n, u, lvl], prbs_ul[n, u, lvl] = fallback(
+        feasible[n, u, lvl], prbs_dl[n, u, lvl], prbs_ul[n, u, lvl] = _scalar_link(
             Position(*node_xyz[n].tolist()), Position(*user_xyz[u].tolist()),
             levels[lvl], params, dl_rate_mbps, ul_rate_mbps)
     return feasible, prbs_dl, prbs_ul

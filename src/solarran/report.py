@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .engine import LEDGER_COLUMNS, PairResult, StudyMetrics
-from .scenario import MINUTES_PER_DAY, Scenario, WeatherSeries
+from .scenario import MINUTES_PER_DAY, SEASONS, Scenario, WeatherSeries
 
 SUMMARY_HEADER = ("season,total_harvest_wh,peak_harvest_w,arec_percent,"
                   "anuc_no_res,anuc_with_res")
@@ -151,11 +151,11 @@ def timeseries_rows(pair: PairResult, weather: WeatherSeries) -> np.ndarray:
                      led["harvested_wh"].mean(axis=2) * 60.0])
 
 
-def write_timeseries_csvs(means: np.ndarray, season_names: Sequence[str],
-                          out_dir: Path) -> None:
-    """Per-season minute profiles from the run means of timeseries_rows:
-    GHI, and state of charge and panel output averaged over stations."""
-    for day, name in enumerate(season_names):
+def write_timeseries_csvs(means: np.ndarray, out_dir: Path) -> None:
+    """timeseries_<season>.csv for each of SEASONS, the names of the dates
+    in order: GHI, and state of charge and panel output averaged over
+    stations, from the run means of timeseries_rows."""
+    for day, name in enumerate(SEASONS):
         with open(out_dir / f"timeseries_{name}.csv", "w", encoding="utf-8",
                   newline="\n") as fh:
             fh.write("minute,mean_ghi_wm2,mean_soc_wh,mean_pv_w\n")

@@ -49,6 +49,7 @@ MAX_USER_COUNT = 1_000_000
 # Highest rate of a terminal [Mbit/s]: a terabit per second, beyond any
 # terminal; with the radio bounds it keeps every block count finite.
 MAX_RATE_MBPS = 1e6
+NODE_ID = np.iinfo(np.int64)  # the ledgers hold node ids as int64
 
 SEASONS = ("spring", "summer", "autumn", "winter")
 
@@ -372,6 +373,9 @@ def scenario_from_dict(raw: dict) -> Scenario:
         if not nodes:
             raise ConfigError("nodes.layout must list at least one station")
         for i, node in enumerate(nodes):
+            if not NODE_ID.min <= node.node_id <= NODE_ID.max:
+                raise ConfigError(f"nodes.layout[{i}].id must be in [{NODE_ID.min}, "
+                                  f"{NODE_ID.max}], got {node.node_id}")
             x, y = node.position.x, node.position.y
             if not (0 <= x <= width and 0 <= y <= height):
                 raise ConfigError(f"nodes.layout[{i}] at ({x}, {y}) is outside "

@@ -76,8 +76,8 @@ def reference_greedy(nodes: Sequence[AccessNode], users: Sequence[UserTerminal],
                                            unassigned, params.total_prbs)
                 if not admitted:
                     continue
-                added_power = (mimo_power(equipment.mimo, True, len(admitted),
-                                          level) - equipment.mimo.sleep_power)
+                added_power = (mimo_power(equipment.mimo, level, len(admitted))
+                               - equipment.mimo.sleep_power)
                 key = (-len(admitted), added_power, node.node_id)
                 if best_key is None or key < best_key:
                     best_key = key

@@ -120,9 +120,9 @@ def test_criterion_1_conservation_suite():
         for _ in range(int(rng.integers(30, 80))):
             active = bool(rng.integers(0, 2))
             users = int(rng.integers(0, 8)) if active else 0
-            level = float(rng.choice([28.0, 34.0, 40.0])) if active else 0.0
+            level = float(rng.choice([28.0, 34.0, 40.0])) if active else None
             demand = (uav_hover_power(equipment.airframe) + ris_power(equipment.ris)
-                      + mimo_power(equipment.mimo, active, users, level)) / 60.0
+                      + mimo_power(equipment.mimo, level, users)) / 60.0
             harvested = (pv_power(equipment.pv, float(rng.uniform(0, 1100)),
                                   float(rng.uniform(-15, 35))) / 60.0
                          if rng.integers(0, 2) else 0.0)

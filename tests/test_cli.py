@@ -397,6 +397,10 @@ class TestSimulate:
          '"2022-09-23"]}}',
          "simulation.dates must be 4 distinct dates, got ['2022-03-20', "
          "'2022-03-20', '2022-06-21', '2022-09-23']"),
+        ('{"nodes": {"layout": [{"id": 9223372036854775808, "x": 100, "y": 100}]},'
+         ' "users": {"count": 5}}',
+         "nodes.layout[0].id must be in [-9223372036854775808, "
+         "9223372036854775807], got 9223372036854775808"),
     ], ids=["empty_layout", "nan", "infinity", "overflow", "huge_area",
             "huge_altitude", "stc_zero", "stc_negative", "stc_cell_temp",
             "ris_negative", "max_tx", "hover_overflow", "huge_capacity",
@@ -408,7 +412,7 @@ class TestSimulate:
             "zero_se_cap", "huge_total_prbs", "huge_power_level",
             "negative_reference_loss", "huge_dl_rate", "huge_user_count",
             "empty_power_levels", "huge_rotor_radius", "thin_air",
-            "repeated_date"])
+            "repeated_date", "int64_overflowing_layout_id"])
     def test_rejected_config_exits_2(self, tmp_path, capsys, text, named):
         config = tmp_path / "bad.json"
         config.write_text(text)

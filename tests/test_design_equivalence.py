@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import candidate_links
 from reference_design import reference_candidates, reference_greedy
 from reference_radio import link_feasible
-from solarran import design
+from solarran import design, radio
 from solarran.design import greedy_design
 from solarran.radio import MAX_TOTAL_PRBS, Position, RadioParams, link_table
 from solarran.scenario import (AccessNode, Scenario, UserTerminal,
@@ -78,9 +78,10 @@ def link_instances(draw):
     return nodes, users, params, draw(rate), draw(rate)
 
 
-def assert_default_fallback_matches(node, user, params, dl, ul):
-    """link_table's own boundary recompute, its default fallback, gives
-    link_feasible's answer at every level of one link."""
+def assert_scalar_link_matches(node, user, params, dl, ul):
+    """link_table's own boundary recompute, the unpatched
+    radio._scalar_link, gives link_feasible's answer at every level of one
+    link."""
     feasible, prbs_dl, prbs_ul = link_table([node], [user], params, dl, ul)
     for lvl, level in enumerate(params.power_levels_dbm):
         want = link_feasible(Position(*node), Position(*user), level, params,
@@ -107,7 +108,7 @@ def test_link_table_matches_link_feasible(instance):
                 assert (prbs_dl[n, u, lvl], prbs_ul[n, u, lvl]) == want[1:]
 
 
-def test_whole_block_demand_goes_to_the_scalar_path():
+def test_whole_block_demand_goes_to_the_scalar_path(monkeypatch):
     # colocated: the SE cap holds at every level, and the ceil arguments sit
     # one ulp above 12 and 3 blocks, where numpy and math could round apart
     calls = []
@@ -117,16 +118,18 @@ def test_whole_block_demand_goes_to_the_scalar_path():
         return link_feasible(*args)
 
     dl, ul = block_rate_mbps(PARAMS, 12), block_rate_mbps(PARAMS, 3)
-    feasible, prbs_dl, prbs_ul = link_table([(0.0, 0.0, 50.0)], [(0.0, 0.0, 50.0)],
-                                            PARAMS, dl, ul, fallback=fallback)
+    with monkeypatch.context() as patch:
+        patch.setattr(radio, "_scalar_link", fallback)
+        feasible, prbs_dl, prbs_ul = link_table(
+            [(0.0, 0.0, 50.0)], [(0.0, 0.0, 50.0)], PARAMS, dl, ul)
     assert calls == list(PARAMS.power_levels_dbm)
     want = link_feasible(Position(0, 0, 50), Position(0, 0, 50), 40.0, PARAMS, dl, ul)
     assert want == (True, 13, 4)
     assert (bool(feasible[0, 0, 2]), int(prbs_dl[0, 0, 2]), int(prbs_ul[0, 0, 2])) == want
-    assert_default_fallback_matches((0.0, 0.0, 50.0), (0.0, 0.0, 50.0), PARAMS, dl, ul)
+    assert_scalar_link_matches((0.0, 0.0, 50.0), (0.0, 0.0, 50.0), PARAMS, dl, ul)
 
 
-def test_snr_edge_goes_to_the_scalar_path():
+def test_snr_edge_goes_to_the_scalar_path(monkeypatch):
     calls = []
 
     def fallback(*args):
@@ -134,21 +137,41 @@ def test_snr_edge_goes_to_the_scalar_path():
         return link_feasible(*args)
 
     edge = snr_edge_m(PARAMS, 34.0)
-    link_table([(0.0, 0.0, 0.0)], [(edge, 0.0, 0.0)], PARAMS, 20.0, 5.0,
-               fallback=fallback)
+    with monkeypatch.context() as patch:
+        patch.setattr(radio, "_scalar_link", fallback)
+        link_table([(0.0, 0.0, 0.0)], [(edge, 0.0, 0.0)], PARAMS, 20.0, 5.0)
     assert calls == [34.0]
-    assert_default_fallback_matches((0.0, 0.0, 0.0), (edge, 0.0, 0.0), PARAMS, 20.0, 5.0)
+    assert_scalar_link_matches((0.0, 0.0, 0.0), (edge, 0.0, 0.0), PARAMS, 20.0, 5.0)
 
 
-def test_ordinary_links_stay_on_the_array_path():
+def test_ordinary_links_stay_on_the_array_path(monkeypatch):
     calls = []
     sc = Scenario()
     users = place_users(sc, 42)
+    monkeypatch.setattr(radio, "_scalar_link",
+                        lambda *args: calls.append(args) or link_feasible(*args))
     link_table([(n.position.x, n.position.y, n.position.z) for n in sc.nodes],
                [(u.position.x, u.position.y, u.position.z) for u in users],
-               sc.radio, sc.dl_rate_mbps, sc.ul_rate_mbps,
-               fallback=lambda *args: calls.append(args) or link_feasible(*args))
+               sc.radio, sc.dl_rate_mbps, sc.ul_rate_mbps)
     assert calls == []
+
+
+def test_wrapped_scalar_link_counts_the_greedy_recomputes(monkeypatch):
+    # a counter wrapped around the module attribute, as a tracer wraps it,
+    # sees the colocated 12+3-block link recomputed at every level
+    dl, ul = block_rate_mbps(PARAMS, 12), block_rate_mbps(PARAMS, 3)
+    args = ([AccessNode(0, Position(0.0, 0.0, 50.0))],
+            [UserTerminal(0, Position(0.0, 0.0, 50.0))], PARAMS, dl, ul)
+    want = greedy_design(*args)
+    unwrapped, calls = radio._scalar_link, []
+
+    def counted(*link):
+        calls.append(link)
+        return unwrapped(*link)
+
+    monkeypatch.setattr(radio, "_scalar_link", counted)
+    assert greedy_design(*args) == want
+    assert len(calls) == len(PARAMS.power_levels_dbm)
 
 
 def test_negative_rate_refused_like_the_scalar_path():

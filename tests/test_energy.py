@@ -84,29 +84,31 @@ class TestRange:
 
 class TestMimoPower:
     def test_inactive_is_sleep_power(self):
-        assert mimo_power(MimoSpec(), False, 0, 0.0) == 5.0
+        spec = MimoSpec()
+        assert mimo_power(spec, None, 0) == 5.0
+        assert mimo_power(spec, None, 10) == spec.sleep_power
 
     def test_no_users_no_radiated(self):
         spec = MimoSpec(fixed_power=20.0, per_antenna_circuit_power=1.5,
                         antenna_count=64)
-        assert mimo_power(spec, True, 0, -math.inf) == pytest.approx(116.0)
+        assert mimo_power(spec, -math.inf, 0) == pytest.approx(116.0)
 
     def test_loaded_cell(self):
         spec = MimoSpec(fixed_power=20.0, per_antenna_circuit_power=1.5,
                         antenna_count=64, per_user_processing_power=0.3,
                         pa_efficiency=0.3)
         # 20 + 96 + 3 + 10/0.3
-        assert mimo_power(spec, True, 10, 40.0) == pytest.approx(
+        assert mimo_power(spec, 40.0, 10) == pytest.approx(
             152.33333333333334, rel=1e-12)
 
     def test_strictly_increasing_in_users_and_power(self):
         spec = MimoSpec()
-        assert mimo_power(spec, True, 5, 30.0) > mimo_power(spec, True, 4, 30.0)
-        assert mimo_power(spec, True, 5, 34.0) > mimo_power(spec, True, 5, 28.0)
+        assert mimo_power(spec, 30.0, 5) > mimo_power(spec, 30.0, 4)
+        assert mimo_power(spec, 34.0, 5) > mimo_power(spec, 28.0, 5)
 
     def test_pure(self):
         spec = MimoSpec()
-        assert mimo_power(spec, True, 7, 34.0) == mimo_power(spec, True, 7, 34.0)
+        assert mimo_power(spec, 34.0, 7) == mimo_power(spec, 34.0, 7)
 
 
 class TestRisPower:

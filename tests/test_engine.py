@@ -72,7 +72,7 @@ class TestStep:
     def test_constant_draw_day_sums_exactly(self, small_scenario):
         equipment = small_scenario.equipment
         power_w = (uav_hover_power(equipment.airframe)
-                   + mimo_power(equipment.mimo, True, 2, 34.0)
+                   + mimo_power(equipment.mimo, 34.0, 2)
                    + ris_power(equipment.ris))
         pair = one_station_day(equipment, 0.0, 5.0, 34.0, 2)
         assert pair.consumed_wh[0, 0] == pytest.approx(24.0 * power_w, rel=1e-9)

@@ -40,8 +40,7 @@ def reference_run(scenario, series, network, with_res):
         cell = cells[node.node_id]
         hover, mimo, ris = (w * HOURS for w in (
             uav_hover_power(equipment.airframe),
-            mimo_power(equipment.mimo, cell.active, served[node.node_id],
-                       cell.tx_power_dbm if cell.active else 0.0),
+            mimo_power(equipment.mimo, cell.tx_power_dbm, served[node.node_id]),
             ris_power(equipment.ris)))
         demand = hover + mimo + ris
         # one panel call per station over the whole series

@@ -258,6 +258,17 @@ class TestNonFiniteConfig:
         with pytest.raises(ConfigError, match=r"ids must be distinct, got \[3, 3\]"):
             scenario_from_dict({"nodes": {"layout": layout}})
 
+    def test_layout_ids_at_both_int64_ends_accepted(self):
+        ends = [-2**63, 2**63 - 1]
+        layout = [{"id": i, "x": 10.0, "y": 10.0} for i in ends]
+        sc = scenario_from_dict({"nodes": {"layout": layout}})
+        assert [node.node_id for node in sc.nodes] == ends
+        with pytest.raises(ConfigError, match=re.escape(
+                "nodes.layout[1].id must be in [-9223372036854775808, "
+                "9223372036854775807], got -9223372036854775809")):
+            scenario_from_dict({"nodes": {"layout": [
+                layout[1], {"id": -2**63 - 1, "x": 10.0, "y": 10.0}]}})
+
     def test_layout_entry_without_coordinate_rejected(self):
         with pytest.raises(ConfigError,
                            match=r"^nodes\.layout\[0\]: missing key 'y'$"):
