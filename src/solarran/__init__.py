@@ -10,8 +10,8 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from .design import (CellConfig, InstanceTooLargeError, NetworkConfig,
                      brute_force_design, greedy_design, network_config)
 from .energy import (BatterySpec, Equipment, MimoSpec, ParameterError, PvSpec,
-                     RisSpec, UavAirframe, cell_temperature, mimo_power,
-                     pv_power, ris_power, station_power_w, uav_hover_power)
+                     RisSpec, UavAirframe, mimo_power, pv_power, ris_power,
+                     station_power_w, uav_hover_power)
 from .engine import (PairResult, SeasonStats, SimulationError, StudyMetrics,
                      compute_metrics, run_network, run_pair,
                      verify_conservation)

@@ -84,7 +84,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         scenario = load_config(args.config)
         runs = scenario.run_count if args.runs is None else args.runs
         SCALARS["run_count"][1].check("--runs", runs, ConfigError)
-        Range(0).check("--seed", args.seed, ConfigError)
+        # every run's seed, args.seed + run index, is a u64
+        Range(0, 2**64 - runs).check("--seed", args.seed, ConfigError)
 
         csv_weather = None
         if args.weather != "synth":
@@ -107,7 +108,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 pairs.append(pair)
                 series_sums = series_sums + rows
             metrics = compute_metrics(pairs)
-            write_metrics_json(metrics, scenario_echo(scenario), seeds,
+            write_metrics_json(metrics, scenario_echo(scenario),
                                stage / "metrics.json")
             write_summary_csv(metrics, stage / "summary.csv")
             write_timeseries_csvs(series_sums / runs, stage)

@@ -14,9 +14,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Annotated, NamedTuple, Optional, get_type_hints
+from typing import TYPE_CHECKING, Annotated, NamedTuple, Optional, get_type_hints
 
 import numpy as np
+
+if TYPE_CHECKING:  # scenario imports this module
+    from .scenario import WeatherSeries
 
 STANDARD_GRAVITY = 9.80665  # m/s^2
 
@@ -56,7 +59,8 @@ class ParameterError(ValueError):
 class Range(NamedTuple):
     """The interval a number must lie in, from lo to hi (unbounded above
     when hi is None), each end closed unless marked open; check tests a
-    value, refusing NaN, and str() gives the text of its message."""
+    value, refusing NaN, and str() gives the text of its message, with an
+    int end in full and a float end to 15 significant digits."""
 
     lo: float
     hi: Optional[float] = None
@@ -64,10 +68,12 @@ class Range(NamedTuple):
     hi_open: bool = False
 
     def __str__(self) -> str:
+        lo, hi = (f"{end:.15g}" if isinstance(end, float) else str(end)
+                  for end in (self.lo, self.hi))
         if self.hi is None:
-            return f"{'>' if self.lo_open else '>='} {self.lo:.15g}"
-        return (f"in {'(' if self.lo_open else '['}{self.lo:.15g}, "
-                f"{self.hi:.15g}{')' if self.hi_open else ']'}")
+            return f"{'>' if self.lo_open else '>='} {lo}"
+        return (f"in {'(' if self.lo_open else '['}{lo}, "
+                f"{hi}{')' if self.hi_open else ']'}")
 
     def check(self, name: str, value, error: type = ParameterError) -> None:
         """Raise error, naming name, unless value lies in this range."""
@@ -262,21 +268,15 @@ def station_power_w(equipment: Equipment, tx_power_dbm: Optional[float],
             ris_power(equipment.ris))
 
 
-def cell_temperature(ambient_c, ghi_wm2, noct_c: float):
-    """Panel cell temperature [degC] from ambient and irradiance via the
-    NOCT linear model: T_cell = T_ambient + GHI * (NOCT - 20) / 800."""
-    if np.any(ghi_wm2 < 0):
-        raise ParameterError(f"ghi must be >= 0, got {np.min(ghi_wm2)}")
-    return ambient_c + ghi_wm2 * (noct_c - 20.0) / 800.0
-
-
-def pv_power(spec: PvSpec, ghi_wm2, ambient_c):
-    """Panel output [W]: rated power scaled by derating, by irradiance
-    relative to STC, and by the temperature coefficient, floored at zero.
-    Takes floats, or one array entry per minute as the engine passes them."""
-    t_cell = cell_temperature(ambient_c, ghi_wm2, spec.noct)
+def pv_power(spec: PvSpec, weather: WeatherSeries) -> np.ndarray:
+    """Panel output [W] of each minute of weather, whose GHI is never
+    negative: rated power scaled by derating, by irradiance relative to STC
+    and by the temperature coefficient at the NOCT model's cell temperature,
+    T_cell = T_ambient + GHI * (NOCT - 20) / 800, floored at zero."""
+    ghi = weather.ghi_wm2
+    t_cell = weather.temp_c + ghi * (spec.noct - 20.0) / 800.0
     out = (spec.rated_power * spec.derating_factor
-           * (ghi_wm2 / STC_IRRADIANCE)
+           * (ghi / STC_IRRADIANCE)
            * (1.0 + spec.temp_coeff * (t_cell - STC_CELL_TEMP)))
-    # max(0.0, out) for floats and arrays: NaN and -0.0 become 0.0 (not fmax)
-    return np.where(out > 0.0, out, 0.0)[()]
+    # max(0.0, out) per minute: NaN and -0.0 become 0.0 (not fmax)
+    return np.where(out > 0.0, out, 0.0)

@@ -130,7 +130,7 @@ def run_network(scenario: Scenario, weather: WeatherSeries, seed: int,
     # panel output is the same at every station, so it is held once
     shape = (1 + n_days, MINUTES_PER_DAY, n_nodes)
     harvested = np.zeros((1 + n_days, MINUTES_PER_DAY, 1))
-    harvested[1:] = (pv_power(pv, weather.ghi_wm2, weather.temp_c)
+    harvested[1:] = (pv_power(pv, weather)
                      * hours).reshape(n_days, MINUTES_PER_DAY, 1)
     charge = harvested * battery.charge_efficiency
 

@@ -22,15 +22,14 @@ from __future__ import annotations
 import dataclasses
 import json
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
-from .engine import LEDGER_COLUMNS, PairResult, StudyMetrics
+from .engine import LEDGER_COLUMNS, PairResult, SeasonStats, StudyMetrics
 from .scenario import MINUTES_PER_DAY, SEASONS, Scenario, WeatherSeries
 
-SUMMARY_HEADER = ("season,total_harvest_wh,peak_harvest_w,arec_percent,"
-                  "anuc_no_res,anuc_with_res")
+SUMMARY_HEADER = ",".join(["season",
+                           *(f.name for f in dataclasses.fields(SeasonStats))])
 # Rows the ledger writer formats at once, rounded down to whole minutes. One
 # chunk's text is a default study's memory peak: 8,192 rows joined at once
 # raised its peak RSS by 1.4 MiB, while 4,096 rows cost no time.
@@ -53,10 +52,11 @@ def scenario_echo(scenario: Scenario) -> dict:
 
 
 def write_metrics_json(metrics: StudyMetrics, config_echo: dict,
-                       seeds: Sequence[int], path: Path) -> None:
+                       path: Path) -> None:
+    """metrics.json: the config echo, each run's seed and the metrics."""
     payload = {
         "config": config_echo,
-        "seeds": list(seeds),
+        "seeds": [run["seed"] for run in metrics.per_run],
         "metrics": metrics.to_dict(),
     }
     path.write_text(json.dumps(payload, indent=2, sort_keys=True,

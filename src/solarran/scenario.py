@@ -49,7 +49,13 @@ MAX_USER_COUNT = 1_000_000
 # Highest rate of a terminal [Mbit/s]: a terabit per second, beyond any
 # terminal; with the radio bounds it keeps every block count finite.
 MAX_RATE_MBPS = 1e6
-NODE_ID = np.iinfo(np.int64)  # the ledgers hold node ids as int64
+NODE_ID = Range(-2**63, 2**63 - 1)  # the ledgers hold ids as int64; ends print in full
+# Largest draw [W] any design may give a station. A day's running sum of
+# 1,440 equal draws of D Wh is off by up to about 1,440^2 * eps * D, within
+# verify_conservation's day tolerance of 1e-9 Wh a minute while D is below
+# about 3e3 Wh a minute (190 kW); 1e5 W keeps a margin and is about 300
+# times the default scenario's largest draw.
+MAX_STATION_DRAW_W = 1e5
 
 SEASONS = ("spring", "summer", "autumn", "winter")
 
@@ -373,9 +379,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
         if not nodes:
             raise ConfigError("nodes.layout must list at least one station")
         for i, node in enumerate(nodes):
-            if not NODE_ID.min <= node.node_id <= NODE_ID.max:
-                raise ConfigError(f"nodes.layout[{i}].id must be in [{NODE_ID.min}, "
-                                  f"{NODE_ID.max}], got {node.node_id}")
+            NODE_ID.check(f"nodes.layout[{i}].id", node.node_id, ConfigError)
             x, y = node.position.x, node.position.y
             if not (0 <= x <= width and 0 <= y <= height):
                 raise ConfigError(f"nodes.layout[{i}] at ({x}, {y}) is outside "
@@ -396,6 +400,17 @@ def scenario_from_dict(raw: dict) -> Scenario:
             f"{battery.flight_reserve} leaves {battery.usable_capacity_wh:.4g} Wh "
             f"usable, less than one minute of a station's least draw, "
             f"{least_wh * 60.0:.5g} W or {least_wh:.4g} Wh a minute")
+    # the most is hover, surface and a cell at the top of the ladder serving
+    # every user
+    top = radio.power_levels_dbm[-1]
+    user_count = values.get("user_count", Scenario.user_count)
+    most_w = sum(station_power_w(equipment, top, user_count))
+    if most_w > MAX_STATION_DRAW_W:
+        raise ConfigError(
+            f"a station's largest draw, {most_w:.5g} W from the airframe, mimo "
+            f"and ris sections at radio.power_levels_dbm {top:g} dBm serving all "
+            f"users.count {user_count}, is above {MAX_STATION_DRAW_W:g} W, beyond "
+            f"which day totals cannot be checked against the ledger")
 
     sim = doc.get("simulation", {})
     if "dates" in sim:

@@ -27,7 +27,8 @@ from solarran.engine import compute_metrics, run_pair
 from solarran.radio import RadioParams
 from solarran.report import (scenario_echo, write_ledger_csv,
                              write_metrics_json, write_summary_csv)
-from solarran.scenario import SEASONS, scenario_from_dict, synth_study_series
+from solarran.scenario import (SEASONS, WeatherSeries, scenario_from_dict,
+                               synth_study_series)
 
 MASTER_SEED = 42
 
@@ -61,9 +62,7 @@ def test_default_study_golden_bytes(default_study, tmp_path):
     """The README study's metrics, summary and first pair's ledgers keep
     their bytes across code versions."""
     scenario, pairs, metrics, _ = default_study
-    write_metrics_json(metrics, scenario_echo(scenario),
-                       [MASTER_SEED + r for r in range(len(pairs))],
-                       tmp_path / "metrics.json")
+    write_metrics_json(metrics, scenario_echo(scenario), tmp_path / "metrics.json")
     write_summary_csv(metrics, tmp_path / "summary.csv")
     write_ledger_csv(pairs[0].ledgers[1], tmp_path / "ledger_0_pv.csv")
     write_ledger_csv(pairs[0].ledgers[0], tmp_path / "ledger_0_nopv.csv")
@@ -123,8 +122,9 @@ def test_criterion_1_conservation_suite():
             level = float(rng.choice([28.0, 34.0, 40.0])) if active else None
             demand = (uav_hover_power(equipment.airframe) + ris_power(equipment.ris)
                       + mimo_power(equipment.mimo, level, users)) / 60.0
-            harvested = (pv_power(equipment.pv, float(rng.uniform(0, 1100)),
-                                  float(rng.uniform(-15, 35))) / 60.0
+            harvested = (pv_power(equipment.pv,
+                                  WeatherSeries([rng.uniform(0, 1100)],
+                                                [rng.uniform(-15, 35)]))[0] / 60.0
                          if rng.integers(0, 2) else 0.0)
             prev_swaps = swaps
             soc, swaps, pv_used, _, drawn = reference_step(
@@ -223,13 +223,15 @@ def test_criterion_5_pv_model():
     irradiance on 1000 random points."""
     spec = PvSpec()
     # forcing the cell to 25 degC under 1000 W/m2 returns rated * derating
-    assert pv_power(spec, 1000.0, -6.25) == spec.rated_power * spec.derating_factor
-    assert pv_power(spec, 0.0, 17.0) == 0.0
+    stc, dark = pv_power(spec, WeatherSeries([1000.0, 0.0], [-6.25, 17.0]))
+    assert stc == spec.rated_power * spec.derating_factor
+    assert dark == 0.0
     rng = np.random.default_rng(5005)
     for _ in range(1000):
         ambient = float(rng.uniform(-20, 40))
         g1, g2 = sorted(rng.uniform(0, 1200, size=2))
-        assert pv_power(spec, float(g1), ambient) <= pv_power(spec, float(g2), ambient)
+        lo, hi = pv_power(spec, WeatherSeries([g1, g2], [ambient, ambient]))
+        assert lo <= hi
     print("\nCRITERION 5 PASS: STC exact, dark exact, monotone on 1000 points")
 
 

@@ -19,7 +19,9 @@ import solarran.cli as cli
 import solarran.engine as engine
 from solarran.cli import main
 from solarran.design import network_config
-from solarran.scenario import load_weather_csv
+from solarran.energy import station_power_w
+from solarran.scenario import (MAX_STATION_DRAW_W, load_weather_csv,
+                               scenario_from_dict)
 
 TINY_CONFIG = {
     "area": {"width_m": 1200.0, "height_m": 1200.0},
@@ -401,6 +403,15 @@ class TestSimulate:
          ' "users": {"count": 5}}',
          "nodes.layout[0].id must be in [-9223372036854775808, "
          "9223372036854775807], got 9223372036854775808"),
+        ('{"nodes": {"layout": [{"id": 0, "x": 1500, "y": 1500}]}, '
+         '"mimo": {"fixed_power": 2e6}, "battery": {"capacity_wh": 1e9}, '
+         '"simulation": {"runs": 1}}',
+         "a station's largest draw, 2.0003e+06 W from the airframe, mimo and ris "
+         "sections at radio.power_levels_dbm 40 dBm serving all users.count 100, "
+         "is above 100000 W"),
+        ('{"mimo": {"fixed_power": 1e7}, "battery": {"capacity_wh": 1e9}, '
+         '"simulation": {"runs": 1}}',
+         "a station's largest draw, 1e+07 W"),
     ], ids=["empty_layout", "nan", "infinity", "overflow", "huge_area",
             "huge_altitude", "stc_zero", "stc_negative", "stc_cell_temp",
             "ris_negative", "max_tx", "hover_overflow", "huge_capacity",
@@ -412,7 +423,8 @@ class TestSimulate:
             "zero_se_cap", "huge_total_prbs", "huge_power_level",
             "negative_reference_loss", "huge_dl_rate", "huge_user_count",
             "empty_power_levels", "huge_rotor_radius", "thin_air",
-            "repeated_date", "int64_overflowing_layout_id"])
+            "repeated_date", "int64_overflowing_layout_id",
+            "one_station_2e6_fixed_power", "grid_1e7_fixed_power"])
     def test_rejected_config_exits_2(self, tmp_path, capsys, text, named):
         config = tmp_path / "bad.json"
         config.write_text(text)
@@ -421,6 +433,45 @@ class TestSimulate:
         assert rc == 2
         assert named in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [config]
+
+    def test_station_at_the_draw_bound_runs(self, tmp_path):
+        # one station whose largest draw is MAX_STATION_DRAW_W, the most a
+        # scenario may load, steps four days and passes verify_conservation
+        config = {"nodes": {"layout": [{"id": 0, "x": 1500, "y": 1500}]},
+                  "battery": {"capacity_wh": 1e9}, "simulation": {"runs": 1}}
+        scenario = scenario_from_dict({**config, "mimo": {"fixed_power": 0}})
+        rest_w = sum(station_power_w(scenario.equipment,
+                                     scenario.radio.power_levels_dbm[-1],
+                                     scenario.user_count))
+        config["mimo"] = {"fixed_power": MAX_STATION_DRAW_W - rest_w}
+        path = tmp_path / "bound.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["simulate", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 0
+        metrics = json.loads((tmp_path / "out" / "metrics.json").read_text())
+        consumed = metrics["metrics"]["per_run"][0]["seasons"]["summer"]["consumed_wh"]
+        assert consumed > 0.99 * MAX_STATION_DRAW_W * 24
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--runs", "0"], "--runs must be >= 1, got 0"),
+        (["--seed", "-1"], "--seed must be in [0, 18446744073709551615], got -1"),
+        (["--seed", str(2**64 - 1), "--runs", "2"],
+         "--seed must be in [0, 18446744073709551614], got 18446744073709551615"),
+    ], ids=["zero_runs", "negative_seed", "u64_overflow"])
+    def test_out_of_range_flag_exits_2(self, tmp_path, capsys, flags, named):
+        out = tmp_path / "out"
+        rc = main(["simulate", "--config", str(write_tiny_config(tmp_path)),
+                   "--out", str(out), *flags])
+        assert rc == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_largest_u64_seed_runs(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(write_tiny_config(tmp_path)),
+                     "--out", str(out), "--seed", str(2**64 - 1)]) == 0
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert metrics["seeds"] == [2**64 - 1]
 
     @pytest.mark.parametrize("text, path", [
         ('{"area": {"width_m": NaN}}', "area.width_m: non-finite number NaN"),

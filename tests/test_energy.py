@@ -9,9 +9,9 @@ from hypothesis import example, given, strategies as st
 from reference_engine import reference_step
 
 from solarran.energy import (BatterySpec, Equipment, MimoSpec, ParameterError,
-                             PvSpec, Range, RisSpec, UavAirframe,
-                             cell_temperature, mimo_power, pv_power, ris_power,
-                             uav_hover_power)
+                             PvSpec, Range, RisSpec, UavAirframe, mimo_power,
+                             pv_power, ris_power, uav_hover_power)
+from solarran.scenario import WeatherSeries
 
 # Frozen reference values, evaluated by hand with an independent calculator.
 HOVER_REF_AIRFRAME = UavAirframe(total_mass=2.0, rotor_count=4, rotor_radius=0.2,
@@ -72,7 +72,10 @@ class TestRange:
         (Range(0, 1, lo_open=True, hi_open=True), "in (0, 1)"),
         (Range(-0.01, 0), "in [-0.01, 0]"), (Range(0, 1e9), "in [0, 1000000000]"),
         (Range(1, 1_000_000), "in [1, 1000000]"),
-        (Range(0, 1e7, lo_open=True), "in (0, 10000000]")])
+        (Range(0, 1e7, lo_open=True), "in (0, 10000000]"),
+        # an int end prints every digit, a float end 15 significant ones
+        (Range(-2**63, 2**63 - 1), "in [-9223372036854775808, 9223372036854775807]"),
+        (Range(0.1, 2.0**63), "in [0.1, 9.22337203685478e+18]")])
     def test_text(self, bounds, text):
         assert str(bounds) == text
 
@@ -128,52 +131,54 @@ class TestRisPower:
         assert ris_power(spec) == ris_power(spec)
 
 
-class TestCellTemperature:
-    def test_no_irradiance_equals_ambient(self):
-        assert cell_temperature(13.5, 0.0, 45.0) == 13.5
-
-    def test_hand_values(self):
-        assert cell_temperature(20.0, 800.0, 45.0) == pytest.approx(45.0)
-        assert cell_temperature(10.0, 400.0, 44.0) == pytest.approx(22.0)
+def pv_watts(spec: PvSpec, ghi: float, ambient: float) -> float:
+    """pv_power of a series of one minute."""
+    (watts,) = pv_power(spec, WeatherSeries([ghi], [ambient]))
+    return watts
 
 
 class TestPvPower:
     def test_dark_panel_is_off(self):
-        assert pv_power(PvSpec(), 0.0, 25.0) == 0.0
+        assert pv_watts(PvSpec(), 0.0, 25.0) == 0.0
+        assert pv_watts(PvSpec(noct=99.0), 0.0, 13.5) == 0.0
 
     def test_stc_identity_exact(self):
         # ambient chosen so the cell sits exactly at 25 degC under 1000 W/m2
         spec = PvSpec(rated_power=120.0, derating_factor=0.9, noct=45.0)
-        assert pv_power(spec, 1000.0, -6.25) == 108.0
+        assert pv_watts(spec, 1000.0, -6.25) == 108.0
+
+    def test_cell_at_stc_temperature(self):
+        # the cell warms by GHI * (NOCT - 20) / 800 over ambient: at 800 W/m2
+        # by 25 degC, at 400 W/m2 and NOCT 44 by 12 degC, so both cells sit
+        # at 25 degC and only irradiance scales the derated rating
+        assert pv_watts(PvSpec(noct=45.0), 800.0, 0.0) == 108.0 * (800.0 / 1000.0)
+        assert pv_watts(PvSpec(noct=44.0), 400.0, 13.0) == 108.0 * (400.0 / 1000.0)
 
     def test_hand_value(self):
         spec = PvSpec(rated_power=120.0, derating_factor=0.9,
                       temp_coeff=-0.0035, noct=45.0)
-        assert pv_power(spec, 800.0, 20.0) == pytest.approx(80.352, rel=1e-12)
+        assert pv_watts(spec, 800.0, 20.0) == pytest.approx(80.352, rel=1e-12)
+        # a cell at 22 degC gains 0.35% per degree below 25
+        assert pv_watts(PvSpec(noct=44.0), 400.0, 10.0) == pytest.approx(
+            43.6536, rel=1e-12)
 
     @given(g1=st.floats(0.0, 1200.0), g2=st.floats(0.0, 1200.0),
            ambient=st.floats(-20.0, 40.0))
     def test_monotone_in_irradiance(self, g1, g2, ambient):
-        spec = PvSpec()
-        lo, hi = sorted((g1, g2))
-        assert pv_power(spec, lo, ambient) <= pv_power(spec, hi, ambient)
+        lo, hi = pv_power(PvSpec(), WeatherSeries(sorted((g1, g2)), [ambient] * 2))
+        assert lo <= hi
 
-    @given(st.lists(st.tuples(st.one_of(st.just(0.0), st.floats(0.0, 1500.0)),
-                              st.floats(-40.0, 400.0)), min_size=1, max_size=40),
+    @given(st.lists(st.tuples(st.one_of(st.just(0.0), st.floats(0.0, 2000.0)),
+                              st.floats(-100.0, 100.0)), min_size=1, max_size=40),
            st.sampled_from([-0.0035, -0.01]))
-    @example([(0.0, 20.0), (800.0, 25.0), (1000.0, 300.0)], -0.01)
+    @example([(0.0, 20.0), (800.0, 25.0), (2000.0, 100.0)], -0.01)
     def test_array_call_is_the_float_calls(self, weather, temp_coeff):
-        # what the engine computes per station equals the float model per
-        # minute, bit for bit; hot cells floor the output to 0
+        # what the engine computes for a whole series equals the series of
+        # each minute alone, bit for bit; hot cells floor the output to 0
         spec = PvSpec(temp_coeff=temp_coeff)
-        ghi, temp = (np.array(column) for column in zip(*weather))
-        per_minute = [pv_power(spec, g, t) for g, t in weather]
-        assert (pv_power(spec, ghi, temp).view(np.int64)
-                == np.array(per_minute).view(np.int64)).all()
-
-    def test_negative_irradiance_rejected(self):
-        with pytest.raises(ParameterError):
-            pv_power(PvSpec(), -1.0, 20.0)
+        per_minute = [pv_watts(spec, g, t) for g, t in weather]
+        whole = pv_power(spec, WeatherSeries(*zip(*weather)))
+        assert (whole.view(np.int64) == np.array(per_minute).view(np.int64)).all()
 
 
 class TestBatteryStep:

@@ -224,7 +224,7 @@ class TestRunSimulation:
         from solarran.energy import pv_power
         series = synth_study_series(small_scenario, seed=11)
         pv = small_scenario.equipment.pv
-        physical_max = pv_power(pv, series.ghi_wm2, series.temp_c).max()
+        physical_max = pv_power(pv, series).max()
         assert small_pair.peak_pv_w[1].max() <= physical_max + 1e-9
 
 

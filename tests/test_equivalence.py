@@ -44,7 +44,7 @@ def reference_run(scenario, series, network, with_res):
             ris_power(equipment.ris)))
         demand = hover + mimo + ris
         # one panel call per station over the whole series
-        pv_w = (pv_power(equipment.pv, series.ghi_wm2, series.temp_c) if with_res
+        pv_w = (pv_power(equipment.pv, series) if with_res
                 else np.zeros(len(series))).tolist()
         cap, swaps = equipment.battery.usable_capacity_wh, 0
         for day in range(n_days):

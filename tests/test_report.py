@@ -274,7 +274,7 @@ def test_metrics_json_refuses_non_finite_numbers(tmp_path):
     metrics = StudyMetrics(season_names=("spring",), seasons={"spring": stats},
                            mean=stats, per_run=[])
     with pytest.raises(ValueError, match="not JSON compliant"):
-        write_metrics_json(metrics, {}, [42], tmp_path / "metrics.json")
+        write_metrics_json(metrics, {}, tmp_path / "metrics.json")
 
 
 def test_metrics_json_refuses_objects_json_cannot_encode(tmp_path):
@@ -284,4 +284,4 @@ def test_metrics_json_refuses_objects_json_cannot_encode(tmp_path):
                            mean=stats, per_run=[])
     with pytest.raises(TypeError, match="date is not JSON serializable"):
         write_metrics_json(metrics, {"dates": [datetime.date(2022, 3, 20)]},
-                           [42], tmp_path / "metrics.json")
+                           tmp_path / "metrics.json")

@@ -17,7 +17,8 @@ from solarran.cli import main
 from solarran.design import greedy_design
 from solarran.energy import declared_ranges
 from solarran.scenario import (CONFIG_SCHEMA, EQUIPMENT, EXTENT_M, MAX_GHI_WM2,
-                               MAX_TEMP_C, MIN_TEMP_C, SCALARS, ConfigError,
+                               MAX_STATION_DRAW_W, MAX_TEMP_C, MIN_TEMP_C,
+                               SCALARS, ConfigError,
                                Scenario,
                                WeatherError, WeatherSeries, load_config,
                                load_weather_csv, place_users, scenario_from_dict,
@@ -78,7 +79,10 @@ def test_declared_bounds_at_their_edges(section, key, bounds, kind):
     for value, in_range in _edges(bounds, entry):
         raw = {section: {key: value if entry is kind else [value]}}
         if in_range:
-            scenario_from_dict(raw)
+            try:
+                scenario_from_dict(raw)
+            except ConfigError as exc:  # in range, but a station draws too much
+                assert f"is above {MAX_STATION_DRAW_W:g} W" in str(exc)
             continue
         with pytest.raises(ConfigError) as info:
             scenario_from_dict(raw)
