@@ -137,6 +137,16 @@ def pv_watts(spec: PvSpec, ghi: float, ambient: float) -> float:
     return watts
 
 
+class TestCellTemperature:
+    def test_no_irradiance_equals_ambient(self):
+        # the cell warms by GHI * (NOCT - 20) / 800, so as GHI vanishes the
+        # output per W/m2 tends, whatever the NOCT, to that of a cell at the
+        # ambient 13.5 degC: 120 * 0.9 / 1000 * (1 + 0.0035 * 11.5)
+        for noct in (45.0, 99.0):
+            assert pv_watts(PvSpec(noct=noct), 1e-6, 13.5) / 1e-6 == pytest.approx(
+                0.112347, rel=1e-8)
+
+
 class TestPvPower:
     def test_dark_panel_is_off(self):
         assert pv_watts(PvSpec(), 0.0, 25.0) == 0.0
