@@ -82,16 +82,18 @@ def _build_parser() -> argparse.ArgumentParser:
 def cmd_simulate(args: argparse.Namespace) -> int:
     try:
         scenario = load_config(args.config)
-        runs = scenario.run_count if args.runs is None else args.runs
-        SCALARS["run_count"][1].check("--runs", runs, ConfigError)
+        if args.runs is not None:
+            SCALARS["run_count"][1].check("--runs", args.runs, ConfigError)
+            scenario = dataclasses.replace(scenario, run_count=args.runs)
         # every run's seed, args.seed + run index, is a u64
-        Range(0, 2**64 - runs).check("--seed", args.seed, ConfigError)
+        Range(0, 2**64 - scenario.run_count).check("--seed", args.seed,
+                                                   ConfigError)
 
         csv_weather = None
         if args.weather != "synth":
             csv_weather = load_weather_csv(args.weather, expected_dates=scenario.dates)
 
-        seeds = [args.seed + r for r in range(runs)]
+        seeds = [args.seed + r for r in range(scenario.run_count)]
         out_dir = Path(args.out)
         # the study publishes a directory there: refuse before any pair runs
         found = next(p for p in (out_dir, *out_dir.parents) if p.exists())
@@ -111,8 +113,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             write_metrics_json(metrics, scenario_echo(scenario),
                                stage / "metrics.json")
             write_summary_csv(metrics, stage / "summary.csv")
-            write_timeseries_csvs(series_sums / runs, stage)
-        print(f"{runs} run pair(s), seeds {seeds[0]}..{seeds[-1]}, "
+            write_timeseries_csvs(series_sums / scenario.run_count, stage)
+        print(f"{scenario.run_count} run pair(s), seeds {seeds[0]}..{seeds[-1]}, "
               f"{len(scenario.nodes)} stations, {scenario.user_count} users")
         print(format_summary_table(metrics))
         print(f"outputs in {out_dir}")

@@ -9,6 +9,7 @@ brute_force_design is the exhaustive reference for small instances.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -309,15 +310,10 @@ def brute_force_design(nodes: Sequence[AccessNode],
                     if costs[n][k][u] <= params.total_prbs]
                    for u in range(n_users)]
 
-        memo: dict[tuple[int, tuple[int, ...]], int] = {}
-
+        @functools.cache
         def coverage(i: int, caps: tuple[int, ...]) -> int:
             if i == n_users:
                 return 0
-            key = (i, caps)
-            hit = memo.get(key)
-            if hit is not None:
-                return hit
             best_here = coverage(i + 1, caps)
             for idx, _, cost, _, _ in options[i]:
                 if caps[idx] >= cost:
@@ -327,7 +323,6 @@ def brute_force_design(nodes: Sequence[AccessNode],
                         best_here = got
                         if best_here == n_users - i:
                             break
-            memo[key] = best_here
             return best_here
 
         caps = tuple(params.total_prbs for _ in on)

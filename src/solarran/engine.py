@@ -16,7 +16,7 @@ for bit to a scalar reference stepped per station and minute
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -35,7 +35,7 @@ CONSERVATION_TOL_WH = 1e-9
 
 
 class SimulationError(RuntimeError):
-    """A step failed; the message carries the minute and node involved."""
+    """A pair failed a check; the message names the arm and any day and node."""
 
 
 @dataclass
@@ -146,13 +146,6 @@ def run_network(scenario: Scenario, weather: WeatherSeries, seed: int,
         np.add(now, cap, out=now, where=swap)
         level = now
 
-    over = np.argwhere(soc[:, :-1] > cap + 1e-12)
-    if len(over):
-        row, minute, i = over[0]
-        t = max(row - 1, 0) * MINUTES_PER_DAY + minute + 1
-        raise SimulationError(f"step failed at t={t}, node_id={node_ids[i]}: soc "
-                              f"{soc[row, minute, i]} above usable capacity {cap}")
-
     pv_used = np.where(demand < accepted, demand, accepted)
     pv_wasted = charge - accepted
     arms = np.array([[0] * n_days, range(1, n_days + 1)])  # (arm, day) -> row
@@ -204,17 +197,21 @@ class StudyMetrics:
     arec_percent: share of consumption offset by harvested energy,
     100 * sum(pv_used) / sum(consumed), averaged over runs.
     anuc_*: battery swaps per station per day, averaged over runs and
-    stations, without and with the solar feed. ``mean`` is the arithmetic
-    mean of the four season rows.
+    stations, without and with the solar feed. ``seasons`` is in SEASONS
+    order and ``mean`` is the arithmetic mean of its rows.
     """
 
-    season_names: tuple[str, ...]
     seasons: dict[str, SeasonStats]
     mean: SeasonStats
     per_run: list[dict]
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "season_names": list(self.season_names)}
+        return {**asdict(self), "season_names": list(self.seasons)}
+
+
+def _arec_percent(used, consumed):
+    """AREC: 100 * used / consumed, and 0 where nothing was consumed."""
+    return 100 * used / np.where(consumed > 0, consumed, np.inf)
 
 
 def compute_metrics(pairs: Sequence[PairResult]) -> StudyMetrics:
@@ -222,43 +219,35 @@ def compute_metrics(pairs: Sequence[PairResult]) -> StudyMetrics:
     days are the SEASONS in order."""
     if not pairs:
         raise ValueError("no run pairs supplied")
-    n_days = len(pairs[0].consumed_wh)
-    if n_days != len(SEASONS):
+    if (n_days := len(pairs[0].consumed_wh)) != len(SEASONS):
         raise ValueError(f"{n_days} days for {len(SEASONS)} seasons")
 
-    seasons: dict[str, SeasonStats] = {}
-    per_run: list[dict] = [{"run": r, "seed": pair.seed, "seasons": {}}
-                           for r, pair in enumerate(pairs)]
+    def by_day(reduce, name, arm=1):
+        # (day, run): name in arm (all of consumed_wh) reduced over stations;
+        # each day's row is contiguous, so its run mean adds pairwise, as
+        # np.mean of a list of floats does
+        return np.stack([reduce(getattr(p, name)[arm], axis=1) for p in pairs],
+                        axis=1)
 
-    for day, name in enumerate(SEASONS):
-        harvest_means = []
-        peak = 0.0
-        for run, pair in zip(per_run, pairs):
-            harvest_means.append(float(np.mean(pair.harvested_wh[1, day])))
-            peak = max(peak, float(np.max(pair.peak_pv_w[1, day])))
-            consumed = float(np.sum(pair.consumed_wh[day]))
-            used = float(np.sum(pair.pv_used_wh[1, day]))
-            run["seasons"][name] = {
-                "consumed_wh": consumed,
-                "harvested_wh": float(np.sum(pair.harvested_wh[1, day])),
-                "pv_used_wh": used,
-                "pv_wasted_wh": float(np.sum(pair.pv_wasted_wh[1, day])),
-                "arec_percent": 100.0 * used / consumed if consumed > 0 else 0.0,
-                "anuc_no_res": float(np.mean(pair.swaps[0, day])),
-                "anuc_with_res": float(np.mean(pair.swaps[1, day])),
-            }
-        rows = [run["seasons"][name] for run in per_run]
-        seasons[name] = SeasonStats(
-            total_harvest_wh=float(np.mean(harvest_means)),
-            peak_harvest_w=peak,
-            **{key: float(np.mean([row[key] for row in rows]))
-               for key in ("arec_percent", "anuc_no_res", "anuc_with_res")})
-
-    mean = SeasonStats(**{f.name: float(np.mean([getattr(s, f.name)
-                                                  for s in seasons.values()]))
-                          for f in fields(SeasonStats)})
-    return StudyMetrics(season_names=SEASONS, seasons=seasons, mean=mean,
-                        per_run=per_run)
+    runs = {name: by_day(np.sum, name) for name in (
+        "harvested_wh", "pv_used_wh", "pv_wasted_wh")}
+    runs["consumed_wh"] = by_day(np.sum, "consumed_wh", ...)
+    runs["arec_percent"] = _arec_percent(runs["pv_used_wh"], runs["consumed_wh"])
+    runs["anuc_no_res"] = by_day(np.mean, "swaps", 0)
+    runs["anuc_with_res"] = by_day(np.mean, "swaps")
+    peak = by_day(np.max, "peak_pv_w").max(axis=1)
+    table = np.stack([by_day(np.mean, "harvested_wh").mean(axis=1),
+                      np.where(peak > 0.0, peak, 0.0),  # max(0.0, peak)
+                      *(runs[key].mean(axis=1) for key in (
+                          "arec_percent", "anuc_no_res", "anuc_with_res"))])
+    floats = {key: values.tolist() for key, values in runs.items()}
+    per_run = [{"run": r, "seed": pair.seed, "seasons": {
+        name: {key: values[day][r] for key, values in floats.items()}
+        for day, name in enumerate(SEASONS)}} for r, pair in enumerate(pairs)]
+    return StudyMetrics(  # table rows are SeasonStats fields, columns days
+        seasons={name: SeasonStats(*row)
+                 for name, row in zip(SEASONS, table.T.tolist())},
+        mean=SeasonStats(*table.mean(axis=1).tolist()), per_run=per_run)
 
 
 def _check_days(gap: np.ndarray, limit: float, what: str) -> None:
@@ -323,8 +312,7 @@ def _verify_arm(pair: PairResult, arm: int) -> None:
         _check_days(np.abs(sums[name][0] - sums[name][1]),
                     tol * led[name][0].size,
                     f"{name} day totals differ from the ledger")
-    # AREC as compute_metrics reports it: 100 * pv_used / consumed, else 0
-    arec = [100.0 * used / np.where(consumed > 0, consumed, np.inf)
+    arec = [_arec_percent(used, consumed)
             for used, consumed in zip(sums["pv_used_wh"], sums["consumed_wh"])]
     _check_days(np.abs(arec[0] - arec[1]), 1e-9,
                 "AREC from the ledger differs from the day totals' AREC")

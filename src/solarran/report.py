@@ -66,8 +66,7 @@ def write_metrics_json(metrics: StudyMetrics, config_echo: dict,
 def _summary_rows(metrics: StudyMetrics) -> list[tuple[str, ...]]:
     """The season rows and their mean: the name, then the SeasonStats
     fields in order with two decimals."""
-    rows = [(name, metrics.seasons[name]) for name in metrics.season_names]
-    rows.append(("mean", metrics.mean))
+    rows = [*metrics.seasons.items(), ("mean", metrics.mean)]
     return [(name, *(f"{v:.2f}" for v in dataclasses.astuple(s)))
             for name, s in rows]
 

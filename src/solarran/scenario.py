@@ -28,7 +28,7 @@ from typing import Optional, Sequence, get_args, get_origin, get_type_hints
 import numpy as np
 
 from .energy import Equipment, Range, station_power_w
-from .radio import MAX_COORD_M, Position, RadioParams
+from .radio import MAX_COORD_M, Position, RadioParams, link_table
 
 SOLAR_CONSTANT_WM2 = 1361.0
 ATMOSPHERIC_TRANSMITTANCE = 0.75
@@ -401,16 +401,27 @@ def scenario_from_dict(raw: dict) -> Scenario:
             f"usable, less than one minute of a station's least draw, "
             f"{least_wh * 60.0:.5g} W or {least_wh:.4g} Wh a minute")
     # the most is hover, surface and a cell at the top of the ladder serving
-    # every user
+    # every user it can: a served user takes a block for each rate that takes
+    # one on the best link, at the top level to a user at the station (a
+    # nonzero rate, unless its share of a block rounds to 0)
     top = radio.power_levels_dbm[-1]
     user_count = values.get("user_count", Scenario.user_count)
-    most_w = sum(station_power_w(equipment, top, user_count))
+    _, *best = link_table([(0.0, 0.0, 0.0)], [(0.0, 0.0, 0.0)], radio,
+                          *(values.get(rate, getattr(Scenario, rate))
+                            for rate in ("dl_rate_mbps", "ul_rate_mbps")))
+    blocks = sum(int(b[0, 0, -1] > 0) for b in best)
+    served = min(user_count, radio.total_prbs // blocks) if blocks else user_count
+    most_w = sum(station_power_w(equipment, top, served))
     if most_w > MAX_STATION_DRAW_W:
+        serving = (f"all users.count {user_count}" if served == user_count
+                   else f"{served} users, all that radio.total_prbs "
+                   f"{radio.total_prbs} fits at {blocks} "
+                   f"block{'s' * (blocks > 1)} a user")
         raise ConfigError(
             f"a station's largest draw, {most_w:.5g} W from the airframe, mimo "
-            f"and ris sections at radio.power_levels_dbm {top:g} dBm serving all "
-            f"users.count {user_count}, is above {MAX_STATION_DRAW_W:g} W, beyond "
-            f"which day totals cannot be checked against the ledger")
+            f"and ris sections at radio.power_levels_dbm {top:g} dBm serving "
+            f"{serving}, is above {MAX_STATION_DRAW_W:g} W, beyond which day "
+            f"totals cannot be checked against the ledger")
 
     sim = doc.get("simulation", {})
     if "dates" in sim:

@@ -466,6 +466,18 @@ class TestSimulate:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
+    def test_runs_flag_is_the_run_count_metrics_json_echoes(self, tmp_path,
+                                                              capsys):
+        # the config says 1 run; --runs 2 overrides it for the whole study
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(write_tiny_config(tmp_path)),
+                     "--out", str(out), "--runs", "2", "--seed", "5"]) == 0
+        payload = json.loads((out / "metrics.json").read_text())
+        assert payload["config"]["run_count"] == 2
+        assert payload["seeds"] == [5, 6]
+        assert [run["seed"] for run in payload["metrics"]["per_run"]] == [5, 6]
+        assert capsys.readouterr().out.startswith("2 run pair(s), seeds 5..6,")
+
     def test_largest_u64_seed_runs(self, tmp_path):
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(write_tiny_config(tmp_path)),

@@ -401,7 +401,7 @@ class TestComputeMetrics:
 
     def test_zero_harvest_means_zero_arec_and_equal_swaps(self):
         metrics = compute_metrics([_fake_pair(0, 9)])
-        for name in metrics.season_names:
+        for name in metrics.seasons:
             assert metrics.seasons[name].arec_percent == 0.0
             assert (metrics.seasons[name].anuc_with_res
                     == metrics.seasons[name].anuc_no_res)
@@ -421,7 +421,7 @@ class TestComputeMetrics:
 
     def test_metrics_against_real_pair(self, small_pair):
         metrics = compute_metrics([small_pair])
-        for name in metrics.season_names:
+        for name in metrics.seasons:
             s = metrics.seasons[name]
             assert 0.0 <= s.arec_percent <= 100.0
             assert s.anuc_with_res <= s.anuc_no_res

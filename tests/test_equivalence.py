@@ -1,22 +1,26 @@
 """The array recurrence of run_network against a loop of the scalar
-reference_step.
+reference_step, and compute_metrics against the season-by-run loop of
+reference_metrics.
 
 Every ledger column and every day-total array of both arms must be
-bit-identical to what the per-station, per-minute reference produces; no
-tolerance is allowed.
+bit-identical to what the per-station, per-minute reference produces, and
+every metric to what the loop produces; no tolerance is allowed.
 """
 
 import datetime
+import json
 from collections import Counter
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
-from reference_engine import reference_step
+from reference_engine import reference_metrics, reference_step
 
 from solarran.design import network_config
 from solarran.energy import (BatterySpec, Equipment, PvSpec, UavAirframe,
                              mimo_power, pv_power, ris_power, uav_hover_power)
-from solarran.engine import LEDGER_COLUMNS, run_network
+from solarran.engine import (LEDGER_COLUMNS, PairResult, compute_metrics,
+                             run_network)
 from solarran.radio import Position
 from solarran.scenario import (MINUTES_PER_DAY, AccessNode, Scenario,
                                WeatherSeries)
@@ -134,3 +138,38 @@ def test_array_recurrence_matches_scalar_step(case):
             got = getattr(pair, name)
             assert_bits_equal(got if name == "consumed_wh" else got[arm],
                               totals[name], (arm, name))
+
+
+def random_pairs(n_runs, n_stations, rng):
+    """n_runs pairs of random day totals for the four seasons. Run 0 has a
+    day that consumes nothing, and every run a day whose peaks are 0."""
+    def totals(scale, dtype=float):
+        return rng.uniform(0.0, scale, (2, 4, n_stations)).astype(dtype)
+
+    pairs = []
+    for run in range(n_runs):
+        consumed = rng.uniform(0.0, 2000.0, (4, n_stations))
+        if run == 0:
+            consumed[3] = 0.0
+        peak = totals(300.0)
+        peak[:, 3] = 0.0
+        pairs.append(PairResult(
+            seed=1000 + run, network=None, node_ids=tuple(range(n_stations)),
+            usable_capacity_wh=100.0, consumed_wh=consumed,
+            harvested_wh=totals(900.0), pv_used_wh=totals(800.0),
+            pv_wasted_wh=totals(100.0), swaps=totals(30.0, np.int64),
+            peak_pv_w=peak, ledgers=()))
+    return pairs
+
+
+@pytest.mark.parametrize("n_stations", [1, 49])
+@pytest.mark.parametrize("n_runs", [1, 9, 129])
+def test_metrics_match_season_run_loop(n_runs, n_stations):
+    # 9 and 129 runs reach numpy's pairwise summation, which sums 8 or more
+    # values in another order than a running sum; the goldens run 2 and 10
+    pairs = random_pairs(n_runs, n_stations,
+                         np.random.default_rng(n_runs * 100 + n_stations))
+    got = compute_metrics(pairs).to_dict()
+    # json text holds each float's repr, so equal text is equal bits
+    assert (json.dumps(got, sort_keys=True)
+            == json.dumps(reference_metrics(pairs), sort_keys=True))

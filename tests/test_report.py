@@ -271,7 +271,7 @@ def test_day_repeats_match_a_cell_by_cell_reference(tmp_path, monkeypatch):
 def test_metrics_json_refuses_non_finite_numbers(tmp_path):
     # json.dumps would write Infinity, which strict JSON parsers reject
     stats = SeasonStats(math.inf, 0.0, 0.0, 0.0, 0.0)
-    metrics = StudyMetrics(season_names=("spring",), seasons={"spring": stats},
+    metrics = StudyMetrics(seasons={"spring": stats},
                            mean=stats, per_run=[])
     with pytest.raises(ValueError, match="not JSON compliant"):
         write_metrics_json(metrics, {}, tmp_path / "metrics.json")
@@ -280,7 +280,7 @@ def test_metrics_json_refuses_non_finite_numbers(tmp_path):
 def test_metrics_json_refuses_objects_json_cannot_encode(tmp_path):
     # a date is not JSON; it must not be written as its str
     stats = SeasonStats(0.0, 0.0, 0.0, 0.0, 0.0)
-    metrics = StudyMetrics(season_names=("spring",), seasons={"spring": stats},
+    metrics = StudyMetrics(seasons={"spring": stats},
                            mean=stats, per_run=[])
     with pytest.raises(TypeError, match="date is not JSON serializable"):
         write_metrics_json(metrics, {"dates": [datetime.date(2022, 3, 20)]},

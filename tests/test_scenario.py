@@ -106,6 +106,30 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="users.count"):
             load_config(write_config(tmp_path, {"users": {"count": -1}}))
 
+    def test_largest_draw_counts_the_users_a_cell_fits(self):
+        # a served user takes a block for each nonzero rate, so a cell of
+        # 273 blocks serves at most 136 users at both rates, 273 at one
+        for users in ({"count": 400_000}, {"count": 1_000_000},
+                      {"count": 1_000_000, "dl_mbps": 0}):
+            scenario = scenario_from_dict({"users": users})
+            assert scenario.user_count == users["count"]
+        for users, per_user_w, serving in [
+                ({"count": 1_000_000, "dl_mbps": 0, "ul_mbps": 0}, None,
+                 "all users.count 1000000"),
+                ({"count": 1000}, 1000.0, "136 users, all that "
+                 "radio.total_prbs 273 fits at 2 blocks a user"),
+                ({"count": 1000, "ul_mbps": 0}, 1000.0, "273 users, all that "
+                 "radio.total_prbs 273 fits at 1 block a user"),
+                # at 5e-324 Mbit/s even the best link's share of a block
+                # rounds to 0: the rate takes no block and caps nothing
+                ({"count": 1000, "dl_mbps": 5e-324, "ul_mbps": 0}, 150.0,
+                 "all users.count 1000")]:
+            mimo = {} if per_user_w is None else {
+                "per_user_processing_power": per_user_w}
+            with pytest.raises(ConfigError, match=re.escape(
+                    f"dBm serving {serving}, is above 100000 W")):
+                scenario_from_dict({"users": users, "mimo": mimo})
+
     def test_extents_bounded_so_distances_stay_finite(self):
         widest = scenario_from_dict({"area": {"width_m": 1e7, "height_m": 1e7},
                                      "nodes": {"altitude_m": 1e7}})
