@@ -80,51 +80,44 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    try:
-        scenario = load_config(args.config)
-        if args.runs is not None:
-            SCALARS["run_count"][1].check("--runs", args.runs, ConfigError)
-            scenario = dataclasses.replace(scenario, run_count=args.runs)
-        # every run's seed, args.seed + run index, is a u64
-        Range(0, 2**64 - scenario.run_count).check("--seed", args.seed,
-                                                   ConfigError)
+    scenario = load_config(args.config)
+    if args.runs is not None:
+        SCALARS["run_count"][1].check("--runs", args.runs, ConfigError)
+        scenario = dataclasses.replace(scenario, run_count=args.runs)
+    # every run's seed, args.seed + run index, is a u64
+    Range(0, 2**64 - scenario.run_count).check("--seed", args.seed,
+                                               ConfigError)
 
-        csv_weather = None
-        if args.weather != "synth":
-            csv_weather = load_weather_csv(args.weather, expected_dates=scenario.dates)
+    csv_weather = None
+    if args.weather != "synth":
+        csv_weather = load_weather_csv(args.weather, expected_dates=scenario.dates)
 
-        seeds = [args.seed + r for r in range(scenario.run_count)]
-        out_dir = Path(args.out)
-        # the study publishes a directory there: refuse before any pair runs
-        found = next(p for p in (out_dir, *out_dir.parents) if p.exists())
-        if not found.is_dir():
-            raise ConfigError(f"--out {out_dir}: {found} is not a directory")
-        with _staged(out_dir) as stage:
-            pairs = []
-            series_sums = 0.0  # timeseries_rows summed in run order
-            for run_idx, seed in enumerate(seeds):
-                weather = (csv_weather if csv_weather is not None
-                           else synth_study_series(scenario, seed=seed))
-                pair, rows = _run_and_write(scenario, weather, seed,
-                                            stage, run_idx)
-                pairs.append(pair)
-                series_sums = series_sums + rows
-            metrics = compute_metrics(pairs)
-            write_metrics_json(metrics, scenario_echo(scenario),
-                               stage / "metrics.json")
-            write_summary_csv(metrics, stage / "summary.csv")
-            write_timeseries_csvs(series_sums / scenario.run_count, stage)
-        print(f"{scenario.run_count} run pair(s), seeds {seeds[0]}..{seeds[-1]}, "
-              f"{len(scenario.nodes)} stations, {scenario.user_count} users")
-        print(format_summary_table(metrics))
-        print(f"outputs in {out_dir}")
-        return EXIT_OK
-    except (ConfigError, WeatherError, ParameterError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except Exception as exc:  # noqa: BLE001 - report and signal failure
-        print(f"failure: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    seeds = [args.seed + r for r in range(scenario.run_count)]
+    out_dir = Path(args.out)
+    # the study publishes a directory there: refuse before any pair runs
+    found = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not found.is_dir():
+        raise ConfigError(f"--out {out_dir}: {found} is not a directory")
+    with _staged(out_dir) as stage:
+        pairs = []
+        series_sums = 0.0  # timeseries_rows summed in run order
+        for run_idx, seed in enumerate(seeds):
+            weather = (csv_weather if csv_weather is not None
+                       else synth_study_series(scenario, seed=seed))
+            pair, rows = _run_and_write(scenario, weather, seed,
+                                        stage, run_idx)
+            pairs.append(pair)
+            series_sums = series_sums + rows
+        metrics = compute_metrics(pairs)
+        write_metrics_json(metrics, scenario_echo(scenario),
+                           stage / "metrics.json")
+        write_summary_csv(metrics, stage / "summary.csv")
+        write_timeseries_csvs(series_sums / scenario.run_count, stage)
+    print(f"{scenario.run_count} run pair(s), seeds {seeds[0]}..{seeds[-1]}, "
+          f"{len(scenario.nodes)} stations, {scenario.user_count} users")
+    print(format_summary_table(metrics))
+    print(f"outputs in {out_dir}")
+    return EXIT_OK
 
 
 def _run_and_write(scenario: Scenario, weather: WeatherSeries, seed: int,
@@ -215,23 +208,17 @@ def cmd_weather_synth(args: argparse.Namespace) -> int:
     try:
         date = parse_date(args.date)
     except ValueError as exc:
-        print(f"error: invalid --date: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        for flag, name, value in (("--lat", "latitude_deg", args.lat),
-                                  ("--cloud", "cloud_factor", args.cloud)):
-            check_json(value, float, flag)  # NaN or infinite
-            SCALARS[name][1].check(flag, value, ConfigError)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError(f"invalid --date: {exc}") from exc
+    for flag, name, value in (("--lat", "latitude_deg", args.lat),
+                              ("--cloud", "cloud_factor", args.cloud)):
+        check_json(value, float, flag)  # NaN or infinite
+        SCALARS[name][1].check(flag, value, ConfigError)
     weather = synth_weather(Scenario(latitude_deg=args.lat,
                                      cloud_factor=args.cloud), date)
     try:
         write_weather_csv(weather, [date], args.out)
     except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError(f"cannot write {args.out}: {exc.strerror}") from exc
     print(f"wrote {len(weather)} samples for {date.isoformat()} to {args.out}")
     return EXIT_OK
 
@@ -275,17 +262,12 @@ def _load_instance(path: str) -> tuple[list[AccessNode], list[UserTerminal],
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    try:
-        nodes, users, scenario = _load_instance(args.instance)
-        # the exhaustive search goes first: it refuses oversized instances
-        inputs = (nodes, users, scenario.radio, scenario.dl_rate_mbps,
-                  scenario.ul_rate_mbps, scenario.equipment)
-        brute = brute_force_design(*inputs)
-        greedy = greedy_design(*inputs)
-    except (ConfigError, InstanceTooLargeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
+    nodes, users, scenario = _load_instance(args.instance)
+    # the exhaustive search goes first: it refuses oversized instances
+    inputs = (nodes, users, scenario.radio, scenario.dl_rate_mbps,
+              scenario.ul_rate_mbps, scenario.equipment)
+    brute = brute_force_design(*inputs)
+    greedy = greedy_design(*inputs)
     print(f"greedy: covered {greedy.covered_count}, "
           f"power {greedy.total_power_w:.3f} W")
     print(f"exhaustive: covered {brute.covered_count}, "
@@ -299,12 +281,20 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand: a usage or validation error exits 2, any other 1."""
     args = _build_parser().parse_args(argv)
-    if args.command == "simulate":
-        return cmd_simulate(args)
-    if args.command == "weather-synth":
-        return cmd_weather_synth(args)
-    return cmd_oracle(args)
+    # looked up at each call, so that a command replaced after import runs
+    command = {"simulate": cmd_simulate, "weather-synth": cmd_weather_synth,
+               "oracle": cmd_oracle}[args.command]
+    try:
+        return command(args)
+    except (ConfigError, WeatherError, ParameterError,
+            InstanceTooLargeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except Exception as exc:  # noqa: BLE001 - report and signal failure
+        print(f"failure: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

@@ -179,15 +179,13 @@ def greedy_design(nodes: Sequence[AccessNode], users: Sequence[UserTerminal],
        still-unassigned users under the block budget; ties fall to the
        smaller power increment, then the lower node id. Users are scanned
        in ascending user_id. Stop when no activation adds coverage.
-    3. For each active cell in ascending node id, drop to the lowest level
-       at which all of its users stay individually feasible and their
-       blocks still fit.
+    3. As each cell activates, drop it to the lowest level at which all of
+       its users stay individually feasible and their blocks still fit.
 
-    Each (cell, level) candidate keeps its first-fit result between
-    rounds, and an activation re-scores only the candidates that had
-    admitted one of the users it takes. That is exact: the scan passes
-    over a user that does not fit without changing the blocks left, so
-    taking users a candidate did not admit leaves its result unchanged.
+    A (cell, level) row is scanned again only once a user its last scan
+    admitted is taken, and never once it admits nobody. That is exact: a
+    scan passes over a user that does not fit without changing the blocks
+    left, so taking users it did not admit leaves its result unchanged.
 
     Every link is evaluated once, by _link_blocks, for one block of about
     DESIGN_BLOCK_PAIRS (node, user) pairs at a time: consecutive nodes and
@@ -220,56 +218,45 @@ def greedy_design(nodes: Sequence[AccessNode], users: Sequence[UserTerminal],
         costs += list(cost)
         shares += list(dl)
 
-    rows = [(n, lvl) for n in range(len(node_list)) for lvl in range(len(levels_dbm))]
-    # scored[r] is row r's (key, admitted), or None once it must be re-scored
-    scored: list[Optional[tuple]] = [None] * len(rows)
-    admits = np.zeros((len(rows), len(user_list)), dtype=bool)
+    n_levels = len(levels_dbm)
     taken = [False] * len(user_list)
-    # active node position -> (level it was activated at, user positions)
-    members: dict[int, tuple[int, list[int]]] = {}
 
-    while True:
-        best = None
-        for r, (n, lvl) in enumerate(rows):
-            if n in members:
-                continue
-            if scored[r] is None:
-                admitted = _first_fit(fit_rows[r], capacity, taken)
-                key = None
-                if admitted:
-                    added_power = (mimo_power(mimo, levels_dbm[lvl],
-                                              len(admitted)) - mimo.sleep_power)
-                    key = (-len(admitted), added_power, node_list[n].node_id)
-                    admits[r, admitted] = True
-                scored[r] = (key, admitted)
-            key, admitted = scored[r]
-            if key is not None and (best is None or key < best[0]):
-                best = (key, r, admitted)
-        if best is None:
-            break
-        _, r, admitted = best
-        n, lvl = rows[r]
-        members[n] = (lvl, admitted)
-        for u in admitted:
-            taken[u] = True
-        stale = admits[:, admitted].any(axis=1)
-        admits[stale] = False
-        for r in stale.nonzero()[0].tolist():
-            scored[r] = None
+    def scan(r: int) -> tuple[tuple, list[int]]:
+        """Row r's key and the user positions its first-fit scan admits."""
+        n, lvl = divmod(r, n_levels)
+        admitted = _first_fit(fit_rows[r], capacity, taken)
+        added = mimo_power(mimo, levels_dbm[lvl], len(admitted)) - mimo.sleep_power
+        return (-len(admitted), added, node_list[n].node_id), admitted
 
     levels: dict[int, float] = {}
     assigned: dict[int, tuple[int, int, int]] = {}
-    for n, (top, admitted) in members.items():
-        # The level the cell was activated at passes, so the trim stops there
-        # at the latest. An infeasible link costs more than a whole cell, so
-        # at a level whose blocks fit the cell every link is feasible.
+    # the scans of the rows of sleeping cells that admit someone, in row order
+    scans: dict[int, tuple[tuple, list[int]]] = {}
+    stale = range(len(fit_rows))
+    while True:
+        for r in stale:
+            scans[r] = scan(r)
+            if not scans[r][1]:
+                del scans[r]
+        if not scans:
+            break
+        r = min(scans, key=lambda row: scans[row][0])  # a tie: the lower row
+        admitted = scans[r][1]
+        # The activation level fits, so the trim stops there at the latest; an
+        # infeasible link costs more than a cell, so a fitting level is feasible.
+        n, top = divmod(r, n_levels)
         blocks = costs[n][:top + 1, admitted].tolist()
         lvl = next(k for k, row in enumerate(blocks) if sum(row) <= capacity)
         node_id = node_list[n].node_id
         levels[node_id] = levels_dbm[lvl]
         for u, cost, dl in zip(admitted, blocks[lvl],
                                shares[n][lvl, admitted].tolist()):
+            taken[u] = True
             assigned[user_list[u].user_id] = (node_id, dl, cost - dl)
+        for k in range(n * n_levels, (n + 1) * n_levels):
+            scans.pop(k, None)
+        newly = set(admitted)
+        stale = [k for k, (_, was) in scans.items() if not newly.isdisjoint(was)]
     return network_config(node_list, levels, assigned, equipment)
 
 

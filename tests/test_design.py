@@ -10,13 +10,16 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import (candidate_links, check_assignment_valid,
                       check_local_minimality, make_node as node,
                       make_user as user)
+from solarran import design
 from solarran.design import (InstanceTooLargeError, _first_fit, _fit_rows,
                              brute_force_design, greedy_design,
                              network_config)
 from solarran.energy import (Equipment, ris_power, station_power_w,
                              uav_hover_power)
 from solarran.radio import MAX_TOTAL_PRBS, RadioParams
-from solarran.scenario import Scenario, default_node_grid, place_users
+from solarran.scenario import (Scenario, default_node_grid, place_users,
+                               scenario_from_dict)
+from test_design_golden import dense_config
 
 PARAMS = RadioParams()
 EQUIPMENT = Equipment()
@@ -191,6 +194,46 @@ class TestGreedyDesign:
         config = greedy_design(nodes, users, PARAMS, dl, ul)
         check_assignment_valid(config, nodes, users, PARAMS, dl, ul)
         check_local_minimality(config, nodes, users, PARAMS, dl, ul)
+
+    def test_a_cell_whose_users_are_all_taken_sleeps(self):
+        # either station alone covers all three users; once node 0 takes
+        # them, every scan of node 1 admits nobody
+        nodes = [node(0, 0, 0), node(1, 100, 0)]
+        users = [user(i, 50, 10 * i) for i in range(3)]
+        assert greedy_design(nodes[1:], users, PARAMS, 100, 25).covered_count == 3
+        config = greedy_design(nodes, users, PARAMS, 100, 25)
+        assert config.covered_count == 3
+        assert [c.tx_power_dbm for c in config.cells] == [28.0, None]
+
+    def test_users_out_of_reach_leave_every_cell_asleep(self):
+        nodes = [node(0, 0, 0), node(1, 100, 0)]
+        users = [user(i, 100_000, 10 * i) for i in range(3)]
+        config = greedy_design(nodes, users, PARAMS, 100, 25)
+        assert config.covered_count == 0
+        assert not any(c.active for c in config.cells)
+
+    # _first_fit calls of the golden designs' instances
+    @pytest.mark.parametrize("config, seed, calls", [
+        ("dense", 7, 2043), ("default", 42, 34), ("default", 43, 35)])
+    def test_a_row_is_scanned_again_only_once_a_user_it_admitted_is_taken(
+            self, monkeypatch, config, seed, calls):
+        scans = []  # (row's id, taken as bytes, admitted) of each call
+
+        def recording(row, capacity, taken):
+            admitted = _first_fit(row, capacity, taken)
+            scans.append((id(row), bytes(taken), admitted))
+            return admitted
+
+        monkeypatch.setattr(design, "_first_fit", recording)
+        sc = scenario_from_dict(dense_config() if config == "dense" else {})
+        greedy_design(sc.nodes, place_users(sc, seed), sc.radio,
+                      sc.dl_rate_mbps, sc.ul_rate_mbps)
+        last = {}
+        for row, taken, admitted in scans:
+            if row in last:
+                assert any(taken[u] for u in last[row])
+            last[row] = admitted
+        assert len(scans) == calls
 
 
 class TestNetworkConfig:
