@@ -1,13 +1,9 @@
 """Command-line entry point.
 
 Subcommands:
-  simulate       run the paired with/without-renewables study and write
-                 metrics.json, summary.csv, per-run ledgers, and per-season
-                 time series into --out; a pair's two ledgers are written
-                 at once, in the same bytes: a forked child writes the
-                 no-solar ledger and the with-solar ledger's last minutes,
-                 while this process writes the with-solar ledger's first
-                 minutes and then appends the child's part (POSIX fork only)
+  simulate       run the paired with/without-renewables study and publish
+                 the files of report.STUDY_FILES into --out, each pair's
+                 two ledgers written at once by two processes (POSIX fork)
   weather-synth  write one synthetic clear-sky day as a weather CSV
   oracle         cross-check the greedy design against the exhaustive
                  reference on a small instance file
@@ -22,7 +18,6 @@ import argparse
 import contextlib
 import dataclasses
 import os
-import re
 import shutil
 import sys
 import tempfile
@@ -32,15 +27,16 @@ from .design import InstanceTooLargeError, brute_force_design, greedy_design
 from .energy import ParameterError, Range
 from .engine import compute_metrics, run_pair, verify_conservation
 from .radio import COORD_M, Position
-from .report import (format_summary_table, scenario_echo, timeseries_rows,
+from .report import (LEDGER_ARMS, PART_SUFFIX, STUDY_FILE, STUDY_FILES,
+                     format_summary_table, scenario_echo, timeseries_rows,
                      write_ledger_csv, write_metrics_json, write_summary_csv,
                      write_timeseries_csvs)
-from .scenario import (CONFIG_SCHEMA, NODE_ALTITUDE_M, SCALARS, SEASONS,
-                       USER_HEIGHT_M, AccessNode, ConfigError, Required,
-                       Scenario, UserTerminal, WeatherError, WeatherSeries,
-                       check_json, load_config, load_weather_csv, parse_date,
-                       read_json, scenario_from_dict, synth_study_series,
-                       synth_weather, write_weather_csv)
+from .scenario import (CONFIG_SCHEMA, NODE_ALTITUDE_M, SCALARS, USER_HEIGHT_M,
+                       AccessNode, ConfigError, Required, Scenario,
+                       UserTerminal, WeatherError, WeatherSeries, check_json,
+                       load_config, load_weather_csv, parse_date, read_json,
+                       scenario_from_dict, synth_study_series, synth_weather,
+                       write_weather_csv)
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -98,6 +94,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     found = next(p for p in (out_dir, *out_dir.parents) if p.exists())
     if not found.is_dir():
         raise ConfigError(f"--out {out_dir}: {found} is not a directory")
+    for old in out_dir.iterdir() if found == out_dir else ():
+        # unlink and os.replace replace a file or a symlink, not a directory
+        if (STUDY_FILE.fullmatch(old.name) and old.is_dir()
+                and not old.is_symlink()):
+            raise ConfigError(f"--out {out_dir}: {old} is a directory, not a "
+                              "study file")
     with _staged(out_dir) as stage:
         pairs = []
         series_sums = 0.0  # timeseries_rows summed in run order
@@ -110,8 +112,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             series_sums = series_sums + rows
         metrics = compute_metrics(pairs)
         write_metrics_json(metrics, scenario_echo(scenario),
-                           stage / "metrics.json")
-        write_summary_csv(metrics, stage / "summary.csv")
+                           stage / STUDY_FILES["metrics"])
+        write_summary_csv(metrics, stage / STUDY_FILES["summary"])
         write_timeseries_csvs(series_sums / scenario.run_count, stage)
     print(f"{scenario.run_count} run pair(s), seeds {seeds[0]}..{seeds[-1]}, "
           f"{len(scenario.nodes)} stations, {scenario.user_count} users")
@@ -137,9 +139,9 @@ def _run_and_write(scenario: Scenario, weather: WeatherSeries, seed: int,
     """
     pair = run_pair(scenario, weather, seed)
     verify_conservation(pair)
-    nopv = stage / f"ledger_{run_idx}_nopv.csv"
-    pv = stage / f"ledger_{run_idx}_pv.csv"
-    part = pv.with_suffix(".part")
+    nopv, pv = (stage / STUDY_FILES["ledger"].format(run=run_idx, arm=arm)
+                for arm in LEDGER_ARMS)
+    part = pv.with_suffix(PART_SUFFIX)
     n_minutes = len(weather)
     split = n_minutes - int(n_minutes * CHILD_PV_SHARE)
     pid = os.fork()
@@ -168,17 +170,14 @@ def _run_and_write(scenario: Scenario, weather: WeatherSeries, seed: int,
     return dataclasses.replace(pair, ledgers=()), rows
 
 
-STUDY_FILE = re.compile(r"ledger_\d+_(pv|nopv)\.csv|metrics\.json|summary\.csv"
-                        r"|timeseries_(" + "|".join(SEASONS) + r")\.csv")
-
-
 @contextlib.contextmanager
 def _staged(out_dir: Path):
     """Yield a staging directory beside out_dir and, once the block succeeds,
-    publish it: one rename onto an absent or empty out_dir, else the
-    STUDY_FILE names in out_dir are replaced and any other file is kept.
-    On failure the staging directory and any parent directory made for it
-    are deleted, and out_dir is untouched."""
+    publish it: one rename onto an absent or empty out_dir, else the files
+    in out_dir named as in report.STUDY_FILES, at any run count, are
+    replaced and any other file is kept (none of them may be a directory,
+    which cmd_simulate refuses). On failure the staging directory and any
+    parent directory made for it are deleted, and out_dir is untouched."""
     target = out_dir.resolve()
     made = [d for d in (target.parent, *target.parent.parents) if not d.exists()]
     target.parent.mkdir(parents=True, exist_ok=True)

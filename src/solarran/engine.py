@@ -274,10 +274,12 @@ def verify_conservation(pair: PairResult) -> None:
     pv_used and 0 <= soc <= the station's usable capacity; per day, the
     consumed and pv_used totals match the ledger's sums and so does the
     AREC computed from them; without solar, each station's swaps on each
-    day are floor(E/U) for its day's consumption E and usable capacity U;
-    every station's swaps on each day equal the rise of the ledger's
-    never-decreasing swap counter over that day. The checks are written so
-    that a NaN fails them.
+    day are floor(E/U) for its day's consumption E and usable capacity U,
+    and with solar at most the swaps without (where E/U lies within 1e-6
+    of a whole number the count is knife-edge: the first check is skipped
+    and the second allows one more); every station's swaps on each day
+    equal the rise of the ledger's never-decreasing swap counter over that
+    day. The checks are written so that a NaN fails them.
     """
     for arm, name in enumerate(ARMS):
         try:
@@ -317,11 +319,11 @@ def _verify_arm(pair: PairResult, arm: int) -> None:
     _check_days(np.abs(arec[0] - arec[1]), 1e-9,
                 "AREC from the ledger differs from the day totals' AREC")
     swaps = pair.swaps[arm]
+    # where E/U sits within 1e-6 of a whole number the count is knife-edge
+    ratio = pair.consumed_wh / pair.usable_capacity_wh
+    knife_edge = np.abs(ratio - np.round(ratio)) < 1e-6
     if arm == 0:
-        # constant load, no charge: floor(E/U) swaps a day, except where E/U
-        # sits within 1e-6 of a whole number and the count is knife-edge
-        ratio = pair.consumed_wh / pair.usable_capacity_wh
-        knife_edge = np.abs(ratio - np.round(ratio)) < 1e-6
+        # constant load, no charge: floor(E/U) swaps a day, but on a knife edge
         _check_stations((swaps != np.floor(ratio)) & ~knife_edge, pair.node_ids,
                         lambda d, i: f"{swaps[d, i]} swaps without solar, closed "
                                      f"form floor(E/U) gives {np.floor(ratio[d, i]):.0f}")
@@ -330,3 +332,8 @@ def _verify_arm(pair: PairResult, arm: int) -> None:
     _check_stations(swaps != rises, pair.node_ids, lambda d, i: (
         f"{swaps[d, i]} swaps, but the ledger's swaps column rose by "
         f"{rises[d, i]}"))
+    if arm == 1:
+        # solar never adds a swap, but one on a knife edge of the no-solar count
+        _check_stations(swaps > pair.swaps[0] + knife_edge, pair.node_ids,
+                        lambda d, i: f"{swaps[d, i]} swaps, more than the "
+                                     f"{pair.swaps[0][d, i]} without solar")

@@ -1,26 +1,19 @@
-"""Study outputs: summary table, metrics JSON, per-run ledgers, and
-plot-ready per-season time series.
+"""Study outputs, named in STUDY_FILES: summary table, metrics JSON,
+per-run ledgers, and plot-ready per-season time series.
 
 summary.csv rounds to two decimals with dot separators; metrics.json
 (strict JSON, so no non-finite number) and the ledgers keep full float
 precision (ledger floats use repr, so sums recomputed from disk match the
-in-memory accounting bit for bit).
-
-An arm's ledger is a (day, minute, station) table per column, which only
-write_ledger_csv flattens to rows. Its period comes from its strides, not
-from its values: a column broadcast over days and minutes (node_id, the
-station power columns and, without solar, every flow but the state of
-charge) is formatted once per station, and a column broadcast over days
-(without solar, the state of charge) for one day. The others are formatted
-per chunk of whole minutes, each distinct value once, and each chunk is
-written with one join. A whole-minute range of a ledger can be written on
-its own, so that two processes can share one ledger.
+in-memory accounting bit for bit). Only write_ledger_csv flattens an arm's
+ledger, a (day, minute, station) table per column, to rows: a whole-minute
+range of it at a time if asked, so that two processes can share one ledger.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +21,20 @@ import numpy as np
 from .engine import LEDGER_COLUMNS, PairResult, SeasonStats, StudyMetrics
 from .scenario import MINUTES_PER_DAY, SEASONS, Scenario, WeatherSeries
 
+# A study's files by kind, as str.format templates of their names: {run} is a
+# run index, {arm} one of LEDGER_ARMS and {season} one of SEASONS.
+STUDY_FILES = {"metrics": "metrics.json", "summary": "summary.csv",
+               "timeseries": "timeseries_{season}.csv",
+               "ledger": "ledger_{run}_{arm}.csv"}
+LEDGER_ARMS = ("nopv", "pv")  # by PairResult arm
+PART_SUFFIX = ".part"  # a with-solar ledger's tail, held only in a stage
+# Any name of STUDY_FILES at any run count, a run index without leading
+# zeros: the templates escaped but for their fields, then each field's pattern
+STUDY_FILE = re.compile("|".join(
+    re.escape(t).replace(r"\{", "{").replace(r"\}", "}")
+    for t in STUDY_FILES.values()).format(
+        run="(?:0|[1-9][0-9]*)", arm=f"(?:{'|'.join(LEDGER_ARMS)})",
+        season=f"(?:{'|'.join(SEASONS)})"))
 SUMMARY_HEADER = ",".join(["season",
                            *(f.name for f in dataclasses.fields(SeasonStats))])
 # Rows the ledger writer formats at once, rounded down to whole minutes. One
@@ -82,12 +89,16 @@ def _cells(values: np.ndarray, suffix: str) -> np.ndarray:
     (for an int, its str), then suffix.
 
     Every distinct value is formatted once and fancy-indexed back into
-    place, in the shape of values. Values are keyed by their bits, so 0.0
-    and -0.0 (and any two NaN payloads) keep their own text.
+    place. Only the axes of nonzero stride are read, and the texts are
+    broadcast over the others, in the shape of values. Values are keyed by
+    their bits, so 0.0 and -0.0 (and any two NaN payloads) keep their own
+    text.
     """
-    distinct, where = np.unique(values.view(np.int64), return_inverse=True)
+    own = values[tuple(slice(None) if s else slice(1) for s in values.strides)]
+    distinct, where = np.unique(own.view(np.int64), return_inverse=True)
     text = [repr(v) + suffix for v in distinct.view(values.dtype).tolist()]
-    return np.array(text, dtype=object)[where.reshape(values.shape)]
+    texts = np.array(text, dtype=object)[where.reshape(own.shape)]
+    return np.broadcast_to(texts, values.shape)
 
 
 def write_ledger_csv(ledger: dict[str, np.ndarray], path: Path,
@@ -151,12 +162,12 @@ def timeseries_rows(pair: PairResult, weather: WeatherSeries) -> np.ndarray:
 
 
 def write_timeseries_csvs(means: np.ndarray, out_dir: Path) -> None:
-    """timeseries_<season>.csv for each of SEASONS, the names of the dates
-    in order: GHI, and state of charge and panel output averaged over
-    stations, from the run means of timeseries_rows."""
+    """The time series of STUDY_FILES for each of SEASONS, the names of
+    the dates in order: GHI, and state of charge and panel output averaged
+    over stations, from the run means of timeseries_rows."""
     for day, name in enumerate(SEASONS):
-        with open(out_dir / f"timeseries_{name}.csv", "w", encoding="utf-8",
-                  newline="\n") as fh:
+        with open(out_dir / STUDY_FILES["timeseries"].format(season=name),
+                  "w", encoding="utf-8", newline="\n") as fh:
             fh.write("minute,mean_ghi_wm2,mean_soc_wh,mean_pv_w\n")
             for lo in range(0, MINUTES_PER_DAY, TIMESERIES_CHUNK_MINUTES):
                 hi = lo + TIMESERIES_CHUNK_MINUTES

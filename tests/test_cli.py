@@ -20,7 +20,8 @@ import solarran.engine as engine
 from solarran.cli import main
 from solarran.design import network_config
 from solarran.energy import station_power_w
-from solarran.scenario import (MAX_STATION_DRAW_W, load_weather_csv,
+from solarran.report import LEDGER_ARMS, STUDY_FILE, STUDY_FILES
+from solarran.scenario import (MAX_STATION_DRAW_W, SEASONS, load_weather_csv,
                                scenario_from_dict)
 
 TINY_CONFIG = {
@@ -51,6 +52,13 @@ def run_cli_process(*args, entry=("-m", "solarran.cli")):
     env.pop("OPENBLAS_NUM_THREADS", None)
     return subprocess.run([sys.executable, *entry, *args],
                           capture_output=True, text=True, env=env, timeout=120)
+
+
+def study_names(runs):
+    """The names a study of runs pairs writes, rendered from the file table."""
+    return {template.format(run=run, arm=arm, season=season)
+            for template in STUDY_FILES.values() for run in range(runs)
+            for arm in LEDGER_ARMS for season in SEASONS}
 
 
 def study_files(config, out, *flags):
@@ -538,6 +546,69 @@ class TestSimulate:
                 in capsys.readouterr().err)
         assert afile.read_text() == "kept"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "tiny.json"]
+
+    def test_directory_under_a_study_file_name_exits_2_before_any_pair(
+            self, tmp_path, capsys, monkeypatch):
+        # neither unlink nor os.replace replaces a directory: a rerun must
+        # not delete the previous study's files and then fail on it
+        config = write_tiny_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(config), "--runs", "2",
+                     "--out", str(out)]) == 0
+        (out / "summary.csv").unlink()
+        (out / "summary.csv").mkdir()
+        before = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+        assert len(before) == 9
+
+        def no_pair(*args, **kwargs):
+            raise AssertionError("a pair was stepped")
+
+        monkeypatch.setattr(cli, "run_pair", no_pair)
+        rc = main(["simulate", "--config", str(config), "--runs", "1",
+                   "--out", str(out)])
+        assert rc == 2
+        assert (f"--out {out}: {out / 'summary.csv'} is a directory, not a "
+                "study file") in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()
+                if p.is_file()} == before
+        assert (out / "summary.csv").is_dir()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "tiny.json"]
+
+    def test_rerun_replaces_a_symlink_under_a_study_file_name(self, tmp_path):
+        # a symlink is unlinked as itself, whatever it points to
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "summary.csv").symlink_to(elsewhere, target_is_directory=True)
+        assert main(["simulate", "--config", str(write_tiny_config(tmp_path)),
+                     "--out", str(out)]) == 0
+        assert not (out / "summary.csv").is_symlink()
+        assert (out / "summary.csv").read_text().startswith("season,")
+        assert elsewhere.is_dir()
+
+    def test_a_study_writes_the_names_of_the_file_table(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(write_tiny_config(tmp_path)),
+                     "--runs", "2", "--out", str(out)]) == 0
+        assert {p.name for p in out.iterdir()} == study_names(2)
+        assert len(study_names(2)) == 10
+        # the replace pattern takes every name of any run count
+        assert all(STUDY_FILE.fullmatch(name) for name in study_names(12))
+
+    def test_rerun_keeps_names_a_study_never_writes(self, tmp_path):
+        config = write_tiny_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(config), "--runs", "2",
+                     "--out", str(out)]) == 0
+        kept = ("ledger_01_pv.csv", "ledger_0_pv.part", "timeseries_fall.csv",
+                "metrics.json.bak")
+        for name in kept:
+            (out / name).write_text(name)
+        assert main(["simulate", "--config", str(config), "--runs", "1",
+                     "--out", str(out)]) == 0
+        assert {p.name for p in out.iterdir()} == study_names(1) | set(kept)
+        assert all((out / name).read_text() == name for name in kept)
 
     def test_rerun_replaces_the_previous_study(self, tmp_path):
         config = write_tiny_config(tmp_path)

@@ -316,16 +316,42 @@ class TestVerifyConservation:
                                             delta))
 
     def test_swaps_with_solar_are_not_held_to_closed_form(self, small_pair):
-        # one more swap per station at each day's first minute, in the
-        # day counts and in the ledger's cumulative column alike
+        # one swap fewer per station on each day, its last, in the day
+        # counts and in the ledger's cumulative column alike: a counter
+        # holds its day's final value from the day's last swap on
         swaps = small_pair.swaps.copy()
-        swaps[1] += 1
+        swaps[1] -= 1
         no_solar, with_solar = small_pair.ledgers
         counter = with_solar["swaps"].copy()
-        counter += with_solar["t"] // 1440 + 1
+        counter -= np.arange(len(counter))[:, None, None] + (
+            counter == counter[:, -1:])
         verify_conservation(dataclasses.replace(
             small_pair, swaps=swaps,
             ledgers=(no_solar, {**with_solar, "swaps": counter})))
+
+    @pytest.mark.parametrize("knife_edge", [False, True])
+    def test_solar_must_not_add_a_swap(self, small_pair, knife_edge):
+        # one more swap with solar for station 0 on day 0, where both runs
+        # swap 9 times, in the day counts and in the ledger's counter alike
+        assert small_pair.swaps[:, 0, 0].tolist() == [9, 9]
+        swaps = small_pair.swaps.copy()
+        swaps[1, 0, 0] += 1
+        no_solar, with_solar = small_pair.ledgers
+        counter = with_solar["swaps"].copy()
+        counter[0, -1, 0] += 1
+        counter[1:, :, 0] += 1
+        bad = dataclasses.replace(
+            small_pair, swaps=swaps,
+            ledgers=(no_solar, {**with_solar, "swaps": counter}))
+        if knife_edge:  # E/U a whole number, 9: one swap more is accepted
+            cap = np.full(len(small_pair.node_ids), small_pair.usable_capacity_wh)
+            cap[0] = small_pair.consumed_wh[0, 0] / 9
+            verify_conservation(dataclasses.replace(bad, usable_capacity_wh=cap))
+        else:
+            with pytest.raises(SimulationError,
+                               match=r"^with solar: day 0, node_id=0: 10 swaps, "
+                                     r"more than the 9 without solar$"):
+                verify_conservation(bad)
 
     def test_whole_multiple_swap_count_is_not_checked(self, small_pair):
         # E/U a whole number k: k or k - 1 swaps are both accepted, as in

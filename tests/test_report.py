@@ -102,8 +102,9 @@ def _naive_csv(ledger):
 @st.composite
 def station_ledgers(draw):
     """(stations, ledger): each column varies freely, repeats one day every
-    day, or repeats one value per station every minute, the repeats as
-    broadcast views; one cell may break a repeating column's copy."""
+    day, or repeats one value per station every minute, and may also repeat
+    over stations, the repeats as broadcast views; one cell may break a
+    repeating column's copy."""
     n = draw(st.integers(1, 60))
     days, minutes = draw(st.integers(1, 3)), draw(st.integers(1, 4))
     shape = (days, minutes, n)
@@ -111,8 +112,11 @@ def station_ledgers(draw):
     for name in LEDGER_COLUMNS:
         cells = (st.sampled_from(FLOAT_CELLS) if name in LEDGER_COLUMNS[2:-1]
                  else st.integers(-2**63, 2**63 - 1))
-        # the axes the column varies over: all, a day's, or the station's
+        # the axes the column varies over: all, a day's, or the station's,
+        # less the station's where it repeats over stations
         own = shape[draw(st.integers(0, 2)):]
+        if draw(st.booleans()):
+            own = (*own[:-1], 1)
         size = math.prod(own)
         column = np.array(draw(st.lists(cells, min_size=size, max_size=size)),
                           dtype=float if name in LEDGER_COLUMNS[2:-1] else int)
