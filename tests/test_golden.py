@@ -47,6 +47,35 @@ def test_golden_study_bytes(tmp_path, capsys):
     assert got == GOLDEN_SHA256
 
 
+# The golden study with each run's days scaled by a seeded cloud jitter, so
+# that the numbers of the jitter stream are pinned too.
+JITTER_CONFIG = {**GOLDEN_CONFIG, "weather": {"cloud_jitter": 0.3}}
+
+JITTER_SHA256 = {
+    "ledger_0_nopv.csv": "f17d06cb616cebf9a46c44f085a58dcaf9f1874966be9560ddff2dd618a88f63",
+    "ledger_0_pv.csv": "ecc754370917fcac4cd051911b1aa2acca211281af8f795673396096122221c0",
+    "ledger_1_nopv.csv": "33b7abb9c0ee7da42cc6d1fa5976bd06481e4af5a71eacdf3063e1f282941fe2",
+    "ledger_1_pv.csv": "35da648e8f572d74e9fdcadd25897a4cdb988af0f2c888d4657c6804cb1f8b87",
+    "metrics.json": "e6ec6c22fcc4dff1cf2be5a59bb6d8f292877099288937ac8d0669fa3dac9551",
+    "summary.csv": "44531fef53991783970f57926b913cd376cbc4997e3ea872ca31d14199ecbcad",
+    "timeseries_autumn.csv": "0965342766745e902f83be802b33b1e084e58218c8430472f28d4dcd7de24a65",
+    "timeseries_spring.csv": "fb360e88cfc62260936a9d2c9b68777c93d8acda54eca82e7e2ca52f61d80ca7",
+    "timeseries_summer.csv": "ae1aceb76f09d520912d46112209f12ae87b6569b39c2e26bcfae027e2a60886",
+    "timeseries_winter.csv": "feb6d3ed19a907a138ae54975079f74f7d6ebf99ec07520297d8af398975fc81",
+}
+
+
+def test_jitter_study_bytes(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(JITTER_CONFIG), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config), "--seed", "42",
+                 "--out", str(out)]) == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in sorted(out.iterdir())}
+    assert got == JITTER_SHA256
+
+
 # The golden study with a value other than the default in every equipment
 # section, so that each spec reaches the designer, the engine and the echo.
 EQUIPMENT_CONFIG = {
