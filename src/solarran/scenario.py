@@ -19,6 +19,7 @@ import functools
 import json
 import math
 import numbers
+import operator
 import re
 import sys
 from dataclasses import dataclass, field
@@ -448,18 +449,82 @@ def scenario_from_dict(raw: dict) -> Scenario:
                     dates=dates, season_temps=season_temps)
 
 
+_MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _uniform(entropy, count: int) -> list[float]:
+    """count doubles in [0, 1): the numbers that NumPy's
+    default_rng(entropy).random(count) gives, made here in Python, since
+    importing NumPy's random package costs every process megabytes.
+
+    entropy is a non-negative int or a sequence of them, as for NumPy's
+    SeedSequence, which mixes their 32-bit words into a pool of four and
+    hashes the pool into PCG64's 128-bit state and increment. Each draw
+    steps that LCG, applies the XSL-RR output and keeps its top 53 bits.
+    """
+    words = []  # each int as little-endian 32-bit words; 0 is one word
+    for n in [entropy] if isinstance(entropy, numbers.Integral) else entropy:
+        n = operator.index(n)
+        if n < 0:
+            raise ValueError(f"expected non-negative integer entropy, got {n}")
+        words.extend(n >> shift & _MASK32
+                     for shift in range(0, max(n.bit_length(), 1), 32))
+
+    def hasher(hash_const: int, mult: int):
+        def hashmix(value: int) -> int:
+            nonlocal hash_const
+            value ^= hash_const
+            hash_const = hash_const * mult & _MASK32
+            value = value * hash_const & _MASK32
+            return value ^ value >> 16
+        return hashmix
+
+    def mix(x: int, y: int) -> int:
+        value = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return value ^ value >> 16
+
+    hashmix = hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    # generate_state(4, uint64): four 64-bit words from eight 32-bit halves
+    hashmix = hasher(0x8B51F9DD, 0x58F38DED)
+    state = [hashmix(pool[i % 4]) for i in range(8)]
+    seed, seq = (state[k + 1] << 96 | state[k] << 64 | state[k + 3] << 32
+                 | state[k + 2] for k in (0, 4))
+
+    inc = (seq << 1 | 1) & _MASK128
+    lcg = (inc + seed) * _PCG64_MULT + inc & _MASK128
+    draws = []
+    for _ in range(count):
+        lcg = lcg * _PCG64_MULT + inc & _MASK128
+        rot = lcg >> 122
+        value = (lcg >> 64 ^ lcg) & _MASK64
+        value = (value >> rot | value << (64 - rot)) & _MASK64
+        draws.append((value >> 11) * 2.0**-53)
+    return draws
+
+
 def place_users(scenario: Scenario, seed: int) -> tuple[UserTerminal, ...]:
     """Drop user_count terminals uniformly over the area at 1.5 m height.
 
-    The generator is NumPy's PCG64 seeded through SeedSequence(seed); the
-    placement consumes one (count, 2) block of uniform doubles, so the same
-    seed reproduces the same layout on any platform.
+    The generator is NumPy's PCG64 seeded through SeedSequence(seed), drawn
+    by _uniform; the placement consumes one (count, 2) block of uniform
+    doubles, x then y of each user, so the same seed reproduces the same
+    layout on any platform, and the layout NumPy's default_rng(seed) gives.
     """
-    rng = np.random.default_rng(seed)
-    coords = rng.random((scenario.user_count, 2))
-    coords *= (scenario.area_width_m, scenario.area_height_m)
-    return tuple(UserTerminal(user_id=i, position=Position(x, y, USER_HEIGHT_M))
-                 for i, (x, y) in enumerate(coords.tolist()))
+    draws = _uniform(seed, 2 * scenario.user_count)
+    width, height = scenario.area_width_m, scenario.area_height_m
+    return tuple(UserTerminal(user_id=i, position=Position(
+                     x * width, y * height, USER_HEIGHT_M))
+                 for i, (x, y) in enumerate(zip(draws[::2], draws[1::2])))
 
 
 def solar_declination_deg(day_of_year: int) -> float:
@@ -510,8 +575,8 @@ def synth_weather(scenario: Scenario, date: datetime.date,
     """
     cf = scenario.cloud_factor
     if scenario.cloud_jitter > 0 and seed is not None:
-        rng = np.random.default_rng([seed, date.toordinal()])
-        cf = cf * (1.0 + scenario.cloud_jitter * (2.0 * rng.random() - 1.0))
+        draw, = _uniform([seed, date.toordinal()], 1)
+        cf = cf * (1.0 + scenario.cloud_jitter * (2.0 * draw - 1.0))
         cf = min(1.0, max(0.0, cf))
     day = _clear_sky_day(scenario.latitude_deg, date,
                          *scenario.season_temps[scenario.season_label(date)])

@@ -12,6 +12,7 @@ import tracemalloc
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import solarran
@@ -831,6 +832,38 @@ class TestSimulate:
                                entry=(str(script),))
         assert proc.returncode == 0, proc.stderr
         assert counts.read_text() == "1\n"
+
+
+@pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
+                    reason="import numpy loads numpy.random on NumPy < 2")
+def test_a_study_never_loads_numpy_random(tmp_path):
+    # placement and the cloud jitter draw their numbers without it
+    config = tmp_path / "jittered.json"
+    config.write_text(json.dumps({**TINY_CONFIG,
+                                  "weather": {"cloud_jitter": 0.2}}),
+                      encoding="utf-8")
+    script = tmp_path / "modules_cli.py"
+    script.write_text(
+        "import sys\n"
+        "from solarran.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))\n"
+        "sys.exit(code)\n")
+    proc = run_cli_process("simulate", "--config", str(config), "--runs", "2",
+                           "--out", str(tmp_path / "out"), entry=(str(script),))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_no_module_of_the_package_names_numpy_random():
+    naming = re.compile(r"\b(?:np|numpy)\.random\b"
+                        r"|\bfrom\s+numpy\s+import\b.*\brandom\b")
+    package = Path(solarran.__file__).parent
+    named = [f"{path.name}:{n}" for path in sorted(package.rglob("*.py"))
+             for n, line in enumerate(path.read_text(encoding="utf-8")
+                                      .splitlines(), 1)
+             if naming.search(line)]
+    assert named == []
 
 
 class TestWeatherSynth:

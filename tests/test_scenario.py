@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from solarran import scenario as scenario_module
 from solarran.cli import main
@@ -24,7 +24,7 @@ from solarran.scenario import (CONFIG_SCHEMA, EQUIPMENT, EXTENT_M, MAX_GHI_WM2,
                                load_weather_csv, place_users, scenario_from_dict,
                                solar_declination_deg, solar_elevation_sin,
                                synth_study_series, synth_weather,
-                               write_weather_csv)
+                               write_weather_csv, _uniform)
 
 SUMMER = datetime.date(2022, 6, 21)
 WINTER = datetime.date(2022, 12, 21)
@@ -327,6 +327,49 @@ class TestPlaceUsers:
         ys = np.array([u.position.y for u in users])
         assert abs(xs.mean() - 1500.0) < 0.01 * 1500.0
         assert abs(ys.mean() - 1500.0) < 0.01 * 1500.0
+
+    def test_layout_is_numpys_default_rng_block(self):
+        sc = scenario_from_dict({"area": {"width_m": 800.0, "height_m": 2500.0}})
+        coords = np.random.default_rng(31).random((sc.user_count, 2))
+        coords *= (800.0, 2500.0)
+        users = place_users(sc, 31)
+        assert [[u.position.x, u.position.y] for u in users] == coords.tolist()
+
+
+def reference_uniform(entropy, count):
+    return np.random.default_rng(entropy).random(count).tolist()
+
+
+class TestUniform:
+    """_uniform is NumPy's PCG64 stream seeded through SeedSequence, made
+    without numpy.random; here that stream is the reference."""
+
+    @given(st.integers(0, 2**64 - 1))
+    @example(0)
+    @example(2**32 - 1)
+    @example(2**32)
+    @example(2**64 - 1)
+    def test_u64_seed(self, seed):
+        assert _uniform(seed, 5) == reference_uniform(seed, 5)
+
+    # the jitter's entropy: a run seed and a date's proleptic ordinal
+    @given(st.integers(0, 2**64 - 1), st.dates())
+    def test_seed_and_ordinal(self, seed, date):
+        entropy = [seed, date.toordinal()]
+        assert _uniform(entropy, 1) == reference_uniform(entropy, 1)
+
+    @pytest.mark.parametrize("entropy", [[], [0], [7, 2**64 - 1, 2**40, 3, 9]])
+    def test_other_sequences(self, entropy):
+        assert _uniform(entropy, 3) == reference_uniform(entropy, 3)
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 3, 200, 2001])
+    def test_count(self, count):
+        assert _uniform(42, count) == reference_uniform(42, count)
+
+    @pytest.mark.parametrize("entropy", [-1, [3, -1]])
+    def test_negative_entropy_rejected(self, entropy):
+        with pytest.raises(ValueError, match="non-negative"):
+            _uniform(entropy, 1)
 
 
 class TestSynthWeather:
